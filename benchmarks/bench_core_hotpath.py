@@ -180,7 +180,7 @@ def test_core_hotpath(tmp_path):
             build_scenario(
                 ScenarioConfig(
                     seed=9, num_routers=sweep_routers, loss_prob=p,
-                    num_packets=5, drain_time=50.0,
+                    num_packets=5,
                 )
             ),
             RPProtocolFactory(),

@@ -20,8 +20,8 @@ Subcommands cover the common workflows without writing Python:
     and ``--spans`` export the span trees for Perfetto /
     ``chrome://tracing`` and as JSONL.
 ``python -m repro health``
-    Run one scenario with windowed sim-time telemetry, evaluate the
-    invariant watchdogs (stall, conservation, quiescence) and print
+    Run one scenario with windowed sim-time telemetry, report the run
+    invariants (including the windowed stall check) and print
     per-window sparklines plus the verdict; exits non-zero on any
     violation.  ``--blackhole P`` injects a recovery black hole under a
     hardened policy (the stall demo); ``--fingerprint``/``--ledger``
@@ -32,16 +32,12 @@ Subcommands cover the common workflows without writing Python:
     The full figure-reproduction campaign (``--telemetry`` adds
     per-protocol attempt telemetry next to the sweeps).
 ``python -m repro chaos``
-    Fault-injection sweep: all five protocols in their hardened
-    configurations against escalating fault intensity (peer crashes,
-    burst loss, link downs, recovery black-holing).  Exits non-zero if
-    any recovery neither completed nor abandoned (a liveness violation).
-``python -m repro churn``
-    Membership-churn sweep: all five protocols against escalating
-    join/leave churn, with incremental plan repair audited against
-    from-scratch planning.  Exits non-zero on a liveness violation, a
-    send reaching the membership boundary, or a repair quality gap
-    beyond 1%.
+    The faults × churn sweep: all five protocols in their hardened
+    configurations over a grid of fault intensities (peer crashes,
+    burst loss, link downs, recovery black-holing) and churn
+    intensities (members leaving and rejoining), with incremental plan
+    repair audited against from-scratch planning.  Exits non-zero on
+    any run-invariant violation or a repair quality gap beyond 1%.
 """
 
 from __future__ import annotations
@@ -51,6 +47,12 @@ import sys
 from collections.abc import Sequence
 
 from repro.core.planner import RPPlanner
+from repro.experiments.chaos import (
+    DEFAULT_CHURN,
+    DEFAULT_FAULTS,
+    ChaosSweepResult,
+    run_chaos_sweep,
+)
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import run_client_sweep, run_loss_sweep
 from repro.experiments.report import format_table, render_figure
@@ -202,7 +204,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     factory = PROTOCOLS[args.protocol]()
     membership = None
     if args.churn > 0:
-        from repro.experiments.churn import churn_horizon
+        from repro.experiments.chaos import chaos_horizon
         from repro.sim.membership import random_membership_schedule
         from repro.sim.rng import RngStreams
 
@@ -210,7 +212,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             args.churn,
             RngStreams(args.seed).get(f"membership-schedule:{args.churn:g}"),
             [c for c in built.tree.clients if c != built.tree.root],
-            churn_horizon(built.config),
+            chaos_horizon(built.config),
         )
     instr = Instrumentation.recording(jsonl_path=args.jsonl)
     try:
@@ -606,12 +608,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="fault-injection sweep: hardened recovery vs fault intensity",
+        help="faults x churn sweep: hardened recovery vs perturbation",
     )
     p_chaos.add_argument("--seeds", type=int, nargs="+", default=[1])
     p_chaos.add_argument(
-        "--intensity", type=float, nargs="+", default=None, metavar="I",
-        help="fault intensities in [0, 1] (default: 0.0 0.3 0.6)",
+        "--faults", type=float, nargs="+", default=list(DEFAULT_FAULTS),
+        metavar="I", help="fault intensities in [0, 1] (default: 0.0 0.3 0.6)",
+    )
+    p_chaos.add_argument(
+        "--churn", type=float, nargs="+", default=list(DEFAULT_CHURN),
+        metavar="I", help="churn intensities in [0, 1] (default: 0.0)",
     )
     p_chaos.add_argument(
         "--routers", type=int, default=60, help="backbone router count"
@@ -631,54 +637,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a previously saved chaos sweep instead of simulating",
     )
     p_chaos.set_defaults(func=_cmd_chaos)
-
-    p_churn = sub.add_parser(
-        "churn",
-        help="membership-churn sweep: join/leave dynamics vs plan repair",
-    )
-    p_churn.add_argument("--seeds", type=int, nargs="+", default=[1])
-    p_churn.add_argument(
-        "--intensity", type=float, nargs="+", default=None, metavar="I",
-        help="churn intensities in [0, 1] (default: 0.0 0.4 0.8)",
-    )
-    p_churn.add_argument(
-        "--routers", type=int, default=60, help="backbone router count"
-    )
-    p_churn.add_argument(
-        "--packets", type=int, default=20, help="data stream length"
-    )
-    p_churn.add_argument(
-        "--loss", type=float, default=0.05, help="per-link loss probability"
-    )
-    p_churn.add_argument(
-        "--save", metavar="PATH", default=None,
-        help="save the sweep results as JSON",
-    )
-    p_churn.add_argument(
-        "--load", metavar="PATH", default=None,
-        help="render a previously saved churn sweep instead of simulating",
-    )
-    p_churn.set_defaults(func=_cmd_churn)
     return parser
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import (
-        DEFAULT_INTENSITIES,
-        ChaosSweepResult,
-        run_chaos_sweep,
-    )
-
     if args.load is not None:
         sweep = ChaosSweepResult.load(args.load)
     else:
-        intensities = (
-            tuple(args.intensity) if args.intensity is not None
-            else DEFAULT_INTENSITIES
-        )
         sweep = run_chaos_sweep(
             seeds=tuple(args.seeds),
-            intensities=intensities,
+            faults=tuple(args.faults),
+            churn=tuple(args.churn),
             num_routers=args.routers,
             num_packets=args.packets,
             loss_prob=args.loss,
@@ -688,40 +657,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.save is not None:
         sweep.save(args.save)
         print(f"\nsweep saved to {args.save}")
-    # The hardened-recovery gates: a faulted run may abandon, it must
-    # never silently hang a detected loss, and the invariant watchdogs
-    # (conservation, quiescence) must stay silent on every cell.
-    return 1 if sweep.total_violations or sweep.total_health_violations else 0
-
-
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from repro.experiments.churn import (
-        DEFAULT_INTENSITIES,
-        ChurnSweepResult,
-        run_churn_sweep,
-    )
-
-    if args.load is not None:
-        sweep = ChurnSweepResult.load(args.load)
-    else:
-        intensities = (
-            tuple(args.intensity) if args.intensity is not None
-            else DEFAULT_INTENSITIES
-        )
-        sweep = run_churn_sweep(
-            seeds=tuple(args.seeds),
-            intensities=intensities,
-            num_routers=args.routers,
-            num_packets=args.packets,
-            loss_prob=args.loss,
-            progress=print,
-        )
-    print(sweep.render())
-    if args.save is not None:
-        sweep.save(args.save)
-        print(f"\nsweep saved to {args.save}")
-    # The churn gates: recoveries terminate, no send ever reaches the
-    # membership boundary, repaired plans stay within 1% of scratch.
+    # The gate: no run-invariant violation anywhere, and repaired plans
+    # within 1% of planning from scratch.
     return 0 if sweep.gates_pass else 1
 
 

@@ -1,30 +1,41 @@
-"""The chaos sweep: fault intensity versus hardened recovery.
+"""The chaos sweep: faults × churn versus hardened recovery.
 
 The paper's figures compare the protocols inside the regime its analysis
-assumes — independent per-link loss, peers that always answer, a source
-that never disappears.  The chaos sweep measures what the *hardened*
-protocol configurations do when those assumptions are broken on purpose:
-for each fault intensity in the grid, every protocol runs on the same
-topology against a :func:`~repro.sim.faults.random_fault_schedule` of
-that intensity (identical crash/link-down windows per seed; independent
-stochastic draws per protocol, see the ``faults:<protocol>`` RNG lane).
+assumes — independent per-link loss, a fixed receiver group, peers that
+always answer, a source that never disappears.  The chaos sweep measures
+what the *hardened* protocol configurations do when those assumptions
+are broken on purpose, along two axes at once:
 
-What comes out per (intensity, seed, protocol) cell:
+* **faults** — a :func:`~repro.sim.faults.random_fault_schedule` of the
+  point's fault intensity: peer crashes, burst loss, link downs,
+  recovery black-holing;
+* **churn** — a :func:`~repro.sim.membership.random_membership_schedule`
+  of the point's churn intensity: members leave and rejoin mid-session.
+
+Every protocol runs on the same topology against the same schedules per
+(seed, point); the injector's stochastic draws come from the
+per-protocol ``faults:<protocol>`` lane.  Intensity 0 on an axis draws
+the null schedule, so the churn = 0 column is the fault sweep and the
+faults = 0 row the churn sweep, and the (0, 0) cell is the unperturbed
+baseline of the same build.
+
+What comes out per (faults, churn, seed, protocol) cell:
 
 * the usual recovery metrics (losses detected/recovered, mean latency,
   recovery hops) — latency *degrades* with intensity, it should not cliff;
 * the **abandonment rate** — the fraction of detected losses the bounded
-  retry policy explicitly gave up on.  Abandonment is the hardened
-  protocols' pressure valve: under the default (paper) policy the same
-  faults would hang recoveries forever;
-* the injector's per-kind fault counts, so a point's severity is
-  auditable;
-* the liveness-violation count, which the acceptance gate requires to be
-  **zero** everywhere: a faulted run may abandon, it must never silently
-  hang a detected loss (:class:`~repro.sim.faults.RecoveryLivenessChecker`).
+  retry policy explicitly gave up on (a permanent leaver takes its
+  losses with it, a crashed peer may never answer);
+* the injector's per-kind fault counts and the director's per-kind
+  membership counts, so a cell's severity is auditable;
+* for the planning protocol (RP), the **incremental plan repair** cost —
+  the fraction of the group re-planned per composition change — and the
+  **quality gap**: the worst relative expected-delay difference between
+  the repaired plans and planning the final group from scratch;
+* the count of run-invariant violations (see :mod:`repro.obs.health`).
 
-Intensity 0 draws the null schedule, so the leftmost column doubles as
-the fault-free baseline of the same build.
+The gate (:attr:`ChaosSweepResult.gates_pass`): zero invariant
+violations everywhere and a repair quality gap within 1%.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from repro.experiments.runner import (
     ensure_unique_factories,
     run_protocol_detailed,
 )
-from repro.obs.health import evaluate_health
+from repro.obs.health import InvariantError
 from repro.protocols.base import ProtocolFactory
 from repro.protocols.naive import NaiveConfig, NearestPeerProtocolFactory
 from repro.protocols.policy import RecoveryPolicy
@@ -50,11 +61,18 @@ from repro.protocols.rma import RMAConfig, RMAProtocolFactory
 from repro.protocols.rp import RPConfig, RPProtocolFactory
 from repro.protocols.source import SourceConfig, SourceProtocolFactory
 from repro.protocols.srm import SRMConfig, SRMProtocolFactory
-from repro.sim.faults import FaultSchedule, LivenessError, random_fault_schedule
+from repro.sim.faults import FaultSchedule, random_fault_schedule
+from repro.sim.membership import MembershipSchedule, random_membership_schedule
 from repro.sim.rng import RngStreams
 
 #: Default fault-intensity grid: fault-free baseline, moderate, severe.
-DEFAULT_INTENSITIES: tuple[float, ...] = (0.0, 0.3, 0.6)
+DEFAULT_FAULTS: tuple[float, ...] = (0.0, 0.3, 0.6)
+
+#: Default churn-intensity grid: churn-free.
+DEFAULT_CHURN: tuple[float, ...] = (0.0,)
+
+#: The acceptance bound on the incremental-repair quality gap.
+QUALITY_GAP_LIMIT = 0.01
 
 #: SRM has no peer-retry policy (its requests flood); its bound is the
 #: request-round cap.  8 doubling rounds span a 256x timeout range —
@@ -80,10 +98,10 @@ def hardened_factories() -> list[ProtocolFactory]:
 
 
 def chaos_horizon(config: ScenarioConfig) -> float:
-    """The window-placement horizon for a scenario: the nominal stream
-    duration plus a session-flush margin.  Windows are placed (and end)
-    within it, well before the drain — finite faults are what keep chaos
-    runs terminating."""
+    """The placement horizon for fault windows and membership events:
+    the nominal stream duration plus a session-flush margin.  Windows
+    end and rejoins land within it, well before the drain — finite
+    perturbations are what keep chaos runs terminating."""
     return (
         config.num_packets * config.data_interval + 2.0 * config.session_interval
     )
@@ -91,37 +109,58 @@ def chaos_horizon(config: ScenarioConfig) -> float:
 
 @dataclass(frozen=True)
 class ChaosRunRecord:
-    """One (protocol, seed, intensity) cell of the sweep."""
+    """One (protocol, seed, faults, churn) cell of the sweep."""
 
     protocol: str
     seed: int
-    intensity: float
+    #: The cell's fault and churn intensities.
+    faults: float
+    churn: float
     losses_detected: int
     losses_recovered: int
     losses_abandoned: int
     avg_latency: float | None
     recovery_hops: int
+    sim_time: float
     #: Per-kind injection totals from the run's FaultInjector.
     fault_counts: dict[str, int]
-    #: Detections that neither recovered nor abandoned (must be 0).
-    liveness_violations: int
-    sim_time: float
-    #: Invariant-watchdog failures from :func:`repro.obs.health.evaluate_health`
-    #: (conservation + quiescence; the windowed stall check needs an
-    #: instrumented run).  Defaults to 0 so pre-watchdog sweep JSON
-    #: still loads.
-    health_violations: int = 0
+    #: Per-kind composition totals from the run's MembershipDirector
+    #: (member.leave / member.join / member.rx_drop / member.tx_drop /
+    #: plan.repair).
+    member_counts: dict[str, int]
+    #: Run-invariant violations (:mod:`repro.obs.health`); must be 0.
+    invariant_violations: int
+    #: Incremental plan-repair accounting (zeros for non-planning
+    #: protocols or churn-free cells).
+    repair_events: int
+    repair_replans: int
+    #: Mean fraction of the group re-planned per composition change —
+    #: the sublinearity headline (1.0 would be plan_all-per-event).
+    repair_fraction: float
+    #: Worst relative expected-delay gap between the repaired plans and
+    #: a from-scratch plan of the final group (``None`` when the
+    #: protocol does not plan or nothing churned).
+    repair_quality_gap: float | None
 
     @property
     def total_faults(self) -> int:
         return sum(self.fault_counts.values())
 
+    @property
+    def leaves(self) -> int:
+        return self.member_counts.get("member.leave", 0)
+
+    @property
+    def joins(self) -> int:
+        return self.member_counts.get("member.join", 0)
+
 
 @dataclass
 class ChaosPoint:
-    """One intensity of the sweep: every protocol x seed record."""
+    """One (faults, churn) point of the grid: every protocol x seed record."""
 
-    intensity: float
+    faults: float
+    churn: float
     records: list[ChaosRunRecord] = field(default_factory=list)
 
     def _of(self, protocol: str) -> list[ChaosRunRecord]:
@@ -144,11 +183,7 @@ class ChaosPoint:
 
     def violations(self, protocol: str | None = None) -> int:
         records = self.records if protocol is None else self._of(protocol)
-        return sum(r.liveness_violations for r in records)
-
-    def health_violations(self, protocol: str | None = None) -> int:
-        records = self.records if protocol is None else self._of(protocol)
-        return sum(r.health_violations for r in records)
+        return sum(r.invariant_violations for r in records)
 
 
 @dataclass
@@ -162,62 +197,86 @@ class ChaosSweepResult:
     protocols: list[str]
     points: list[ChaosPoint]
 
-    @property
-    def intensities(self) -> list[float]:
-        return [point.intensity for point in self.points]
+    def point(self, faults: float, churn: float) -> ChaosPoint:
+        return next(
+            p for p in self.points if p.faults == faults and p.churn == churn
+        )
 
     @property
     def total_violations(self) -> int:
-        """The acceptance gate: must be zero across the whole sweep."""
         return sum(point.violations() for point in self.points)
 
     @property
-    def total_health_violations(self) -> int:
-        """Invariant-watchdog gate: must also be zero across the sweep."""
-        return sum(point.health_violations() for point in self.points)
+    def max_quality_gap(self) -> float:
+        """Worst repaired-vs-scratch plan gap across the sweep."""
+        return max(
+            (
+                r.repair_quality_gap
+                for p in self.points
+                for r in p.records
+                if r.repair_quality_gap is not None
+            ),
+            default=0.0,
+        )
+
+    @property
+    def gates_pass(self) -> bool:
+        """The acceptance gate: no invariant violation anywhere, and
+        repaired plans within 1% of planning from scratch."""
+        return (
+            self.total_violations == 0
+            and self.max_quality_gap <= QUALITY_GAP_LIMIT
+        )
 
     def render(self) -> str:
         rows = []
         for point in self.points:
             for protocol in self.protocols:
                 records = point._of(protocol)
-                detected = sum(r.losses_detected for r in records)
-                recovered = sum(r.losses_recovered for r in records)
-                abandoned = sum(r.losses_abandoned for r in records)
                 latency = point.mean_latency(protocol)
+                fractions = [
+                    r.repair_fraction for r in records if r.repair_events
+                ]
+                gaps = [
+                    r.repair_quality_gap
+                    for r in records
+                    if r.repair_quality_gap is not None
+                ]
                 rows.append([
-                    f"{point.intensity:g}",
+                    f"{point.faults:g}",
+                    f"{point.churn:g}",
                     protocol,
-                    str(detected),
-                    str(recovered),
-                    str(abandoned),
+                    str(sum(r.total_faults for r in records)),
+                    str(sum(r.leaves for r in records)),
+                    str(sum(r.joins for r in records)),
+                    str(sum(r.losses_detected for r in records)),
+                    str(sum(r.losses_recovered for r in records)),
                     f"{100.0 * point.abandonment_rate(protocol):.1f}",
                     "n/a" if latency is None else f"{latency:.2f}",
-                    str(sum(r.total_faults for r in records)),
+                    (
+                        f"{100.0 * sum(fractions) / len(fractions):.1f}"
+                        if fractions else "n/a"
+                    ),
+                    f"{100.0 * max(gaps):.2f}" if gaps else "n/a",
                     str(point.violations(protocol)),
                 ])
         table = format_table(
             [
-                "intensity", "protocol", "detected", "recovered", "abandoned",
-                "abandon %", "latency ms", "faults", "violations",
+                "faults", "churn", "protocol", "injected", "leaves", "joins",
+                "detected", "recovered", "abandon %", "latency ms",
+                "replan %", "gap %", "violations",
             ],
             rows,
         )
         header = (
-            "Chaos sweep: fault intensity vs hardened recovery\n"
+            "Chaos sweep: faults x churn vs hardened recovery\n"
             f"seeds={self.seeds} routers={self.num_routers}"
             f" packets={self.num_packets} loss={self.loss_prob:g}\n"
         )
         footer = (
-            "\n\nliveness violations: "
-            f"{self.total_violations}"
-            + ("" if self.total_violations == 0 else "  <-- INVARIANT BROKEN")
-            + "\nhealth violations: "
-            f"{self.total_health_violations}"
-            + (
-                "" if self.total_health_violations == 0
-                else "  <-- INVARIANT BROKEN"
-            )
+            f"\n\ninvariant violations: {self.total_violations}"
+            f"  worst repair gap: {100.0 * self.max_quality_gap:.2f}%"
+            + ("" if self.gates_pass else "  <-- INVARIANT BROKEN")
         )
         return header + "\n" + table + footer
 
@@ -233,7 +292,8 @@ class ChaosSweepResult:
             "protocols": list(self.protocols),
             "points": [
                 {
-                    "intensity": point.intensity,
+                    "faults": point.faults,
+                    "churn": point.churn,
                     "records": [asdict(record) for record in point.records],
                 }
                 for point in self.points
@@ -248,7 +308,8 @@ class ChaosSweepResult:
             )
         points = [
             ChaosPoint(
-                intensity=float(raw["intensity"]),
+                faults=float(raw["faults"]),
+                churn=float(raw["churn"]),
                 records=[ChaosRunRecord(**record) for record in raw["records"]],
             )
             for raw in data["points"]
@@ -273,88 +334,95 @@ class ChaosSweepResult:
 def _run_cell(
     built: BuiltScenario,
     factory: ProtocolFactory,
-    schedule: FaultSchedule,
+    faults: FaultSchedule,
+    membership: MembershipSchedule,
     seed: int,
-    intensity: float,
+    point: ChaosPoint,
 ) -> ChaosRunRecord:
     try:
-        artifacts = run_protocol_detailed(built, factory, faults=schedule)
-    except LivenessError as err:
-        # A protocol that hangs a recovery is the finding the sweep
-        # exists to surface: record the violation, keep the sweep alive.
-        report = err.report
-        return ChaosRunRecord(
-            protocol=factory.name,
-            seed=seed,
-            intensity=intensity,
-            losses_detected=report.recovered + report.abandoned + report.violations,
-            losses_recovered=report.recovered,
-            losses_abandoned=report.abandoned,
-            avg_latency=None,
-            recovery_hops=0,
-            fault_counts={},
-            liveness_violations=report.violations,
-            sim_time=0.0,
-            # The hung recovery already tripped the liveness gate; the
-            # watchdogs never saw a drained run to audit.
-            health_violations=0,
+        artifacts = run_protocol_detailed(
+            built, factory, faults=faults, membership=membership
         )
+        violations = 0
+    except InvariantError as err:
+        # A protocol that breaks an invariant (say, hangs a recovery) is
+        # the finding the sweep exists to surface: record it, keep going.
+        artifacts = err.artifacts
+        violations = len(err.report.raised)
     summary = artifacts.summary
-    # Post-run watchdogs (conservation + quiescence): pure reads over
-    # the collectors, so gating costs nothing and perturbs nothing.
-    health = evaluate_health(artifacts.log, artifacts.ledger)
+    director = artifacts.membership
+    repair_events = repair_replans = 0
+    repair_fraction = 0.0
+    quality_gap = None
+    repairer = getattr(factory, "last_repairer", None)
+    if director is not None and repairer is not None:
+        stats = repairer.stats()
+        repair_events = stats["events"]
+        repair_replans = stats["clients_replanned"]
+        repair_fraction = stats["replan_fraction"]
+        if repair_events:
+            # The quality audit: re-plan the *final* group from scratch
+            # and compare every repaired plan against it.
+            quality_gap = repairer.verify_against_scratch(director.departed)
     return ChaosRunRecord(
         protocol=factory.name,
         seed=seed,
-        intensity=intensity,
+        faults=point.faults,
+        churn=point.churn,
         losses_detected=summary.losses_detected,
         losses_recovered=summary.losses_recovered,
         losses_abandoned=artifacts.log.num_abandoned,
         avg_latency=summary.avg_latency,
         recovery_hops=summary.recovery_hops,
+        sim_time=summary.sim_time,
         fault_counts=(
             dict(artifacts.faults.counts) if artifacts.faults is not None else {}
         ),
-        liveness_violations=(
-            artifacts.liveness.violations if artifacts.liveness is not None else 0
-        ),
-        sim_time=summary.sim_time,
-        health_violations=len(health.violations),
+        member_counts=dict(director.counts) if director is not None else {},
+        invariant_violations=violations,
+        repair_events=repair_events,
+        repair_replans=repair_replans,
+        repair_fraction=repair_fraction,
+        repair_quality_gap=quality_gap,
     )
 
 
 def run_chaos_sweep(
     seeds: Sequence[int] = (1,),
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
+    faults: Sequence[float] = DEFAULT_FAULTS,
+    churn: Sequence[float] = DEFAULT_CHURN,
     num_routers: int = 60,
     num_packets: int = 20,
     loss_prob: float = 0.05,
     factories: list[ProtocolFactory] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> ChaosSweepResult:
-    """Sweep fault intensity against the hardened protocol suite.
+    """Sweep the faults × churn grid against the hardened protocol suite.
 
-    Per seed the topology is built once and shared by every (intensity,
-    protocol) cell — the comparison discipline of the figure sweeps.
-    Per (seed, intensity) the *schedule* is sampled once from its own
-    ``fault-schedule:<intensity>`` RNG lane, so all protocols face the
-    identical crash and link-down windows; the per-run injector then
-    draws its stochastic faults (bursts, black holes) from the
-    per-protocol fault lane.  Chaos runs always use the realistic loss
-    mode (``lossless_recovery=False``) — exempting recovery traffic
-    would hide exactly the faults being injected.
+    Per seed the topology is built once and shared by every (point,
+    protocol) cell — the comparison discipline of the figure sweeps;
+    churned runs clone the multicast tree so the shared build stays
+    pristine.  Per seed each fault intensity's schedule is sampled once
+    from its ``fault-schedule:<f>`` RNG lane and each churn intensity's
+    from its ``membership-schedule:<c>`` lane, so all protocols (and all
+    points sharing an intensity) face identical crash, link-down and
+    join/leave events.  Chaos runs use the realistic loss mode
+    (``lossless_recovery=False``) — exempting recovery traffic would
+    hide exactly the faults being injected.
 
-    The source is excluded from the crash candidates: a crashed source
+    The source is never a crash or churn candidate: a sourceless group
     makes every fallback abandon, which measures the schedule rather
     than the protocol.
     """
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    if not intensities:
-        raise ValueError("intensities must be non-empty")
+    if not faults or not churn:
+        raise ValueError("the faults and churn grids must be non-empty")
     factories = factories if factories is not None else hardened_factories()
     ensure_unique_factories(factories)
-    points = [ChaosPoint(intensity=float(i)) for i in intensities]
+    points = [
+        ChaosPoint(faults=float(f), churn=float(c)) for f in faults for c in churn
+    ]
     for seed in seeds:
         config = ScenarioConfig(
             seed=seed,
@@ -365,26 +433,34 @@ def run_chaos_sweep(
         )
         built = build_scenario(config)
         horizon = chaos_horizon(config)
-        crash_candidates = [
+        candidates = [
             client for client in built.tree.clients if client != built.tree.root
         ]
-        for point in points:
-            schedule = random_fault_schedule(
-                point.intensity,
-                RngStreams(seed).get(f"fault-schedule:{point.intensity:g}"),
-                crash_candidates,
-                built.topology.links,
-                horizon,
+        lanes = RngStreams(seed)
+        fault_schedules = {
+            f: random_fault_schedule(
+                f, lanes.get(f"fault-schedule:{f:g}"), candidates,
+                built.topology.links, horizon,
             )
+            for f in {point.faults for point in points}
+        }
+        membership_schedules = {
+            c: random_membership_schedule(
+                c, lanes.get(f"membership-schedule:{c:g}"), candidates, horizon
+            )
+            for c in {point.churn for point in points}
+        }
+        for point in points:
             for factory in factories:
                 if progress is not None:
                     progress(
-                        f"chaos seed={seed} intensity={point.intensity:g}"
-                        f" {factory.name}"
+                        f"chaos seed={seed} faults={point.faults:g}"
+                        f" churn={point.churn:g} {factory.name}"
                     )
-                point.records.append(
-                    _run_cell(built, factory, schedule, seed, point.intensity)
-                )
+                point.records.append(_run_cell(
+                    built, factory, fault_schedules[point.faults],
+                    membership_schedules[point.churn], seed, point,
+                ))
     return ChaosSweepResult(
         seeds=[int(s) for s in seeds],
         num_routers=num_routers,

@@ -38,7 +38,9 @@ class ScenarioConfig:
     drain_time:
         After the session completes, the simulator keeps running this
         much longer so in-flight repairs and already-armed repair timers
-        (SRM) still pay their bandwidth.
+        (SRM) still pay their bandwidth.  It must outlast them: a packet
+        or protocol timer still pending at the cutoff breaks the
+        runner's ``quiescence.timers`` invariant.
     lossless_recovery:
         When True, requests/NACKs/repairs never face link loss — the
         paper simulator's behaviour (its section 3.1 assumption carried

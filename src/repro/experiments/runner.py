@@ -19,7 +19,12 @@ from repro.net.mcast_tree import MulticastTree, random_multicast_tree
 from repro.net.routing import RoutingTable
 from repro.net.topology import Topology
 from repro.obs.events import HealthEvent
-from repro.obs.health import HealthConfig, HealthReport, evaluate_health
+from repro.obs.health import (
+    HealthConfig,
+    HealthReport,
+    InvariantError,
+    evaluate_health,
+)
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.report import ObsReport, build_obs_report
 from repro.obs.spans import SpanStore
@@ -27,12 +32,7 @@ from repro.obs.timeseries import TimeSeriesCollector
 from repro.protocols.base import CompletionTracker, ProtocolFactory, StreamDriver
 from repro.sim.congestion import LinearCongestionModel
 from repro.sim.engine import EventQueue
-from repro.sim.faults import (
-    FaultInjector,
-    FaultSchedule,
-    LivenessReport,
-    RecoveryLivenessChecker,
-)
+from repro.sim.faults import FaultInjector, FaultSchedule
 from repro.sim.membership import MembershipDirector, MembershipSchedule
 from repro.sim.network import SimNetwork
 from repro.sim.rng import RngStreams
@@ -75,8 +75,7 @@ class RunArtifacts:
     run was given an :class:`~repro.obs.instrumentation.Instrumentation`
     with at least one consuming sink.  ``faults`` is the run's live
     injector (``None`` for fault-free runs) — its ``counts`` carry the
-    per-kind injection totals; ``liveness`` is the drain-time
-    termination report, only produced for faulted runs.
+    per-kind injection totals.
     """
 
     summary: RunSummary
@@ -84,7 +83,6 @@ class RunArtifacts:
     ledger: BandwidthLedger
     obs: ObsReport | None = None
     faults: FaultInjector | None = None
-    liveness: LivenessReport | None = None
     #: The run's live membership director (``None`` for churn-free
     #: runs) — its ``counts`` carry the per-kind composition totals.
     membership: MembershipDirector | None = None
@@ -95,9 +93,10 @@ class RunArtifacts:
     #: carried a :class:`~repro.obs.timeseries.TimeSeriesCollector`
     #: (``recording(timeseries=...)``).  Finalized at the drain cutoff.
     timeseries: TimeSeriesCollector | None = None
-    #: Invariant watchdog verdict (see :mod:`repro.obs.health`); only
-    #: produced alongside ``timeseries`` — uninstrumented harnesses run
-    #: :func:`~repro.obs.health.evaluate_health` themselves.
+    #: The drain-time invariant report (see :mod:`repro.obs.health`).
+    #: Every run is checked; the report is attached only alongside
+    #: ``timeseries``, the one case where it can hold a violation the
+    #: runner does not raise (``progress.stall``).
     health: HealthReport | None = None
 
 
@@ -113,7 +112,9 @@ def run_protocol(
     The run stops when every client holds every packet, then drains for
     ``config.drain_time`` so in-flight recovery traffic is billed.
     Raises ``RuntimeError`` if the event budget is exhausted before
-    completion (a protocol liveness bug, not a measurement).
+    completion (a protocol liveness bug, not a measurement), and
+    :class:`~repro.obs.health.InvariantError` if the drained run breaks
+    an invariant.
     """
     return run_protocol_detailed(
         built, factory, instrumentation, faults=faults, membership=membership
@@ -140,10 +141,8 @@ def run_protocol_detailed(
     ``faults`` injects a :class:`~repro.sim.faults.FaultSchedule` into
     the network.  ``None`` *and* the null schedule construct no injector
     and touch no extra RNG lane — fault-free runs are byte-identical to
-    runs of a build without the fault subsystem.  Faulted runs assert
-    the liveness invariant after the drain (every detected loss
-    recovered or explicitly abandoned) and carry the report plus the
-    injection counters in the returned artifacts.
+    runs of a build without the fault subsystem.  Faulted runs carry
+    the injection counters in the returned artifacts.
 
     ``membership`` drives join/leave churn through a
     :class:`~repro.sim.membership.MembershipDirector`.  ``None`` *and*
@@ -152,18 +151,26 @@ def run_protocol_detailed(
     byte-identical to runs of a build without the membership subsystem.
     Churned runs execute on a :meth:`~repro.net.mcast_tree.MulticastTree.clone`
     of the tree, wire incremental plan repair into factories that
-    support it (:meth:`~repro.protocols.rp.RPProtocolFactory.attach_membership`),
-    and assert the same liveness invariant as faulted runs.
+    support it (:meth:`~repro.protocols.rp.RPProtocolFactory.attach_membership`).
+
+    After the drain every run is checked by
+    :func:`~repro.obs.health.evaluate_health`: every detected loss
+    recovered or explicitly abandoned, no live timer left, ledger
+    conservation, and (churned runs) no send by a departed member.  Any
+    violation other than ``progress.stall`` raises
+    :class:`~repro.obs.health.InvariantError`, which carries the report
+    and the run's artifacts.  Violations are mirrored onto the event bus
+    as :class:`~repro.obs.events.HealthEvent` records.
 
     When the instrumentation carries a time-series collector
     (``recording(timeseries=...)``), the collector is armed with the
     live engine and ledger before the stream starts, the array
     dissemination fast path is disarmed (its batched ledger charges
     would smear per-window bandwidth — the same contract as the
-    profiler), and after the drain the collector is finalized and the
-    :mod:`~repro.obs.health` watchdogs run; violations are mirrored
-    onto the event bus as :class:`~repro.obs.events.HealthEvent`
-    records.  ``health_config`` tunes the watchdog thresholds.
+    profiler), and after the drain the collector is finalized, the
+    windowed ``progress.stall`` check joins the others and the report
+    is attached as ``artifacts.health``.  ``health_config`` tunes the
+    stall threshold.
     """
     config = built.config
     instr = instrumentation
@@ -266,38 +273,34 @@ def run_protocol_detailed(
     # Refund fast-path hop/drop charges whose scalar transmit event
     # would have fallen after the drain cutoff.
     network.finalize_fast_dissem(events.now)
-    liveness = None
+    # Harness events past the drain cutoff (a session flush, membership
+    # events) never fired; cancel them so they don't read as live
+    # protocol timers below.
+    driver.cancel_pending()
     if director is not None:
-        # Membership events past the drain cutoff never fired; cancel
-        # them so they don't read as stuck protocol timers below.
         director.cancel_pending()
-    if injector is not None or director is not None:
-        # The hardened-recovery invariant: a faulted or churned run may
-        # abandon, but it must never silently hang a detected loss.
-        liveness = RecoveryLivenessChecker().assert_terminated(log, events)
-
-    health = None
     if timeseries is not None:
         timeseries.finalize(events.now)
-        health = evaluate_health(
-            log,
-            ledger,
-            membership_tx_drops=(
-                director.counts.get("member.tx_drop", 0)
-                if director is not None else None
-            ),
-            timeseries=timeseries,
-            config=health_config,
-        )
-        if instr is not None and instr.bus.active:
-            for violation in health.violations:
-                instr.bus.emit(HealthEvent(
-                    time=events.now,
-                    check=violation.check,
-                    message=violation.message,
-                    window_start=violation.window_start,
-                    window_end=violation.window_end,
-                ))
+    health = evaluate_health(
+        log,
+        ledger,
+        membership_tx_drops=(
+            director.counts.get("member.tx_drop", 0)
+            if director is not None else None
+        ),
+        pending_timers=events.pending,
+        timeseries=timeseries,
+        config=health_config,
+    )
+    if instr is not None and instr.bus.active:
+        for violation in health.violations:
+            instr.bus.emit(HealthEvent(
+                time=events.now,
+                check=violation.check,
+                message=violation.message,
+                window_start=violation.window_start,
+                window_end=violation.window_end,
+            ))
 
     summary = summarize_run(
         protocol=factory.name,
@@ -315,12 +318,16 @@ def run_protocol_detailed(
             protocol=factory.name.lower(),
             strategies=getattr(factory, "last_strategies", None) or None,
         )
-    return RunArtifacts(
+    artifacts = RunArtifacts(
         summary=summary, log=log, ledger=ledger, obs=obs,
-        faults=injector, liveness=liveness, membership=director,
+        faults=injector, membership=director,
         spans=tracer.store if tracer is not None else None,
-        timeseries=timeseries, health=health,
+        timeseries=timeseries,
+        health=health if timeseries is not None else None,
     )
+    if health.raised:
+        raise InvariantError(health, artifacts)
+    return artifacts
 
 
 def ensure_unique_factories(factories: list[ProtocolFactory]) -> None:

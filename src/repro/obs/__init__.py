@@ -31,9 +31,9 @@ behaviour.  This subpackage records it:
 * :mod:`repro.obs.timeseries` — bounded fixed-width sim-time windows
   over the event stream (event rate, in-flight recoveries by phase,
   per-kind bandwidth, timer-heap size) with ASCII sparklines;
-* :mod:`repro.obs.health` — invariant watchdogs over those windows and
-  the end-of-run collectors (stall, conservation, quiescence), each
-  failure a typed :class:`HealthViolation`;
+* :mod:`repro.obs.health` — the run invariants the runner checks after
+  every drain (quiescence, conservation, membership; plus the windowed
+  stall check), each failure a typed :class:`HealthViolation`;
 * :mod:`repro.obs.ledger` — the cross-run regression ledger: config
   hash + counters + series digests per run, append-only JSONL, with a
   structural differ behind ``repro health --diff``.
@@ -58,6 +58,7 @@ from repro.obs.health import (
     HealthConfig,
     HealthReport,
     HealthViolation,
+    InvariantError,
     evaluate_health,
     render_health,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "HealthConfig",
     "HealthReport",
     "HealthViolation",
+    "InvariantError",
     "evaluate_health",
     "render_health",
     "FingerprintDiff",

@@ -164,9 +164,9 @@ class FaultEvent(ObsEvent):
 class HealthEvent(ObsEvent):
     """One invariant watchdog violation (see :mod:`repro.obs.health`).
 
-    ``check`` is the dotted watchdog name (``progress.stall``,
-    ``conservation.recovery``, ``conservation.ledger``,
-    ``membership.tx_drop``, ``quiescence.drain``); ``window_start`` /
+    ``check`` is the dotted check name (``progress.stall``,
+    ``conservation.ledger``, ``membership.tx_drop``,
+    ``quiescence.drain``, ``quiescence.timers``); ``window_start`` /
     ``window_end`` bound the offending sim-time window (-1 for run-wide
     checks evaluated at drain).  ``time`` is when the watchdog fired,
     which for drain-time checks is the drain cutoff.

@@ -1,38 +1,39 @@
-"""Invariant watchdogs: is the run healthy, window by window?
+"""Run invariants: one drain-time check battery on every run.
 
-The liveness checker (:mod:`repro.sim.faults`) asks one question at one
-instant — "did every detected loss terminate by drain?".  The watchdogs
-here generalize that into a small battery of invariants evaluated over
-the run's :class:`~repro.obs.timeseries.TimeSeriesCollector` windows and
-its end-of-run collectors:
+The runner calls :func:`evaluate_health` after the drain of **every**
+:func:`~repro.experiments.runner.run_protocol_detailed` and raises
+:class:`InvariantError` on any violation other than ``progress.stall``.
+The checks:
 
-* ``progress.stall`` — at least one recovery stayed open across
-  ``stall_windows`` consecutive windows in which **no** attempt changed
-  state.  A healthy recovery is always either requesting or inside one
-  bounded backoff gap; a protocol bug (or a black-holed network with an
-  unbounded retry policy) shows up as exactly this silence.
-* ``conservation.recovery`` — the recovery log's accounting identity:
-  every detected loss is recovered, abandoned, or still unterminated,
-  with no double counting.  Tautological for today's ``RecoveryLog``;
-  the point is that any future refactor that breaks the bookkeeping
-  trips a named alarm instead of silently skewing figures.
+* ``quiescence.drain`` — every detected loss ended recovered or
+  explicitly abandoned.  The hardened runtimes may abandon a recovery;
+  they must never silently hang one.
+* ``quiescence.timers`` — no live timer is left in the event queue after
+  the drain (membership events past the cutoff are cancelled first): a
+  terminated recovery is a *settled* one.
 * ``conservation.ledger`` — hop/drop counters are non-negative after
   fast-path refunds settle, and no packet kind records more loss-process
   drops than link traversals charged.
 * ``membership.tx_drop`` — a departed member transmitted (the director
   had to suppress it).  Must be zero: teardown is supposed to silence
-  agents *before* they can send.
-* ``quiescence.drain`` — recoveries still neither recovered nor
-  abandoned after the drain cutoff (the liveness invariant, re-checked
-  here so unfaulted instrumented runs get it too).
+  agents *before* they can send.  Runs only when a membership director
+  ran.
+* ``progress.stall`` — windowed, so it runs only when a
+  :class:`~repro.obs.timeseries.TimeSeriesCollector` is attached: at
+  least one recovery stayed open across ``stall_windows`` consecutive
+  windows in which **no** attempt changed state.  A stall is a symptom
+  worth a look (a black-holed network waiting out capped backoffs shows
+  exactly this silence), not a broken guarantee, so it is reported and
+  never raised.
 
-Each failure is a typed :class:`HealthViolation` carrying the offending
-sim-time window; :func:`evaluate_health` returns them in a
-:class:`HealthReport` the runner attaches to its artifacts, mirrors onto
-the event bus as :class:`~repro.obs.events.HealthEvent` records, and the
-``repro health`` CLI renders (exit status = number of violations,
-capped).  Everything is computed from already-collected state — no RNG,
-no extra events — so health evaluation never perturbs a run.
+Each failure is a typed :class:`HealthViolation`; run-wide checks carry
+no window, the stall check carries the offending sim-time window.  The
+runner attaches the :class:`HealthReport` to its artifacts when a
+time-series collector ran, mirrors violations onto the event bus as
+:class:`~repro.obs.events.HealthEvent` records, and the ``repro health``
+CLI renders it (exit status non-zero on any violation).  Everything is
+computed from already-collected state — no RNG, no extra events — so
+evaluating the invariants never perturbs a run.
 """
 
 from __future__ import annotations
@@ -48,11 +49,14 @@ HEALTH_SCHEMA_VERSION = 1
 #: Every watchdog `evaluate_health` knows how to run.
 ALL_CHECKS = (
     "progress.stall",
-    "conservation.recovery",
     "conservation.ledger",
     "membership.tx_drop",
     "quiescence.drain",
+    "quiescence.timers",
 )
+
+#: Checks that are reported but never raised.
+REPORTED_ONLY = frozenset({"progress.stall"})
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class HealthViolation:
     check: str
     message: str
     #: Sim-time bounds of the offending window; -1/-1 for run-wide
-    #: checks that have no single window (drain-time conservation).
+    #: checks that have no single window.
     window_start: float = -1.0
     window_end: float = -1.0
     details: dict = field(default_factory=dict)
@@ -126,6 +130,12 @@ class HealthReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def raised(self) -> list[HealthViolation]:
+        """The violations that make the runner raise (all but
+        :data:`REPORTED_ONLY`)."""
+        return [v for v in self.violations if v.check not in REPORTED_ONLY]
 
     def to_dict(self) -> dict:
         return {
@@ -221,16 +231,17 @@ def evaluate_health(
     ledger: BandwidthLedger,
     *,
     membership_tx_drops: int | None = None,
+    pending_timers: int | None = None,
     timeseries: TimeSeriesCollector | None = None,
     config: HealthConfig | None = None,
 ) -> HealthReport:
-    """Run every applicable watchdog; purely read-only.
+    """Run every applicable check; purely read-only.
 
     ``membership_tx_drops`` is the director's ``member.tx_drop`` count
-    (``None`` for churn-free runs, which skips the check); the stall
-    watchdog runs only when a ``timeseries`` collector is supplied —
-    the other checks need no windows, so uninstrumented chaos/churn
-    cells can still be health-gated for free.
+    (``None`` for churn-free runs, which skips the check);
+    ``pending_timers`` is the event queue's live-timer count after the
+    drain (``None`` skips the check); the stall check runs only when a
+    ``timeseries`` collector is supplied.
     """
     config = config if config is not None else HealthConfig()
     violations: list[HealthViolation] = []
@@ -239,25 +250,6 @@ def evaluate_health(
     if timeseries is not None:
         checks.append("progress.stall")
         violations.extend(_check_stall(timeseries, config))
-
-    checks.append("conservation.recovery")
-    unterminated = log.unterminated()
-    accounted = log.num_recovered + log.num_abandoned + len(unterminated)
-    if log.num_detected != accounted:
-        violations.append(HealthViolation(
-            check="conservation.recovery",
-            message=(
-                f"detected {log.num_detected} != recovered"
-                f" {log.num_recovered} + abandoned {log.num_abandoned}"
-                f" + pending {len(unterminated)}"
-            ),
-            details={
-                "detected": log.num_detected,
-                "recovered": log.num_recovered,
-                "abandoned": log.num_abandoned,
-                "pending": len(unterminated),
-            },
-        ))
 
     checks.append("conservation.ledger")
     for kind, hops in sorted(
@@ -287,6 +279,7 @@ def evaluate_health(
             ))
 
     checks.append("quiescence.drain")
+    unterminated = log.unterminated()
     if unterminated:
         sample = unterminated[:5]
         violations.append(HealthViolation(
@@ -301,12 +294,44 @@ def evaluate_health(
             },
         ))
 
+    if pending_timers is not None:
+        checks.append("quiescence.timers")
+        if pending_timers:
+            violations.append(HealthViolation(
+                check="quiescence.timers",
+                message=f"{pending_timers} live timer(s) left after the drain",
+                details={"pending_timers": pending_timers},
+            ))
+
     return HealthReport(
         violations=violations,
         checks_run=checks,
         windows=timeseries.num_windows if timeseries is not None else 0,
         window_width=timeseries.width if timeseries is not None else 0.0,
     )
+
+
+class InvariantError(RuntimeError):
+    """A run broke an invariant the runtimes guarantee.
+
+    The runner raises it after the drain when :func:`evaluate_health`
+    finds any violation other than ``progress.stall``.  ``report`` is
+    the full :class:`HealthReport`; ``artifacts`` the run's
+    :class:`~repro.experiments.runner.RunArtifacts`, so a caller that
+    records the failure instead of stopping still has the run's counts.
+    """
+
+    def __init__(self, report: HealthReport, artifacts=None):
+        self.report = report
+        self.artifacts = artifacts
+        super().__init__(
+            "; ".join(violation.render() for violation in report.raised)
+        )
+
+    def __reduce__(self):
+        # Parallel sweep workers send errors back pickled; the artifacts
+        # hold live simulator state, so only the report crosses over.
+        return type(self), (self.report,)
 
 
 def render_health(
@@ -326,6 +351,7 @@ __all__ = [
     "HealthConfig",
     "HealthReport",
     "HealthViolation",
+    "InvariantError",
     "evaluate_health",
     "render_health",
 ]

@@ -370,6 +370,7 @@ class StreamDriver:
         self.instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
+        self._session_timer = None
 
     def start(self) -> None:
         self.instr.phase(self.network.events.now, "stream.start")
@@ -391,9 +392,19 @@ class StreamDriver:
                 "stream.end",
                 detail=f"sent {self.config.num_packets} packets",
             )
-            self.network.events.schedule(
+            self._session_timer = self.network.events.schedule(
                 self.config.session_interval, self._send_session
             )
+
+    def cancel_pending(self) -> None:
+        """Cancel the session flush still armed at the drain cutoff.
+
+        A drain shorter than ``session_interval`` ends before the next
+        flush fires; the runner calls this before the invariant check so
+        the driver's own timer doesn't read as a live protocol timer.
+        """
+        if self._session_timer is not None:
+            self._session_timer.cancel()
 
     def _send_session(self) -> None:
         if self.tracker.complete:
@@ -406,7 +417,9 @@ class StreamDriver:
             highest_seq=self.config.num_packets - 1,
         )
         self.network.multicast_subtree(source, source, packet)
-        self.network.events.schedule(self.config.session_interval, self._send_session)
+        self._session_timer = self.network.events.schedule(
+            self.config.session_interval, self._send_session
+        )
 
 
 class ProtocolFactory(abc.ABC):

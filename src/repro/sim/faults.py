@@ -28,17 +28,17 @@ from its **own** :class:`~repro.sim.rng.RngStreams` lane
 (``faults:<protocol>``).  A run with ``faults=None`` *or* the null
 schedule constructs no injector at all, touches no extra stream and
 executes byte-for-byte the pre-fault code path — enforced by the
-fault-free equivalence suite and the CI ``cmp`` smoke.
+feature-off equivalence suite.
 
-:class:`RecoveryLivenessChecker` closes the loop: after a faulted run
-drains, every detected loss must have terminated in ``recovered`` or an
-explicit ``abandoned`` record — a silent hang is a protocol bug, not a
-measurement.
+The loop is closed by the run invariants (:mod:`repro.obs.health`),
+which the runner checks after every drain: every detected loss must have
+terminated in ``recovered`` or an explicit ``abandoned`` record — a
+silent hang is a protocol bug, not a measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,10 +46,8 @@ import numpy as np
 from repro.sim.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.collectors import RecoveryLog
     from repro.net.topology import Link
     from repro.obs.instrumentation import Instrumentation
-    from repro.sim.engine import EventQueue
 
 
 @dataclass(frozen=True)
@@ -349,66 +347,3 @@ class FaultInjector:
             )
             return True
         return False
-
-
-@dataclass(frozen=True)
-class LivenessReport:
-    """What :class:`RecoveryLivenessChecker` found at drain time."""
-
-    #: (client, seq) detections that neither recovered nor abandoned.
-    unterminated: tuple[tuple[int, int], ...]
-    recovered: int
-    abandoned: int
-    #: Live (non-cancelled) timers still in the event heap, if checked.
-    pending_timers: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.unterminated
-
-    @property
-    def violations(self) -> int:
-        return len(self.unterminated)
-
-
-class LivenessError(RuntimeError):
-    """A recovery neither completed nor abandoned — a silent hang."""
-
-    def __init__(self, report: LivenessReport):
-        self.report = report
-        sample = ", ".join(
-            f"({c}, {s})" for c, s in report.unterminated[:5]
-        )
-        more = (
-            f" (+{report.violations - 5} more)" if report.violations > 5 else ""
-        )
-        super().__init__(
-            f"{report.violations} recovery(ies) never terminated —"
-            f" neither recovered nor abandoned: {sample}{more}"
-        )
-
-
-class RecoveryLivenessChecker:
-    """Asserts the hardened-recovery invariant at drain time: every
-    detected loss ends in ``recovered`` or an explicit ``abandoned``
-    record.  Faulted runs call :meth:`assert_terminated` after the
-    drain; the chaos sweep additionally folds the reports into its
-    zero-violations acceptance gate."""
-
-    def check(
-        self, log: "RecoveryLog", events: "EventQueue | None" = None
-    ) -> LivenessReport:
-        return LivenessReport(
-            unterminated=tuple(log.unterminated()),
-            recovered=log.num_recovered,
-            abandoned=log.num_abandoned,
-            pending_timers=events.pending if events is not None else 0,
-        )
-
-    def assert_terminated(
-        self, log: "RecoveryLog", events: "EventQueue | None" = None
-    ) -> LivenessReport:
-        report = self.check(log, events)
-        if not report.ok:
-            raise LivenessError(report)
-        return report

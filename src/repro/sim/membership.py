@@ -33,8 +33,7 @@ Determinism discipline matches the fault subsystem: the schedule is a
 pure value object, the director draws no randomness at run time, and a
 run with ``membership=None`` *or* the null schedule constructs no
 director, touches no extra RNG lane, and replays the membership-free
-byte stream exactly (enforced by the churn equivalence suite and the CI
-``cmp`` smoke).
+byte stream exactly (enforced by the feature-off equivalence suite).
 """
 
 from __future__ import annotations
@@ -240,8 +239,8 @@ class MembershipDirector:
         """Cancel events still armed after the drain cutoff.
 
         A session can complete before the schedule runs out; the runner
-        calls this before the liveness check so leftover membership
-        timers don't read as stuck protocol timers.  Idempotent (fired
+        calls this before the invariant check so leftover membership
+        timers don't read as live timers after the drain.  Idempotent (fired
         timers cancel as no-ops).
         """
         for timer in self._timers:
@@ -276,8 +275,8 @@ class MembershipDirector:
         """True when ``node`` has departed and must not transmit.
 
         Teardown cancels every send a departing agent had armed, so this
-        guard should never fire — the churn property suite asserts the
-        ``member.tx_drop`` count stays zero, which is the structural
+        guard should never fire — the ``membership.tx_drop`` run invariant
+        requires the ``member.tx_drop`` count to stay zero, which is the structural
         form of "no recovery settles against a departed peer".
         """
         if node in self._departed:

@@ -1,4 +1,6 @@
-"""Unit and integration tests for the invariant watchdogs."""
+"""Unit and integration tests for the run invariants."""
+
+import pickle
 
 import pytest
 
@@ -12,10 +14,12 @@ from repro.obs.health import (
     HealthConfig,
     HealthReport,
     HealthViolation,
+    InvariantError,
     evaluate_health,
     render_health,
 )
 from repro.experiments.chaos import SRM_MAX_REQUEST_ROUNDS
+from repro.protocols.rp import RPProtocolFactory
 from repro.protocols.srm import SRMConfig, SRMProtocolFactory
 from repro.sim.faults import FaultSchedule
 from repro.sim.packet import PacketKind
@@ -86,32 +90,6 @@ def test_health_config_validation():
 # -- collector-level checks -----------------------------------------------
 
 
-class _BrokenLog:
-    """A RecoveryLog whose bookkeeping identity does not hold — the
-    real one is structurally conserving, which is exactly why the check
-    needs a stub to prove it *would* fire after a refactor broke it."""
-
-    num_detected = 3
-    num_recovered = 1
-    num_abandoned = 0
-
-    @staticmethod
-    def unterminated():
-        return [(1, 0)]  # 1 + 0 + 1 != 3
-
-
-def test_conservation_recovery_violation():
-    report = evaluate_health(_BrokenLog(), BandwidthLedger())
-    checks = [v.check for v in report.violations]
-    assert "conservation.recovery" in checks
-    bad = next(
-        v for v in report.violations if v.check == "conservation.recovery"
-    )
-    assert bad.details == {
-        "detected": 3, "recovered": 1, "abandoned": 0, "pending": 1,
-    }
-
-
 def test_conservation_ledger_violation():
     ledger = BandwidthLedger()
     ledger.charge_hop(PacketKind.REQUEST)
@@ -139,13 +117,109 @@ def test_quiescence_drain_violation():
     assert report.violations[0].details["pending"] == 1
 
 
+def test_quiescence_timers_violation():
+    report = evaluate_health(RecoveryLog(), BandwidthLedger(), pending_timers=2)
+    assert [v.check for v in report.violations] == ["quiescence.timers"]
+    assert report.violations[0].details == {"pending_timers": 2}
+    skipped = evaluate_health(RecoveryLog(), BandwidthLedger())
+    assert "quiescence.timers" not in skipped.checks_run
+
+
 def test_clean_collectors_pass_every_check():
     log = RecoveryLog()
     log.loss_detected(1, 0, 1.0)
     log.recovered(1, 0, 2.0)
-    report = evaluate_health(log, BandwidthLedger(), membership_tx_drops=0)
+    report = evaluate_health(
+        log, BandwidthLedger(), membership_tx_drops=0, pending_timers=0
+    )
     assert report.ok
     assert set(report.checks_run) == set(ALL_CHECKS) - {"progress.stall"}
+
+
+def test_stall_is_reported_but_never_raised():
+    log = RecoveryLog()
+    log.loss_detected(1, 0, 1.0)  # never recovered nor abandoned
+    report = evaluate_health(
+        log, BandwidthLedger(),
+        timeseries=_stalled_collector(silent_windows=8),
+    )
+    assert {v.check for v in report.violations} == {
+        "progress.stall", "quiescence.drain",
+    }
+    assert [v.check for v in report.raised] == ["quiescence.drain"]
+    error = InvariantError(report)
+    assert error.report is report
+    assert "quiescence.drain" in str(error)
+    assert "progress.stall" not in str(error)
+
+
+def test_invariant_error_pickles_with_its_report():
+    # Parallel sweep workers hand exceptions back to the parent pickled.
+    log = RecoveryLog()
+    log.loss_detected(1, 0, 1.0)
+    error = InvariantError(
+        evaluate_health(log, BandwidthLedger()), artifacts=object()
+    )
+    again = pickle.loads(pickle.dumps(error))
+    assert str(again) == str(error)
+    assert again.report.to_dict() == error.report.to_dict()
+    assert again.artifacts is None
+
+
+# -- the runner checks every run ------------------------------------------
+
+
+class _LeakyRP(RPProtocolFactory):
+    """RP plus one detection that nothing will recover or abandon."""
+
+    def install(self, network, log, tracker, streams, num_packets, **kwargs):
+        source = super().install(
+            network, log, tracker, streams, num_packets, **kwargs
+        )
+        log.loss_detected(network.tree.clients[0], num_packets, 0.0)
+        return source
+
+
+class _TimerLeakRP(RPProtocolFactory):
+    """RP plus one timer armed far past the drain cutoff."""
+
+    def install(self, network, log, tracker, streams, num_packets, **kwargs):
+        network.events.schedule(1e9, lambda: None)
+        return super().install(
+            network, log, tracker, streams, num_packets, **kwargs
+        )
+
+
+_PLAIN = ScenarioConfig(seed=5, num_routers=20, loss_prob=0.05, num_packets=4)
+
+
+def test_plain_run_raises_on_unterminated_detection():
+    # No faults, no churn, no collector: the invariants still run.
+    built = build_scenario(_PLAIN)
+    with pytest.raises(InvariantError) as excinfo:
+        run_protocol_detailed(built, _LeakyRP())
+    err = excinfo.value
+    assert [v.check for v in err.report.raised] == ["quiescence.drain"]
+    # The drained run's artifacts ride along for callers that record.
+    assert err.artifacts.log.unterminated() == [
+        (built.tree.clients[0], _PLAIN.num_packets)
+    ]
+
+
+def test_plain_run_raises_on_timer_left_after_drain():
+    built = build_scenario(_PLAIN)
+    with pytest.raises(InvariantError) as excinfo:
+        run_protocol_detailed(built, _TimerLeakRP())
+    assert [v.check for v in excinfo.value.report.raised] == [
+        "quiescence.timers"
+    ]
+
+
+def test_plain_run_attaches_no_report():
+    artifacts = run_protocol_detailed(
+        build_scenario(_PLAIN), RPProtocolFactory()
+    )
+    assert artifacts.health is None
 
 
 # -- report plumbing ------------------------------------------------------
@@ -230,8 +304,6 @@ def test_clean_run_raises_no_violations():
     # a legitimate exponential-backoff gap longer than the default
     # stall horizon — tune `window`/`stall_windows` up when watching
     # protocols whose healthy quiet periods grow without bound.)
-    from repro.protocols.rp import RPProtocolFactory
-
     artifacts, _ = _run_with_timeseries(
         factory=RPProtocolFactory(), window=50.0
     )

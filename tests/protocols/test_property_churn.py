@@ -14,6 +14,11 @@ dynamic-membership guarantees:
   recovery settles against a departed peer";
 * churn composes with crash faults (a member can churn *and* crash)
   without weakening any of the above.
+
+The runner checks the first three after every drain (the
+``quiescence.*`` and ``membership.tx_drop`` invariants) and raises
+:class:`~repro.obs.health.InvariantError` otherwise, so a run that
+returns has passed; the assertions re-state the counts.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -56,10 +61,6 @@ def _horizon(config):
 def _assert_terminated(artifacts, config):
     log = artifacts.log
     assert log.unterminated() == []
-    assert artifacts.liveness is not None
-    assert artifacts.liveness.ok
-    # Terminated means *settled*: no armed timer survives the drain.
-    assert artifacts.liveness.pending_timers == 0
     assert log.num_recovered + log.num_abandoned == log.num_detected
     director = artifacts.membership
     assert director is not None
@@ -145,8 +146,6 @@ def test_churn_composes_with_crash_faults(params):
     )
     log = artifacts.log
     assert log.unterminated() == []
-    assert artifacts.liveness is not None
-    assert artifacts.liveness.ok
-    assert artifacts.liveness.pending_timers == 0
+    assert log.num_recovered + log.num_abandoned == log.num_detected
     if artifacts.membership is not None:
         assert artifacts.membership.counts.get("member.tx_drop", 0) == 0

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.metrics.collectors import BandwidthLedger, RecoveryLog
 from repro.net.topology import Link
+from repro.obs.health import InvariantError, evaluate_health
 from repro.sim.faults import (
     CrashWindow,
     FaultInjector,
     FaultSchedule,
     GilbertElliottParams,
     LinkDownWindow,
-    LivenessError,
-    LivenessReport,
-    RecoveryLivenessChecker,
     random_fault_schedule,
 )
 from repro.sim.packet import Packet, PacketKind
@@ -174,37 +173,41 @@ class TestFaultInjector:
 
 
 class TestLiveness:
+    """The liveness guarantee under faults — every detected loss ends
+    recovered or abandoned — is the invariant layer's
+    ``quiescence.drain`` check."""
+
     def test_report_ok(self):
-        report = LivenessReport(unterminated=(), recovered=3, abandoned=1)
+        log = RecoveryLog()
+        for seq in range(3):
+            log.loss_detected(3, seq, 1.0)
+            log.recovered(3, seq, 2.0)
+        log.loss_detected(4, 0, 1.0)
+        log.abandoned(4, 0, 3.0)
+        report = evaluate_health(log, BandwidthLedger())
         assert report.ok
-        assert report.violations == 0
+        assert report.violations == [] and report.raised == []
 
     def test_checker_flags_unterminated(self):
-        from repro.metrics.collectors import RecoveryLog
-
         log = RecoveryLog()
         log.loss_detected(3, 0, 1.0)
         log.loss_detected(3, 1, 1.0)
         log.loss_detected(4, 0, 1.0)
         log.recovered(3, 0, 2.0)
         log.abandoned(3, 1, 3.0)
-        checker = RecoveryLivenessChecker()
-        report = checker.check(log)
-        assert report.unterminated == ((4, 0),)
-        assert report.recovered == 1
-        assert report.abandoned == 1
-        with pytest.raises(LivenessError) as excinfo:
-            checker.assert_terminated(log)
-        assert "(4, 0)" in str(excinfo.value)
-        assert excinfo.value.report.violations == 1
+        report = evaluate_health(log, BandwidthLedger())
+        assert [v.check for v in report.raised] == ["quiescence.drain"]
+        assert report.raised[0].details["sample"] == [[4, 0]]
+        error = InvariantError(report)
+        assert "(4, 0)" in str(error)
+        assert len(error.report.raised) == 1
 
     def test_checker_passes_when_all_terminated(self):
-        from repro.metrics.collectors import RecoveryLog
-
         log = RecoveryLog()
         log.loss_detected(3, 0, 1.0)
         log.abandoned(3, 0, 2.0)
-        report = RecoveryLivenessChecker().assert_terminated(log)
+        report = evaluate_health(log, BandwidthLedger())
+        assert "quiescence.drain" in report.checks_run
         assert report.ok
 
 

@@ -144,10 +144,9 @@ class TestDirectorIntegration:
         assert not director._network.tree.contains(leaver)
         # ...while the shared built tree stayed pristine.
         assert built.tree.contains(leaver)
-        # The run terminated cleanly despite the missing member.
-        assert artifacts.liveness is not None
-        assert artifacts.liveness.ok
-        assert artifacts.liveness.pending_timers == 0
+        # The run terminated cleanly despite the missing member (the
+        # runner's drain-time invariants passed, or it would have raised).
+        assert artifacts.log.unterminated() == []
 
     def test_leave_then_rejoin_catches_up(self):
         built = build_scenario(CONFIG)
@@ -175,8 +174,7 @@ class TestDirectorIntegration:
         assert (
             len(agent.received | agent.abandoned_seqs) == CONFIG.num_packets
         )
-        assert artifacts.liveness is not None
-        assert artifacts.liveness.ok
+        assert artifacts.log.unterminated() == []
 
     def test_root_never_leaves(self):
         built = build_scenario(CONFIG)

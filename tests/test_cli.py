@@ -26,9 +26,14 @@ class TestParser:
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.seeds == [1]
-        assert args.intensity is None
+        assert args.faults == [0.0, 0.3, 0.6]
+        assert args.churn == [0.0]
         assert args.routers == 60
         assert args.packets == 20
+
+    def test_churn_subcommand_is_folded_into_chaos(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["churn"])
 
 
 class TestRunCommand:
@@ -127,14 +132,14 @@ class TestChaosCommand:
     def test_chaos_runs_and_reports_zero_violations(self, capsys, tmp_path):
         out_path = tmp_path / "chaos.json"
         rc = main([
-            "chaos", "--seeds", "1", "--intensity", "0.0", "0.4",
-            "--routers", "25", "--packets", "5",
+            "chaos", "--seeds", "1", "--faults", "0.0", "0.4",
+            "--churn", "0.0", "0.5", "--routers", "25", "--packets", "5",
             "--save", str(out_path),
         ])
-        assert rc == 0  # non-zero would mean a liveness violation
+        assert rc == 0  # non-zero would mean a gate failed
         out = capsys.readouterr().out
         assert "Chaos sweep" in out
-        assert "liveness violations: 0" in out
+        assert "invariant violations: 0" in out
         for name in ("RP", "SRM", "RMA", "SOURCE", "NEAREST"):
             assert name in out
         assert out_path.exists()
@@ -144,7 +149,8 @@ class TestChaosCommand:
 
         path = tmp_path / "chaos.json"
         run_chaos_sweep(
-            seeds=(1,), intensities=(0.3,), num_routers=20, num_packets=4
+            seeds=(1,), faults=(0.3,), churn=(0.3,), num_routers=20,
+            num_packets=4,
         ).save(path)
         rc = main(["chaos", "--load", str(path)])
         assert rc == 0

@@ -1,35 +1,15 @@
-"""Fault-free equivalence: the fault subsystem is invisible when unused.
+"""Fault-free equivalence of the recovery policy.
 
-The hardening PR's bit-identity contract: a run with ``faults=None``,
-a run with the explicit null schedule, and a run of the pre-fault build
-all produce byte-identical results.  The third leg is pinned by the
-golden tests (tests/test_golden.py — their expected values predate the
-fault subsystem); this module covers the first two and the telemetry
-stream, and checks that the *default* recovery policy adds no behaviour.
+The hardening contract's policy leg: the *default* recovery policy adds
+no behaviour, so a factory built with it reproduces the policy-free
+factory exactly.  The schedule legs (``faults=None`` ≡ the null
+schedule) live in tests/test_feature_off_equivalence.py.
 """
-
-import json
-
-import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol
-from repro.obs.instrumentation import Instrumentation
-from repro.protocols.naive import NearestPeerProtocolFactory
 from repro.protocols.policy import DEFAULT_RECOVERY_POLICY, RecoveryPolicy
-from repro.protocols.rma import RMAProtocolFactory
-from repro.protocols.rp import RPProtocolFactory
-from repro.protocols.source import SourceProtocolFactory
-from repro.protocols.srm import SRMProtocolFactory
-from repro.sim.faults import FaultSchedule
-
-FACTORIES = [
-    RPProtocolFactory,
-    SRMProtocolFactory,
-    RMAProtocolFactory,
-    SourceProtocolFactory,
-    NearestPeerProtocolFactory,
-]
+from repro.protocols.rp import RPConfig, RPProtocolFactory
 
 CONFIG = ScenarioConfig(
     seed=11, num_routers=30, loss_prob=0.08, num_packets=8,
@@ -37,21 +17,11 @@ CONFIG = ScenarioConfig(
 )
 
 
-@pytest.mark.parametrize("factory_cls", FACTORIES, ids=lambda c: c.name)
-def test_null_schedule_is_byte_identical_to_no_faults(factory_cls):
-    built = build_scenario(CONFIG)
-    without = run_protocol(built, factory_cls(), faults=None)
-    with_null = run_protocol(built, factory_cls(), faults=FaultSchedule.none())
-    assert without == with_null  # full dataclass equality, every field
-
-
 def test_default_policy_matches_policy_free_construction():
     # The default RecoveryPolicy must collapse every hardened code path
     # to the pre-hardening behaviour; a factory built with it must
     # reproduce the factory's zero-config output exactly.
     built = build_scenario(CONFIG)
-    from repro.protocols.rp import RPConfig
-
     plain = run_protocol(built, RPProtocolFactory())
     defaulted = run_protocol(
         built,
@@ -65,36 +35,3 @@ def test_hardened_policy_is_distinguishable():
     # Sanity check on the test above: the equality is meaningful because
     # policies *can* change behaviour (hardened != default in general).
     assert RecoveryPolicy.hardened() != DEFAULT_RECOVERY_POLICY
-
-
-def test_telemetry_stream_identical_with_null_schedule(tmp_path):
-    # The JSONL event stream (sim-time telemetry, the observable the obs
-    # layer persists) must be identical event-for-event.
-    paths = []
-    for label, faults in (("a", None), ("b", FaultSchedule.none())):
-        built = build_scenario(CONFIG)
-        path = tmp_path / f"{label}.jsonl"
-        instr = Instrumentation.recording(jsonl_path=path, profile=False)
-        try:
-            run_protocol(built, RPProtocolFactory(),
-                         instrumentation=instr, faults=faults)
-        finally:
-            instr.close()
-        paths.append(path)
-    a_lines = paths[0].read_text().splitlines()
-    b_lines = paths[1].read_text().splitlines()
-    assert a_lines == b_lines
-    assert a_lines  # non-empty: the stream actually recorded something
-
-
-def test_summary_json_identical_with_null_schedule(tmp_path):
-    # What persistence serializes (asdict of RunSummary) round-trips
-    # identically — the file-level cmp the CI smoke performs.
-    from dataclasses import asdict
-
-    dumps = []
-    for faults in (None, FaultSchedule.none()):
-        built = build_scenario(CONFIG)
-        summary = run_protocol(built, SRMProtocolFactory(), faults=faults)
-        dumps.append(json.dumps(asdict(summary), sort_keys=True))
-    assert dumps[0] == dumps[1]
