@@ -8,14 +8,16 @@ implementations and writes ``BENCH_core_hotpath.json`` at the repo root:
   pointer-walk ``naive_*`` methods the pre-change code used), same
   routing table, same outputs (asserted).  Target: ≥ 2×.
 * **LCA query throughput** — random-pair ``first_common_router`` calls
-  per second, fast vs naive, recorded under the ``plan.lca`` profiler
-  scope.
+  per second, fast vs naive.
 * **Plan-cache hit rate** — an RP loss-probability sweep over one
   topology: planning depends on everything *but* ``p``, so 10 points
-  cost 1 miss + 9 hits (≥ 90%).  Cached and uncached sweeps must save
-  byte-identical JSON (asserted — the CI smoke repeats this cross-process).
-* **End-to-end run time** — one RP run cold (cache miss) vs warm (hit),
-  plus the ``plan.cache`` / ``engine.compact`` profiler scope totals.
+  cost 1 miss + 9 hits (≥ 90%).  That cached sweeps save the same JSON
+  as uncached ones is a tier-1 test
+  (``tests/experiments/test_campaign.py``).
+* **Event-loop compaction** — heap size after 50k cancel/re-arm cycles.
+
+Whole-session timings live in the end-to-end benchmark
+(``python3 -m benchmarks.e2e``).
 
 Scale knobs (environment variables): ``REPRO_BENCH_ROUTERS`` (default
 600 — big enough that the spanning tree's leaves exceed 200 clients),
@@ -33,12 +35,8 @@ from benchmarks.conftest import record
 from repro.core import plan_cache
 from repro.core.planner import RPPlanner
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.figures import run_loss_sweep
-from repro.experiments.persistence import save_sweep
 from repro.experiments.runner import build_scenario, run_protocol
 from repro.net.mcast_tree import MulticastTree
-from repro.obs.instrumentation import Instrumentation
-from repro.obs.profiler import Profiler
 from repro.protocols.rp import RPProtocolFactory
 from repro.sim.engine import EventQueue
 
@@ -113,9 +111,8 @@ class BaselinePlanner(RPPlanner):
         return _baseline_candidate_clients(self._tree, self._routing, client)
 
 
-def test_core_hotpath(tmp_path):
+def test_core_hotpath():
     routers = _routers()
-    profiler = Profiler(enabled=True)
 
     # -- planner: fast vs naive on one big tree --------------------------
     built = build_scenario(
@@ -126,7 +123,7 @@ def test_core_hotpath(tmp_path):
     parent = {n: tree.parent(n) for n in tree.members if n != tree.root}
     naive_tree = NaiveTreeView(tree.topology, tree.root, parent)
 
-    fast_planner = RPPlanner(tree, routing, profiler=profiler)
+    fast_planner = RPPlanner(tree, routing)
     naive_planner = BaselinePlanner(naive_tree, routing)
 
     fast_plans = fast_planner.plan_all()  # warmup: fills routing caches
@@ -158,7 +155,6 @@ def test_core_hotpath(tmp_path):
     for u, v in pairs:
         fast_lca(u, v)
     fast_lca_seconds = time.perf_counter() - t0
-    profiler.add("plan.lca", fast_lca_seconds, count=queries)
 
     naive_sample = pairs[: max(1, queries // 20)]  # naive is ~50x slower
     naive_lca = tree.naive_first_common_router
@@ -172,9 +168,7 @@ def test_core_hotpath(tmp_path):
 
     # -- plan-cache hit rate across a loss sweep ------------------------
     plan_cache.clear()
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = True
     sweep_routers = 60
-    instr = Instrumentation(profiler=profiler)  # plan.cache scope lands here
     for p in LOSS_PROBS:
         run_protocol(
             build_scenario(
@@ -184,55 +178,16 @@ def test_core_hotpath(tmp_path):
                 )
             ),
             RPProtocolFactory(),
-            instrumentation=instr,
         )
     cache_stats = plan_cache.GLOBAL_PLAN_CACHE.stats()
 
-    # -- cached vs uncached sweep outputs must be byte-identical --------
-    sweep_args = dict(
-        loss_probs=(0.0, 0.05, 0.10), num_routers=40, num_packets=5,
-        seeds=(1,), factories=[RPProtocolFactory()],
-    )
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = False
-    save_sweep(run_loss_sweep(**sweep_args), tmp_path / "uncached.json")
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = True
-    plan_cache.clear()
-    sweep_args["factories"] = [RPProtocolFactory()]
-    save_sweep(run_loss_sweep(**sweep_args), tmp_path / "cached.json")
-    identical = (
-        (tmp_path / "uncached.json").read_bytes()
-        == (tmp_path / "cached.json").read_bytes()
-    )
-    assert identical, "cached sweep diverged from uncached sweep"
-
-    # -- end-to-end run: cold (planning miss) vs warm (hit) -------------
-    e2e_config = ScenarioConfig(
-        seed=5, num_routers=200, loss_prob=0.05, num_packets=10,
-        drain_time=100.0,
-    )
-    e2e_built = build_scenario(e2e_config)
-    plan_cache.clear()
-    t0 = time.perf_counter()
-    run_protocol(e2e_built, RPProtocolFactory())
-    e2e_cold = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    run_protocol(e2e_built, RPProtocolFactory())
-    e2e_warm = time.perf_counter() - t0
-
     # -- event-loop compaction under synthetic churn --------------------
-    q = EventQueue(profiler=profiler)
+    q = EventQueue()
     timer = q.schedule(1.0, lambda: None)
     for i in range(50_000):
         timer.cancel()
         timer = q.schedule(float(i + 2), lambda: None)
     heap_after_churn = len(q._heap)
-
-    scope_totals = {
-        name: {"seconds": stat.total, "count": stat.count}
-        for name, stat in profiler.stats().items()
-        if name in ("plan.lca", "plan.cache", "engine.compact",
-                    "planner.graph", "planner.algorithm")
-    }
 
     payload = {
         "planner": {
@@ -257,19 +212,12 @@ def test_core_hotpath(tmp_path):
             **cache_stats,
             "target_hit_rate": TARGET_HIT_RATE,
             "within_target": cache_stats["hit_rate"] >= TARGET_HIT_RATE,
-            "sweep_outputs_byte_identical": identical,
-        },
-        "end_to_end": {
-            "num_routers": 200,
-            "cold_seconds": e2e_cold,
-            "warm_seconds": e2e_warm,
         },
         "event_loop": {
             "churn_cycles": 50_000,
             "heap_after_churn": heap_after_churn,
             "compactions": q.compactions,
         },
-        "profiler_scopes": scope_totals,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
@@ -281,8 +229,7 @@ def test_core_hotpath(tmp_path):
         f"   speedup {fast_lca_qps / naive_lca_qps:6.1f}x\n"
         f"plan cache {cache_stats['hits']}/{cache_stats['hits'] + cache_stats['misses']}"
         f" hits ({100 * cache_stats['hit_rate']:.0f}%, target"
-        f" {100 * TARGET_HIT_RATE:.0f}%), sweeps byte-identical: {identical}\n"
-        f"end-to-end cold {e2e_cold:5.2f} s  warm {e2e_warm:5.2f} s\n"
+        f" {100 * TARGET_HIT_RATE:.0f}%)\n"
         f"event loop heap after 50k cancel/rearm: {heap_after_churn}"
         f" ({q.compactions} compactions)\n"
         f"written to {RESULT_PATH.name}"

@@ -31,10 +31,11 @@ expensive.
 
 Determinism is asserted too: every arm must produce the identical run
 summary — modulo ``events_processed``, which is legitimately lower on
-the fast dissemination path that only the uninstrumented/no-op arms
-keep (the profiler and the time-series collector both disarm it; see
-``docs/PERFORMANCE.md``) — or the "overhead" numbers would compare
-different work.
+the fast dissemination path — or the "overhead" numbers would compare
+different work.  The uninstrumented, no-op and recording arms run that
+fast path (the profiler times phases, not hops); the time-series
+collector disarms it, and the tracer's link observer sends every
+dissemination back to the per-hop path (see ``docs/PERFORMANCE.md``).
 """
 
 import dataclasses

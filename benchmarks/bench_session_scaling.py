@@ -3,7 +3,8 @@
 Two arms, both writing ``BENCH_sim_scaling.json``:
 
 * **reference** (always on): the 600-router / 274-client reference
-  scenario run twice — scalar (``REPRO_FAST_DISSEM=0``) and fast — with
+  scenario run twice — scalar (``enable_fast_dissem`` patched to
+  refuse) and fast — with
   a bit-identity check (summaries modulo ``events_processed``, ledgers
   exactly) and a **>= 5x event-count reduction** assert.  Wall-clock
   ratio is recorded but not asserted (CI machines are noisy; the event
@@ -31,7 +32,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol_detailed
 from repro.net.routing import LandmarkDistanceBackend
 from repro.protocols.source import SourceProtocolFactory
-from repro.sim.network import FAST_DISSEM_ENV
+from repro.sim.network import SimNetwork
 
 RESULT_PATH = (
     pathlib.Path(__file__).resolve().parents[1] / "BENCH_sim_scaling.json"
@@ -60,23 +61,14 @@ def peak_rss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _timed_run(config, factory, fast: bool):
-    prior = os.environ.get(FAST_DISSEM_ENV)
-    os.environ[FAST_DISSEM_ENV] = "1" if fast else "0"
-    try:
-        built = build_scenario(config)
-        t0 = time.perf_counter()
-        artifacts = run_protocol_detailed(built, factory)
-        seconds = time.perf_counter() - t0
-    finally:
-        if prior is None:
-            os.environ.pop(FAST_DISSEM_ENV, None)
-        else:
-            os.environ[FAST_DISSEM_ENV] = prior
-    return artifacts, seconds
+def _timed_run(config, factory):
+    built = build_scenario(config)
+    t0 = time.perf_counter()
+    artifacts = run_protocol_detailed(built, factory)
+    return artifacts, time.perf_counter() - t0
 
 
-def test_reference_session_event_reduction():
+def test_reference_session_event_reduction(monkeypatch):
     """Fast path >= 5x fewer events on the 274-client reference run,
     with bit-identical simulated results."""
     # SOURCE recovery is unicast-heavy: every request/repair journey is
@@ -88,8 +80,13 @@ def test_reference_session_event_reduction():
         lossless_recovery=True,
     )
     factory = SourceProtocolFactory
-    scalar, scalar_seconds = _timed_run(config, factory(), fast=False)
-    fast, fast_seconds = _timed_run(config, factory(), fast=True)
+    with monkeypatch.context() as patch:
+        # The scalar reference: the fast path refuses to arm.
+        patch.setattr(
+            SimNetwork, "enable_fast_dissem", lambda network, stream: False
+        )
+        scalar, scalar_seconds = _timed_run(config, factory())
+    fast, fast_seconds = _timed_run(config, factory())
 
     assert dataclasses.replace(
         fast.summary, events_processed=scalar.summary.events_processed

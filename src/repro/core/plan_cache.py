@@ -28,21 +28,18 @@ Correctness discipline:
   :func:`plans_for` returns a fresh dict so callers may reshape the
   mapping freely.
 * A cached sweep is **bit-identical** to an uncached one (planning is
-  deterministic), enforced by the equivalence tests and the CI hot-path
-  smoke.  Set ``REPRO_PLAN_CACHE=0`` to disable the process-global
-  cache, e.g. for A/B timing.
+  deterministic), enforced by the equivalence tests.  The uncached
+  reference is :meth:`~repro.core.planner.RPPlanner.plan_all` itself.
 
 Observability: hits/misses are counted on the cache itself
 (:meth:`PlanCache.stats`) and, when the caller passes the run's
 :class:`~repro.obs.metrics.MetricsRegistry`, mirrored to the
-``plan.cache.hits`` / ``plan.cache.misses`` counters.  Fingerprinting +
-lookup time lands in the ``plan.cache`` profiler scope.
+``plan.cache.hits`` / ``plan.cache.misses`` counters.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
@@ -138,11 +135,10 @@ def _restrictions_key(restrictions: StrategyRestrictions) -> tuple:
 class PlanCache:
     """LRU of ``fingerprint → {client: RecoveryStrategy}``."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, enabled: bool = True):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[tuple, dict[int, RecoveryStrategy]]" = (
@@ -186,19 +182,10 @@ class PlanCache:
         A hit returns the memoized strategies (frozen, shared by
         reference) in a fresh dict; a miss delegates to
         :meth:`~repro.core.planner.RPPlanner.plan_all` and stores the
-        result.  With the cache disabled this is a plain ``plan_all``
-        pass-through — same outputs, no bookkeeping.
+        result.
         """
-        if not self.enabled:
-            return planner.plan_all()
-        profiler = planner.profiler
-        if profiler is not None and profiler.enabled:
-            with profiler.scope("plan.cache"):
-                key = self.key_for(planner)
-                entry = self._entries.get(key)
-        else:
-            key = self.key_for(planner)
-            entry = self._entries.get(key)
+        key = self.key_for(planner)
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             if metrics is not None:
@@ -234,9 +221,7 @@ class PlanCache:
 #: The process-global cache the RP protocol factory plans through.  One
 #: per process means parallel sweep workers each warm their own copy —
 #: no cross-process coordination, no shared mutable state.
-GLOBAL_PLAN_CACHE = PlanCache(
-    enabled=os.environ.get("REPRO_PLAN_CACHE", "1") != "0"
-)
+GLOBAL_PLAN_CACHE = PlanCache()
 
 
 def plans_for(
@@ -244,18 +229,6 @@ def plans_for(
 ) -> "dict[int, RecoveryStrategy]":
     """Plan through the process-global cache (module-level convenience)."""
     return GLOBAL_PLAN_CACHE.plans_for(planner, metrics=metrics)
-
-
-def configure(
-    enabled: bool | None = None, capacity: int | None = None
-) -> None:
-    """Reconfigure the global cache (tests, benches, CLI switches)."""
-    if enabled is not None:
-        GLOBAL_PLAN_CACHE.enabled = enabled
-    if capacity is not None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        GLOBAL_PLAN_CACHE.capacity = capacity
 
 
 def clear() -> None:

@@ -18,9 +18,7 @@ analytic benches evaluate.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.algorithm import (
     searching_minimal_delay,
@@ -32,9 +30,6 @@ from repro.core.strategy_graph import StrategyGraph, StrategyRestrictions
 from repro.core.timeouts import ProportionalTimeout, TimeoutPolicy
 from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profiler import Profiler
 
 
 @dataclass(frozen=True)
@@ -93,10 +88,6 @@ class RPPlanner:
         blend of RTT and timeout.
     restrictions:
         Optional strategy-graph restrictions (section 4).
-    profiler:
-        Optional :class:`~repro.obs.profiler.Profiler`; when enabled,
-        graph construction and Algorithm 1 are timed under the
-        ``planner.graph`` / ``planner.algorithm`` scopes.
     """
 
     def __init__(
@@ -106,7 +97,6 @@ class RPPlanner:
         timeout_policy: TimeoutPolicy | None = None,
         estimator: AttemptCostEstimator | None = None,
         restrictions: StrategyRestrictions | None = None,
-        profiler: "Profiler | None" = None,
     ):
         if routing.topology is not tree.topology:
             raise ValueError("tree and routing table must share one topology")
@@ -115,12 +105,6 @@ class RPPlanner:
         self._timeout_policy = timeout_policy or ProportionalTimeout()
         self._estimator = estimator if estimator is not None else BlendEstimator()
         self._restrictions = restrictions or StrategyRestrictions()
-        self._profiler = profiler
-
-    def _scope(self, name: str):
-        if self._profiler is not None and self._profiler.enabled:
-            return self._profiler.scope(name)
-        return contextlib.nullcontext()
 
     @property
     def tree(self) -> MulticastTree:
@@ -142,37 +126,31 @@ class RPPlanner:
     def restrictions(self) -> StrategyRestrictions:
         return self._restrictions
 
-    @property
-    def profiler(self) -> "Profiler | None":
-        return self._profiler
-
     def candidates_for(self, client: int) -> list[Candidate]:
         """Candidate clients for ``client`` in decreasing-``DS`` order."""
         return candidate_clients(self._tree, self._routing, client)
 
     def strategy_graph_for(self, client: int) -> StrategyGraph:
         """Build the Definition-1 strategy graph for ``client``."""
-        with self._scope("planner.graph"):
-            candidates = self.candidates_for(client)
-            timeouts = [self._timeout_policy.timeout(c.rtt) for c in candidates]
-            return StrategyGraph(
-                ds_u=self._tree.depth(client),
-                candidates=candidates,
-                source_rtt=self._routing.rtt(client, self._tree.root),
-                timeouts=timeouts,
-                estimator=self._estimator,
-                restrictions=self._restrictions,
-            )
+        candidates = self.candidates_for(client)
+        timeouts = [self._timeout_policy.timeout(c.rtt) for c in candidates]
+        return StrategyGraph(
+            ds_u=self._tree.depth(client),
+            candidates=candidates,
+            source_rtt=self._routing.rtt(client, self._tree.root),
+            timeouts=timeouts,
+            estimator=self._estimator,
+            restrictions=self._restrictions,
+        )
 
     def plan(self, client: int) -> RecoveryStrategy:
         """Compute the optimal prioritized list for one client."""
         graph = self.strategy_graph_for(client)
         limit = self._restrictions.max_list_length
-        with self._scope("planner.algorithm"):
-            if limit is None:
-                result = searching_minimal_delay(graph)
-            else:
-                result = searching_minimal_delay_bounded(graph, limit)
+        if limit is None:
+            result = searching_minimal_delay(graph)
+        else:
+            result = searching_minimal_delay_bounded(graph, limit)
         chain = tuple(graph.candidate_at(i) for i in result.path)
         timeouts = tuple(self._timeout_policy.timeout(c.rtt) for c in chain)
         source_rtt = graph.source_rtt

@@ -133,8 +133,10 @@ def run_protocol_detailed(
     (per-loss timelines, per-kind hop counters).
 
     ``instrumentation`` threads a telemetry bundle through the whole
-    run: the event queue and transmit path get its profiler, the
-    protocol agents its event bus and counters.  Instrumentation never
+    run: the event queue gets its profiler (one ``events.run`` scope),
+    RP planning is timed once per plan call (``planner.plan``), the
+    protocol agents get its event bus and counters.  Profiling never
+    changes which dissemination path runs.  Instrumentation never
     touches the RNG streams or event ordering, so an instrumented run
     reproduces the uninstrumented one exactly.
 
@@ -166,11 +168,10 @@ def run_protocol_detailed(
     (``recording(timeseries=...)``), the collector is armed with the
     live engine and ledger before the stream starts, the array
     dissemination fast path is disarmed (its batched ledger charges
-    would smear per-window bandwidth — the same contract as the
-    profiler), and after the drain the collector is finalized, the
-    windowed ``progress.stall`` check joins the others and the report
-    is attached as ``artifacts.health``.  ``health_config`` tunes the
-    stall threshold.
+    would smear per-window bandwidth), and after the drain the collector
+    is finalized, the windowed ``progress.stall`` check joins the others
+    and the report is attached as ``artifacts.health``.
+    ``health_config`` tunes the stall threshold.
     """
     config = built.config
     instr = instrumentation
@@ -215,7 +216,6 @@ def run_protocol_detailed(
             if config.congestion_alpha > 0
             else None
         ),
-        profiler=profiler,
         faults=injector,
         membership=director,
     )
@@ -244,15 +244,15 @@ def run_protocol_detailed(
     timeseries = instr.timeseries if instr is not None else None
     if timeseries is None:
         # Arm the array dissemination fast path (no-op under jitter,
-        # congestion, faults, profiling or REPRO_FAST_DISSEM=0; per-call
-        # conditions fall back to the scalar path bit-identically).
+        # congestion, faults or churn; per-call conditions fall back to
+        # the scalar path bit-identically).
         network.enable_fast_dissem(config.stream_config())
     else:
         # The fast path batches its ledger charges at send time, which
         # would smear the collector's per-window bandwidth series;
-        # disarm it explicitly (the profiler's contract) rather than
-        # let the windows silently skew.  The scalar path is
-        # bit-identical modulo events_processed.
+        # disarm it explicitly rather than let the windows silently
+        # skew.  The scalar path is bit-identical modulo
+        # events_processed.
         timeseries.arm(events, ledger)
     driver.start()
 

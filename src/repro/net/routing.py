@@ -37,8 +37,8 @@ Two distance backends implement that API:
 
 Backend selection is automatic by topology size (exact up to
 :data:`EXACT_AUTO_MAX_NODES` nodes, landmark beyond) and can be forced
-with the ``REPRO_ROUTING_BACKEND`` environment variable (``exact`` /
-``landmark`` / ``auto``) or the ``backend=`` constructor argument.  See
+per table with the ``backend=`` constructor argument (``exact`` /
+``landmark`` / ``auto``, or a backend instance).  See
 ``docs/PERFORMANCE.md`` ("Distance backends") for the memory model.
 """
 
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -66,9 +65,6 @@ EXACT_ROW_CACHE_BUDGET = 128 << 20
 #: topologies (every simulation scenario) keep every row — identical
 #: caching behaviour to the historical all-pairs table.
 EXACT_ROW_CACHE_MIN_ROWS = 64
-
-#: Environment variable overriding backend selection.
-BACKEND_ENV_VAR = "REPRO_ROUTING_BACKEND"
 
 #: Per-node exact-neighborhood size for the landmark backend's near
 #: tier.  Landmark upper bounds are loosest exactly where the planner
@@ -635,14 +631,13 @@ class RoutingTable:
         The graph to route over.
     backend:
         A backend instance, a backend name (``"exact"`` / ``"landmark"``
-        / ``"auto"``), or ``None`` to read the :data:`BACKEND_ENV_VAR`
-        environment variable (default ``auto``).
+        / ``"auto"``); ``None`` means ``"auto"``.
     """
 
     def __init__(self, topology: Topology, backend=None):
         self._topology = topology
         if backend is None:
-            backend = os.environ.get(BACKEND_ENV_VAR, "auto")
+            backend = "auto"
         if isinstance(backend, str):
             backend = make_backend(backend, topology)
         if backend.topology is not topology:

@@ -1,15 +1,16 @@
 """Scoped wall-clock timers for finding hot subsystems.
 
-A :class:`Profiler` accumulates elapsed wall-clock time per label.  The
-hooked subsystems (event dispatch, the network transmit path, the RP
-planner) check ``profiler is None or not profiler.enabled`` before
-paying for ``perf_counter`` calls, so an absent or disabled profiler
-costs one attribute test on the hot path.
+A :class:`Profiler` accumulates elapsed wall-clock time per label.
+Scopes are phase-level — one per event-loop ``run`` call
+(``events.run``), one per RP plan call (``planner.plan``), one per heap
+compaction and per parallel sweep/unit — never per hop or per client, so
+profiling leaves every path choice (the array dissemination fast path
+included) exactly as an unprofiled run makes it.
 
-Labels are dotted lowercase (``sim.run``, ``net.transmit``,
-``planner.algorithm``).  Scopes may nest and overlap — ``net.transmit``
-time is also inside ``sim.run`` — so totals answer "where does the wall
-clock go *inside* each subsystem", not "what sums to 100%".
+Labels are dotted lowercase.  Scopes may nest and overlap — the
+``parallel.unit`` time is also inside ``parallel.sweep`` — so totals
+answer "where does the wall clock go *inside* each phase", not "what
+sums to 100%".
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ and exactly the "nothing happened here" shape a stall detector wants.
 **Fast-path interaction.**  The array dissemination path batches its
 ledger charges at send time, which would smear per-window bandwidth; a
 run with an armed collector therefore disarms fast dissemination
-explicitly (the runner handles this, same contract as the profiler)
-rather than silently skewing the series.
+explicitly (the runner handles this) rather than silently skewing the
+series.
 """
 
 from __future__ import annotations

@@ -42,7 +42,11 @@ from repro.core.objective import AttemptCostEstimator
 from repro.core.strategy_graph import StrategyRestrictions
 from repro.core.timeouts import TimeoutPolicy
 from repro.metrics.collectors import RecoveryLog
-from repro.obs.instrumentation import SOURCE_RANK, Instrumentation
+from repro.obs.instrumentation import (
+    NULL_INSTRUMENTATION,
+    SOURCE_RANK,
+    Instrumentation,
+)
 from repro.protocols.base import (
     ClientAgent,
     CompletionTracker,
@@ -501,8 +505,9 @@ class RPProtocolFactory(ProtocolFactory):
             if instrumentation is not None and instrumentation.enabled
             else None
         )
-        profiler = (
-            instrumentation.profiler if instrumentation is not None else None
+        scope = (
+            instrumentation.scope if instrumentation is not None
+            else NULL_INSTRUMENTATION.scope
         )
 
         def plan(restrictions: StrategyRestrictions | None):
@@ -512,7 +517,6 @@ class RPProtocolFactory(ProtocolFactory):
                 timeout_policy=self.config.timeout_policy,
                 estimator=estimator,
                 restrictions=restrictions,
-                profiler=profiler,
             )
             # Planning is a pure function of (tree, RTTs, timeout,
             # estimator, restrictions) — notably not of link loss
@@ -520,8 +524,10 @@ class RPProtocolFactory(ProtocolFactory):
             # process-global plan cache on every point after the first
             # (see repro.core.plan_cache).  The restrictions are part of
             # the cache key, so failure-detector re-plans with the same
-            # dead set hit too.
-            return plan_cache.plans_for(planner, metrics=metrics)
+            # dead set hit too.  Timed once per plan call, not per
+            # client: the profiler sees planning as one phase.
+            with scope("planner.plan"):
+                return plan_cache.plans_for(planner, metrics=metrics)
 
         self.last_strategies = plan(self.config.restrictions)
         policy = self.config.recovery_policy
@@ -619,7 +625,6 @@ class RPProtocolFactory(ProtocolFactory):
         if self._install_ctx is None:
             raise RuntimeError("attach_membership() requires install() first")
         from repro.core.plan_repair import IncrementalPlanRepairer
-        from repro.obs.instrumentation import NULL_INSTRUMENTATION
 
         network, agents, estimator, instrumentation = self._install_ctx
         instr = (

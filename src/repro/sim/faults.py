@@ -13,7 +13,7 @@ far outside the regime their analysis covers:
   through the node — the *process* crashed, not the wire.
 * **Gilbert–Elliott burst loss** (:class:`GilbertElliottParams`) — a
   two-state Markov chain per link replaces the Bernoulli draw in
-  :meth:`~repro.sim.network.SimNetwork._transmit_now`, producing the
+  :meth:`~repro.sim.network.SimNetwork._transmit`, producing the
   correlated loss runs that make ``p²`` terms very much non-zero.
 * **Link down intervals** (:class:`LinkDownWindow`) — every traversal
   attempt during the window is dropped, on both directions of the link.

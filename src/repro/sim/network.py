@@ -27,15 +27,14 @@ protocol code observes a consistent clock.
 
 **Array dissemination fast path.**  When the experiment runner calls
 :meth:`SimNetwork.enable_fast_dissem` and the run has load-independent
-links (no jitter, no congestion, no faults, no link observers, no
-enabled profiler), eligible disseminations are computed in numpy via
+links (no jitter, no congestion, no faults, no link observers) and a
+fixed membership, eligible disseminations are computed in numpy via
 :mod:`repro.sim.dissem` and only the O(agents) deliveries are scheduled
 as events, instead of one event per link traversal.  The fast path is
 bit-identical to the scalar path — same RNG consumption, same arrival
 times, same ledger totals (an in-flight registry refunds hops/drops the
 scalar path would not have charged before the drain cutoff) — and every
-ineligible call falls back to the scalar path below.  Kill switch:
-``REPRO_FAST_DISSEM=0``.
+ineligible call falls back to the scalar path below.
 
 The scalar path itself is closure-free: reusable transit objects step
 cached int-array paths (an LRU of routed paths — client↔peer pairs
@@ -45,8 +44,6 @@ the per-hop lambda chains.
 
 from __future__ import annotations
 
-import os
-import time
 from collections import OrderedDict
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Protocol
@@ -63,13 +60,9 @@ from repro.sim.trace import TraceEvent, TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle breaker
     from repro.metrics.collectors import BandwidthLedger
-    from repro.obs.profiler import Profiler
     from repro.protocols.base import StreamConfig
     from repro.sim.faults import FaultInjector
     from repro.sim.membership import MembershipDirector
-
-#: Environment kill switch for the array dissemination fast path.
-FAST_DISSEM_ENV = "REPRO_FAST_DISSEM"
 
 #: Routed-path LRU capacity (entries).  Recovery traffic concentrates
 #: on client↔peer and client↔source pairs, which repeat heavily.
@@ -253,7 +246,6 @@ class SimNetwork:
         jitter: float = 0.0,
         jitter_rng: np.random.Generator | None = None,
         congestion: "object | None" = None,
-        profiler: "Profiler | None" = None,
         faults: "FaultInjector | None" = None,
         membership: "MembershipDirector | None" = None,
     ):
@@ -291,9 +283,6 @@ class SimNetwork:
         # Optional load-dependent delays (LinearCongestionModel); None
         # keeps the paper's load-independent links.
         self._congestion = congestion
-        # Optional wall-clock profiling of the transmit path; None (or a
-        # disabled profiler) keeps the hot path at one attribute test.
-        self._profiler = profiler
         # Optional fault injection (crash windows, link downs, burst
         # loss, recovery black-holing — see repro.sim.faults).  None
         # keeps every fault check at a single attribute test, and the
@@ -448,17 +437,14 @@ class SimNetwork:
         """Arm the array dissemination fast path for a runner-driven
         session.
 
-        Eligibility (checked here once): the kill switch is not set and
-        links are load-independent — no jitter, no congestion model, no
-        fault injector, no enabled profiler (it counts per-transmit
-        scopes).  Per-call conditions (observers, draw-freedom, exact
-        event-time ties) are checked at each send and fall back to the
-        scalar path.  Only the runner calls this; directly constructed
+        Eligibility (checked here once): links are load-independent — no
+        jitter, no congestion model, no fault injector — and membership is
+        fixed (no director).  Per-call conditions (observers,
+        draw-freedom, exact event-time ties) are checked at each send and
+        fall back to the scalar path.  Only the runner calls this; directly constructed
         networks keep the scalar path throughout.
         """
         self._fast = None
-        if os.environ.get(FAST_DISSEM_ENV, "1") == "0":
-            return False
         if self._jitter > 0.0 or self._congestion is not None:
             return False
         if self._faults is not None:
@@ -466,8 +452,6 @@ class SimNetwork:
         if self._membership is not None:
             # Churn mutates the tree mid-run; the fast path's TreeDissem
             # arrays snapshot it once.  Scalar path throughout.
-            return False
-        if self._profiler is not None and self._profiler.enabled:
             return False
         self._fast = _FastDissem(
             stream.num_packets, stream.data_interval, stream.session_interval
@@ -703,22 +687,6 @@ class SimNetwork:
         it from event-heap growth would mislabel transmissions whenever
         a hook or future primitive schedules differently).
         """
-        profiler = self._profiler
-        if profiler is None or not profiler.enabled:
-            return self._transmit_now(link, to_node, packet, on_arrival)
-        t0 = time.perf_counter()
-        try:
-            return self._transmit_now(link, to_node, packet, on_arrival)
-        finally:
-            profiler.add("net.transmit", time.perf_counter() - t0)
-
-    def _transmit_now(
-        self,
-        link: Link,
-        to_node: int,
-        packet: Packet,
-        on_arrival: Callable[[], None],
-    ) -> bool:
         self.ledger.charge_hop(packet.kind)
         faults = self._faults
         dropped = False

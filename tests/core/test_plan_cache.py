@@ -25,10 +25,16 @@ from repro.protocols.rp import RPProtocolFactory
 def isolated_global_cache():
     """Each test starts (and leaves) the process-global cache empty."""
     plan_cache.clear()
-    enabled = plan_cache.GLOBAL_PLAN_CACHE.enabled
     yield
-    plan_cache.GLOBAL_PLAN_CACHE.enabled = enabled
     plan_cache.clear()
+
+
+def uncached(monkeypatch):
+    """Route the RP factory's planning around the global cache (the
+    uncached reference is ``plan_all`` itself)."""
+    monkeypatch.setattr(
+        plan_cache, "plans_for", lambda planner, metrics=None: planner.plan_all()
+    )
 
 
 def make_planner(seed=7, routers=12, loss_prob=0.0, **kwargs):
@@ -119,15 +125,6 @@ class TestPlansFor:
         assert first == second == planner.plan_all()
         assert first is not second  # callers may mutate their mapping
 
-    def test_disabled_cache_is_passthrough(self):
-        cache = PlanCache(enabled=False)
-        planner = make_planner()
-        assert cache.plans_for(planner) == planner.plan_all()
-        assert len(cache) == 0
-        assert cache.stats() == {
-            "hits": 0, "misses": 0, "entries": 0, "hit_rate": 0.0,
-        }
-
     def test_metrics_counters(self):
         cache = PlanCache()
         registry = MetricsRegistry()
@@ -160,28 +157,28 @@ class TestEndToEndEquivalence:
         events = instr.bus.sinks[0].events()
         return artifacts, [e.to_dict() for e in events]
 
-    def test_cache_on_vs_off_identical(self):
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = False
-        cold_art, cold_events = self._run()
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = True
-        plan_cache.clear()
+    def test_cache_on_vs_off_identical(self, monkeypatch):
+        with monkeypatch.context() as m:
+            uncached(m)
+            cold_art, cold_events = self._run()
+        assert plan_cache.GLOBAL_PLAN_CACHE.stats()["entries"] == 0
         miss_art, miss_events = self._run()  # populates the cache
         hit_art, hit_events = self._run()  # replans from the cache
         assert plan_cache.GLOBAL_PLAN_CACHE.hits >= 1
         assert cold_art.summary == miss_art.summary == hit_art.summary
         assert cold_events == miss_events == hit_events
 
-    def test_factory_strategies_identical_across_cache_paths(self):
+    def test_factory_strategies_identical_across_cache_paths(self, monkeypatch):
         built = build_scenario(self.CONFIG)
         factory = RPProtocolFactory()
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = False
+        with monkeypatch.context() as m:
+            uncached(m)
+            run_protocol_detailed(built, factory)
+        reference = factory.last_strategies
         run_protocol_detailed(built, factory)
-        uncached = factory.last_strategies
-        plan_cache.GLOBAL_PLAN_CACHE.enabled = True
         run_protocol_detailed(built, factory)
-        run_protocol_detailed(built, factory)
-        assert factory.last_strategies == uncached
-        assert list(factory.last_strategies) == list(uncached)
+        assert factory.last_strategies == reference
+        assert list(factory.last_strategies) == list(reference)
 
     def test_loss_sweep_hits_cache_per_topology(self):
         # Same seed, different loss probs: one planning miss, then hits.

@@ -140,11 +140,3 @@ class TestEligibility:
         _, tree, routing = landmark_scene(23)
         planner = RPPlanner(tree, routing, timeout_policy=Doubler(5.0))
         assert not planner_batch.batchable(planner)
-
-    def test_env_kill_switch(self, monkeypatch):
-        _, tree, routing = landmark_scene(9)
-        planner = RPPlanner(tree, routing)
-        monkeypatch.setenv("REPRO_BATCH_PLANNER", "0")
-        assert not planner_batch.batchable(planner)
-        monkeypatch.setenv("REPRO_BATCH_PLANNER", "1")
-        assert planner_batch.batchable(planner)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.core import plan_cache
 from repro.experiments.campaign import PAPER_REFERENCES, run_campaign
-from repro.experiments.persistence import load_sweep
+from repro.experiments.figures import run_client_sweep, run_loss_sweep
+from repro.experiments.persistence import load_sweep, save_sweep
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +160,48 @@ class TestCampaignCli:
             cli.run_client_sweep = original
         assert rc == 0
         assert seen["jobs"] == 2
+
+
+def _strip_events(value):
+    """The saved JSON without ``events_processed`` (the one count the
+    array dissemination fast path legitimately changes)."""
+    if isinstance(value, dict):
+        return {
+            k: _strip_events(v) for k, v in value.items()
+            if k != "events_processed"
+        }
+    if isinstance(value, list):
+        return [_strip_events(v) for v in value]
+    return value
+
+
+def test_sweeps_match_reference_paths(tmp_path, monkeypatch, scalar_dissem):
+    # A tiny campaign, saved once on the default paths (fast
+    # dissemination, cached planning) and once on the reference paths
+    # (scalar dissemination, uncached per-client planning).
+    def campaign(out):
+        out.mkdir()
+        save_sweep(run_loss_sweep(
+            loss_probs=(0.02, 0.05, 0.10), num_routers=25, num_packets=4,
+            seeds=(1, 2),
+        ), out / "loss_sweep.json")
+        save_sweep(run_client_sweep(
+            num_routers=(15, 25), num_packets=4, seeds=(1, 2),
+        ), out / "client_sweep.json")
+
+    plan_cache.clear()
+    campaign(tmp_path / "default")
+    assert plan_cache.GLOBAL_PLAN_CACHE.hits > 0
+    monkeypatch.setattr(
+        plan_cache, "plans_for",
+        lambda planner, metrics=None: {
+            c: planner.plan(c) for c in planner.tree.clients
+        },
+    )
+    with scalar_dissem():
+        campaign(tmp_path / "reference")
+    for name in ("loss_sweep.json", "client_sweep.json"):
+        default = json.loads((tmp_path / "default" / name).read_text())
+        reference = json.loads((tmp_path / "reference" / name).read_text())
+        assert _strip_events(default) == _strip_events(reference), name
+        assert default != reference  # the fast path actually fired

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.generators import TopologyConfig, random_backbone
 from repro.net.routing import (
-    BACKEND_ENV_VAR,
     ExactDistanceBackend,
     LandmarkDistanceBackend,
     RoutingTable,
@@ -409,15 +408,8 @@ class TestBackendSelection:
             TopologyConfig(num_routers=15), np.random.default_rng(2)
         )
         assert isinstance(make_backend("auto", topo), LandmarkDistanceBackend)
-
-    def test_env_override(self, monkeypatch):
-        topo = random_backbone(
-            TopologyConfig(num_routers=15), np.random.default_rng(2)
-        )
-        monkeypatch.setenv(BACKEND_ENV_VAR, "landmark")
+        # No backend argument means "auto".
         assert RoutingTable(topo).backend_name == "landmark"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "exact")
-        assert RoutingTable(topo).backend_name == "exact"
 
     def test_unknown_backend_rejected(self):
         topo = random_backbone(
