@@ -51,6 +51,7 @@ from repro.experiments.chaos import (
     DEFAULT_CHURN,
     DEFAULT_FAULTS,
     ChaosSweepResult,
+    hardened_factories,
     run_chaos_sweep,
 )
 from repro.experiments.config import ScenarioConfig
@@ -241,33 +242,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _hardened_factory(name: str) -> ProtocolFactory:
     """One protocol in its hardened (guaranteed-termination) shape —
-    what a black-holed run needs to abandon instead of hanging."""
-    from repro.experiments.chaos import SRM_MAX_REQUEST_ROUNDS
+    what a black-holed run needs to abandon instead of hanging.  RANDOM
+    is the one choice outside the chaos sweep's hardened suite."""
     from repro.protocols.naive import NaiveConfig
     from repro.protocols.policy import RecoveryPolicy
-    from repro.protocols.rma import RMAConfig
-    from repro.protocols.rp import RPConfig
-    from repro.protocols.source import SourceConfig
-    from repro.protocols.srm import SRMConfig
 
-    policy = RecoveryPolicy.hardened()
-    if name == "srm":
-        return SRMProtocolFactory(
-            SRMConfig(max_request_rounds=SRM_MAX_REQUEST_ROUNDS)
+    if name == "random":
+        return RandomListProtocolFactory(
+            NaiveConfig(recovery_policy=RecoveryPolicy.hardened())
         )
-    return {
-        "rp": lambda: RPProtocolFactory(RPConfig(recovery_policy=policy)),
-        "rma": lambda: RMAProtocolFactory(RMAConfig(recovery_policy=policy)),
-        "source": lambda: SourceProtocolFactory(
-            SourceConfig(recovery_policy=policy)
-        ),
-        "random": lambda: RandomListProtocolFactory(
-            NaiveConfig(recovery_policy=policy)
-        ),
-        "nearest": lambda: NearestPeerProtocolFactory(
-            NaiveConfig(recovery_policy=policy)
-        ),
-    }[name]()
+    return {f.name.lower(): f for f in hardened_factories()}[name]
 
 
 def _cmd_health(args: argparse.Namespace) -> int:

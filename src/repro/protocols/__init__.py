@@ -1,6 +1,6 @@
 """Recovery protocol runtimes.
 
-Four protocols run on the simulator:
+The protocols the simulator runs:
 
 * :mod:`repro.protocols.rp` — the paper's contribution: each client
   executes its planner-computed prioritized list with unicast requests
@@ -12,7 +12,10 @@ Four protocols run on the simulator:
   & Garcia-Luna-Aceves): one-by-one search of the nearest upstream
   receivers, repair multicast to the subtree covering all requesters;
 * :mod:`repro.protocols.source` — plain source-based recovery (extra
-  reference point; the paper's section-1 first category).
+  reference point; the paper's section-1 first category), run as the
+  empty prioritized list on RP's runtime;
+* :mod:`repro.protocols.naive` — the conclusion's strawmen (random and
+  nearest-peer lists), also on RP's runtime.
 
 All share :mod:`repro.protocols.base`: gap-based loss detection, the
 completion tracker, and the data/session stream driver — so latency and

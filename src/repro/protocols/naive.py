@@ -17,6 +17,9 @@ differs — so the comparison isolates exactly the paper's claim: the
   random order.
 * :class:`NearestPeerProtocolFactory` — the ``k`` lowest-RTT peers,
   nearest first (the "net neighborhood" preference).
+
+Source-based recovery (:mod:`repro.protocols.source`) is one more list
+builder on this base: the empty list, with unicast source repairs.
 """
 
 from __future__ import annotations

@@ -8,222 +8,50 @@ the source.  Not part of the paper's figure comparison (its simulations
 compare RP/SRM/RMA), but a useful reference point the examples and
 extension benches use.
 
-Two repair modes:
-
-* unicast (default) — the source unicasts the repair to the requester;
-* subgroup multicast — the source multicasts to the requester's
-  top-level subgroup, the static-subgrouping idea of the authors' prior
-  work ([4] in the paper).
+In the Definition-1 strategy graph source-based recovery is the direct
+``u -> S`` edge: the *empty* prioritized list, whose expected delay is
+``d(S)`` (eq. 3 with ``k = 0``).  So it runs on RP's runtime exactly
+like the naive strawmen (:mod:`repro.protocols.naive`), with an empty
+list and a source that unicasts the repair to the requester only.
+Source-only recovery with subgroup repair is RP with
+``StrategyRestrictions(max_list_length=0)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.timeouts import ProportionalTimeout, TimeoutPolicy
-from repro.metrics.collectors import RecoveryLog
-from repro.obs.instrumentation import SOURCE_RANK, Instrumentation
-from repro.protocols.base import (
-    ClientAgent,
-    CompletionTracker,
-    ProtocolFactory,
-    SourceAgentBase,
-)
+import numpy as np
+
+from repro.core.timeouts import TimeoutPolicy
+from repro.protocols.naive import NaiveConfig, _NaiveFactoryBase
 from repro.protocols.policy import DEFAULT_RECOVERY_POLICY, RecoveryPolicy
-from repro.sim.engine import Timer
 from repro.sim.network import SimNetwork
-from repro.sim.packet import Packet, PacketKind
-from repro.sim.rng import RngStreams
 
 
 @dataclass(frozen=True)
 class SourceConfig:
     timeout_policy: TimeoutPolicy | None = None
-    subgroup_multicast: bool = False
     recovery_policy: RecoveryPolicy = DEFAULT_RECOVERY_POLICY
 
 
-class SourceRecoveryClientAgent(ClientAgent):
-    def __init__(
-        self,
-        node: int,
-        network: SimNetwork,
-        log: RecoveryLog,
-        tracker: CompletionTracker,
-        num_packets: int,
-        timeout_policy: TimeoutPolicy,
-        instrumentation: Instrumentation | None = None,
-        policy: RecoveryPolicy | None = None,
-    ):
-        super().__init__(
-            node, network, log, tracker, num_packets,
-            instrumentation=instrumentation,
-        )
-        self._timeout = timeout_policy.timeout(
-            network.routing.rtt(node, network.tree.root)
-        )
-        self.policy = policy if policy is not None else DEFAULT_RECOVERY_POLICY
-        self._timers: dict[int, Timer] = {}
-        self._detected_at: dict[int, float] = {}
-        self._attempts: dict[int, int] = {}
+class SourceProtocolFactory(_NaiveFactoryBase):
+    """Every client requests the source directly (the empty list)."""
 
-    def on_loss_detected(self, seq: int) -> None:
-        self._detected_at[seq] = self.network.events.now
-        self._attempts[seq] = 0
-        self._request(seq)
-
-    def _request(self, seq: int) -> None:
-        now = self.network.events.now
-        attempt = self._attempts.get(seq, 0) + 1
-        self._attempts[seq] = attempt
-        # Retries of the only target (the source) back off exponentially
-        # under a hardened policy; attempt 1 always runs at scale 1.
-        scale = self.policy.backoff_scale(attempt - 1)
-        timeout = self._timeout
-        if scale != 1.0:
-            scaled = timeout * scale
-            self.instr.backoff(
-                now, "source", self.node, seq, backoff=attempt - 1,
-                extra=scaled - timeout,
-            )
-            timeout = scaled
-        self.instr.attempt(
-            now, "source", self.node, seq, attempt,
-            SOURCE_RANK, self.network.tree.root, "started",
-            elapsed=now - self._detected_at.get(seq, now),
-        )
-        # The attempt event opens the trace span, so the span context
-        # must be read *after* emitting it.
-        trace_id, span_id = self.instr.trace_ids(self.node, seq)
-        self.network.send_unicast(
-            self.node,
-            self.network.tree.root,
-            Packet(
-                PacketKind.REQUEST, seq, origin=self.node,
-                trace_id=trace_id, span_id=span_id,
-            ),
-        )
-        self._timers[seq] = self.network.events.schedule(
-            timeout, lambda: self._on_timeout(seq)
-        )
-        self.instr.timer(
-            now, "source", self.node, "source.request", "armed",
-            deadline=now + timeout, seq=seq,
-        )
-
-    def _on_timeout(self, seq: int) -> None:
-        if seq in self._timers:
-            now = self.network.events.now
-            self.instr.timer(
-                now, "source", self.node, "source.request", "fired", seq=seq
-            )
-            self.instr.attempt(
-                now, "source", self.node, seq, self._attempts.get(seq, 0),
-                SOURCE_RANK, self.network.tree.root, "timed_out",
-                elapsed=self._timeout,
-            )
-            limit = self.policy.max_source_attempts
-            if limit > 0 and self._attempts.get(seq, 0) >= limit:
-                self._abandon(seq)
-                return
-            self._request(seq)  # retry until repaired (or abandoned)
-
-    def _abandon(self, seq: int) -> None:
-        """Bounded retries exhausted — terminate the recovery."""
-        now = self.network.events.now
-        self._timers.pop(seq, None)
-        detected_at = self._detected_at.pop(seq, now)
-        attempts = self._attempts.pop(seq, 0)
-        self.instr.attempt(
-            now, "source", self.node, seq, attempts,
-            SOURCE_RANK, self.network.tree.root, "abandoned",
-            elapsed=now - detected_at,
-        )
-        self.instr.fault(now, "recovery.abandoned", node=self.node, seq=seq)
-        self.abandon(seq)
-
-    def _teardown_recoveries(self) -> None:
-        """Departure teardown: cancel every armed request timer."""
-        now = self.network.events.now
-        for seq, timer in self._timers.items():
-            timer.cancel()
-            self.instr.timer(
-                now, "source", self.node, "source.request", "cancelled",
-                seq=seq,
-            )
-        self._timers.clear()
-        self._detected_at.clear()
-        self._attempts.clear()
-
-    def on_recovered(self, seq: int) -> None:
-        timer = self._timers.pop(seq, None)
-        if timer is not None:
-            timer.cancel()
-            self.instr.timer(
-                self.network.events.now, "source", self.node,
-                "source.request", "cancelled", seq=seq,
-            )
-        detected_at = self._detected_at.pop(seq, None)
-        attempts = self._attempts.pop(seq, 0)
-        if detected_at is None:
-            return
-        now = self.network.events.now
-        status = "succeeded" if self.log.is_recovered(self.node, seq) else "retracted"
-        self.instr.attempt(
-            now, "source", self.node, seq, attempts,
-            SOURCE_RANK, self.network.tree.root, status,
-            elapsed=now - detected_at,
-        )
-        if status == "succeeded" and attempts:
-            self.instr.observe("source.attempts_per_recovery", attempts)
-
-
-class SourceRecoverySourceAgent(SourceAgentBase):
-    def __init__(self, node: int, network: SimNetwork, subgroup_multicast: bool):
-        super().__init__(node, network)
-        self.subgroup_multicast = subgroup_multicast
-
-    def on_request(self, packet: Packet) -> None:
-        if not self.has(packet.seq):
-            return
-        repair = Packet(
-            PacketKind.REPAIR, packet.seq, origin=self.node,
-            trace_id=packet.trace_id, span_id=packet.span_id,
-        )
-        if self.subgroup_multicast and self.network.tree.contains(packet.origin):
-            subgroup = self.network.tree.top_level_subgroup(packet.origin)
-            self.network.multicast_subtree(self.node, subgroup, repair)
-        else:
-            # Unicast mode, or a pruned-leaver straggler with no
-            # subgroup left to repair into.
-            self.network.send_unicast(self.node, packet.origin, repair)
-
-
-class SourceProtocolFactory(ProtocolFactory):
     name = "SOURCE"
 
     def __init__(self, config: SourceConfig | None = None):
-        self.config = config or SourceConfig()
-
-    def install(
-        self,
-        network: SimNetwork,
-        log: RecoveryLog,
-        tracker: CompletionTracker,
-        streams: RngStreams,
-        num_packets: int,
-        instrumentation: Instrumentation | None = None,
-    ) -> SourceAgentBase:
-        policy = self.config.timeout_policy or ProportionalTimeout()
-        for client in network.tree.clients:
-            agent = SourceRecoveryClientAgent(
-                client, network, log, tracker, num_packets, policy,
-                instrumentation=instrumentation,
-                policy=self.config.recovery_policy,
+        config = config or SourceConfig()
+        super().__init__(
+            NaiveConfig(
+                list_length=0,
+                timeout_policy=config.timeout_policy,
+                source_multicast=False,
+                recovery_policy=config.recovery_policy,
             )
-            network.attach_agent(client, agent)
-        source = SourceRecoverySourceAgent(
-            network.tree.root, network, self.config.subgroup_multicast
         )
-        network.attach_agent(source.node, source)
-        return source
+
+    def _peers_for(
+        self, network: SimNetwork, client: int, rng: np.random.Generator
+    ) -> list[int]:
+        return []

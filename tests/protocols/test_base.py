@@ -10,7 +10,7 @@ from repro.protocols.base import (
     StreamConfig,
     StreamDriver,
 )
-from repro.protocols.source import SourceRecoverySourceAgent
+from repro.protocols.rp import RPSourceAgent
 from repro.sim.packet import Packet, PacketKind
 
 
@@ -151,7 +151,7 @@ class TestCompletionTracker:
 class TestStreamDriver:
     def test_stream_delivers_all_packets(self, world):
         agents = [probe(world, n) for n in (world.CA, world.CB, world.CC)]
-        source = SourceRecoverySourceAgent(world.S, world.network, False)
+        source = RPSourceAgent(world.S, world.network, False)
         world.network.attach_agent(world.S, source)
         driver = StreamDriver(
             world.network, source, StreamConfig(num_packets=5), world.tracker
@@ -168,7 +168,7 @@ class TestStreamDriver:
         world = SmallWorld(num_packets=2)
         for n in (world.CA, world.CB, world.CC):
             probe(world, n)
-        source = SourceRecoverySourceAgent(world.S, world.network, False)
+        source = RPSourceAgent(world.S, world.network, False)
         world.network.attach_agent(world.S, source)
         driver = StreamDriver(
             world.network,
