@@ -22,7 +22,7 @@ and whose Python-level loop counts are O(tree depth), independent of K:
     exactly why the batched planner requires the landmark backend: exact
     per-client distance rows do not decompose this way.
 
-    The backend's near tier (exact distances inside each node's k-NN
+    The backend's near tier (exact distances inside each member's k-NN
     ball) is mirrored on top: every (client, ball peer) pair is routed
     to the client's class at their pairwise tree LCA and scatter-min'd
     over the landmark-derived per-pair estimates — the same overlay the

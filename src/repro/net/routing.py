@@ -25,15 +25,19 @@ Two distance backends implement that API:
 
 :class:`LandmarkDistanceBackend`
     Tiered approximation for large topologies.  A **near tier** holds
-    exact distances to each node's :data:`NEAR_TIER_K` nearest
-    neighbors (truncated Dijkstra, symmetrized); beyond the balls, a
+    exact distances to each group member's :data:`NEAR_TIER_K` nearest
+    neighbors (truncated Dijkstra, symmetrized).  Members are the
+    ``CLIENT`` and ``SOURCE`` nodes — the endpoints of every ``d_i`` the
+    paper plans with; a topology with no ``CLIENT`` node (a bare
+    backbone) builds a ball at every node.  Beyond the balls, a
     triangle-inequality **landmark tier** takes over: ``L`` landmarks
     chosen by farthest-point sampling, one Dijkstra tree per landmark,
     and ``d(u, v) ≈ min_l d(l, u) + d(l, v)`` — an upper bound on the
     true distance, exact whenever either endpoint is a landmark.  Paths
     route through the best landmark's shortest-path tree (spliced at
     the first shared tree node, so they never detour through the
-    landmark itself).  O((L + k)·V) memory total, O(L·V) per row.
+    landmark itself).  O(L·V + k·M) memory total for ``M`` members,
+    O(L·V) per row.
 
 Backend selection is automatic by topology size (exact up to
 :data:`EXACT_AUTO_MAX_NODES` nodes, landmark beyond) and can be forced
@@ -50,7 +54,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.net.topology import Topology
+from repro.net.topology import NodeKind, Topology
 
 #: Node count up to which ``auto`` picks the exact backend.  Beyond it a
 #: per-client Dijkstra sweep (the planner queries one row per client)
@@ -66,14 +70,15 @@ EXACT_ROW_CACHE_BUDGET = 128 << 20
 #: caching behaviour to the historical all-pairs table.
 EXACT_ROW_CACHE_MIN_ROWS = 64
 
-#: Per-node exact-neighborhood size for the landmark backend's near
+#: Per-member exact-neighborhood size for the landmark backend's near
 #: tier.  Landmark upper bounds are loosest exactly where the planner
 #: looks hardest — a client's closest recovery peers — so the backend
-#: keeps *exact* distances to each node's ``k`` nearest neighbors
+#: keeps *exact* distances to each member's ``k`` nearest neighbors
 #: (symmetrized: a pair is exact when either endpoint lies in the
 #: other's ball) and only falls back to the landmark bound beyond them.
-#: O(k·V) memory; measured on the 600-router reference sweep, k=32
-#: closes the plan-quality gap from ~47% to under 0.2%.
+#: O(k·M) memory for ``M`` members; measured on the 600-router
+#: reference sweep, k=32 closes the plan-quality gap from ~47% to under
+#: 0.2%.
 NEAR_TIER_K = 32
 
 
@@ -280,12 +285,18 @@ class LandmarkDistanceBackend:
 
     Two tiers answer every query:
 
-    * **Near tier** — exact Dijkstra distances to each node's ``near_k``
-      nearest neighbors, symmetrized (a pair is exact when either
-      endpoint lies in the other's ball).  O(near_k·V) memory.  This is
+    * **Near tier** — exact Dijkstra distances to each member's
+      ``near_k`` nearest neighbors, symmetrized (a pair is exact when
+      either endpoint lies in the other's ball).  Members are the
+      ``CLIENT`` and ``SOURCE`` nodes, or every node when the topology
+      has no ``CLIENT``.  O(near_k·M) memory for ``M`` members.  This is
       where plan quality is decided: the planner chases each client's
       *closest* peers, exactly the pairs a landmark bound estimates
-      worst.
+      worst.  Every member pair is answered from one of its two balls,
+      both of which are built, so member–member answers equal an
+      every-node build's; a pair with a non-member endpoint may fall
+      back to the landmark bound where the non-member's ball would have
+      reached the other endpoint.
     * **Landmark tier** — for everything beyond the balls,
       ``d(u,v) <= min_l d(l,u) + d(l,v)`` by the triangle inequality:
       an upper bound on the true delay, exact whenever either endpoint
@@ -300,7 +311,7 @@ class LandmarkDistanceBackend:
     upper-bound walk whose delay may exceed the pair's estimate).
 
     Memory: ``L`` distance + predecessor rows (``16·L·V`` bytes) plus
-    the near-tier CSR (``<= 32·near_k·V`` bytes) plus an LRU of
+    the near-tier CSR (``<= 32·near_k·M`` bytes) plus an LRU of
     estimated rows — no O(V²) term, which is what lets 100k+ node
     topologies route at all.
     """
@@ -378,9 +389,17 @@ class LandmarkDistanceBackend:
         self._pred.flags.writeable = False
 
     def _build_near_tier(self, k: int) -> None:
-        """Exact distances to each node's ``k`` nearest neighbors.
+        """Exact distances to each member's ``k`` nearest neighbors.
 
-        One truncated Dijkstra per node (it stops after ``k`` settles,
+        Members are the ``CLIENT`` and ``SOURCE`` nodes, read from the
+        topology (the multicast tree marks its leaves ``CLIENT`` before
+        the routing table is built); with no ``CLIENT`` node every node
+        is a member.  A member pair is answered from one of its own two
+        balls, so no member-pair answer depends on which other nodes
+        have balls, and the member set adds nothing to
+        :meth:`cache_key`.
+
+        One truncated Dijkstra per member (it stops after ``k`` settles,
         so the recorded distances are exact and bit-identical to the
         full run's — same heap entries, same pop order).  Predecessors
         are tracked with :func:`_dijkstra`'s exact tie-break (tentative
@@ -388,7 +407,11 @@ class LandmarkDistanceBackend:
         relaxer of a settled node is strictly closer and therefore also
         settles before the break, so the recorded predecessor of every
         ball member is identical to the full run's.  That makes in-ball
-        ``path()`` walks exact, not just in-ball distances.
+        ``path()`` walks exact, not just in-ball distances.  The
+        per-node ``best``/``pred``/``done`` lists are allocated once;
+        after each ball its touched nodes get ``best``/``done`` reset,
+        and ``pred`` needs none (it is written whenever ``best`` leaves
+        ``inf``, before anything reads it).
 
         The directed results are kept as a per-source CSR (for the
         predecessor walks) and also symmetrized into one CSR structure
@@ -410,23 +433,30 @@ class LandmarkDistanceBackend:
         for link in topo.links:
             adj[link.u].append((link.v, link.delay))
             adj[link.v].append((link.u, link.delay))
+        members = topo.nodes_of_kind(NodeKind.CLIENT)
+        if members:
+            members = sorted(members + topo.nodes_of_kind(NodeKind.SOURCE))
+        else:
+            members = range(n)
         srcs: list[int] = []
         dsts: list[int] = []
         vals: list[float] = []
         preds: list[int] = []
         heappush, heappop = heapq.heappush, heapq.heappop
         inf = math.inf
-        for source in range(n):
-            best = {source: 0.0}
-            pred = {source: -1}
-            done: set[int] = set()
+        best = [inf] * n
+        pred = [-1] * n
+        done = [False] * n
+        for source in members:
+            best[source] = 0.0
+            touched = [source]
             heap = [(0.0, source)]
             found = 0
             while heap:
                 d, node = heappop(heap)
-                if node in done:
+                if done[node]:
                     continue
-                done.add(node)
+                done[node] = True
                 if node != source:
                     srcs.append(source)
                     dsts.append(node)
@@ -436,15 +466,20 @@ class LandmarkDistanceBackend:
                     if found == k:
                         break
                 for nb, w in adj[node]:
-                    if nb not in done:
+                    if not done[nb]:
                         nd = d + w
-                        b = best.get(nb, inf)
+                        b = best[nb]
                         if nd < b:
+                            if b == inf:
+                                touched.append(nb)
                             best[nb] = nd
                             pred[nb] = node
                             heappush(heap, (nd, nb))
                         elif nd == b and node < pred[nb]:
                             pred[nb] = node
+            for node in touched:
+                best[node] = inf
+                done[node] = False
         src = np.asarray(srcs, dtype=np.int64)
         dst = np.asarray(dsts, dtype=np.int64)
         val = np.asarray(vals, dtype=np.float64)

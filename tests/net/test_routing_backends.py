@@ -1,16 +1,25 @@
 """Distance-backend tests: the Dijkstra tie-break regression, API
 hardening (read-only rows, unreachable error messages), exact-backend
 bit-identity against the historical all-pairs implementation, landmark
-parity properties, LRU bounds and backend selection."""
+parity properties, the members-only near tier against the every-node
+build, LRU bounds and backend selection."""
 
+import copy
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import plan_cache, planner_batch
+from repro.core.planner import RPPlanner
+from repro.experiments.chaos import chaos_horizon
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import build_scenario, run_protocol_detailed
 from repro.net.generators import TopologyConfig, random_backbone
+from repro.net.mcast_tree import random_multicast_tree
 from repro.net.routing import (
     ExactDistanceBackend,
     LandmarkDistanceBackend,
@@ -19,6 +28,9 @@ from repro.net.routing import (
     make_backend,
 )
 from repro.net.topology import NodeKind, Topology
+from repro.obs.ledger import RunFingerprint
+from repro.protocols.rp import RPProtocolFactory
+from repro.sim.membership import JOIN, random_membership_schedule
 
 
 def legacy_dijkstra(topology, source):
@@ -366,6 +378,176 @@ class TestNearTierPaths:
                     for a, b in zip(path, path[1:])
                 )
                 assert walk >= float(exact.distances_from(u)[v]) - 1e-9
+
+
+def every_node_backend(topology, **kwargs):
+    """The oracle for the members-only near tier: the same backend built
+    while the topology's CLIENT nodes read as ROUTER, which takes the
+    every-node build.  The kinds are restored afterwards, so the oracle
+    stays bound to ``topology`` and a routing table, planner or session
+    accepts it (a re-kinded copy builds the same arrays, checked below)."""
+    kinds = list(topology.node_kinds)
+    topology.node_kinds[:] = [
+        NodeKind.ROUTER if k is NodeKind.CLIENT else k for k in kinds
+    ]
+    try:
+        return LandmarkDistanceBackend(topology, **kwargs)
+    finally:
+        topology.node_kinds[:] = kinds
+
+
+def group_topology(seed, num_routers=30):
+    """A backbone plus a random multicast tree, whose leaves are CLIENT."""
+    rng = np.random.default_rng(seed)
+    topo = random_backbone(TopologyConfig(num_routers=num_routers), rng)
+    tree = random_multicast_tree(topo, rng)
+    return topo, tree
+
+
+def members_of(topology):
+    return sorted(
+        topology.nodes_of_kind(NodeKind.CLIENT)
+        + topology.nodes_of_kind(NodeKind.SOURCE)
+    )
+
+
+def assert_member_pairs_equal(backend, oracle, members):
+    idx = np.asarray(members)
+    for s in members:
+        np.testing.assert_array_equal(
+            np.asarray(backend.distances_from(s))[idx],
+            np.asarray(oracle.distances_from(s))[idx],
+        )
+        for t in members:
+            assert backend.path(s, t) == oracle.path(s, t)
+            if s != t:
+                assert backend.next_hop(s, t) == oracle.next_hop(s, t)
+
+
+class TestMemberNearTier:
+    """Balls are built for group members only (CLIENT and SOURCE nodes);
+    every member pair answers exactly as the every-node build does."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        near_k=st.integers(min_value=3, max_value=8),
+    )
+    def test_member_pairs_match_every_node_build(self, seed, near_k):
+        topo, tree = group_topology(seed)
+        members = members_of(topo)
+        backend = LandmarkDistanceBackend(topo, num_landmarks=3, near_k=near_k)
+        oracle = every_node_backend(topo, num_landmarks=3, near_k=near_k)
+        assert_member_pairs_equal(backend, oracle, members)
+        routing = RoutingTable(topo, backend=backend)
+        reference = RoutingTable(topo, backend=oracle)
+        for s in members:
+            for t in members:
+                assert routing.delay(s, t) == reference.delay(s, t)
+        # Every member, the source included, has its own ball: its near
+        # row covers every node strictly closer than its k-th nearest.
+        # (Pairs with the source are exact through its landmark tree even
+        # without that ball, so only the ball set itself shows it.)
+        indptr, cols, _ = backend.near_csr()
+        exact = ExactDistanceBackend(topo)
+        for u in members:
+            row = np.asarray(exact.distances_from(u))
+            kth = np.sort(np.delete(row, u))[near_k - 1]
+            closer = np.flatnonzero(row < kth)
+            assert set(closer[closer != u]) <= set(cols[indptr[u] : indptr[u + 1]])
+        # Balls start at members only: a non-member's near row holds only
+        # the members whose balls reached it.
+        is_member = np.zeros(topo.num_nodes, dtype=bool)
+        is_member[members] = True
+        for r in np.flatnonzero(~is_member):
+            assert is_member[cols[indptr[r] : indptr[r + 1]]].all()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        near_k=st.integers(min_value=3, max_value=8),
+    )
+    def test_plans_match_every_node_build(self, seed, near_k):
+        topo, tree = group_topology(seed, num_routers=40)
+        backend = LandmarkDistanceBackend(topo, num_landmarks=3, near_k=near_k)
+        oracle = every_node_backend(topo, num_landmarks=3, near_k=near_k)
+        planner = RPPlanner(tree, RoutingTable(topo, backend=backend))
+        reference = RPPlanner(tree, RoutingTable(topo, backend=oracle))
+        assert planner_batch.batchable(planner)
+        plans = planner.plan_all()
+        assert plans.keys() == reference.plan_all().keys()
+        expected = reference.plan_all()
+        for client, strategy in plans.items():
+            assert strategy == expected[client]
+            assert strategy == reference.plan(client)
+
+    def test_oracle_equals_a_client_free_copy(self):
+        topo, _ = group_topology(5)
+        copy_topo = copy.deepcopy(topo)
+        copy_topo.node_kinds[:] = [
+            NodeKind.ROUTER if k is NodeKind.CLIENT else k
+            for k in copy_topo.node_kinds
+        ]
+        oracle = every_node_backend(topo, num_landmarks=3, near_k=4)
+        on_copy = LandmarkDistanceBackend(copy_topo, num_landmarks=3, near_k=4)
+        for a, b in zip(oracle.near_csr(), on_copy.near_csr()):
+            np.testing.assert_array_equal(a, b)
+        assert topo.nodes_of_kind(NodeKind.CLIENT)  # kinds restored
+
+    def test_clients_without_a_source(self):
+        # A CLIENT-bearing topology with no SOURCE node: the member set
+        # comes from the node kinds, never from ``topology.source``
+        # (which raises here).
+        topo = Topology()
+        routers = topo.add_nodes(6)
+        for a, b in zip(routers, routers[1:]):
+            topo.add_link(a, b, 1.0 + 0.1 * a)
+        clients = []
+        for r in routers[::2]:
+            c = topo.add_node(NodeKind.CLIENT)
+            topo.add_link(r, c, 0.5 + 0.01 * r)
+            clients.append(c)
+        with pytest.raises(ValueError, match="source"):
+            topo.source
+        backend = LandmarkDistanceBackend(topo, num_landmarks=2, near_k=2)
+        oracle = every_node_backend(topo, num_landmarks=2, near_k=2)
+        assert_member_pairs_equal(backend, oracle, clients)
+        indptr, cols, _ = backend.near_csr()
+        for r in routers:
+            assert set(cols[indptr[r] : indptr[r + 1]].tolist()) <= set(clients)
+
+    def test_churned_session_matches_every_node_build(self):
+        # Leave-first churn with rejoins only removes and re-adds original
+        # members, so a landmark session under it never asks about a
+        # non-member pair and fingerprints exactly as the every-node
+        # build's does.
+        config = ScenarioConfig(
+            seed=3, num_routers=40, num_packets=6, loss_prob=0.05
+        )
+        built = build_scenario(config)
+        candidates = [c for c in built.tree.clients if c != built.tree.root]
+        schedule = random_membership_schedule(
+            0.6, np.random.default_rng(11), candidates, chaos_horizon(config)
+        )
+        assert any(e.kind == JOIN for e in schedule.events)
+        fingerprints = []
+        for make in (LandmarkDistanceBackend, every_node_backend):
+            backend = make(built.topology, num_landmarks=3, near_k=4)
+            run = replace(
+                built, routing=RoutingTable(built.topology, backend=backend)
+            )
+            # Both backends share a plan-cache key; clear it so each run
+            # plans against its own near tier.
+            plan_cache.clear()
+            artifacts = run_protocol_detailed(
+                run, RPProtocolFactory(), membership=schedule
+            )
+            assert artifacts.membership.counts.get("member.join", 0) > 0
+            fingerprints.append(
+                RunFingerprint.from_artifacts("churn", config, artifacts)
+            )
+        plan_cache.clear()
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestRowCacheBounds:
