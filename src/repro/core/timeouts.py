@@ -44,7 +44,7 @@ class FixedTimeout(TimeoutPolicy):
     """A single constant ``t0`` regardless of the peer."""
 
     def __init__(self, t0: float):
-        if t0 <= 0:
+        if not t0 > 0:  # also rejects NaN
             raise ValueError(f"t0 must be positive, got {t0}")
         self._t0 = t0
 
@@ -78,11 +78,11 @@ class ProportionalTimeout(TimeoutPolicy):
     """
 
     def __init__(self, factor: float = 1.5, slack: float = 1.0, floor: float = 1e-3):
-        if factor < 1.0:
+        if not factor >= 1.0:  # negated so NaN fails; likewise below
             raise ValueError(f"factor must be >= 1, got {factor}")
-        if slack < 0.0:
+        if not slack >= 0.0:
             raise ValueError(f"slack must be >= 0, got {slack}")
-        if floor <= 0.0:
+        if not floor > 0.0:
             raise ValueError(f"floor must be positive, got {floor}")
         self._factor = factor
         self._slack = slack

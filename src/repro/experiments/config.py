@@ -8,6 +8,7 @@ loss realization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.net.generators import TopologyConfig
@@ -72,6 +73,15 @@ class ScenarioConfig:
     lossless_recovery: bool = False
     jitter: float = 0.0
     congestion_alpha: float = 0.0
+
+    def __post_init__(self) -> None:
+        # The runner builds a congestion model only for alpha > 0, so a
+        # negative or NaN slope would otherwise run as the paper model.
+        if not 0.0 <= self.congestion_alpha < math.inf:
+            raise ValueError(
+                f"congestion_alpha must be finite and >= 0, "
+                f"got {self.congestion_alpha}"
+            )
 
     def topology_config(self) -> TopologyConfig:
         return TopologyConfig(

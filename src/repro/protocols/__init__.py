@@ -10,12 +10,14 @@ The protocols the simulator runs:
   timers and exponential backoff;
 * :mod:`repro.protocols.rma` — Reliable Multicast Architecture (Levine
   & Garcia-Luna-Aceves): one-by-one search of the nearest upstream
-  receivers, repair multicast to the subtree covering all requesters;
+  receivers — the list of every upstream receiver by descending ``DS``,
+  cut short by a source deadline, on RP's list runtime — with repairs
+  multicast to the subtree covering all requesters;
 * :mod:`repro.protocols.source` — plain source-based recovery (extra
   reference point; the paper's section-1 first category), run as the
-  empty prioritized list on RP's runtime;
+  empty prioritized list on RP's list runtime;
 * :mod:`repro.protocols.naive` — the conclusion's strawmen (random and
-  nearest-peer lists), also on RP's runtime.
+  nearest-peer lists), also on RP's list runtime.
 
 All share :mod:`repro.protocols.base`: gap-based loss detection, the
 completion tracker, and the data/session stream driver — so latency and

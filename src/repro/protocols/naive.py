@@ -124,11 +124,8 @@ class _NaiveFactoryBase(ProtocolFactory):
     ) -> SourceAgentBase:
         policy = self.config.timeout_policy or ProportionalTimeout()
         recovery_policy = self.config.recovery_policy
-        detector = (
-            PeerFailureDetector(recovery_policy.failure_threshold)
-            if recovery_policy.failure_threshold > 0
-            else None
-        )
+        threshold = recovery_policy.failure_threshold
+        detector = PeerFailureDetector(threshold) if threshold > 0 else None
         rng = streams.get(f"naive:{self.name}")
         for client in network.tree.clients:
             peers = self._peers_for(network, client, rng)

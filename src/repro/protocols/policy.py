@@ -81,9 +81,9 @@ class RecoveryPolicy:
             raise ValueError("max_peer_retries must be >= 1")
         if self.max_source_attempts < 0:
             raise ValueError("max_source_attempts must be >= 0 (0 = unbounded)")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:  # negated so NaN fails too
             raise ValueError("backoff_factor must be >= 1")
-        if self.max_backoff_scale < 1.0:
+        if not self.max_backoff_scale >= 1.0:
             raise ValueError("max_backoff_scale must be >= 1")
         if self.failure_threshold < 0:
             raise ValueError("failure_threshold must be >= 0 (0 = disabled)")

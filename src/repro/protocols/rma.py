@@ -9,16 +9,19 @@ contains all the receivers that have been requested."
 
 Our runtime implements that with two mechanisms:
 
-* **One-by-one upstream search.**  The requester unicasts its REQUEST to
-  the nearest upstream receiver — the peer whose attachment point on the
-  requester's source path is deepest (largest ``DS``), ties broken
-  toward the lowest RTT — and escalates to the next one on timeout,
-  ending at the source (which always repairs, retried forever).  This is
+* **One-by-one upstream search.**  That search is a prioritized list —
+  every upstream receiver, deepest attachment point on the requester's
+  source path (largest ``DS``) first, ties broken toward the lowest RTT
+  — so it runs on the list runtime RP shares
+  (:class:`~repro.protocols.rp.ListClientAgent`): one REQUEST per
+  upstream receiver, escalating on timeout, ending at the source.  RMA
+  adds one rule: once ``source_deadline_factor × source RTT`` has passed
+  since detection, it stops escalating and asks the source.  This is
   the "one-by-one searching is just best-effort, not strategic" the
   paper criticizes: the nearest upstream peers are precisely the ones
   whose losses correlate most with the requester's, so timeouts are
   burned on peers that almost surely miss the packet too — while RP's
-  planner jumps straight to the peer minimizing expected delay.
+  planner picks a better list.
 
 * **Request subsumption.**  A visited receiver that also lacks the
   packet does not bounce the request; it *subsumes* it — remembering the
@@ -37,13 +40,20 @@ top-level subgroup (the subtree containing everything that was asked).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.candidates import Candidate
+from repro.core.planner import RecoveryStrategy
 from repro.core.timeouts import ProportionalTimeout, TimeoutPolicy
 from repro.metrics.collectors import RecoveryLog
-from repro.obs.instrumentation import SOURCE_RANK, Instrumentation
+from repro.net.mcast_tree import MulticastTree
+from repro.net.routing import RoutingTable
+from repro.obs.instrumentation import Instrumentation
 from repro.protocols.base import (
-    ClientAgent,
     CompletionTracker,
     ProtocolFactory,
     RepairDeduper,
@@ -54,7 +64,7 @@ from repro.protocols.policy import (
     PeerFailureDetector,
     RecoveryPolicy,
 )
-from repro.sim.engine import Timer
+from repro.protocols.rp import ListClientAgent
 from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
@@ -71,6 +81,9 @@ class RMAConfig:
     source directly — RMA's terminal fallback.  Without the bound, a
     near-root loss (where *every* upstream peer is missing the packet
     too) degenerates into hundreds of sequential timeouts.
+    ``recovery_policy`` hardens the source fallback and skips dead
+    peers; its ``max_peer_retries`` is ignored, because RMA asks each
+    upstream receiver once.
     """
 
     timeout_policy: TimeoutPolicy | None = None
@@ -78,229 +91,80 @@ class RMAConfig:
     recovery_policy: RecoveryPolicy = DEFAULT_RECOVERY_POLICY
 
     def __post_init__(self) -> None:
-        if self.source_deadline_factor <= 0:
+        if not self.source_deadline_factor > 0:
             raise ValueError("source_deadline_factor must be positive")
 
 
-def upstream_receiver_order(
-    network: SimNetwork, client: int
-) -> list[tuple[int, float]]:
-    """The RMA search order for ``client``: ``(peer, rtt)`` pairs.
+def upstream_strategies(
+    tree: MulticastTree, routing: RoutingTable, timeout_policy: TimeoutPolicy
+) -> dict[int, RecoveryStrategy]:
+    """Every client's RMA search order, as a prioritized list.
 
-    Every other client whose first common router with ``client`` lies
-    strictly above it, sorted nearest-upstream-first: descending ``DS``,
-    then ascending RTT, then id.
+    A client's list holds every other client whose first common router
+    with it lies strictly above it, nearest upstream first: descending
+    ``DS``, then ascending RTT, then id.  ``expected_delay`` is NaN: the
+    source deadline truncates the list, so eq. 2 does not describe it.
     """
-    tree = network.tree
-    routing = network.routing
-    ds_u = tree.depth(client)
-    order = []
-    for peer in tree.clients:
-        if peer == client:
-            continue
-        ds = tree.ds(client, peer)
-        if ds >= ds_u:
-            continue  # in the client's own subtree: lost whatever it lost
-        order.append((peer, ds, routing.rtt(client, peer)))
-    order.sort(key=lambda item: (-item[1], item[2], item[0]))
-    return [(peer, rtt) for peer, _, rtt in order]
-
-
-class _PendingSearch:
-    __slots__ = (
-        "seq", "index", "timer", "deadline",
-        "detected_at", "attempts_sent", "rank", "peer", "sent_at",
-        "source_attempts",
-    )
-
-    def __init__(self, seq: int, deadline: float, detected_at: float = 0.0):
-        self.seq = seq
-        self.index = 0
-        self.timer: Timer | None = None
-        self.deadline = deadline
-        self.detected_at = detected_at
-        self.attempts_sent = 0
-        self.rank = SOURCE_RANK
-        self.peer = -1
-        self.sent_at = detected_at
-        # Requests sent to the source so far: drives the hardened
-        # policy's backoff scale and bounded-fallback abandonment.
-        self.source_attempts = 0
-
-
-class RMAClientAgent(ClientAgent):
-    def __init__(
-        self,
-        node: int,
-        network: SimNetwork,
-        log: RecoveryLog,
-        tracker: CompletionTracker,
-        num_packets: int,
-        config: RMAConfig,
-        instrumentation: Instrumentation | None = None,
-        detector: PeerFailureDetector | None = None,
-    ):
-        super().__init__(
-            node, network, log, tracker, num_packets,
-            instrumentation=instrumentation,
+    depth = tree.depth_vector()
+    clients = np.asarray(tree.clients, dtype=np.int64)
+    strategies: dict[int, RecoveryStrategy] = {}
+    for client in tree.clients:
+        ds_u = tree.depth(client)
+        ds = depth[tree.lca_vector(client, clients)]
+        # Peers at or below the client (the client itself included)
+        # lost whatever it lost.
+        upstream = ds < ds_u
+        peers, ds = clients[upstream], ds[upstream]
+        rtt = 2.0 * np.asarray(routing.distances_from(client))[peers]
+        # lexsort's primary key is its LAST array: (-ds, rtt, peer).
+        order = np.lexsort((peers, rtt, -ds))
+        peers, ds, rtt = peers[order], ds[order], rtt[order]
+        source_rtt = routing.rtt(client, tree.root)
+        strategies[client] = RecoveryStrategy(
+            client=client,
+            attempts=tuple(
+                map(Candidate, peers.tolist(), ds.tolist(), rtt.tolist())
+            ),
+            timeouts=tuple(timeout_policy.timeout_array(rtt).tolist()),
+            source_rtt=source_rtt,
+            source_timeout=timeout_policy.timeout(source_rtt),
+            expected_delay=math.nan,
+            ds_u=ds_u,
         )
-        self.timeout_policy = config.timeout_policy or ProportionalTimeout()
-        self.policy = config.recovery_policy
-        self.detector = detector
-        self.search_order = upstream_receiver_order(network, node)
-        self._source_rtt = network.routing.rtt(node, network.tree.root)
+    return strategies
+
+
+class RMAClientAgent(ListClientAgent):
+    """An RMA receiver: walks its upstream search order on the shared
+    list runtime, and repairs or subsumes the requests it is asked."""
+
+    def __init__(self, *args, config: RMAConfig, **kwargs):
+        # One request per upstream receiver: the deadline, not a retry
+        # budget, bounds the walk.
+        kwargs["policy"] = dataclasses.replace(
+            config.recovery_policy, max_peer_retries=1
+        )
+        super().__init__(*args, protocol="rma", **kwargs)
         self._search_budget = config.source_deadline_factor * max(
-            self._source_rtt, 1.0
+            self.strategy.source_rtt, 1.0
         )
-        self._pending: dict[int, _PendingSearch] = {}
         # seq -> meeting routers of requests we subsumed while also
         # missing the packet; flushed when the packet reaches us.
         self._subsumed: dict[int, set[int]] = {}
-        self._deduper = RepairDeduper(network.tree)
+        self._deduper = RepairDeduper(self.network.tree)
 
     # -- requester side ----------------------------------------------------
 
-    def on_loss_detected(self, seq: int) -> None:
-        now = self.network.events.now
-        pending = _PendingSearch(
-            seq, deadline=now + self._search_budget, detected_at=now
-        )
-        self._pending[seq] = pending
-        self._send_next(pending)
-
-    def _send_next(self, pending: _PendingSearch) -> None:
-        now = self.network.events.now
-        past_deadline = now >= pending.deadline
-        if self.detector is not None:
-            # Skip peers the failure detector already declared dead —
-            # their timeout would be burned on certain silence.
-            while (
-                pending.index < len(self.search_order)
-                and self.detector.is_dead(self.search_order[pending.index][0])
-            ):
-                pending.index += 1
-        if pending.index < len(self.search_order) and not past_deadline:
-            peer, rtt = self.search_order[pending.index]
-            rank = pending.index
-            timeout = self.timeout_policy.timeout(rtt)
-        else:
-            limit = self.policy.max_source_attempts
-            if limit > 0 and pending.source_attempts >= limit:
-                self._abandon_search(pending)
-                return
-            pending.source_attempts += 1
-            peer = self.network.tree.root
-            rank = SOURCE_RANK
-            timeout = self.timeout_policy.timeout(self._source_rtt)
-            scale = self.policy.backoff_scale(pending.source_attempts - 1)
-            if scale != 1.0:
-                scaled = timeout * scale
-                self.instr.backoff(
-                    now, "rma", self.node, pending.seq,
-                    backoff=pending.source_attempts - 1,
-                    extra=scaled - timeout,
-                )
-                timeout = scaled
-        pending.attempts_sent += 1
-        pending.rank = rank
-        pending.peer = peer
-        pending.sent_at = now
-        # Emit before building the packet: the attempt event opens the
-        # trace span the request is stamped with.
-        self.instr.attempt(
-            now, "rma", self.node, pending.seq, pending.attempts_sent,
-            rank, peer, "started", elapsed=now - pending.detected_at,
-        )
-        trace_id, span_id = self.instr.trace_ids(self.node, pending.seq)
-        request = Packet(
-            PacketKind.REQUEST, pending.seq, origin=self.node,
-            trace_id=trace_id, span_id=span_id,
-        )
-        self.network.send_unicast(self.node, peer, request)
-        pending.timer = self.network.events.schedule(
-            timeout, lambda: self._on_timeout(pending)
-        )
-        self.instr.timer(
-            now, "rma", self.node, "rma.search", "armed",
-            deadline=now + timeout, seq=pending.seq,
-        )
-
-    def _on_timeout(self, pending: _PendingSearch) -> None:
-        if pending.seq not in self._pending:
-            return
-        now = self.network.events.now
-        self.instr.timer(
-            now, "rma", self.node, "rma.search", "fired", seq=pending.seq
-        )
-        self.instr.attempt(
-            now, "rma", self.node, pending.seq, pending.attempts_sent,
-            pending.rank, pending.peer, "timed_out",
-            elapsed=now - pending.sent_at,
-        )
-        if pending.rank != SOURCE_RANK and self.detector is not None:
-            died = self.detector.record_timeout(pending.peer)
-            if died:
-                self.instr.fault(
-                    now, "peer.dead", node=self.node, peer=pending.peer
-                )
-        if pending.index < len(self.search_order):
-            pending.index += 1  # escalate; the deadline may cut this short
-        self._send_next(pending)
-
-    def _abandon_search(self, pending: _PendingSearch) -> None:
-        """Bounded source fallback exhausted — terminate explicitly."""
-        now = self.network.events.now
-        self._pending.pop(pending.seq, None)
-        self.instr.attempt(
-            now, "rma", self.node, pending.seq, pending.attempts_sent,
-            SOURCE_RANK, self.network.tree.root, "abandoned",
-            elapsed=now - pending.detected_at,
-        )
-        self.instr.fault(
-            now, "recovery.abandoned", node=self.node, seq=pending.seq
-        )
-        self.abandon(pending.seq)
-
-    def on_recovered(self, seq: int) -> None:
-        pending = self._pending.pop(seq, None)
-        if pending is None:
-            return
-        now = self.network.events.now
-        if pending.timer is not None:
-            pending.timer.cancel()
-            self.instr.timer(
-                now, "rma", self.node, "rma.search", "cancelled", seq=seq
-            )
-        if self.log.is_recovered(self.node, seq):
-            if self.detector is not None and pending.rank != SOURCE_RANK:
-                self.detector.record_alive(pending.peer)
-            self.instr.attempt(
-                now, "rma", self.node, seq, pending.attempts_sent,
-                pending.rank, pending.peer, "succeeded",
-                elapsed=now - pending.detected_at,
-            )
-            self.instr.observe(
-                "rma.attempts_per_recovery", pending.attempts_sent
-            )
-        else:
-            self.instr.attempt(
-                now, "rma", self.node, seq, pending.attempts_sent,
-                pending.rank, pending.peer, "retracted",
-                elapsed=now - pending.detected_at,
-            )
+    def _send_next_request(self, pending) -> None:
+        if self.network.events.now >= pending.detected_at + self._search_budget:
+            # Deadline passed: stop escalating, ask the source.
+            pending.attempt_index = len(pending.strategy.attempts)
+        super()._send_next_request(pending)
 
     def _teardown_recoveries(self) -> None:
-        """Departure teardown: cancel search timers, forget subsumed
-        requests (the leaver no longer owes anyone a repair)."""
-        now = self.network.events.now
-        for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                self.instr.timer(
-                    now, "rma", self.node, "rma.search", "cancelled",
-                    seq=pending.seq,
-                )
-        self._pending.clear()
+        """Departure teardown: also forget subsumed requests (the leaver
+        no longer owes anyone a repair)."""
+        super()._teardown_recoveries()
         self._subsumed.clear()
 
     # -- visited-receiver side ---------------------------------------------------
@@ -392,15 +256,16 @@ class RMAProtocolFactory(ProtocolFactory):
         num_packets: int,
         instrumentation: Instrumentation | None = None,
     ) -> SourceAgentBase:
-        recovery_policy = self.config.recovery_policy
-        detector = (
-            PeerFailureDetector(recovery_policy.failure_threshold)
-            if recovery_policy.failure_threshold > 0
-            else None
+        threshold = self.config.recovery_policy.failure_threshold
+        detector = PeerFailureDetector(threshold) if threshold > 0 else None
+        strategies = upstream_strategies(
+            network.tree, network.routing,
+            self.config.timeout_policy or ProportionalTimeout(),
         )
-        for client in network.tree.clients:
+        for client, strategy in strategies.items():
             agent = RMAClientAgent(
-                client, network, log, tracker, num_packets, self.config,
+                client, network, log, tracker, num_packets, strategy,
+                config=self.config,
                 instrumentation=instrumentation,
                 detector=detector,
             )

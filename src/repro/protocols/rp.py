@@ -151,8 +151,12 @@ class _PendingRecovery:
         self.sent_at = detected_at
 
 
-class RPClientAgent(ClientAgent):
-    """A client executing its prioritized recovery list."""
+class ListClientAgent(ClientAgent):
+    """The requester every list protocol shares: walk a prioritized
+    list, one unicast REQUEST and one timer per attempt, then fall back
+    to the source.  :class:`RPClientAgent` (RP, the naive lists, SOURCE)
+    and :class:`~repro.protocols.rma.RMAClientAgent` extend it as
+    siblings, each serving requests its own way."""
 
     def __init__(
         self,
@@ -162,7 +166,6 @@ class RPClientAgent(ClientAgent):
         tracker: CompletionTracker,
         num_packets: int,
         strategy: RecoveryStrategy,
-        negative_acks: bool = False,
         instrumentation: Instrumentation | None = None,
         protocol: str = "rp",
         policy: RecoveryPolicy | None = None,
@@ -173,7 +176,6 @@ class RPClientAgent(ClientAgent):
             instrumentation=instrumentation,
         )
         self.strategy = strategy
-        self.negative_acks = negative_acks
         self.protocol = protocol
         self.policy = policy if policy is not None else DEFAULT_RECOVERY_POLICY
         #: Shared per-run failure detector (None = disabled); dead peers
@@ -317,12 +319,7 @@ class RPClientAgent(ClientAgent):
         if pending is None:
             return
         now = self.network.events.now
-        if pending.timer is not None:
-            pending.timer.cancel()
-            self.instr.timer(
-                now, self.protocol, self.node, "rp.attempt", "cancelled",
-                seq=seq,
-            )
+        self._cancel_timer(pending)
         if self.log.is_recovered(self.node, seq):
             if self.detector is not None and pending.rank != SOURCE_RANK:
                 self.detector.record_alive(pending.peer)
@@ -345,17 +342,28 @@ class RPClientAgent(ClientAgent):
                 "retracted", elapsed=now - pending.detected_at,
             )
 
+    def _cancel_timer(self, pending: _PendingRecovery) -> None:
+        if pending.timer is not None:
+            pending.timer.cancel()
+            self.instr.timer(
+                self.network.events.now, self.protocol, self.node,
+                "rp.attempt", "cancelled", seq=pending.seq,
+            )
+
     def _teardown_recoveries(self) -> None:
         """Departure teardown: cancel every armed attempt timer."""
-        now = self.network.events.now
         for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                self.instr.timer(
-                    now, self.protocol, self.node, "rp.attempt", "cancelled",
-                    seq=pending.seq,
-                )
+            self._cancel_timer(pending)
         self._pending.clear()
+
+
+class RPClientAgent(ListClientAgent):
+    """A client executing its prioritized recovery list, answering
+    peers' requests with unicast repairs (or NACKs)."""
+
+    def __init__(self, *args, negative_acks: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.negative_acks = negative_acks
 
     # -- serving peers ------------------------------------------------------
 
@@ -399,12 +407,7 @@ class RPClientAgent(ClientAgent):
         if self.detector is not None:
             # "Don't have" is still proof of life.
             self.detector.record_alive(packet.origin)
-        if pending.timer is not None:
-            pending.timer.cancel()
-            self.instr.timer(
-                now, self.protocol, self.node, "rp.attempt", "cancelled",
-                seq=pending.seq,
-            )
+        self._cancel_timer(pending)
         self.instr.attempt(
             now, self.protocol, self.node, pending.seq,
             pending.attempts_sent, pending.rank, pending.peer, "nacked",

@@ -120,13 +120,13 @@ class EventQueue:
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> Timer:
         """Run ``callback`` after ``delay`` time units; returns its timer."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> Timer:
         """Run ``callback`` at absolute ``time``; returns its timer."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )

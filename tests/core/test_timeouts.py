@@ -17,6 +17,8 @@ class TestFixedTimeout:
             FixedTimeout(0.0)
         with pytest.raises(ValueError):
             FixedTimeout(-5.0)
+        with pytest.raises(ValueError):
+            FixedTimeout(float("nan"))
 
     def test_repr(self):
         assert "75.0" in repr(FixedTimeout(75.0))
@@ -37,10 +39,14 @@ class TestProportionalTimeout:
     def test_rejects_factor_below_one(self):
         with pytest.raises(ValueError):
             ProportionalTimeout(factor=0.9)
+        with pytest.raises(ValueError):
+            ProportionalTimeout(factor=float("nan"))
 
     def test_rejects_negative_slack(self):
         with pytest.raises(ValueError):
             ProportionalTimeout(slack=-1.0)
+        with pytest.raises(ValueError):
+            ProportionalTimeout(slack=float("nan"))
 
     def test_repr(self):
         assert "1.5" in repr(ProportionalTimeout(factor=1.5))
@@ -72,3 +78,5 @@ class TestProportionalTimeout:
             ProportionalTimeout(floor=0.0)
         with pytest.raises(ValueError):
             ProportionalTimeout(floor=-1.0)
+        with pytest.raises(ValueError):
+            ProportionalTimeout(floor=float("nan"))

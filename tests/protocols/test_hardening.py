@@ -50,7 +50,11 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError):
             RecoveryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
+            RecoveryPolicy(backoff_factor=float("nan"))
+        with pytest.raises(ValueError):
             RecoveryPolicy(max_backoff_scale=0.5)
+        with pytest.raises(ValueError):
+            RecoveryPolicy(max_backoff_scale=float("nan"))
         with pytest.raises(ValueError):
             RecoveryPolicy(failure_threshold=-1)
 

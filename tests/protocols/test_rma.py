@@ -1,15 +1,20 @@
 """Tests for the RMA baseline: upstream ordering, one-by-one escalation,
 subsumption, subtree repairs, the source deadline."""
 
+import math
+
 import pytest
 
-from repro.core.timeouts import FixedTimeout
+from repro.core.timeouts import FixedTimeout, ProportionalTimeout
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import build_scenario
+from repro.protocols.policy import RecoveryPolicy
 from repro.protocols.rma import (
     RMAClientAgent,
     RMAConfig,
     RMAProtocolFactory,
     RMASourceAgent,
-    upstream_receiver_order,
+    upstream_strategies,
 )
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
@@ -19,18 +24,40 @@ def data(seq):
     return Packet(PacketKind.DATA, seq, origin=2)
 
 
+class Sink:
+    """Records the requests delivered to a node; never answers."""
+
+    def __init__(self):
+        self.requests = []
+
+    def on_packet(self, packet):
+        if packet.kind is PacketKind.REQUEST:
+            self.requests.append(packet)
+
+
+def upstream_receiver_order(tree, routing, client):
+    """Scalar oracle for the RMA search order: ``(peer, rtt)`` pairs of
+    every client whose first common router with ``client`` lies strictly
+    above it, by descending ``DS``, then ascending RTT, then id."""
+    ds_u = tree.depth(client)
+    order = []
+    for peer in tree.clients:
+        ds = tree.ds(client, peer)
+        if peer != client and ds < ds_u:
+            order.append((peer, ds, routing.rtt(client, peer)))
+    order.sort(key=lambda item: (-item[1], item[2], item[0]))
+    return [(peer, rtt) for peer, _, rtt in order]
+
+
 def install_rma(world, config=None):
-    config = config or RMAConfig()
-    agents = {}
-    for client in (world.CA, world.CB, world.CC):
-        agent = RMAClientAgent(
-            client, world.network, world.log, world.tracker,
-            world.num_packets, config,
-        )
-        world.network.attach_agent(client, agent)
-        agents[client] = agent
-    source = RMASourceAgent(world.S, world.network)
-    world.network.attach_agent(world.S, source)
+    source = RMAProtocolFactory(config).install(
+        world.network, world.log, world.tracker, RngStreams(0),
+        world.num_packets,
+    )
+    agents = {
+        client: world.network.agent_at(client)
+        for client in (world.CA, world.CB, world.CC)
+    }
     return agents, source
 
 
@@ -39,22 +66,44 @@ class TestUpstreamOrder:
         # For CA (under r1, depth 3): CB shares r1 (ds=2) -> nearest;
         # CC shares r0 (ds=1) -> second.
         agents, _ = install_rma(world)
-        order = [peer for peer, _ in agents[world.CA].search_order]
+        order = list(agents[world.CA].strategy.peer_nodes)
         assert order == [world.CB, world.CC]
 
     def test_own_subtree_excluded(self, world):
         # For CC (under r0, depth 2): CA and CB share r0 (ds=1 < 2): both
         # upstream; neither is in CC's subtree.
         agents, _ = install_rma(world)
-        order = [peer for peer, _ in agents[world.CC].search_order]
+        order = list(agents[world.CC].strategy.peer_nodes)
         assert set(order) == {world.CA, world.CB}
 
     def test_order_function_matches_agent(self, world):
         agents, _ = install_rma(world)
-        assert (
-            upstream_receiver_order(world.network, world.CA)
-            == agents[world.CA].search_order
+        for client, agent in agents.items():
+            attempts = agent.strategy.attempts
+            assert upstream_receiver_order(world.tree, world.routing, client) == [
+                (c.node, c.rtt) for c in attempts
+            ]
+
+    @pytest.mark.parametrize(
+        "policy", [ProportionalTimeout(), FixedTimeout(40.0)], ids=repr
+    )
+    def test_vectorized_build_matches_scalar_oracle(self, policy):
+        built = build_scenario(
+            ScenarioConfig(seed=3, num_routers=60, loss_prob=0.05)
         )
+        strategies = upstream_strategies(built.tree, built.routing, policy)
+        assert sorted(strategies) == sorted(built.tree.clients)
+        for client, strategy in strategies.items():
+            order = upstream_receiver_order(built.tree, built.routing, client)
+            assert [(c.node, c.rtt) for c in strategy.attempts] == order
+            assert strategy.timeouts == tuple(
+                policy.timeout(rtt) for _, rtt in order
+            )
+            source_rtt = built.routing.rtt(client, built.tree.root)
+            assert strategy.source_rtt == source_rtt
+            assert strategy.source_timeout == policy.timeout(source_rtt)
+            # The deadline truncates the list: eq. 2 does not apply.
+            assert math.isnan(strategy.expected_delay)
 
 
 class TestSearch:
@@ -87,6 +136,38 @@ class TestSearch:
         world.events.run(until=400.0)
         assert world.log.is_recovered(world.CA, 0)
 
+    @pytest.mark.parametrize(
+        "deadline_factor,asked", [(2.0, [1, 1]), (0.5, [1, 0])]
+    )
+    def test_each_upstream_receiver_asked_once_until_deadline(
+        self, world, deadline_factor, asked
+    ):
+        # The hardened policy allows two tries per peer; RMA still asks
+        # each upstream receiver once, and none past the deadline.
+        config = RMAConfig(
+            timeout_policy=FixedTimeout(5.0),
+            source_deadline_factor=deadline_factor,
+            recovery_policy=RecoveryPolicy.hardened(),
+        )
+        strategy = upstream_strategies(
+            world.tree, world.routing, FixedTimeout(5.0)
+        )[world.CA]
+        requester = RMAClientAgent(
+            world.CA, world.network, world.log, world.tracker,
+            world.num_packets, strategy, config=config,
+        )
+        world.network.attach_agent(world.CA, requester)
+        sinks = [Sink(), Sink()]
+        world.network.attach_agent(world.CB, sinks[0])
+        world.network.attach_agent(world.CC, sinks[1])
+        source = RMASourceAgent(world.S, world.network)
+        source.next_seq = 2
+        world.network.attach_agent(world.S, source)
+        requester.on_packet(data(1))
+        world.events.run(until=100.0)
+        assert world.log.is_recovered(world.CA, 0)
+        assert [len(sink.requests) for sink in sinks] == asked
+
     def test_source_repair_is_subtree_multicast(self, world):
         config = RMAConfig(source_deadline_factor=0.001)
         agents, source = install_rma(world, config)
@@ -101,6 +182,8 @@ class TestSearch:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RMAConfig(source_deadline_factor=0.0)
+        with pytest.raises(ValueError):
+            RMAConfig(source_deadline_factor=float("nan"))
 
 
 class TestSubsumption:

@@ -56,6 +56,19 @@ class TestScheduling:
         with pytest.raises(ValueError):
             q.schedule_at(3.0, lambda: None)
 
+    def test_rejects_nan_times(self):
+        # NaN compares false against everything, so a `<` guard let it
+        # through: the callback fired and the clock read NaN.
+        q = EventQueue()
+        fired = []
+        with pytest.raises(ValueError):
+            q.schedule(float("nan"), lambda: fired.append(q.now))
+        with pytest.raises(ValueError):
+            q.schedule_at(float("nan"), lambda: fired.append(q.now))
+        q.run()
+        assert fired == []
+        assert q.now == 0.0
+
     def test_schedule_at_now_is_allowed(self):
         q = EventQueue()
         fired = []

@@ -120,6 +120,16 @@ class TestRealismFlags:
         assert rc == 0
         assert "RP" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alpha", ["-0.5", "nan", "inf"])
+    def test_run_rejects_bad_congestion(self, alpha):
+        # Only alpha > 0 builds a congestion model, so these used to run
+        # silently as the uncongested paper model.
+        with pytest.raises(ValueError, match="congestion_alpha"):
+            main([
+                "run", "--routers", "15", "--packets", "4", "--seed", "2",
+                "--protocol", "rp", "--congestion", alpha,
+            ])
+
     def test_plan_accepts_realism_flags(self, capsys):
         rc = main([
             "plan", "--routers", "15", "--seed", "2", "--limit", "2",

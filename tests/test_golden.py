@@ -14,10 +14,18 @@ import pytest
 
 from repro.core.planner import RPPlanner
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import build_scenario, run_protocol
-from repro.protocols.rma import RMAProtocolFactory
+from repro.experiments.runner import (
+    build_scenario,
+    run_protocol,
+    run_protocol_detailed,
+)
+from repro.protocols.policy import RecoveryPolicy
+from repro.protocols.rma import RMAConfig, RMAProtocolFactory
 from repro.protocols.rp import RPProtocolFactory
 from repro.protocols.srm import SRMProtocolFactory
+from repro.sim.faults import random_fault_schedule
+from repro.sim.membership import random_membership_schedule
+from repro.sim.rng import RngStreams
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +90,38 @@ class TestGoldenRuns:
         summary = run_protocol(built, RPProtocolFactory())
         assert summary.recovery_hops == 1436
         assert summary.avg_latency == pytest.approx(186.8700, abs=1e-3)
+
+    def test_rma_run_pinned(self, built):
+        summary = run_protocol(built, RMAProtocolFactory())
+        assert summary.recovery_hops == 3318
+        assert summary.avg_latency == pytest.approx(292.2124, abs=1e-3)
+
+    def test_hardened_rma_under_faults_and_churn_pinned(self, built):
+        # Crashes, a link down, burst loss, black-holing and churn at
+        # once: the hardened search's backoffs, dead-peer skips and
+        # abandonments all shape these numbers.
+        lanes = RngStreams(42)
+        clients = list(built.tree.clients)
+        horizon = 10 * built.config.data_interval + 2 * built.config.session_interval
+        faults = random_fault_schedule(
+            0.5, lanes.get("golden:faults"), clients,
+            built.topology.links, horizon,
+        )
+        churn = random_membership_schedule(
+            0.5, lanes.get("golden:churn"), clients, horizon
+        )
+        artifacts = run_protocol_detailed(
+            built,
+            RMAProtocolFactory(
+                RMAConfig(recovery_policy=RecoveryPolicy.hardened())
+            ),
+            faults=faults,
+            membership=churn,
+        )
+        summary = artifacts.summary
+        assert summary.losses_detected == 74
+        assert summary.losses_recovered == 70
+        assert artifacts.log.num_abandoned == 4
+        assert summary.recovery_hops == 1650
+        assert summary.avg_latency == pytest.approx(331.1242, abs=1e-3)
+        assert summary.events_processed == 4244
