@@ -2,8 +2,8 @@
 
 The dynamic-membership acceptance claim: repairing the RP strategy set
 after one join/leave event costs *sublinearly* in the group size,
-against the ``plan_all`` baseline that re-plans every client (what
-``replan_on_death`` effectively does).  The leave dirty set is the
+against the ``plan_all`` baseline that re-plans every client (what RP
+does when its failure detector declares a peer dead).  The leave dirty set is the
 clients whose chosen list contains the leaver; list lengths are small
 and do not grow with the group, and each peer appears in the lists of
 the clients in its tree vicinity — so the number of clients one

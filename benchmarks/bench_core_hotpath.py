@@ -4,9 +4,10 @@ Measures the three layers of the fast path against their reference
 implementations and writes ``BENCH_core_hotpath.json`` at the repo root:
 
 * **Planner speedup** — ``RPPlanner.plan_all`` on a tree with ≥ 200
-  clients, fast (Euler-tour LCA + batched ``lca_row``) vs naive (the
-  pointer-walk ``naive_*`` methods the pre-change code used), same
-  routing table, same outputs (asserted).  Target: ≥ 2×.
+  clients, fast (the array planner) vs naive (the pointer-walk
+  ``naive_*`` candidates the pre-change code used, then the per-client
+  strategy graph and Algorithm 1), same routing table, same outputs
+  (asserted).  Target: ≥ 2×.
 * **LCA query throughput** — random-pair ``first_common_router`` calls
   per second, fast vs naive.
 * **Plan-cache hit rate** — an RP loss-probability sweep over one
@@ -33,7 +34,8 @@ import numpy as np
 
 from benchmarks.conftest import record
 from repro.core import plan_cache
-from repro.core.planner import RPPlanner
+from repro.core.algorithm import searching_minimal_delay
+from repro.core.planner import RecoveryStrategy, RPPlanner
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol
 from repro.net.mcast_tree import MulticastTree
@@ -105,10 +107,28 @@ def _baseline_candidate_clients(tree, routing, client):
 
 
 class BaselinePlanner(RPPlanner):
-    """RPPlanner wired to the pre-change candidate pipeline."""
+    """RPPlanner wired to the pre-change per-client pipeline."""
 
     def candidates_for(self, client: int):
         return _baseline_candidate_clients(self._tree, self._routing, client)
+
+    def plan_all(self):
+        plans = {}
+        policy = self.timeout_policy
+        for client in self.tree.clients:
+            graph = self.strategy_graph_for(client)
+            result = searching_minimal_delay(graph)
+            chain = tuple(graph.candidate_at(i) for i in result.path)
+            plans[client] = RecoveryStrategy(
+                client=client,
+                attempts=chain,
+                timeouts=tuple(policy.timeout(c.rtt) for c in chain),
+                source_rtt=graph.source_rtt,
+                source_timeout=policy.timeout(graph.source_rtt),
+                expected_delay=result.delay,
+                ds_u=graph.ds_u,
+            )
+        return plans
 
 
 def test_core_hotpath():

@@ -14,7 +14,7 @@ owns the other keys):
   under exact distances versus the exact-backend optimum on the
   274-client reference scenario; the mean expected recovery delay must
   stay within 1%.
-* **100k clients** (``REPRO_BENCH_XL=1``): full batched ``plan_all``
+* **100k clients** (``REPRO_BENCH_XL=1``): full landmark-stage ``plan_all``
   over a ~230k-router topology, tracking wall-clock seconds and peak
   RSS, with an 8 GB memory-budget assert.
 """
@@ -29,7 +29,6 @@ import time
 import pytest
 
 from benchmarks.conftest import record
-from repro.core import planner_batch
 from repro.core.algorithm import searching_minimal_delay
 from repro.core.candidates import Candidate
 from repro.core.objective import Attempt, expected_strategy_delay_descending
@@ -111,7 +110,8 @@ def test_landmark_plan_quality_vs_exact():
 
     exact_planner = RPPlanner(tree, exact_routing)
     landmark_planner = RPPlanner(tree, landmark_routing)
-    assert planner_batch.batchable(landmark_planner)
+    # plan_all on a landmark backend runs the landmark candidate stage.
+    assert isinstance(landmark_routing.backend, LandmarkDistanceBackend)
     exact_plans = exact_planner.plan_all()
     landmark_plans = landmark_planner.plan_all()
     policy = exact_planner.timeout_policy
@@ -179,11 +179,11 @@ def test_plan_all_100k_clients_xl():
         ScenarioConfig(seed=1, num_routers=routers, loss_prob=0.05)
     )
     build_seconds = time.perf_counter() - t0
-    # auto selection must have picked landmarks at this size.
+    # auto selection must have picked landmarks at this size, so
+    # plan_all runs the landmark candidate stage.
     assert isinstance(built.routing.backend, LandmarkDistanceBackend)
 
     planner = RPPlanner(built.tree, built.routing)
-    assert planner_batch.batchable(planner)
     t0 = time.perf_counter()
     plans = planner.plan_all()
     plan_seconds = time.perf_counter() - t0

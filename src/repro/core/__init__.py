@@ -16,7 +16,8 @@ Pipeline (sections 3–4 of the paper):
 5. :mod:`repro.core.algorithm` — Algorithm 1: single-pass DAG shortest
    path in ``O(N²)``.
 6. :mod:`repro.core.planner` — :class:`~repro.core.planner.RPPlanner`,
-   the public façade computing a prioritized list per client.
+   the public façade computing a prioritized list per client, through
+   the array passes of :mod:`repro.core.planner_batch`.
 7. :mod:`repro.core.bruteforce` — exhaustive strategy enumeration, used
    as a correctness oracle in tests.
 8. :mod:`repro.core.exact_model` — beyond-paper extension: exact

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
 
@@ -67,15 +65,11 @@ def competitive_classes(
     if peers is None:
         peers = tree.clients
     # One O(n) subtree pass answers every peer's first common router at
-    # once (vs one LCA query per peer) — the planner calls this for every
-    # client, so the batched row is the difference between O(n·k) and
-    # O(n²·depth) planning over k clients.
+    # once (vs one LCA query per peer).
     row = tree.lca_row(client)
     ds_u = tree.depth(client)
     root = tree.root
-    # Every ancestor the row can return lies on the S→client path; a
-    # dict over those ~depth nodes replaces 75k+ depth() method calls
-    # per plan_all with plain lookups.
+    # Every ancestor the row can return lies on the S→client path.
     path_depth = {node: tree.depth(node) for node in tree.path_to_root(client)}
     classes: dict[int, list[int]] = {}
     for peer in peers:
@@ -108,14 +102,10 @@ def candidate_clients(
     ``DS`` values are pairwise distinct because each class corresponds to
     a distinct node on the single path ``S → client``.
 
-    The default all-clients case runs fully vectorized (one sparse-table
-    LCA query over the whole peer array, one Dijkstra row, one grouped
-    argmin) — the planner calls this once per client, so this is the
-    planning hot path.  An explicit ``peers`` subset takes the scalar
-    path; both produce identical candidates (equivalence-tested).
+    This is the paper's per-client construction, kept as the reference:
+    the planner computes the same candidates for many clients at once in
+    :func:`repro.core.planner_batch.row_candidates` (equivalence-tested).
     """
-    if peers is None:
-        return _candidate_clients_vectorized(tree, routing, client)
     classes = competitive_classes(tree, client, peers)
     # One Dijkstra row for the client; rtt(client, v) == 2 * dist[v]
     # (symmetric links), so each member costs one list index instead of
@@ -130,43 +120,3 @@ def candidate_clients(
         candidates.append(Candidate(node=best, ds=ds, rtt=float(best_rtt)))
     candidates.sort(key=lambda c: (-c.ds, c.node))
     return candidates
-
-
-def _candidate_clients_vectorized(
-    tree: MulticastTree, routing: RoutingTable, client: int
-) -> list[Candidate]:
-    """All-clients candidate builder with no per-peer Python loop.
-
-    Semantically identical to ``competitive_classes`` + the per-class
-    ``(rtt, node)`` minimum: the LCA array replaces per-peer queries,
-    the ``ds < ds_u`` mask replaces the subtree filter, and a stable
-    lexsort picks each class's minimum with the same tie-break.
-    """
-    if not tree.contains(client):
-        raise ValueError(f"client {client} is not a tree member")
-    if client == tree.root:
-        raise ValueError("the source does not need a recovery strategy")
-    peers = np.asarray(tree.clients, dtype=np.int64)
-    ancestors = tree.lca_vector(client, peers)
-    ds = tree.depth_vector()[ancestors]
-    # Lemma 2 filter: drop the client itself and every peer at or below
-    # it on the tree (the root is the SOURCE, never in `clients`).
-    mask = (ds < tree.depth(client)) & (peers != client)
-    peers, ancestors, ds = peers[mask], ancestors[mask], ds[mask]
-    rtt = 2.0 * np.asarray(routing.distances_from(client))[peers]
-    # Per-class minimum of (rtt, peer id): lexsort's primary key is its
-    # LAST array, so this sorts by (ancestor, rtt, peer) and the first
-    # row of each ancestor run is that class's winner.
-    order = np.lexsort((peers, rtt, ancestors))
-    sorted_anc = ancestors[order]
-    is_first = np.ones(len(sorted_anc), dtype=bool)
-    is_first[1:] = sorted_anc[1:] != sorted_anc[:-1]
-    winners = order[is_first]
-    # Classes correspond to distinct nodes of the S→client path, so DS
-    # values are pairwise distinct and sorting by -DS alone matches the
-    # scalar path's (-ds, node) order.
-    winners = winners[np.argsort(-ds[winners], kind="stable")]
-    return [
-        Candidate(node=int(peers[i]), ds=int(ds[i]), rtt=float(rtt[i]))
-        for i in winners
-    ]

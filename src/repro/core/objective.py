@@ -39,6 +39,8 @@ import abc
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.probability import SingleLossModel
 
 
@@ -72,12 +74,28 @@ class Attempt:
 
 
 class AttemptCostEstimator(abc.ABC):
-    """Strategy for the per-attempt expected cost ``d(v_j)`` of eq. (1)."""
+    """Strategy for the per-attempt expected cost ``d(v_j)`` of eq. (1).
+
+    The planner calls :meth:`cost_array`: element-wise :meth:`cost` by
+    default, closed-form (bit-equal) in the stock estimators.  A subclass
+    redefining only :meth:`cost` gets the element-wise default back.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "cost" in vars(cls) and "cost_array" not in vars(cls):
+            cls.cost_array = AttemptCostEstimator.cost_array
 
     @abc.abstractmethod
     def cost(self, rtt: float, timeout: float, success_prob: float) -> float:
         """Expected cost of one attempt given its conditional success
         probability."""
+
+    def cost_array(self, rtt, timeout, success_prob) -> np.ndarray:
+        """:meth:`cost` over arrays."""
+        return np.vectorize(self.cost, otypes=[np.float64])(
+            rtt, timeout, success_prob
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -90,12 +108,18 @@ class BlendEstimator(AttemptCostEstimator):
     def cost(self, rtt: float, timeout: float, success_prob: float) -> float:
         return rtt * success_prob + timeout * (1.0 - success_prob)
 
+    def cost_array(self, rtt, timeout, success_prob):
+        return rtt * success_prob + timeout * (1.0 - success_prob)
+
 
 class RttOnlyEstimator(AttemptCostEstimator):
     """Routing-table round-trip time only — the under-estimate the paper
     warns about ("this method underestimates d(v_j)")."""
 
     def cost(self, rtt: float, timeout: float, success_prob: float) -> float:
+        return rtt
+
+    def cost_array(self, rtt, timeout, success_prob):
         return rtt
 
 
@@ -105,12 +129,8 @@ class TimeoutOnlyEstimator(AttemptCostEstimator):
     def cost(self, rtt: float, timeout: float, success_prob: float) -> float:
         return timeout
 
-
-#: Estimators whose ``cost`` is pure elementwise arithmetic and therefore
-#: accepts numpy arrays unchanged.  The array-native batched planner only
-#: engages for these exact types (a subclass may override ``cost`` with
-#: scalar-only logic, so exact-type membership is required).
-VECTORIZABLE_ESTIMATORS = (BlendEstimator, RttOnlyEstimator, TimeoutOnlyEstimator)
+    def cost_array(self, rtt, timeout, success_prob):
+        return timeout
 
 
 def expected_strategy_delay(

@@ -2,7 +2,8 @@
 
 A composition change invalidates only part of the planning problem, and
 this module repairs exactly that part instead of re-running
-``plan_all`` (which is O(group²) and what ``replan_on_death`` does):
+``plan_all`` (which is O(group²), and what RP does when its failure
+detector declares a peer dead):
 
 * **Departure.**  A departed peer can only make plans *worse*: its
   competitive class loses a member.  If the departed peer was not in a
@@ -25,7 +26,7 @@ this module repairs exactly that part instead of re-running
 
 Re-planning a client runs the ordinary single-client pipeline with the
 currently-departed peers restricted out of the strategy graph
-(generalizing the failure detector's ``replan_on_death``), so a repaired
+(generalizing the failure detector's on-death re-plan), so a repaired
 plan for a client equals the from-scratch plan for that client by
 construction; the quality question the churn sweep checks is whether the
 *skip* filters above ever skip a client whose from-scratch plan moved

@@ -3,13 +3,17 @@
 Given a multicast tree, a routing table and a timeout policy,
 :class:`RPPlanner` computes the low-latency prioritized recovery list
 (the paper's "RP — Recovery strategy based on Prioritized list") for any
-client, wiring together the whole section-3/4 pipeline:
+client: the section-3/4 pipeline of
 
 1. candidate clients (one min-RTT peer per competitive class,
    decreasing ``DS``);
 2. the strategy graph (Definition 1) with the configured attempt-cost
    estimator and restrictions;
 3. Algorithm 1 (or its length-bounded variant).
+
+:meth:`RPPlanner.plan` and :meth:`RPPlanner.plan_all` run it as array
+passes (:mod:`repro.core.planner_batch`); :meth:`RPPlanner.strategy_graph_for`
+and :mod:`repro.core.algorithm` are the per-client reference.
 
 The result, a :class:`RecoveryStrategy`, is what the RP protocol runtime
 (:mod:`repro.protocols.rp`) executes at simulation time and what the
@@ -20,10 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.algorithm import (
-    searching_minimal_delay,
-    searching_minimal_delay_bounded,
-)
+from repro.core import planner_batch
 from repro.core.candidates import Candidate, candidate_clients
 from repro.core.objective import AttemptCostEstimator, BlendEstimator
 from repro.core.strategy_graph import StrategyGraph, StrategyRestrictions
@@ -145,36 +146,9 @@ class RPPlanner:
 
     def plan(self, client: int) -> RecoveryStrategy:
         """Compute the optimal prioritized list for one client."""
-        graph = self.strategy_graph_for(client)
-        limit = self._restrictions.max_list_length
-        if limit is None:
-            result = searching_minimal_delay(graph)
-        else:
-            result = searching_minimal_delay_bounded(graph, limit)
-        chain = tuple(graph.candidate_at(i) for i in result.path)
-        timeouts = tuple(self._timeout_policy.timeout(c.rtt) for c in chain)
-        source_rtt = graph.source_rtt
-        return RecoveryStrategy(
-            client=client,
-            attempts=chain,
-            timeouts=timeouts,
-            source_rtt=source_rtt,
-            source_timeout=self._timeout_policy.timeout(source_rtt),
-            expected_delay=result.delay,
-            ds_u=graph.ds_u,
-        )
+        return planner_batch.plan_one(self, client)
 
     def plan_all(self) -> dict[int, RecoveryStrategy]:
-        """Strategies for every client of the tree, keyed by client id.
-
-        On a landmark routing backend with stock estimator/timeout knobs
-        this runs as batched numpy passes over equivalence classes
-        (:mod:`repro.core.planner_batch`) instead of the per-client
-        pipeline; other configurations — the exact backend in particular,
-        whose outputs are byte-stable — take the per-client loop.
-        """
-        from repro.core import planner_batch
-
-        if planner_batch.batchable(self):
-            return planner_batch.batched_plan_all(self)
-        return {client: self.plan(client) for client in self._tree.clients}
+        """Strategies for every client of the tree, keyed by client id in
+        ``tree.clients`` order."""
+        return planner_batch.plan_all(self)

@@ -1,89 +1,170 @@
-"""Array-native ``plan_all`` over a landmark distance backend.
+"""Array-native RP planning: the one path behind ``RPPlanner.plan`` and
+``RPPlanner.plan_all``.
 
-The per-client pipeline (candidates → strategy graph → Algorithm 1) is
-O(V) per client because the candidate builder touches every peer; over K
-clients that is O(K·V) — 10^10 element operations at 100k clients, far
-beyond what per-client numpy passes can hide.  This module replaces it
-with batched passes whose total work is O(L·V·log K + L·Σdepth + Σ N²)
-and whose Python-level loop counts are O(tree depth), independent of K:
+The paper's per-client pipeline — candidates (Lemma 4), the strategy
+graph (Definition 1), Algorithm 1 — runs here as array passes over many
+clients at once:
 
-1.  **Per-class minima.**  A competitive class of client ``u`` at
-    ancestor ``a`` (child ``c`` toward ``u``) is the set of clients in
-    ``subtree(a) \\ subtree(c)`` — two contiguous intervals in preorder.
-    With landmark distances ``d(u,v) = min_l D[l,u] + D[l,v]`` the class
-    minimum factorizes::
+1.  **Candidates.**  A competitive class of client ``u`` at ancestor
+    ``a`` (child ``c`` toward ``u``) is ``subtree(a) \\ subtree(c)``:
+    two preorder intervals of the clients.  Its candidate is the member
+    with the smallest ``(rtt, node id)``.  The **row stage** (a single
+    plan on any backend, ``plan_all`` on the exact one) takes one
+    ``distances_from`` row per client, in chunks; the ``2·depth + 1``
+    preorder intervals of the client's root path tile the row, so
+    segmented minima answer every class.  The **landmark stage**
+    (``plan_all`` on a landmark backend) builds no row: with
+    ``d(u,v) = min_l D[l,u] + D[l,v]`` a class minimum is
+    ``min_l (D[l,u] + min_{v∈C} D[l,v])``, so range-minimum queries per
+    tree edge answer every class, and near-tier ball pairs are overlaid
+    at their tree LCA.  Its RTTs are bit-equal to the rows'; ties inside
+    a class go to the smaller preorder position, and unreachable
+    classes are dropped.
+2.  **Restrictions** as :class:`~repro.core.strategy_graph.StrategyGraph`
+    applies them: a forbidden class winner drops its whole class (the
+    runner-up is not promoted); ``forbid_direct_source`` deletes
+    ``u → S``.
+3.  **Algorithm 1** in lockstep over all clients with the same candidate
+    count (:func:`_algorithm1`), bounded lists included.
 
-        min_{v∈C} d(u, v) = min_l ( D[l,u] + min_{v∈C} D[l,v] )
-
-    so the per-landmark class minima ``min_{v∈C} D[l,v]`` — computed
-    once per tree edge via sparse-table range-minimum queries over the
-    preorder-sorted client array — answer *every* client's candidate
-    search in O(L) per (client, ancestor) pair.  This factorization is
-    exactly why the batched planner requires the landmark backend: exact
-    per-client distance rows do not decompose this way.
-
-    The backend's near tier (exact distances inside each member's k-NN
-    ball) is mirrored on top: every (client, ball peer) pair is routed
-    to the client's class at their pairwise tree LCA and scatter-min'd
-    over the landmark-derived per-pair estimates — the same overlay the
-    scalar path applies to each ``distances_from`` row.
-
-2.  **Batched Algorithm 1.**  Clients are grouped by candidate count N;
-    each group's strategy graphs relax in lockstep (one vectorized pass
-    per graph node, M clients wide), including the paper's
-    ``distance(x) >= distance(S)`` skip as a row mask.
-
-The batched pass reproduces the per-client pipeline exactly (same
-weights, same relaxation order, same strict-improvement rule) up to
-tie-breaking among bit-equal candidate RTTs, where it prefers the
-smaller preorder position instead of the smaller node id; on the random
-float-delay topologies the sweeps use, ties have measure zero
-(equivalence-tested in ``tests/core/test_planner_batch.py``).
-
-``plan_all`` falls back to the per-client loop whenever the scenario is
-not batchable: exact backend (byte-identical outputs are the contract
-there), non-default restrictions beyond ``forbid_direct_source``, or a
-non-stock estimator.  The per-client reference is
-``{c: planner.plan(c) for c in tree.clients}``.
+Plans are bit-identical to ``searching_minimal_delay[_bounded]`` over
+``RPPlanner.strategy_graph_for``, the reference the tests hold them to.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.candidates import Candidate
-from repro.core.objective import VECTORIZABLE_ESTIMATORS
-from repro.core.timeouts import FixedTimeout, ProportionalTimeout, TimeoutPolicy
 from repro.net.routing import LandmarkDistanceBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.planner import RecoveryStrategy, RPPlanner
 
 
-def batchable(planner: "RPPlanner") -> bool:
-    """True when ``plan_all`` may take the array-native path."""
-    if not isinstance(planner.routing.backend, LandmarkDistanceBackend):
-        return False
-    restrictions = planner.restrictions
-    if restrictions.forbidden_peers or restrictions.max_list_length is not None:
-        return False
-    if type(planner.estimator) not in VECTORIZABLE_ESTIMATORS:
-        return False
-    # A timeout policy is safe to vectorize when its scalar/array pair is
-    # known consistent: a stock policy, a policy defining its own
-    # timeout_array, or one using the element-wise base default.  The
-    # dangerous case is a subclass of a stock policy that overrides
-    # ``timeout()`` while inheriting the stock closed-form
-    # ``timeout_array`` — batching it would silently apply the parent's
-    # timeouts.
-    cls = type(planner.timeout_policy)
-    return (
-        cls in (FixedTimeout, ProportionalTimeout)
-        or "timeout_array" in vars(cls)
-        or cls.timeout_array is TimeoutPolicy.timeout_array
+class CandidatePairs(NamedTuple):
+    """Candidates as flat arrays, grouped by planned client (``client``
+    indexes the planned-client array) and by decreasing ``ds``."""
+
+    client: np.ndarray
+    ds: np.ndarray
+    rtt: np.ndarray
+    peer: np.ndarray
+    source_rtt: np.ndarray  # one per planned client
+
+
+def plan_all(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
+    """Strategies for every client, keyed in ``tree.clients`` order."""
+    tree = planner.tree
+    clients = np.asarray(tree.clients, dtype=np.int64)
+    if not len(clients):
+        return {}
+    if isinstance(planner.routing.backend, LandmarkDistanceBackend):
+        pairs = _landmark_candidates(tree, planner.routing, clients)
+    else:
+        pairs = row_candidates(tree, planner.routing, clients)
+    return _solve(planner, clients, pairs)
+
+
+def plan_one(planner: "RPPlanner", client: int) -> "RecoveryStrategy":
+    """The strategy of one tree member (the row stage, any backend)."""
+    if not planner.tree.contains(client):
+        raise ValueError(f"client {client} is not a tree member")
+    if client == planner.tree.root:
+        raise ValueError("the source does not need a recovery strategy")
+    clients = np.array([client], dtype=np.int64)
+    pairs = row_candidates(planner.tree, planner.routing, clients)
+    return _solve(planner, clients, pairs)[client]
+
+
+def _root_paths(clients, parent, root) -> tuple[np.ndarray, np.ndarray]:
+    """``(client index, class child node)`` for every class of every
+    client, grouped by client with ``DS`` decreasing (a level-synchronous
+    walk up the root paths)."""
+    cur, idx = clients, np.arange(len(clients))
+    parts_idx, parts_node = [], []
+    while len(idx):
+        live = cur != root
+        idx, cur = idx[live], cur[live]
+        parts_idx.append(idx)
+        parts_node.append(cur)
+        cur = parent[cur]
+    pair_client = np.concatenate(parts_idx)
+    grouped = np.argsort(pair_client, kind="stable")  # levels stay in order
+    return pair_client[grouped], np.concatenate(parts_node)[grouped]
+
+
+def _class_bounds(sorted_tin, tin, size, parent, nodes) -> np.ndarray:
+    """Preorder intervals ``[b0, b1) ∪ [b2, b3)`` of the class at edge
+    ``parent(c) → c`` for each ``c`` in ``nodes``, as positions into the
+    ascending ``sorted_tin``."""
+    pa = parent[nodes]
+    ends = [tin[pa], tin[nodes], tin[nodes] + size[nodes], tin[pa] + size[pa]]
+    return np.searchsorted(sorted_tin, np.stack(ends))
+
+
+#: Row entries gathered per chunk of the row stage: keeps its transient
+#: (clients × peers) matrices at a few hundred KB.
+_ROW_CHUNK = 1 << 15
+
+_NO_PEER = np.iinfo(np.int64).max
+
+
+def row_candidates(tree, routing, clients: np.ndarray) -> CandidatePairs:
+    """Row-stage candidates of ``clients`` (tree members other than the
+    root), every client of the tree being a peer."""
+    _, tin, size, parent = tree.structure_arrays()
+    peers = np.asarray(tree.clients, dtype=np.int64)
+    peers = peers[np.argsort(tin[peers], kind="stable")]
+    k = len(peers)
+    pair_client, pair_node = _root_paths(clients, parent, tree.root)
+    bounds = _class_bounds(tin[peers], tin, size, parent, pair_node)
+    pair_start = np.searchsorted(pair_client, np.arange(len(clients) + 1))
+    # A client's first pair is its parent edge, so [b1, b2) there is the
+    # client's own subtree: the middle of its row, in no class.
+    middle = bounds[1:3, pair_start[:-1]]
+    side_val = np.full((2, len(pair_client)), np.inf)
+    side_peer = np.full((2, len(pair_client)), _NO_PEER)
+    source_rtt = np.empty(len(clients))
+    chunk = max(1, _ROW_CHUNK // max(k, 1))
+    for lo in range(0, len(clients), chunk):
+        hi = min(lo + chunk, len(clients))
+        block = np.empty((hi - lo, k))
+        for i, u in enumerate(clients[lo:hi].tolist()):
+            row = routing.distances_from(u)
+            block[i] = row[peers]
+            source_rtt[lo + i] = 2.0 * row[tree.root]
+        p0, p1 = pair_start[lo], pair_start[hi]
+        b = bounds[:, p0:p1] + (pair_client[p0:p1] - lo) * k
+        mid = middle[:, lo:hi] + np.arange(hi - lo) * k
+        starts = np.concatenate((b[0], b[2], mid[0]))
+        ends = np.concatenate((b[1], b[3], mid[1]))
+        # Sorted by start, the non-empty segments tile the block: they
+        # are reduceat's segments.  Ties go to the smallest node id.
+        seg = np.flatnonzero(ends > starts)
+        seg = seg[np.argsort(starts[seg])]
+        flat = block.ravel()
+        seg_min = np.minimum.reduceat(flat, starts[seg])
+        tied = flat == np.repeat(seg_min, ends[seg] - starts[seg])
+        ids = np.where(tied.reshape(block.shape), peers, _NO_PEER).ravel()
+        seg_peer = np.minimum.reduceat(ids, starts[seg])
+        in_class = seg < 2 * (p1 - p0)
+        side, pos = np.divmod(seg[in_class], p1 - p0)
+        side_val[side, p0 + pos] = seg_min[in_class]
+        side_peer[side, p0 + pos] = seg_peer[in_class]
+    # A class's winner over its two parts, by (distance, node id).
+    right = (side_val[1] < side_val[0]) | (
+        (side_val[1] == side_val[0]) & (side_peer[1] < side_peer[0])
+    )
+    keep = (bounds[1] > bounds[0]) | (bounds[3] > bounds[2])
+    return CandidatePairs(
+        client=pair_client[keep],
+        ds=tree.depth_vector()[pair_node[keep]] - 1,  # DS of parent(c)
+        rtt=2.0 * np.where(right, side_val[1], side_val[0])[keep],
+        peer=np.where(right, side_peer[1], side_peer[0])[keep],
+        source_rtt=source_rtt,
     )
 
 
@@ -114,32 +195,19 @@ def _client_rmq(B: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return tables, log2
 
 
-def _rmq_query(
-    tables: list[np.ndarray],
-    B: np.ndarray,
-    log2: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-landmark argmin over the half-open ranges ``[lo, hi)``.
-
-    All ranges must be non-empty.  Returns ``(values, positions)`` of
-    shape ``(L, Q)``.
-    """
-    num_landmarks = B.shape[0]
-    pos = np.empty((num_landmarks, len(lo)), dtype=np.int32)
+def _rmq_query(tables, B, log2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Per-landmark argmin over the non-empty half-open ranges
+    ``[lo, hi)``: ``(values, positions)`` of shape ``(L, Q)``."""
+    pos = np.empty((B.shape[0], len(lo)), dtype=np.int32)
     ks = log2[hi - lo]
     for k in np.unique(ks):
         mask = ks == k
-        lo_k = lo[mask]
-        table = tables[k]
-        a = table[:, lo_k]
-        b = table[:, hi[mask] - (1 << int(k))]
+        a = tables[k][:, lo[mask]]
+        b = tables[k][:, hi[mask] - (1 << int(k))]
         va = np.take_along_axis(B, a.astype(np.int64), axis=1)
         vb = np.take_along_axis(B, b.astype(np.int64), axis=1)
         pos[:, mask] = np.where(va <= vb, a, b)
-    vals = np.take_along_axis(B, pos.astype(np.int64), axis=1)
-    return vals, pos
+    return np.take_along_axis(B, pos.astype(np.int64), axis=1), pos
 
 
 #: Pairs processed per chunk when expanding (landmark, pair) estimates —
@@ -147,48 +215,24 @@ def _rmq_query(
 _PAIR_CHUNK = 1 << 18
 
 
-def batched_plan_all(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
-    """Array-native equivalent of the per-client ``plan_all`` loop.
-
-    Caller must have checked :func:`batchable`.
-    """
-    from repro.core.planner import RecoveryStrategy
-
-    tree = planner.tree
-    routing = planner.routing
+def _landmark_candidates(tree, routing, clients: np.ndarray) -> CandidatePairs:
+    """Landmark-stage candidates of all the tree's ``clients``."""
     backend = routing.backend
-    policy = planner.timeout_policy
-    estimator = planner.estimator
-    forbid_direct = planner.restrictions.forbid_direct_source
-
-    clients = np.asarray(tree.clients, dtype=np.int64)
-    if len(clients) == 0:
-        return {}
-    root = tree.root
     D = backend.landmark_matrix
     order, tin, size, parent = tree.structure_arrays()
     depth = tree.depth_vector()
 
     # -- per-class minima over the preorder-sorted clients ------------
     cl_order = clients[np.argsort(tin[clients], kind="stable")]
-    cl_tin = tin[cl_order]
     B = D[:, cl_order]
     tables, log2 = _client_rmq(B)
-
-    # One class per tree edge (parent(c) -> c): clients of
-    # subtree(parent) minus subtree(c), i.e. two preorder intervals.
+    # One class per tree edge (parent(c) -> c).
     cs = order[1:]
-    pa = parent[cs]
     class_col = np.full(len(tin), -1, dtype=np.int64)
     class_col[cs] = np.arange(len(cs))
-    bounds = np.searchsorted(
-        cl_tin,
-        np.stack([tin[pa], tin[cs], tin[cs] + size[cs], tin[pa] + size[pa]]),
-    )
-    num_landmarks = D.shape[0]
-    num_classes = len(cs)
-    class_val = np.full((num_landmarks, num_classes), np.inf)
-    class_pos = np.full((num_landmarks, num_classes), -1, dtype=np.int32)
+    bounds = _class_bounds(tin[cl_order], tin, size, parent, cs)
+    class_val = np.full((D.shape[0], len(cs)), np.inf)
+    class_pos = np.full((D.shape[0], len(cs)), -1, dtype=np.int32)
     for lo, hi in ((bounds[0], bounds[1]), (bounds[2], bounds[3])):
         mask = hi > lo
         if not mask.any():
@@ -199,34 +243,9 @@ def batched_plan_all(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
         class_pos[:, mask] = np.where(better, pos, class_pos[:, mask])
     del tables
 
-    # -- (client, ancestor) pairs via level-synchronous path walk ------
-    k_clients = len(clients)
-    cur = clients.copy()
-    idx = np.arange(k_clients)
-    level = 0
-    part_idx: list[np.ndarray] = []
-    part_node: list[np.ndarray] = []
-    part_level: list[np.ndarray] = []
-    while len(idx):
-        live = cur != root
-        idx, cur = idx[live], cur[live]
-        if not len(idx):
-            break
-        part_idx.append(idx)
-        part_node.append(cur)
-        part_level.append(np.full(len(idx), level, dtype=np.int64))
-        cur = parent[cur]
-        level += 1
-    pair_client = np.concatenate(part_idx)
-    pair_node = np.concatenate(part_node)  # the class's child node c
-    pair_level = np.concatenate(part_level)
-    grouped = np.lexsort((pair_level, pair_client))
-    pair_client = pair_client[grouped]
-    pair_node = pair_node[grouped]
-    pair_ds = depth[pair_node] - 1  # DS of the ancestor parent(c)
+    # -- candidate rtt/peer per (client, ancestor) pair, chunked ------
+    pair_client, pair_node = _root_paths(clients, parent, tree.root)
     pair_col = class_col[pair_node]
-
-    # -- candidate rtt/peer per pair (chunked argmin over landmarks) --
     est_val = np.empty(len(pair_client))
     est_pos = np.empty(len(pair_client), dtype=np.int64)
     u_nodes = clients[pair_client]
@@ -234,141 +253,168 @@ def batched_plan_all(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
         sl = slice(start, start + _PAIR_CHUNK)
         vals = D[:, u_nodes[sl]] + class_val[:, pair_col[sl]]
         best_l = np.argmin(vals, axis=0)
-        cols = np.arange(vals.shape[1])
-        est_val[sl] = vals[best_l, cols]
+        est_val[sl] = vals[best_l, np.arange(vals.shape[1])]
         est_pos[sl] = class_pos[best_l, pair_col[sl]]
     peer_node = np.full(len(pair_client), -1, dtype=np.int64)
     finite = np.isfinite(est_val)
     peer_node[finite] = cl_order[est_pos[finite]]
 
     # -- near-tier overlay: exact ball pairs beat landmark bounds -----
-    # Mirrors the scalar row overlay: each (client, ball peer) pair
-    # lands in the client's class at their meeting ancestor (the
-    # pairwise LCA), i.e. pair slot ``ds_u - 1 - depth(lca)`` of the
-    # client's level-ordered block.
+    # Each (client, ball peer) pair lands in the client's class at their
+    # meeting ancestor (the pairwise LCA), i.e. pair slot
+    # ``ds_u - 1 - depth(lca)`` of the client's block.
     indptr, near_cols, near_dist = backend.near_csr()
     pair_offsets = np.concatenate(([0], np.cumsum(depth[clients])))
-    assert pair_offsets[-1] == len(pair_client)
     cstart = indptr[clients]
     lens = indptr[clients + 1] - cstart
-    if int(lens.sum()):
-        rep_ci = np.repeat(np.arange(k_clients), lens)
-        offs = np.concatenate(([0], np.cumsum(lens)))[:-1]
-        flat = np.repeat(cstart - offs, lens) + np.arange(int(lens.sum()))
-        ball_v = near_cols[flat]
-        ball_d = near_dist[flat]
-        is_client = np.zeros(len(tin), dtype=bool)
-        is_client[clients] = True
-        member = is_client[ball_v]
-        rep_ci, ball_v, ball_d = rep_ci[member], ball_v[member], ball_d[member]
-        if len(rep_ci):
-            anc = tree.lca_pairs(clients[rep_ci], ball_v)
-            ok = depth[anc] < depth[clients[rep_ci]]  # skip self/descendants
-            rep_ci, ball_v, ball_d, anc = (
-                rep_ci[ok], ball_v[ok], ball_d[ok], anc[ok]
-            )
-        if len(rep_ci):
-            fi = pair_offsets[rep_ci] + (
-                depth[clients[rep_ci]] - 1 - depth[anc]
-            )
-            # One winner per pair slot: min distance, ties to the
-            # smaller peer id.
-            dedup = np.lexsort((ball_v, ball_d, fi))
-            fi, ball_v, ball_d = fi[dedup], ball_v[dedup], ball_d[dedup]
-            lead = np.ones(len(fi), dtype=bool)
-            lead[1:] = fi[1:] != fi[:-1]
-            fi, ball_v, ball_d = fi[lead], ball_v[lead], ball_d[lead]
-            hit = ball_d < est_val[fi]
-            fi, ball_v, ball_d = fi[hit], ball_v[hit], ball_d[hit]
-            est_val[fi] = ball_d
-            peer_node[fi] = ball_v
+    rep_ci = np.repeat(np.arange(len(clients)), lens)
+    offs = np.concatenate(([0], np.cumsum(lens)))[:-1]
+    flat = np.repeat(cstart - offs, lens) + np.arange(int(lens.sum()))
+    ball_v = near_cols[flat]
+    ball_d = near_dist[flat]
+    is_client = np.zeros(len(tin), dtype=bool)
+    is_client[clients] = True
+    member = is_client[ball_v]
+    rep_ci, ball_v, ball_d = rep_ci[member], ball_v[member], ball_d[member]
+    anc = tree.lca_pairs(clients[rep_ci], ball_v)
+    ok = depth[anc] < depth[clients[rep_ci]]  # skip self/descendants
+    rep_ci, ball_v, ball_d, anc = rep_ci[ok], ball_v[ok], ball_d[ok], anc[ok]
+    fi = pair_offsets[rep_ci] + (depth[clients[rep_ci]] - 1 - depth[anc])
+    # One winner per pair slot: min distance, ties to the smaller peer id.
+    dedup = np.lexsort((ball_v, ball_d, fi))
+    fi, ball_v, ball_d = fi[dedup], ball_v[dedup], ball_d[dedup]
+    lead = np.ones(len(fi), dtype=bool)
+    lead[1:] = fi[1:] != fi[:-1]
+    fi, ball_v, ball_d = fi[lead], ball_v[lead], ball_d[lead]
+    hit = ball_d < est_val[fi]
+    est_val[fi[hit]] = ball_d[hit]
+    peer_node[fi[hit]] = ball_v[hit]
 
     keep = np.isfinite(est_val)  # drop empty classes / unreachable peers
-    pair_client = pair_client[keep]
-    pair_ds = pair_ds[keep]
-    rtt_flat = 2.0 * est_val[keep]
-    peer_flat = peer_node[keep]
-    timeout_flat = policy.timeout_array(rtt_flat)
+    return CandidatePairs(
+        client=pair_client[keep],
+        ds=depth[pair_node[keep]] - 1,  # DS of the ancestor parent(c)
+        rtt=2.0 * est_val[keep],
+        peer=peer_node[keep],
+        source_rtt=2.0 * np.asarray(routing.distances_from(tree.root))[clients],
+    )
 
-    counts = np.bincount(pair_client, minlength=k_clients)
+
+def _solve(
+    planner: "RPPlanner", clients: np.ndarray, pairs: CandidatePairs
+) -> "dict[int, RecoveryStrategy]":
+    """Restrictions plus lockstep Algorithm 1 over every client's
+    candidates; strategies keyed in ``clients`` order."""
+    from repro.core.planner import RecoveryStrategy
+
+    policy = planner.timeout_policy
+    restrictions = planner.restrictions
+    pair_client, pair_ds, rtt_flat, peer_flat, source_rtt_all = pairs
+    forbidden = restrictions.forbidden_peers
+    if forbidden:
+        allowed = np.array([p not in forbidden for p in peer_flat.tolist()], bool)
+        pair_client, pair_ds = pair_client[allowed], pair_ds[allowed]
+        rtt_flat, peer_flat = rtt_flat[allowed], peer_flat[allowed]
+    timeout_flat = policy.timeout_array(rtt_flat)
+    counts = np.bincount(pair_client, minlength=len(clients))
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    ds_u_all = depth[clients].astype(np.float64)
-    source_rtt_all = 2.0 * np.asarray(routing.distances_from(root))[clients]
+    ds_u_all = planner.tree.depth_vector()[clients].astype(np.float64)
 
     strategies: dict[int, RecoveryStrategy] = {}
-    for n in np.unique(counts):
-        rows = np.nonzero(counts == n)[0]
-        n = int(n)
+    for n in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = np.flatnonzero(counts == n)
         gather = offsets[rows][:, None] + np.arange(n)[None, :]
         ds = pair_ds[gather].astype(np.float64)
-        rtt = rtt_flat[gather]
-        tmo = timeout_flat[gather]
-        peers = peer_flat[gather]
-        ds_u = ds_u_all[rows]
+        rtt, tmo, peers = rtt_flat[gather], timeout_flat[gather], peer_flat[gather]
         src_rtt = source_rtt_all[rows]
-        m = len(rows)
-        sink = n + 1
-        dist = np.full((m, n + 2), np.inf)
-        dist[:, 0] = 0.0
-        par = np.full((m, n + 2), -1, dtype=np.int32)
-        for x in range(n + 1):
-            dx = dist[:, x]
-            ds_prev = ds_u if x == 0 else ds[:, x - 1]
-            # Paper's skip, row-wise: x cannot improve any route to S.
-            active = np.isfinite(dx) & (dx < dist[:, sink])
-            if not active.any():
-                continue
-            reach = ds_prev / ds_u
-            if x < n:
-                # ds_prev >= 1 whenever candidate columns remain:
-                # DS strictly decreases along the chain, so a DS=0
-                # node can only be the last candidate.
-                succ = (ds_prev[:, None] - ds[:, x:]) / ds_prev[:, None]
-                w = reach[:, None] * estimator.cost(
-                    rtt[:, x:], tmo[:, x:], succ
-                )
-                nd = dx[:, None] + w
-                nd[~active] = np.inf
-                improve = nd < dist[:, x + 1 : sink]
-                dist[:, x + 1 : sink][improve] = nd[improve]
-                par[:, x + 1 : sink][improve] = x
-            if x == 0 and forbid_direct:
-                continue  # the u -> S edge is deleted
-            nd_sink = dx + reach * src_rtt
-            sink_improve = active & (nd_sink < dist[:, sink])
-            dist[sink_improve, sink] = nd_sink[sink_improve]
-            par[sink_improve, sink] = x
-        for row in range(m):
+        delay, chains = _algorithm1(
+            planner.estimator, ds_u_all[rows], ds, rtt, tmo, src_rtt,
+            restrictions.forbid_direct_source, restrictions.max_list_length,
+        )
+        for row, chain in enumerate(chains):
             client = int(clients[rows[row]])
-            if math.isinf(dist[row, sink]):
-                raise ValueError(
-                    "sink unreachable: restrictions removed every strategy"
-                )
-            reverse: list[int] = []
-            node = int(par[row, sink])
-            while node != 0:
-                reverse.append(node)
-                node = int(par[row, node])
-            reverse.reverse()
-            chain = tuple(
-                Candidate(
-                    node=int(peers[row, i - 1]),
-                    ds=int(ds[row, i - 1]),
-                    rtt=float(rtt[row, i - 1]),
-                )
-                for i in reverse
-            )
             source_rtt = float(src_rtt[row])
             strategies[client] = RecoveryStrategy(
                 client=client,
-                attempts=chain,
-                timeouts=tuple(float(tmo[row, i - 1]) for i in reverse),
+                attempts=tuple(
+                    Candidate(int(peers[row, i]), int(ds[row, i]), float(rtt[row, i]))
+                    for i in chain
+                ),
+                timeouts=tuple(float(tmo[row, i]) for i in chain),
                 source_rtt=source_rtt,
                 source_timeout=policy.timeout(source_rtt),
-                expected_delay=float(dist[row, sink]),
+                expected_delay=float(delay[row]),
                 ds_u=int(ds_u_all[rows[row]]),
             )
-
-    # Re-key in ascending client order to match the per-client loop's
-    # iteration (downstream JSON serialization is order-sensitive).
     return {int(c): strategies[int(c)] for c in clients}
+
+
+def _algorithm1(estimator, ds_u, ds, rtt, tmo, src_rtt, forbid_direct, limit):
+    """Algorithm 1 over ``M`` strategy graphs with ``N`` candidates each
+    (the ``(M, N)`` inputs, ``DS`` decreasing along a row), in lockstep,
+    with :class:`~repro.core.strategy_graph.StrategyGraph`'s weights and
+    the scalar relaxation order and strict-improvement rule.  Graph node
+    0 is the client, node ``i`` candidate column ``i - 1``.  With
+    ``limit`` None this is ``searching_minimal_delay`` (one layer, the
+    paper's ``distance(x) >= distance(S)`` skip as a row mask); else the
+    layered ``searching_minimal_delay_bounded``, layer ``k`` holding the
+    candidates reached as list entry ``k + 1``.  Returns each row's delay
+    and chain (candidate columns, ascending).
+    """
+    m, n = ds.shape
+    layers, step = (1, 0) if limit is None else (min(limit, n), 1)
+    ds_prev = np.concatenate((ds_u[:, None], ds), axis=1)  # DS of node x
+    reach = ds_prev / ds_u[:, None]
+    to_sink = reach * src_rtt[:, None]
+
+    def to_candidates(x: int) -> np.ndarray:
+        # Edges x -> columns x.. (nodes x+1..).  ds_prev >= 1 on them: DS
+        # strictly decreases, so a DS=0 node can only be last.
+        prev = ds_prev[:, x : x + 1]
+        cost = estimator.cost_array(rtt[:, x:], tmo[:, x:], (prev - ds[:, x:]) / prev)
+        return reach[:, x : x + 1] * cost
+
+    dist = np.full((layers, m, n), np.inf)
+    par = np.zeros((layers, m, n), dtype=np.int64)  # 0: the client
+    best = np.full(m, np.inf)
+    via = np.full((m, 2), -1, dtype=np.int64)  # (layer, node) into S
+    if not forbid_direct:  # else the u -> S edge is deleted
+        best = to_sink[:, 0].copy()
+        via[:, 1] = 0
+    if layers and n:
+        w = to_candidates(0)
+        dist[0] = np.where(w < np.inf, w, np.inf)
+    for k in range(layers):
+        for x in range(1, n + 1):
+            dx = dist[k][:, x - 1]
+            live = ~np.isinf(dx)
+            if limit is None:
+                live &= ~(dx >= best)
+            if not live.any():
+                continue
+            nd = dx + to_sink[:, x]
+            better = live & (nd < best)
+            best[better] = nd[better]
+            via[better] = (k, x)
+            if k + step < layers and x < n:
+                nd = dx[:, None] + to_candidates(x)
+                nd[~live] = np.inf
+                target = dist[k + step][:, x:]
+                better = nd < target
+                target[better] = nd[better]
+                par[k + step][:, x:][better] = x
+    if np.isinf(best).any() or (via[:, 1] < 0).any():
+        raise ValueError(
+            "sink unreachable: restrictions removed every strategy"
+            if limit is None
+            else "sink unreachable under max_list_length restriction"
+        )
+    chains = []
+    for row, (k, node) in enumerate(via.tolist()):
+        chain: list[int] = []
+        while node != 0:
+            chain.append(node - 1)
+            node = int(par[k][row, node - 1])
+            k -= step
+        chains.append(chain[::-1])
+    return best, chains

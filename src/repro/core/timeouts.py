@@ -24,19 +24,25 @@ import numpy as np
 
 
 class TimeoutPolicy(abc.ABC):
-    """Maps a peer's expected round-trip time to a request timeout."""
+    """Maps a peer's expected round-trip time to a request timeout.
+
+    The planner calls :meth:`timeout_array`: element-wise :meth:`timeout`
+    by default, closed-form (bit-equal) in the stock policies.  A
+    subclass redefining only :meth:`timeout` gets the element-wise
+    default back.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "timeout" in vars(cls) and "timeout_array" not in vars(cls):
+            cls.timeout_array = TimeoutPolicy.timeout_array
 
     @abc.abstractmethod
     def timeout(self, rtt: float) -> float:
         """Timeout guarding an attempt whose expected RTT is ``rtt``."""
 
     def timeout_array(self, rtt: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`timeout` over an RTT array.
-
-        The default loops element-wise, so any subclass is batchable;
-        the stock policies override with closed-form numpy expressions
-        (bit-equal to the scalar path) for the array-native planner.
-        """
+        """:meth:`timeout` over an RTT array."""
         return np.array([self.timeout(float(r)) for r in rtt], dtype=np.float64)
 
 

@@ -712,7 +712,7 @@ class RoutingTable:
 
         Returns the cached backend row as a **read-only** numpy array —
         writing through it raises, so no caller can corrupt the answers
-        of later queries.  Batch callers (the candidate builder
+        of later queries.  Batch callers (the planner's row stage
         evaluates every peer of one client) index it directly instead of
         paying the per-pair ``delay``/``rtt`` call chain.
         """

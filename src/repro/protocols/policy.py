@@ -61,12 +61,11 @@ class RecoveryPolicy:
     failure_threshold:
         Consecutive timeouts against one peer before the
         :class:`PeerFailureDetector` declares it dead; 0 (default)
-        disables the detector.
-    replan_on_death:
-        RP only: when a peer dies, re-plan the prioritized list through
-        the plan cache with all dead peers restricted out (new
-        recoveries use the repaired plan; in-flight recoveries finish
-        on the list they started with).
+        disables the detector.  RP re-plans on every declared death:
+        the prioritized lists are rebuilt through the plan cache with
+        all dead peers restricted out (new recoveries use the repaired
+        plan; in-flight recoveries finish on the list they started
+        with).
     """
 
     max_peer_retries: int = 1
@@ -74,7 +73,6 @@ class RecoveryPolicy:
     backoff_factor: float = 1.0
     max_backoff_scale: float = 64.0
     failure_threshold: int = 0
-    replan_on_death: bool = False
 
     def __post_init__(self) -> None:
         if self.max_peer_retries < 1:
@@ -99,7 +97,6 @@ class RecoveryPolicy:
             backoff_factor=2.0,
             max_backoff_scale=32.0,
             failure_threshold=3,
-            replan_on_death=True,
         )
 
     @property

@@ -539,8 +539,6 @@ class RPProtocolFactory(ProtocolFactory):
         if policy.failure_threshold > 0:
 
             def on_death(peer: int) -> None:
-                if not policy.replan_on_death:
-                    return
                 base = self.config.restrictions or StrategyRestrictions()
                 replanned = plan(
                     dataclasses.replace(
@@ -599,7 +597,7 @@ class RPProtocolFactory(ProtocolFactory):
     ) -> RecoveryStrategy:
         """From-scratch plan for one client with ``departed`` restricted
         out of the strategy graph — the incremental repairer's unit of
-        work, generalizing the failure detector's ``replan_on_death``."""
+        work, generalizing the failure detector's on-death re-plan."""
         base = self.config.restrictions or StrategyRestrictions()
         planner = RPPlanner(
             network.tree,

@@ -22,9 +22,6 @@ layer, so the packet itself carries only protocol-level identity:
     runtimes can tell "my attempt succeeded" from "someone else's
     repair happened to cover me" — both are recoveries, but the RP/RMA
     search state machines advance differently.
-``chain_index``
-    Position in a forwarded search chain (RMA): how many upstream
-    receivers the request has already visited.
 ``trace_id`` / ``span_id``
     Causal-tracing context (see :mod:`repro.obs.spans`): which recovery
     trace and which attempt span this packet belongs to, stamped by the
@@ -63,7 +60,6 @@ class Packet:
     origin: int
     highest_seq: int = -1
     req_id: int = -1
-    chain_index: int = 0
     trace_id: int = -1
     span_id: int = -1
 

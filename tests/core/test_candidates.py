@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.candidates import candidate_clients, competitive_classes
+from repro.core.candidates import (
+    Candidate,
+    candidate_clients,
+    competitive_classes,
+)
+from repro.core.planner_batch import row_candidates
 from repro.net.generators import TopologyConfig, random_backbone
 from repro.net.mcast_tree import MulticastTree, random_multicast_tree
 from repro.net.routing import RoutingTable
@@ -154,26 +159,53 @@ class TestCandidateClients:
                 assert c.rtt >= 0
 
 
+def test_tie_across_the_two_parts_of_a_class_goes_to_smaller_id():
+    """Client 5 sits under r3; its class at r1 has a peer in the preorder
+    part before r3's subtree (9, under r2) and one after it (4), both at
+    distance 4.  The smaller id wins, whichever part it lies in."""
+    topo = Topology()
+    s, r1, r2, r3 = (
+        topo.add_node(NodeKind.SOURCE), *topo.add_nodes(3, NodeKind.ROUTER)
+    )
+    c4, c5 = topo.add_nodes(2, NodeKind.CLIENT)
+    topo.add_nodes(3, NodeKind.ROUTER)
+    c9 = topo.add_node(NodeKind.CLIENT)
+    for a, b, delay in ((s, r1, 1), (r1, r2, 1), (r2, c9, 1), (r1, r3, 1),
+                        (r3, c5, 1), (r1, c4, 2)):
+        topo.add_link(a, b, delay)
+    tree = MulticastTree(topo, s, {r1: s, r2: r1, c9: r2, r3: r1, c5: r3, c4: r1})
+    routing = RoutingTable(topo)
+    expected = [Candidate(node=c4, ds=1, rtt=8.0)]
+    assert candidate_clients(tree, routing, c5) == expected
+    pairs = row_candidates(tree, routing, np.array([c5]))
+    assert pairs.peer.tolist() == [c4] and pairs.rtt.tolist() == [8.0]
+
+
 class TestVectorizedEquivalence:
-    """The default (vectorized) candidate path must match the scalar
-    explicit-peers path exactly — nodes, DS, RTT floats, and order."""
+    """The planner's array row stage must match the scalar per-client
+    candidates exactly — nodes, DS, RTT floats, and order."""
 
     def test_matches_scalar_path_on_random_trees(self):
-        import numpy as np
-
-        from repro.net.generators import TopologyConfig, random_backbone
-        from repro.net.mcast_tree import random_multicast_tree
-        from repro.net.routing import RoutingTable
-
         for seed in range(12):
             topo = random_backbone(
                 TopologyConfig(num_routers=30), np.random.default_rng(seed)
             )
             tree = random_multicast_tree(topo, np.random.default_rng(seed + 1))
             routing = RoutingTable(topo)
-            for client in tree.clients:
-                fast = candidate_clients(tree, routing, client)
-                scalar = candidate_clients(
-                    tree, routing, client, peers=tree.clients
-                )
-                assert fast == scalar
+            # Members that are not clients plan too (interior routers).
+            planned = tree.clients + [
+                n for n in tree.members if n != tree.root
+            ][:5]
+            pairs = row_candidates(
+                tree, routing, np.asarray(planned, dtype=np.int64)
+            )
+            for i, client in enumerate(planned):
+                mine = pairs.client == i
+                fast = [
+                    Candidate(node=int(v), ds=int(d), rtt=float(r))
+                    for v, d, r in zip(
+                        pairs.peer[mine], pairs.ds[mine], pairs.rtt[mine]
+                    )
+                ]
+                assert fast == candidate_clients(tree, routing, client)
+                assert pairs.source_rtt[i] == routing.rtt(client, tree.root)

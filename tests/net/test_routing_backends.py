@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import plan_cache, planner_batch
+from repro.core import plan_cache
 from repro.core.planner import RPPlanner
 from repro.experiments.chaos import chaos_horizon
 from repro.experiments.config import ScenarioConfig
@@ -473,7 +473,6 @@ class TestMemberNearTier:
         oracle = every_node_backend(topo, num_landmarks=3, near_k=near_k)
         planner = RPPlanner(tree, RoutingTable(topo, backend=backend))
         reference = RPPlanner(tree, RoutingTable(topo, backend=oracle))
-        assert planner_batch.batchable(planner)
         plans = planner.plan_all()
         assert plans.keys() == reference.plan_all().keys()
         expected = reference.plan_all()

@@ -33,5 +33,4 @@ class TestPacket:
     def test_defaults(self):
         packet = Packet(PacketKind.DATA, 0, origin=1)
         assert packet.req_id == -1
-        assert packet.chain_index == 0
         assert packet.highest_seq == -1

@@ -10,9 +10,15 @@ If a change here is *intentional*, update the constants and say so in
 the commit: these values are documentation of behaviour, not physics.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from repro.core.objective import RttOnlyEstimator
 from repro.core.planner import RPPlanner
+from repro.core.strategy_graph import StrategyRestrictions
+from repro.core.timeouts import FixedTimeout
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import (
     build_scenario,
@@ -21,7 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.protocols.policy import RecoveryPolicy
 from repro.protocols.rma import RMAConfig, RMAProtocolFactory
-from repro.protocols.rp import RPProtocolFactory
+from repro.protocols.rp import RPConfig, RPProtocolFactory
 from repro.protocols.srm import SRMProtocolFactory
 from repro.sim.faults import random_fault_schedule
 from repro.sim.membership import random_membership_schedule
@@ -69,6 +75,75 @@ class TestGoldenPlans:
         plan = planner.plan(built.clients[0])
         assert plan.expected_delay == pytest.approx(118.1023, abs=1e-3)
         assert plan.source_rtt == pytest.approx(149.3411, abs=1e-3)
+
+
+def plans_digest(plans) -> str:
+    """sha256 over canonical JSON of a ``plan_all`` result, every field
+    of every strategy included (floats serialize round-trip exact)."""
+    doc = {
+        str(client): [
+            s.client,
+            [[a.node, a.ds, a.rtt] for a in s.attempts],
+            list(s.timeouts),
+            s.source_rtt,
+            s.source_timeout,
+            s.expected_delay,
+            s.ds_u,
+        ]
+        for client, s in plans.items()
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenPlanSets:
+    """Whole ``plan_all`` results on the golden scenario (exact routing
+    backend), one digest per planner configuration."""
+
+    @pytest.mark.parametrize(
+        "case,expected",
+        [
+            ("default",
+             "14055f39f93f48ef79f984b185990f9c3489ae7e4a4c8909981155ff041d6035"),
+            ("forbid_direct_source",
+             "8941b71c6720f56819dc53db11068b7811f8ddd1d501810a5294bb17bcf5fb7f"),
+            ("forbidden_peers",
+             "de09e6769817a77f5d3cdc510f74377fdb0433e83e4736fe4bbcd1244778c3f3"),
+            ("max_list_length_1",
+             "14055f39f93f48ef79f984b185990f9c3489ae7e4a4c8909981155ff041d6035"),
+            ("rtt_only",
+             "faed09623c22be32a770fa9d9e2f1ba2e85622737b63ceec0929cec9a47f75cf"),
+            ("fixed_timeout",
+             "bffb88f022a5e3559aa3c55085ba7938e4fe7281f94c1a20395d2645cb6fadbf"),
+            ("rtt_only_forbid_direct_max_2",
+             "31732fb97bc495ae8880b3ff48e2f063a9b0e4b652de95603b2544cb9a2553e4"),
+        ],
+    )
+    def test_plan_all_digest(self, built, case, expected):
+        assert built.routing.backend_name == "exact"
+        knobs = {
+            "default": {},
+            "forbid_direct_source": dict(
+                restrictions=StrategyRestrictions(forbid_direct_source=True)
+            ),
+            "forbidden_peers": dict(
+                restrictions=StrategyRestrictions(
+                    forbidden_peers=frozenset(built.clients[::3])
+                )
+            ),
+            "max_list_length_1": dict(
+                restrictions=StrategyRestrictions(max_list_length=1)
+            ),
+            "rtt_only": dict(estimator=RttOnlyEstimator()),
+            "fixed_timeout": dict(timeout_policy=FixedTimeout(40.0)),
+            "rtt_only_forbid_direct_max_2": dict(
+                estimator=RttOnlyEstimator(),
+                restrictions=StrategyRestrictions(
+                    forbid_direct_source=True, max_list_length=2
+                ),
+            ),
+        }[case]
+        plans = RPPlanner(built.tree, built.routing, **knobs).plan_all()
+        assert plans_digest(plans) == expected
 
 
 class TestGoldenRuns:
@@ -125,3 +200,27 @@ class TestGoldenRuns:
         assert summary.recovery_hops == 1650
         assert summary.avg_latency == pytest.approx(331.1242, abs=1e-3)
         assert summary.events_processed == 4244
+
+    def test_hardened_rp_under_faults_pinned(self, built):
+        # The failure detector declares deaths here, and every death
+        # re-plans all clients through plan_all with the dead peers
+        # restricted out of the strategy graph.
+        lanes = RngStreams(42)
+        clients = list(built.tree.clients)
+        horizon = 10 * built.config.data_interval + 2 * built.config.session_interval
+        faults = random_fault_schedule(
+            0.5, lanes.get("golden:faults"), clients,
+            built.topology.links, horizon,
+        )
+        artifacts = run_protocol_detailed(
+            built,
+            RPProtocolFactory(RPConfig(recovery_policy=RecoveryPolicy.hardened())),
+            faults=faults,
+        )
+        summary = artifacts.summary
+        assert summary.losses_detected == 100
+        assert summary.losses_recovered == 82
+        assert artifacts.log.num_abandoned == 18
+        assert summary.recovery_hops == 2280
+        assert summary.avg_latency == pytest.approx(1032.2012, abs=1e-3)
+        assert summary.events_processed == 4800
