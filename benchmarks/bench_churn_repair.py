@@ -61,14 +61,14 @@ def _setup(seed: int, routers: int):
     tree = built.tree.clone()
     routing = built.routing
 
-    def replan(client, departed):
+    def replan(clients, departed):
         planner = RPPlanner(
             tree, routing,
             restrictions=StrategyRestrictions(
                 forbidden_peers=frozenset(departed)
             ),
         )
-        return planner.plan(client)
+        return planner.plan_clients(clients)
 
     started = time.perf_counter()
     strategies = dict(RPPlanner(tree, routing).plan_all())

@@ -24,18 +24,20 @@ detector declares a peer dead):
   passing both filters — plus the joiner itself, which needs a fresh
   plan — are re-planned.
 
-Re-planning a client runs the ordinary single-client pipeline with the
-currently-departed peers restricted out of the strategy graph
+Each event's dirty set is re-planned in one batched planner call
+(``RPPlanner.plan_clients``: one array pass over the dirty clients)
+with the currently-departed peers restricted out of the strategy graph
 (generalizing the failure detector's on-death re-plan), so a repaired
 plan for a client equals the from-scratch plan for that client by
 construction; the quality question the churn sweep checks is whether the
 *skip* filters above ever skip a client whose from-scratch plan moved
-(:meth:`IncrementalPlanRepairer.verify_against_scratch`).
+(:meth:`IncrementalPlanRepairer.verify_against_scratch`).  An event with
+an empty dirty set makes no planner call.
 
 The repairer is protocol-agnostic: it holds the tree, the routing table
-and a ``replan(client, departed) -> RecoveryStrategy`` callable, and the
-RP factory owns the wiring (swapping repaired strategies into the live
-agents, emitting ``plan.repair``).
+and a ``replan(clients, departed) -> {client: RecoveryStrategy}``
+callable, and the RP factory owns the wiring (swapping repaired
+strategies into the live agents, emitting ``plan.repair``).
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.mcast_tree import MulticastTree
     from repro.net.routing import RoutingTable
 
-#: Re-plan one client against the current tree with ``departed``
-#: restricted out of the strategy graph.
-ReplanFn = Callable[[int, frozenset], "RecoveryStrategy"]
+#: Re-plan the given clients (distinct current members) against the
+#: current tree with ``departed`` restricted out of the strategy graph,
+#: in one planner call; strategies keyed in the given order.
+ReplanFn = Callable[[list[int], frozenset], "dict[int, RecoveryStrategy]"]
 
 
 class IncrementalPlanRepairer:
@@ -130,11 +133,10 @@ class IncrementalPlanRepairer:
         # The leaver's own plan is retired with it (a rejoin replans it).
         self._unindex(node)
         self.strategies.pop(node, None)
-        replanned = {}
-        for client in sorted(dirty):
-            if client == node or client not in self.strategies:
-                continue
-            replanned[client] = self._replan(client, departed)
+        replanned = self._replan_batch(
+            [c for c in sorted(dirty) if c != node and c in self.strategies],
+            departed,
+        )
         self._apply(replanned)
         return replanned
 
@@ -142,7 +144,7 @@ class IncrementalPlanRepairer:
         self, node: int, departed: frozenset
     ) -> "dict[int, RecoveryStrategy]":
         tree = self._tree
-        replanned = {node: self._replan(node, departed)}
+        dirty = [node]
         incumbents = np.asarray(
             [c for c in self.strategies if c != node], dtype=np.int64
         )
@@ -166,9 +168,15 @@ class IncrementalPlanRepairer:
                     # beats the joiner — the class, hence the plan, is
                     # unchanged.
                     continue
-                replanned[client] = self._replan(client, departed)
+                dirty.append(client)
+        replanned = self._replan_batch(dirty, departed)
         self._apply(replanned)
         return replanned
+
+    def _replan_batch(
+        self, clients: list[int], departed: frozenset
+    ) -> "dict[int, RecoveryStrategy]":
+        return self._replan(clients, departed) if clients else {}
 
     # -- diagnostics ------------------------------------------------------
 
@@ -194,8 +202,9 @@ class IncrementalPlanRepairer:
         incremental skip filters never skipped a moved plan.
         """
         worst = 0.0
-        for client, repaired in sorted(self.strategies.items()):
-            scratch = self._replan(client, departed)
+        scratch_plans = self._replan_batch(sorted(self.strategies), departed)
+        for client, scratch in scratch_plans.items():
+            repaired = self.strategies[client]
             denom = max(abs(scratch.expected_delay), 1e-12)
             gap = abs(repaired.expected_delay - scratch.expected_delay) / denom
             worst = max(worst, gap)

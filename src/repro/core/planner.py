@@ -11,8 +11,9 @@ client: the section-3/4 pipeline of
    estimator and restrictions;
 3. Algorithm 1 (or its length-bounded variant).
 
-:meth:`RPPlanner.plan` and :meth:`RPPlanner.plan_all` run it as array
-passes (:mod:`repro.core.planner_batch`); :meth:`RPPlanner.strategy_graph_for`
+:meth:`RPPlanner.plan`, :meth:`RPPlanner.plan_clients` and
+:meth:`RPPlanner.plan_all` run it as array passes
+(:mod:`repro.core.planner_batch`); :meth:`RPPlanner.strategy_graph_for`
 and :mod:`repro.core.algorithm` are the per-client reference.
 
 The result, a :class:`RecoveryStrategy`, is what the RP protocol runtime
@@ -146,7 +147,12 @@ class RPPlanner:
 
     def plan(self, client: int) -> RecoveryStrategy:
         """Compute the optimal prioritized list for one client."""
-        return planner_batch.plan_one(self, client)
+        return self.plan_clients([client])[client]
+
+    def plan_clients(self, clients: list[int]) -> dict[int, RecoveryStrategy]:
+        """Strategies for the given tree members in one array pass, keyed
+        in the given order."""
+        return planner_batch.plan_clients(self, clients)
 
     def plan_all(self) -> dict[int, RecoveryStrategy]:
         """Strategies for every client of the tree, keyed by client id in

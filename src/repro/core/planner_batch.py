@@ -1,5 +1,5 @@
-"""Array-native RP planning: the one path behind ``RPPlanner.plan`` and
-``RPPlanner.plan_all``.
+"""Array-native RP planning: the one path behind ``RPPlanner.plan``,
+``RPPlanner.plan_clients`` and ``RPPlanner.plan_all``.
 
 The paper's per-client pipeline — candidates (Lemma 4), the strategy
 graph (Definition 1), Algorithm 1 — runs here as array passes over many
@@ -8,8 +8,8 @@ clients at once:
 1.  **Candidates.**  A competitive class of client ``u`` at ancestor
     ``a`` (child ``c`` toward ``u``) is ``subtree(a) \\ subtree(c)``:
     two preorder intervals of the clients.  Its candidate is the member
-    with the smallest ``(rtt, node id)``.  The **row stage** (a single
-    plan on any backend, ``plan_all`` on the exact one) takes one
+    with the smallest ``(rtt, node id)``.  The **row stage** (any set of
+    clients on any backend, ``plan_all`` on the exact one) takes one
     ``distances_from`` row per client, in chunks; the ``2·depth + 1``
     preorder intervals of the client's root path tile the row, so
     segmented minima answer every class.  The **landmark stage**
@@ -68,15 +68,26 @@ def plan_all(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
     return _solve(planner, clients, pairs)
 
 
-def plan_one(planner: "RPPlanner", client: int) -> "RecoveryStrategy":
-    """The strategy of one tree member (the row stage, any backend)."""
-    if not planner.tree.contains(client):
-        raise ValueError(f"client {client} is not a tree member")
-    if client == planner.tree.root:
-        raise ValueError("the source does not need a recovery strategy")
-    clients = np.array([client], dtype=np.int64)
-    pairs = row_candidates(planner.tree, planner.routing, clients)
-    return _solve(planner, clients, pairs)[client]
+def plan_clients(
+    planner: "RPPlanner", clients: list[int]
+) -> "dict[int, RecoveryStrategy]":
+    """Strategies of the given tree members (the row stage, any backend),
+    keyed in the given order.  Raises ``ValueError`` for a non-member,
+    the root or a repeated client."""
+    clients = [int(c) for c in clients]
+    if len(set(clients)) != len(clients):
+        raise ValueError("clients must be distinct")
+    tree = planner.tree
+    for client in clients:
+        if not tree.contains(client):
+            raise ValueError(f"client {client} is not a tree member")
+        if client == tree.root:
+            raise ValueError("the source does not need a recovery strategy")
+    if not clients:
+        return {}
+    clients = np.asarray(clients, dtype=np.int64)
+    pairs = row_candidates(tree, planner.routing, clients)
+    return _solve(planner, clients, pairs)
 
 
 def _root_paths(clients, parent, root) -> tuple[np.ndarray, np.ndarray]:

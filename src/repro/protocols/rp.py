@@ -591,13 +591,14 @@ class RPProtocolFactory(ProtocolFactory):
 
     # -- dynamic membership ------------------------------------------------
 
-    def _replan_client(
-        self, network: SimNetwork, estimator, client: int,
+    def _replan_clients(
+        self, network: SimNetwork, estimator, clients: list[int],
         departed: frozenset,
-    ) -> RecoveryStrategy:
-        """From-scratch plan for one client with ``departed`` restricted
-        out of the strategy graph — the incremental repairer's unit of
-        work, generalizing the failure detector's on-death re-plan."""
+    ) -> dict[int, RecoveryStrategy]:
+        """From-scratch plans for ``clients`` with ``departed`` restricted
+        out of the strategy graph, in one batched planner call — the
+        incremental repairer's unit of work per composition change,
+        generalizing the failure detector's on-death re-plan."""
         base = self.config.restrictions or StrategyRestrictions()
         planner = RPPlanner(
             network.tree,
@@ -609,14 +610,15 @@ class RPProtocolFactory(ProtocolFactory):
                 forbidden_peers=frozenset(base.forbidden_peers) | departed,
             ),
         )
-        return planner.plan(client)
+        return planner.plan_clients(clients)
 
     def attach_membership(self, director) -> None:
         """Wire incremental plan repair to a membership director.
 
         Must follow :meth:`install` (the repairer seeds from the
         installed strategies).  After every join/leave the director
-        fires, only the invalidated clients are re-planned (see
+        fires, only the invalidated clients are re-planned, in one
+        batched planner call per event (see
         :mod:`repro.core.plan_repair`); repaired lists are swapped into
         the live agents for *subsequent* recoveries — in-flight
         recoveries keep their strategy snapshot, exactly as with
@@ -636,7 +638,7 @@ class RPProtocolFactory(ProtocolFactory):
             network.tree,
             network.routing,
             self.last_strategies,
-            functools.partial(self._replan_client, network, estimator),
+            functools.partial(self._replan_clients, network, estimator),
         )
         self.last_repairer = repairer
 

@@ -1,5 +1,5 @@
-"""Equivalence of the array-native planner (``RPPlanner.plan`` and
-``plan_all``) with the paper's per-client reference pipeline: candidates,
+"""Equivalence of the array-native planner (``RPPlanner.plan``,
+``plan_clients`` and ``plan_all``) with the paper's per-client reference pipeline: candidates,
 the Definition-1 strategy graph and Algorithm 1."""
 
 import numpy as np
@@ -245,6 +245,53 @@ class TestNonStockKnobs:
             planner.plan(tree.root)
         with pytest.raises(ValueError, match="not a tree member"):
             planner.plan(topo.num_nodes + 7)
+
+
+class TestPlanClients:
+    """``plan_clients(S)`` is ``{c: plan(c) for c in S}`` in one batch."""
+
+    @pytest.mark.parametrize("backend", ["exact", "landmark"])
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_random_subsets_equal_single_plans(self, backend, seed):
+        _, tree, _ = landmark_scene(seed)
+        routing = RoutingTable(tree.topology, backend=backend)
+        rng = np.random.default_rng(seed)
+        clients = np.asarray(tree.clients)
+        for restrictions, estimator in (
+            (None, None),
+            (StrategyRestrictions(forbidden_peers=frozenset(clients[::4].tolist())),
+             None),
+            (StrategyRestrictions(max_list_length=1), Weird()),
+            (StrategyRestrictions(
+                max_list_length=2,
+                forbidden_peers=frozenset(clients[1::3].tolist()),
+            ), HalfBlend()),
+        ):
+            planner = RPPlanner(
+                tree, routing, estimator=estimator, restrictions=restrictions
+            )
+            for size in (1, 2, len(clients) // 3, len(clients)):
+                subset = rng.permutation(clients)[:size].tolist()
+                batched = planner.plan_clients(subset)
+                assert list(batched) == subset
+                assert_strategies_equal(
+                    batched, {c: planner.plan(c) for c in subset}
+                )
+
+    def test_empty_is_empty(self):
+        _, tree, routing = exact_scene(5, num_routers=30)
+        assert RPPlanner(tree, routing).plan_clients([]) == {}
+
+    def test_rejects_like_plan(self):
+        topo, tree, routing = exact_scene(5, num_routers=30)
+        planner = RPPlanner(tree, routing)
+        some = tree.clients[0]
+        with pytest.raises(ValueError, match="source"):
+            planner.plan_clients([some, tree.root])
+        with pytest.raises(ValueError, match="not a tree member"):
+            planner.plan_clients([topo.num_nodes + 7, some])
+        with pytest.raises(ValueError, match="distinct"):
+            planner.plan_clients([some, tree.clients[1], some])
 
 
 ESTIMATORS = [

@@ -201,6 +201,46 @@ class TestGoldenRuns:
         assert summary.avg_latency == pytest.approx(331.1242, abs=1e-3)
         assert summary.events_processed == 4244
 
+    def test_hardened_rp_under_faults_and_churn_pinned(self, built):
+        # Failure-detector re-plans and incremental churn repair at
+        # once, on the same lanes as the hardened RMA pin.  The repair
+        # history is pinned too: its joins re-plan several clients each,
+        # so the batched re-plan of a dirty set is on the pinned path.
+        lanes = RngStreams(42)
+        clients = list(built.tree.clients)
+        horizon = 10 * built.config.data_interval + 2 * built.config.session_interval
+        faults = random_fault_schedule(
+            0.5, lanes.get("golden:faults"), clients,
+            built.topology.links, horizon,
+        )
+        churn = random_membership_schedule(
+            0.5, lanes.get("golden:churn"), clients, horizon
+        )
+        factory = RPProtocolFactory(
+            RPConfig(recovery_policy=RecoveryPolicy.hardened())
+        )
+        artifacts = run_protocol_detailed(
+            built, factory, faults=faults, membership=churn
+        )
+        summary = artifacts.summary
+        assert summary.losses_detected == 87
+        assert summary.losses_recovered == 66
+        assert artifacts.log.num_abandoned == 21
+        assert summary.recovery_hops == 1537
+        assert summary.avg_latency == pytest.approx(404.4023, abs=1e-3)
+        assert summary.events_processed == 3754
+        history = [
+            (h["kind"], h["node"], h["replanned"])
+            for h in factory.last_repairer.history
+        ]
+        assert history == [
+            ("leave", 25, 0), ("join", 25, 16), ("leave", 31, 0),
+            ("leave", 30, 0), ("leave", 15, 1), ("join", 30, 15),
+            ("join", 31, 15), ("leave", 30, 1), ("leave", 31, 0),
+            ("leave", 25, 1), ("join", 25, 15), ("join", 30, 15),
+        ]
+        assert max(n for kind, _, n in history if kind == "join") >= 2
+
     def test_hardened_rp_under_faults_pinned(self, built):
         # The failure detector declares deaths here, and every death
         # re-plans all clients through plan_all with the dead peers
