@@ -82,6 +82,12 @@ class ScenarioConfig:
                 f"congestion_alpha must be finite and >= 0, "
                 f"got {self.congestion_alpha}"
             )
+        # The runner drains with run(until=now + drain_time), which
+        # rejects a past or NaN cutoff mid-session.
+        if not 0.0 <= self.drain_time < math.inf:
+            raise ValueError(
+                f"drain_time must be finite and >= 0, got {self.drain_time}"
+            )
 
     def topology_config(self) -> TopologyConfig:
         return TopologyConfig(

@@ -4,8 +4,8 @@ A classic binary-heap future-event list.  Three properties matter for a
 reproducible network simulation and are guaranteed here:
 
 * **Monotonic time** — events fire in non-decreasing timestamp order;
-  scheduling into the past raises immediately rather than corrupting
-  causality.
+  scheduling into the past, or running ``until`` a past time, raises
+  immediately rather than corrupting causality.
 * **Deterministic ties** — events with equal timestamps fire in the
   order they were scheduled (a monotone sequence number breaks heap
   ties), so two runs with the same seeds replay identically.
@@ -21,8 +21,10 @@ queue therefore counts its cancelled-but-unpopped timers and, when the
 dead fraction crosses :data:`COMPACT_MIN_DEAD` /
 :data:`COMPACT_DEAD_FRACTION`, rebuilds the heap without them in one
 O(live) filter + heapify.  Compaction cannot change replay order:
-``Timer.__lt__`` totally orders live timers by ``(time, seq)``, and
-heapify preserves exactly that pop order.
+heap entries are ``(time, seq, timer)`` tuples, ``seq`` is unique per
+queue, so entries are totally ordered by ``(time, seq)`` (the comparison
+never reaches the timer and runs in C), and heapify preserves exactly
+that pop order.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ COMPACT_DEAD_FRACTION = 0.5
 class Timer:
     """Handle for a scheduled event; supports cancellation."""
 
-    __slots__ = ("time", "callback", "cancelled", "seq", "_queue")
+    __slots__ = ("callback", "cancelled", "_queue")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], Any]):
-        self.time = time
-        self.seq = seq
+    def __init__(self, callback: Callable[[], Any]):
         self.callback = callback
         self.cancelled = False
         # Owning queue while the timer sits in its heap; cleared on pop
@@ -72,16 +72,15 @@ class Timer:
     def active(self) -> bool:
         return not self.cancelled
 
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class EventQueue:
     """The simulator clock and future-event list."""
 
     def __init__(self, profiler: "Profiler | None" = None):
         self._now = 0.0
-        self._heap: list[Timer] = []
+        # (time, seq, timer) entries; the list object is never replaced,
+        # so a dispatch loop may hold it across callbacks that compact.
+        self._heap: list[tuple[float, int, Timer]] = []
         self._seq = 0
         self._processed = 0
         # Cancelled timers still sitting in the heap; drives compaction
@@ -130,10 +129,11 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        timer = Timer(time, self._seq, callback)
+        timer = Timer(callback)
         timer._queue = self
-        self._seq += 1
-        heapq.heappush(self._heap, timer)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, timer))
         return timer
 
     def _note_cancelled(self) -> None:
@@ -159,20 +159,22 @@ class EventQueue:
         self._compact_inner()
 
     def _compact_inner(self) -> None:
-        self._heap = [t for t in self._heap if not t.cancelled]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
         self._compactions += 1
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        while self._heap:
-            timer = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            at, _, timer = heapq.heappop(heap)
             if timer.cancelled:
                 self._cancelled -= 1
                 continue
             timer._queue = None
-            self._now = timer.time
+            self._now = at
             self._processed += 1
             timer.callback()
             return True
@@ -198,6 +200,10 @@ class EventQueue:
             Checked after every event; return True to stop early (e.g.
             "all clients fully recovered").
         """
+        if until is not None and not until >= self._now:  # also rejects NaN
+            raise ValueError(
+                f"cannot run until {until}, current time is {self._now}"
+            )
         profiler = self.profiler
         if profiler is not None and profiler.enabled:
             t0 = time.perf_counter()
@@ -219,23 +225,28 @@ class EventQueue:
         max_events: int | None,
         stop_when: Callable[[], bool] | None,
     ) -> None:
+        heap = self._heap
+        heappop = heapq.heappop
         executed = 0
-        while self._heap:
-            # Peek past cancelled entries.
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
+        while heap:
+            at, _, timer = heap[0]
+            if timer.cancelled:
+                heappop(heap)
                 self._cancelled -= 1
-            if not self._heap:
-                break
-            if until is not None and self._heap[0].time > until:
+                continue
+            if until is not None and at > until:
                 self._now = until
                 return
             if max_events is not None and executed >= max_events:
                 raise RuntimeError(
                     f"event budget exceeded ({max_events} events) at t={self._now}"
                 )
-            if not self.step():
-                break
+            heappop(heap)
+            # Clock and counters first: callbacks read `pending`/`processed`.
+            timer._queue = None
+            self._now = at
+            self._processed += 1
+            timer.callback()
             executed += 1
             if stop_when is not None and stop_when():
                 return

@@ -28,6 +28,22 @@ class TestScenarioConfig:
         assert config.stream_config().num_packets == 7
 
 
+    @pytest.mark.parametrize("drain", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_drain_time(self, drain):
+        # The runner drains with run(until=now + drain_time), which
+        # rejects a past or NaN cutoff only after the session ran.
+        with pytest.raises(ValueError, match="drain_time"):
+            ScenarioConfig(
+                seed=1, num_routers=20, loss_prob=0.1, drain_time=drain
+            )
+
+    def test_zero_drain_time_is_allowed(self):
+        config = ScenarioConfig(
+            seed=1, num_routers=20, loss_prob=0.1, drain_time=0.0
+        )
+        assert config.drain_time == 0.0
+
+
 class TestBuildScenario:
     def test_build_produces_consistent_artifacts(self):
         built = build_scenario(ScenarioConfig(seed=3, num_routers=25, loss_prob=0.05))

@@ -1,9 +1,16 @@
 """Tests for the event calendar: ordering, determinism, cancellation."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import COMPACT_MIN_DEAD, EventQueue
+from repro.sim import engine
+from repro.sim.engine import (
+    COMPACT_DEAD_FRACTION,
+    COMPACT_MIN_DEAD,
+    EventQueue,
+)
 
 
 class TestScheduling:
@@ -134,6 +141,25 @@ class TestRunControls:
         q.run(until=7.0)
         assert q.now == 7.0
 
+    def test_until_in_the_past_is_rejected(self):
+        # Regression: run(until=5) after run(until=15) moved the clock
+        # back to 5, so schedule_at(6) then fired after the t=10 event.
+        q = EventQueue()
+        fired = []
+        q.schedule_at(10.0, lambda: fired.append(10))
+        q.schedule_at(20.0, lambda: fired.append(20))
+        q.run(until=15.0)
+        with pytest.raises(ValueError):
+            q.run(until=5.0)
+        with pytest.raises(ValueError):
+            q.run(until=float("nan"))
+        assert q.now == 15.0
+        with pytest.raises(ValueError):
+            q.schedule_at(6.0, lambda: fired.append(6))
+        q.run(until=15.0)  # until == now is a no-op, not an error
+        q.run()
+        assert fired == [10, 20]
+
     def test_max_events_raises(self):
         q = EventQueue()
 
@@ -246,6 +272,36 @@ class TestCompaction:
         q2.run()
         assert fired_churn == fired_plain
 
+    def test_compaction_inside_run_preserves_replay_order(self):
+        # Callbacks cancel the doomed timers while run() is dispatching,
+        # so the heap is rebuilt under the dispatch loop.
+        fired_plain = []
+        q1 = EventQueue()
+        for i in range(300):
+            q1.schedule(float(i % 7), lambda i=i: fired_plain.append(i))
+        q1.run()
+
+        fired_churn = []
+        q2 = EventQueue()
+        doomed = []
+
+        def live(i):
+            fired_churn.append(i)
+            for _ in range(min(40, len(doomed))):
+                doomed.pop().cancel()
+
+        for i in range(300):
+            q2.schedule(float(i % 7), lambda i=i: live(i))
+            doomed.append(
+                q2.schedule(i % 7 + 0.5, lambda: fired_churn.append("doomed"))
+            )
+        assert q2.compactions == 0
+        q2.run()
+        assert q2.compactions >= 1
+        assert fired_churn == fired_plain
+        assert q2.cancelled_pending == 0
+        assert q2.processed == 300
+
     def test_cancel_after_fire_does_not_skew_count(self):
         q = EventQueue()
         t = q.schedule(1.0, lambda: None)
@@ -265,3 +321,153 @@ class TestCompaction:
         assert q.cancelled_pending == 0
         assert len(q._heap) == 0
         assert q.processed == 50
+
+
+class _CalendarModel:
+    """Reference calendar: a sorted list with the same lazy-cancel and
+    compaction bookkeeping as :class:`EventQueue`, but no heap."""
+
+    def __init__(self, times, kills, min_dead):
+        self.times = times
+        self.min_dead = min_dead
+        self.kills = kills
+        self.queue = sorted(range(len(times)), key=lambda i: (times[i], i))
+        self.cancelled = set()
+        self.dead = 0
+        self.fired = []
+        self.now = 0.0
+
+    @property
+    def pending(self):
+        return len(self.queue) - self.dead
+
+    def cancel(self, i):
+        if i in self.cancelled:
+            return
+        self.cancelled.add(i)
+        if i in self.queue:
+            self.dead += 1
+            if (
+                self.dead >= self.min_dead
+                and self.dead >= COMPACT_DEAD_FRACTION * len(self.queue)
+            ):
+                self.queue = [j for j in self.queue if j not in self.cancelled]
+                self.dead = 0
+
+    def _fire(self, i):
+        self.now = self.times[i]
+        self.fired.append(i)
+        for victim in self.kills.get(i, ()):
+            self.cancel(victim)
+
+    def step(self):
+        while self.queue:
+            i = self.queue.pop(0)
+            if i in self.cancelled:
+                self.dead -= 1
+                continue
+            self._fire(i)
+            return
+
+    def run(self, until=None):
+        while self.queue:
+            i = self.queue[0]
+            if i in self.cancelled:
+                self.queue.pop(0)
+                self.dead -= 1
+                continue
+            if until is not None and self.times[i] > until:
+                break
+            self.queue.pop(0)
+            self._fire(i)
+        if until is not None:
+            self.now = until
+
+
+class TestModel:
+    """The calendar against a sorted-list model: many ties, cancels up
+    front and from callbacks, drained by a mix of run(until) and step()."""
+
+    @given(st.data())
+    def test_matches_sorted_list_model(self, data):
+        # A lowered compaction floor makes small examples compact, often
+        # from inside a callback while run() is dispatching.
+        min_dead = data.draw(
+            st.sampled_from([1, 3, COMPACT_MIN_DEAD]), label="min_dead"
+        )
+        with mock.patch.object(engine, "COMPACT_MIN_DEAD", min_dead):
+            self._check_against_model(data, min_dead)
+
+    def _check_against_model(self, data, min_dead):
+        fates = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 5).map(float),
+                    st.sampled_from(["live", "up_front", "callback"]),
+                ),
+                max_size=200,
+            ),
+            label="fates",
+        )
+        times = [t for t, _ in fates]
+        up_front = [
+            i for i, (_, fate) in enumerate(fates) if fate == "up_front"
+        ]
+        # Each "callback" timer is cancelled by another timer's callback
+        # (possibly one that fires after it, or itself).
+        kills = {}
+        for i, (_, fate) in enumerate(fates):
+            if fate == "callback":
+                killer = data.draw(
+                    st.integers(0, len(fates) - 1), label="killer"
+                )
+                kills.setdefault(killer, []).append(i)
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(None), st.sampled_from([0.0, 0.5, 1.0, 2.0])
+                ),
+                max_size=12,
+            ),
+            label="ops",
+        )
+
+        q = EventQueue()
+        fired = []
+        timers = []
+
+        def callback(i):
+            fired.append(i)
+            for victim in kills.get(i, ()):
+                timers[victim].cancel()
+
+        for i, t in enumerate(times):
+            timers.append(q.schedule_at(t, lambda i=i: callback(i)))
+        model = _CalendarModel(times, kills, min_dead)
+        for i in up_front:
+            timers[i].cancel()
+            model.cancel(i)
+
+        def check():
+            assert fired == model.fired
+            assert q.now == model.now
+            assert q.pending == model.pending
+            assert q.cancelled_pending == model.dead
+            assert q.processed == len(model.fired)
+
+        check()
+        for op in ops:
+            if op is None:
+                q.step()
+                model.step()
+            else:
+                q.run(until=q.now + op)
+                model.run(until=model.now + op)
+            check()
+        q.run()
+        model.run()
+        check()
+        assert q.cancelled_pending == 0
+        # The reference order: every timer not cancelled before its turn,
+        # by (time, scheduling order).
+        assert fired == sorted(fired, key=lambda i: (times[i], i))
