@@ -34,8 +34,8 @@ summary — modulo ``events_processed``, which is legitimately lower on
 the fast dissemination path — or the "overhead" numbers would compare
 different work.  The uninstrumented, no-op and recording arms run that
 fast path (the profiler times phases, not hops); the time-series
-collector disarms it, and the tracer's link observer sends every
-dissemination back to the per-hop path (see ``docs/PERFORMANCE.md``).
+collector disarms it, and the tracer's link observer makes arming it
+refuse, so the whole traced run is per-hop (see ``docs/PERFORMANCE.md``).
 """
 
 import dataclasses

@@ -283,6 +283,10 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.obs.timeseries import TimeSeriesCollector
     from repro.sim.faults import FaultSchedule
 
+    # Validates --window/--max-windows before any simulation work.
+    timeseries = TimeSeriesCollector(
+        window=args.window, max_windows=args.max_windows
+    )
     config = _scenario_from(args)
     built = build_scenario(config)
     faults = None
@@ -297,9 +301,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
         factory = _hardened_factory(args.protocol)
     else:
         factory = PROTOCOLS[args.protocol]()
-    timeseries = TimeSeriesCollector(
-        window=args.window, max_windows=args.max_windows
-    )
     instr = Instrumentation.recording(timeseries=timeseries)
     try:
         artifacts = run_protocol_detailed(

@@ -88,6 +88,9 @@ class ScenarioConfig:
             raise ValueError(
                 f"drain_time must be finite and >= 0, got {self.drain_time}"
             )
+        # The stream's packet count and intervals, likewise at
+        # construction rather than at the first DATA or SESSION send.
+        self.stream_config()
 
     def topology_config(self) -> TopologyConfig:
         return TopologyConfig(

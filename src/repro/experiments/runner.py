@@ -243,9 +243,11 @@ def run_protocol_detailed(
     )
     timeseries = instr.timeseries if instr is not None else None
     if timeseries is None:
-        # Arm the array dissemination fast path (no-op under jitter,
-        # congestion, faults or churn; per-call conditions fall back to
-        # the scalar path bit-identically).
+        # Arm the array dissemination fast path once the agents are
+        # installed: it snapshots their tree positions.  Refused under
+        # jitter, congestion, faults, churn or the tracer's link
+        # observer (registered above); an armed run falls back per send
+        # only where a loss draw cannot be replayed, bit-identically.
         network.enable_fast_dissem(config.stream_config())
     else:
         # The fast path batches its ledger charges at send time, which

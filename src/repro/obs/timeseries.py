@@ -49,6 +49,7 @@ series.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 from repro.obs.events import (
@@ -212,8 +213,12 @@ class TimeSeriesCollector:
     consumes = True
 
     def __init__(self, window: float = 50.0, max_windows: int = 512):
-        if window <= 0:
-            raise ValueError(f"window width must be positive, got {window}")
+        # Negated, so NaN fails too; an infinite width would hold the
+        # whole run in one window, where progress.stall cannot fire.
+        if not 0.0 < window < math.inf:
+            raise ValueError(
+                f"window width must be finite and > 0, got {window}"
+            )
         if max_windows < 2:
             raise ValueError(f"max_windows must be >= 2, got {max_windows}")
         self.initial_window = window

@@ -18,6 +18,7 @@ protocol.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 from repro.metrics.collectors import RecoveryLog
@@ -348,8 +349,12 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if self.num_packets < 1:
             raise ValueError("num_packets must be >= 1")
-        if self.data_interval <= 0 or self.session_interval <= 0:
-            raise ValueError("intervals must be positive")
+        # Negated, so NaN fails too: a NaN interval breaks the first
+        # reschedule, an infinite one runs the clock to inf.
+        for name in ("data_interval", "session_interval"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 class StreamDriver:

@@ -9,11 +9,12 @@ in a handful of numpy passes instead:
 * :class:`TreeDissem` — static per-tree arrays in preorder (incoming
   edge delay/loss, per-depth level slices, sibling ranks, deepest lossy
   ancestor columns, lossy prefix sums);
-* :func:`build_data_plan` — every DATA cascade of a stream at once:
-  per-edge Bernoulli draws taken in the exact ``(event time, sibling
-  rank)`` order the scalar path draws them, survivor reachability via
-  anchor columns, arrival times as per-level prefix delay sums;
-* :func:`build_session_cascade` — one SESSION cascade, same contract;
+* :func:`plan_cascades` — any set of root cascades at once: per-edge
+  Bernoulli draws taken in the exact ``(event time, sibling rank)``
+  order the scalar path draws them, survivor reachability via anchor
+  columns, arrival times as per-level prefix delay sums.  A DATA stream
+  (:func:`build_data_plan`) passes its whole send grid; a SESSION send
+  passes its one instant and the next send as a deadline;
 * :func:`subtree_arrivals` / :func:`flood_arrivals` — arrival times for
   the draw-free recovery multicasts (repair subtrees, SRM floods).
 
@@ -204,7 +205,7 @@ def _alive_matrix(
     """Per-cascade reachability of every position, ``(P, M)`` bool."""
     m = dissem.num_members
     ac = dissem.anchor_col
-    if survived_2d is None or dissem.num_lossy == 0:
+    if survived_2d is None:
         return np.ones((num_cascades, m), dtype=bool)
     safe = np.maximum(ac, 0)
     return np.where(ac[np.newaxis, :] >= 0, survived_2d[:, safe], True)
@@ -245,7 +246,7 @@ def _finish_cascades(
     order = dissem.order
     attempted = alive[:, parent_pos[1:]]
     attempt_times = arrivals[:, parent_pos[1:]]
-    if survived_2d is not None and dissem.num_lossy:
+    if survived_2d is not None:
         lossy_parents = parent_pos[dissem.lossy_pos]
         dropped = alive[:, lossy_parents] & ~survived_2d
         lossy_times = arrivals[:, lossy_parents]
@@ -307,6 +308,41 @@ def _merged_slots(
     return perm, dep_flat[perm], lp_flat[perm]
 
 
+def plan_cascades(
+    dissem: TreeDissem,
+    t0s: np.ndarray,
+    rng: np.random.Generator,
+    agent_pos: np.ndarray,
+    deadline: float | None,
+) -> list[CascadeOutcome] | None:
+    """Resolve the root cascades sent at ``t0s``, one outcome each.
+
+    A lossy tree's draws come from ``rng`` in merged event order, which
+    is stream-identical to the scalar path only while these cascades are
+    ``rng``'s sole consumer.  DATA guarantees that with a dedicated lane
+    and passes no ``deadline``; SESSION shares the loss lane with the
+    next session send, so every cascade must finish strictly before
+    ``deadline``, or its tail would interleave with the next one's
+    draws.  Returns ``None`` — before any draw — on that overlap or on
+    an exact event-time tie; the caller then falls back to the scalar
+    path permanently, keeping the draw stream consistent.
+    """
+    arrivals = _arrival_matrix(dissem, t0s)
+    survived_2d = None
+    if dissem.num_lossy:
+        if deadline is not None and not float(arrivals.max()) < deadline:
+            return None
+        slots = _merged_slots(dissem, arrivals)
+        if slots is None:
+            return None
+        perm, dep, lp = slots
+        survived_merged = _segmented_draws(dep, lp, rng)
+        survived_flat = np.empty(survived_merged.size, dtype=bool)
+        survived_flat[perm] = survived_merged
+        survived_2d = survived_flat.reshape(t0s.size, dissem.num_lossy)
+    return _finish_cascades(dissem, arrivals, survived_2d, agent_pos)
+
+
 def build_data_plan(
     dissem: TreeDissem,
     t0: float,
@@ -317,65 +353,17 @@ def build_data_plan(
 ) -> DataPlan | None:
     """Resolve the whole DATA stream's dissemination at the first send.
 
-    Correct only because the DATA loss lane is consumed *exclusively*
-    by DATA cascades (the network enforces a dedicated generator): the
-    scalar path would interleave these same draws with nothing else, so
-    consuming the lane up front in merged event order is
-    stream-identical.  Returns ``None`` — before any draw — on exact
-    event-time ties.
+    The network gives DATA its own loss lane, so the stream's cascades
+    are that lane's only consumer and need no deadline.  Returns
+    ``None`` — before any draw — on exact event-time ties.
     """
     t0s = np.empty(num_packets, dtype=np.float64)
     acc = t0
     for k in range(num_packets):  # fl-accumulate like schedule() does
         t0s[k] = acc
         acc = acc + data_interval
-    arrivals = _arrival_matrix(dissem, t0s)
-    survived_2d = None
-    if dissem.num_lossy:
-        slots = _merged_slots(dissem, arrivals)
-        if slots is None:
-            return None
-        perm, dep, lp = slots
-        survived_merged = _segmented_draws(dep, lp, rng)
-        survived_flat = np.empty(survived_merged.size, dtype=bool)
-        survived_flat[perm] = survived_merged
-        survived_2d = survived_flat.reshape(num_packets, dissem.num_lossy)
-    cascades = _finish_cascades(dissem, arrivals, survived_2d, agent_pos)
-    return DataPlan(t0s=t0s, cascades=cascades)
-
-
-def build_session_cascade(
-    dissem: TreeDissem,
-    t_send: float,
-    session_interval: float,
-    rng: np.random.Generator,
-    agent_pos: np.ndarray,
-    draws: bool,
-) -> CascadeOutcome | None:
-    """Resolve one SESSION cascade at its send instant.
-
-    With ``draws`` (lossy tree, recovery exempted from loss so this
-    cascade is the loss lane's only consumer), the whole cascade must
-    finish strictly before the next session send — otherwise the next
-    cascade's early draws would interleave with this one's tail in the
-    scalar order.  Returns ``None`` (before consuming randomness) on
-    that overlap or on exact in-cascade ties; the caller falls back to
-    scalar **permanently** to keep the draw stream consistent.
-    """
-    arrivals = _arrival_matrix(dissem, np.array([t_send]))
-    survived_2d = None
-    if draws and dissem.num_lossy:
-        if not float(arrivals.max()) < t_send + session_interval:
-            return None
-        slots = _merged_slots(dissem, arrivals)
-        if slots is None:
-            return None
-        perm, dep, lp = slots
-        survived_merged = _segmented_draws(dep, lp, rng)
-        survived_flat = np.empty(survived_merged.size, dtype=bool)
-        survived_flat[perm] = survived_merged
-        survived_2d = survived_flat.reshape(1, dissem.num_lossy)
-    return _finish_cascades(dissem, arrivals, survived_2d, agent_pos)[0]
+    cascades = plan_cascades(dissem, t0s, rng, agent_pos, None)
+    return None if cascades is None else DataPlan(t0s=t0s, cascades=cascades)
 
 
 def subtree_arrivals(

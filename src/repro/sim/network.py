@@ -27,19 +27,22 @@ protocol code observes a consistent clock.
 
 **Array dissemination fast path.**  When the experiment runner calls
 :meth:`SimNetwork.enable_fast_dissem` and the run has load-independent
-links (no jitter, no congestion, no faults, no link observers) and a
-fixed membership, eligible disseminations are computed in numpy via
+links (no jitter, no congestion, no faults), a fixed membership and no
+link observers, eligible disseminations are computed in numpy via
 :mod:`repro.sim.dissem` and only the O(agents) deliveries are scheduled
-as events, instead of one event per link traversal.  The fast path is
+as events, instead of one event per link traversal.  Eligibility is
+settled when the path is armed; a send then falls back to the scalar
+path only when its loss draws cannot be reproduced.  The fast path is
 bit-identical to the scalar path — same RNG consumption, same arrival
 times, same ledger totals (an in-flight registry refunds hops/drops the
-scalar path would not have charged before the drain cutoff) — and every
-ineligible call falls back to the scalar path below.
+scalar path would not have charged before the drain cutoff).
 
-The scalar path itself is closure-free: reusable transit objects step
-cached int-array paths (an LRU of routed paths — client↔peer pairs
-repeat heavily) and cached per-node ``(child, link)`` arrays, replacing
-the per-hop lambda chains.
+The scalar path is two closure-free walkers: a path walker steps a
+cached route (LRUs of routed paths — client↔peer pairs repeat heavily
+— and of tree access legs), a flood walker copies over cached per-node
+``(neighbor, link)`` tuples.  A subtree copy is a flood that never
+climbs above its root, so SRM's floods and every subtree multicast
+share the flood walker.
 """
 
 from __future__ import annotations
@@ -95,44 +98,29 @@ class _RoutedPath:
         self.lossless = all(link.loss_prob == 0.0 for link in links)
 
 
-class _UnicastTransit:
-    """Closure-free hop walker for a unicast journey.
+class _PathTransit:
+    """Closure-free hop walker along a cached path.
 
     One instance per send; it is its own arrival callback and steps the
-    cached path — same per-hop transmit/deliver order as the old
-    ``hop(index)`` closure chain, without allocating a lambda per hop.
+    path without allocating a lambda per hop.  At the last node it
+    delivers; a multicast access leg then floods the subtree below that
+    node (``came_from`` is the subtree root's tree parent, -1 at the
+    tree root), a unicast journey (``came_from`` None) stops there.
     """
 
-    __slots__ = ("_network", "_path", "_packet", "_index")
+    __slots__ = ("_network", "_path", "_packet", "_came_from", "_index")
 
-    def __init__(self, network: "SimNetwork", path: _RoutedPath, packet: Packet):
+    def __init__(
+        self,
+        network: "SimNetwork",
+        path: _RoutedPath,
+        packet: Packet,
+        came_from: int | None,
+    ):
         self._network = network
         self._path = path
         self._packet = packet
-        self._index = 0
-
-    def __call__(self) -> None:
-        network = self._network
-        path = self._path
-        i = self._index
-        if i == len(path.nodes) - 1:
-            network._deliver(path.nodes[i], self._packet)
-            return
-        self._index = i + 1
-        network._transmit(path.links[i], path.nodes[i + 1], self._packet, self)
-
-
-class _LegTransit:
-    """Closure-free walker for a multicast access leg: carries the
-    packet along the tree path to the subtree root, then delivers there
-    and cascades down."""
-
-    __slots__ = ("_network", "_path", "_packet", "_index")
-
-    def __init__(self, network: "SimNetwork", path: _RoutedPath, packet: Packet):
-        self._network = network
-        self._path = path
-        self._packet = packet
+        self._came_from = came_from
         self._index = 0
 
     def __call__(self) -> None:
@@ -142,31 +130,16 @@ class _LegTransit:
         if i == len(path.nodes) - 1:
             node = path.nodes[i]
             network._deliver(node, self._packet)
-            network._cascade_down(node, self._packet)
+            if self._came_from is not None:
+                network._flood_spread(node, self._came_from, self._packet)
             return
         self._index = i + 1
         network._transmit(path.links[i], path.nodes[i + 1], self._packet, self)
 
 
-class _CascadeArrival:
-    """Arrival of one downstream multicast copy: deliver, then copy to
-    the children (replaces the per-child ``arrive`` lambdas)."""
-
-    __slots__ = ("_network", "_node", "_packet")
-
-    def __init__(self, network: "SimNetwork", node: int, packet: Packet):
-        self._network = network
-        self._node = node
-        self._packet = packet
-
-    def __call__(self) -> None:
-        self._network._deliver(self._node, self._packet)
-        self._network._cascade_down(self._node, self._packet)
-
-
 class _FloodArrival:
-    """Arrival of one flood copy: deliver, then spread everywhere but
-    back where it came from."""
+    """Arrival of one flood or subtree copy: deliver, then spread
+    everywhere but back where it came from."""
 
     __slots__ = ("_network", "_node", "_came_from", "_packet")
 
@@ -184,50 +157,37 @@ class _FloodArrival:
 
 
 class _FastDissem:
-    """Per-run state of the array dissemination fast path."""
+    """Per-run state of the array dissemination fast path: the tree's
+    arrays and the agents' preorder positions, built when it is armed."""
 
     #: DATA/SESSION plan states.
     PENDING, ON, OFF = 0, 1, 2
 
     __slots__ = (
-        "num_packets",
-        "data_interval",
-        "session_interval",
-        "dissem",
-        "agent_pos",
-        "scratch",
-        "data_state",
-        "data_plan",
-        "session_state",
-        "inflight",
+        "stream", "dissem", "agent_pos", "scratch",
+        "data_state", "data_plan", "session_state", "inflight",
     )
 
     def __init__(
-        self, num_packets: int, data_interval: float, session_interval: float
+        self,
+        tree: MulticastTree,
+        agents: dict[int, Agent],
+        stream: "StreamConfig",
     ):
-        self.num_packets = num_packets
-        self.data_interval = data_interval
-        self.session_interval = session_interval
-        self.dissem: dissem_mod.TreeDissem | None = None
-        self.agent_pos: np.ndarray | None = None
-        self.scratch: np.ndarray | None = None
+        self.stream = stream
+        self.dissem = dissem_mod.TreeDissem(tree)
+        pos = self.dissem.pos_of_node
+        self.agent_pos = np.asarray(
+            sorted(int(pos[n]) for n in agents if pos[n] >= 0),
+            dtype=np.int64,
+        )
+        self.scratch = np.empty(self.dissem.num_members, dtype=np.float64)
         self.data_state = self.PENDING
         self.data_plan: dissem_mod.DataPlan | None = None
         self.session_state = self.PENDING
         # Hop/drop charge times of every fast transmission, by kind —
         # reconciled against the drain cutoff in finalize_fast_dissem.
         self.inflight: list[tuple[PacketKind, np.ndarray, np.ndarray | None]] = []
-
-    def ensure(self, tree: MulticastTree, agents: dict[int, Agent]):
-        if self.dissem is None:
-            self.dissem = dissem_mod.TreeDissem(tree)
-            pos = self.dissem.pos_of_node
-            self.agent_pos = np.asarray(
-                sorted(int(pos[n]) for n in agents if pos[n] >= 0),
-                dtype=np.int64,
-            )
-            self.scratch = np.empty(self.dissem.num_members, dtype=np.float64)
-        return self.dissem
 
 
 class SimNetwork:
@@ -321,7 +281,15 @@ class SimNetwork:
     def add_link_observer(
         self, observer: Callable[[TraceEvent], None]
     ) -> None:
-        """Register ``observer`` for every transmit/drop/deliver event."""
+        """Register ``observer`` for every transmit/drop/deliver event.
+
+        Observers must be registered before the fast path is armed: a
+        fast dissemination emits no per-link events.
+        """
+        if self._fast is not None:
+            raise RuntimeError(
+                "cannot add a link observer once fast dissemination is armed"
+            )
         self._link_observers.append(observer)
 
     def remove_link_observer(
@@ -437,25 +405,28 @@ class SimNetwork:
         """Arm the array dissemination fast path for a runner-driven
         session.
 
-        Eligibility (checked here once): links are load-independent — no
-        jitter, no congestion model, no fault injector — and membership is
-        fixed (no director).  Per-call conditions (observers,
-        draw-freedom, exact event-time ties) are checked at each send and
-        fall back to the scalar path.  Only the runner calls this; directly constructed
-        networks keep the scalar path throughout.
+        Eligibility is settled here, once: links are load-independent —
+        no jitter, no congestion model, no fault injector — membership is
+        fixed (no director) and no link observer is registered (a fast
+        dissemination emits no per-link events; :meth:`add_link_observer`
+        refuses once armed).  What remains per send is whether the
+        journey's loss draws can be reproduced (draw-freedom, the
+        DATA/SESSION plan guards); a send that fails it takes the scalar
+        path.  Arming builds the tree's arrays and the agents' positions,
+        so every agent must be attached first.  Only the runner calls
+        this; directly constructed networks keep the scalar path
+        throughout.
         """
         self._fast = None
         if self._jitter > 0.0 or self._congestion is not None:
             return False
-        if self._faults is not None:
+        if self._faults is not None or self._link_observers:
             return False
         if self._membership is not None:
             # Churn mutates the tree mid-run; the fast path's TreeDissem
             # arrays snapshot it once.  Scalar path throughout.
             return False
-        self._fast = _FastDissem(
-            stream.num_packets, stream.data_interval, stream.session_interval
-        )
+        self._fast = _FastDissem(self.tree, self._agents, stream)
         return True
 
     @property
@@ -510,9 +481,8 @@ class SimNetwork:
         if fast.data_state == _FastDissem.PENDING:
             # Decide — and, on success, consume the whole DATA loss lane
             # in merged event order — strictly before the first draw.
-            dissem = fast.ensure(self.tree, self._agents)
             if packet != Packet(PacketKind.DATA, 0, origin=root) or (
-                dissem.num_lossy and self._data_loss_rng is self._loss_rng
+                fast.dissem.num_lossy and self._data_loss_rng is self._loss_rng
             ):
                 # Not the stream driver's pattern, or DATA shares the
                 # loss lane with recovery traffic (whole-lane precompute
@@ -520,10 +490,10 @@ class SimNetwork:
                 fast.data_state = _FastDissem.OFF
                 return False
             plan = dissem_mod.build_data_plan(
-                dissem,
+                fast.dissem,
                 self.events.now,
-                fast.num_packets,
-                fast.data_interval,
+                fast.stream.num_packets,
+                fast.stream.data_interval,
                 self._data_loss_rng,
                 fast.agent_pos[fast.agent_pos > 0],
             )
@@ -535,7 +505,7 @@ class SimNetwork:
         plan = fast.data_plan
         k = plan.next_seq
         if (
-            k >= fast.num_packets
+            k >= fast.stream.num_packets
             or packet != Packet(PacketKind.DATA, k, origin=root)
             or self.events.now != plan.t0s[k]
         ):
@@ -563,31 +533,30 @@ class SimNetwork:
         root = self.tree.root
         expected = Packet(
             PacketKind.SESSION, 0, origin=root,
-            highest_seq=fast.num_packets - 1,
+            highest_seq=fast.stream.num_packets - 1,
         )
-        dissem = fast.ensure(self.tree, self._agents)
         if packet != expected or (
-            dissem.num_lossy and not self._lossless_recovery
+            fast.dissem.num_lossy and not self._lossless_recovery
         ):
             # With a lossy tree and recovery traffic sharing the loss
             # lane, per-send precompute would reorder draws.
             fast.session_state = _FastDissem.OFF
             return False
-        outcome = dissem_mod.build_session_cascade(
-            dissem,
-            self.events.now,
-            fast.session_interval,
+        now = self.events.now
+        cascades = dissem_mod.plan_cascades(
+            fast.dissem,
+            np.array([now]),
             self._loss_rng,
             fast.agent_pos[fast.agent_pos > 0],
-            draws=True,
+            now + fast.stream.session_interval,
         )
-        if outcome is None:
+        if cascades is None:
             # Overlapping cascades or an exact tie: nothing was
             # consumed, but the fallback must be permanent — a later
             # fast cascade would draw ahead of this scalar one's tail.
             fast.session_state = _FastDissem.OFF
             return False
-        fast.session_state = _FastDissem.ON
+        outcome = cascades[0]
         self._apply_fast(
             packet,
             outcome.deliver_nodes.tolist(),
@@ -604,7 +573,7 @@ class SimNetwork:
         resolved in one pass.  Scalar fallback whenever any traversed
         link would draw."""
         fast = self._fast
-        dissem = fast.ensure(self.tree, self._agents)
+        dissem = fast.dissem
         exempt = self._lossless_recovery and packet.is_recovery_traffic
         p0 = int(dissem.pos_of_node[subtree_root])
         if not exempt and not dissem.subtree_is_lossless(p0):
@@ -648,7 +617,7 @@ class SimNetwork:
     def _try_fast_flood(self, src: int, packet: Packet) -> bool:
         """Draw-free tree flood resolved in one pass."""
         fast = self._fast
-        dissem = fast.ensure(self.tree, self._agents)
+        dissem = fast.dissem
         exempt = self._lossless_recovery and packet.is_recovery_traffic
         if not exempt and dissem.num_lossy:
             return False
@@ -768,13 +737,9 @@ class SimNetwork:
             self.events.schedule(0.0, partial(self._deliver, dst, packet))
             return
         path = self._routed_path(src, dst)
-        if (
-            self._fast is not None
-            and not self._link_observers
-            and (
-                path.lossless
-                or (self._lossless_recovery and packet.is_recovery_traffic)
-            )
+        if self._fast is not None and (
+            path.lossless
+            or (self._lossless_recovery and packet.is_recovery_traffic)
         ):
             # Draw-free journey: one arrival event instead of one per
             # hop; per-hop transmit times recorded for drain refunds.
@@ -785,21 +750,9 @@ class SimNetwork:
                 t = t + d
             self._apply_fast(packet, (dst,), (t,), hop_times, None)
             return
-        _UnicastTransit(self, path, packet)()
+        _PathTransit(self, path, packet, None)()
 
     # -- tree multicast -----------------------------------------------------------
-
-    def _cascade_down(self, node: int, packet: Packet) -> None:
-        """Copy ``packet`` to every child of ``node``, continuing down
-        recursively via :class:`_CascadeArrival` events."""
-        if self._membership is not None and not self.tree.contains(node):
-            # The copy was in flight when churn pruned this leaf; a
-            # pruned leaf has no subtree to continue into.
-            return
-        for child, link in self.tree.children_with_links(node):
-            self._transmit(
-                link, child, packet, _CascadeArrival(self, child, packet)
-            )
 
     def multicast_subtree(
         self, src: int, subtree_root: int, packet: Packet
@@ -808,9 +761,11 @@ class SimNetwork:
         tree path, then copy it down the whole subtree.
 
         Both legs use tree links (this is multicast infrastructure, not
-        unicast routing).  Members along the way — including
-        ``subtree_root`` and the nodes on the access leg — receive the
-        packet; the originator does not self-deliver.
+        unicast routing).  ``subtree_root`` and every member below it
+        receive the packet; nodes on the access leg only forward.  The
+        originator does not hear its own upward leg, but a leg that
+        climbs from inside the subtree copies back down the branch it
+        came up, so the originator hears the downward copy once.
         """
         if self._membership is not None and self._membership.suppress_send(
             src, packet, self.events.now
@@ -825,7 +780,7 @@ class SimNetwork:
             src, packet, self.events.now
         ):
             return
-        if self._fast is not None and not self._link_observers:
+        if self._fast is not None:
             from_root = src == subtree_root == self.tree.root
             if packet.kind is PacketKind.DATA and from_root:
                 if self._try_fast_data(packet):
@@ -835,12 +790,20 @@ class SimNetwork:
                     return
             elif self._try_fast_subtree(src, subtree_root, packet):
                 return
+        # The subtree copy is a flood that never climbs above its root.
+        parent = self.tree.parent(subtree_root)
+        came_from = -1 if parent is None else parent
         if src == subtree_root:
-            self._cascade_down(src, packet)
+            self._flood_spread(src, came_from, packet)
             return
-        _LegTransit(self, self._tree_leg(src, subtree_root), packet)()
+        _PathTransit(
+            self, self._tree_leg(src, subtree_root), packet, came_from
+        )()
 
     def _flood_spread(self, node: int, came_from: int, packet: Packet) -> None:
+        """Copy ``packet`` to every tree neighbor of ``node`` but
+        ``came_from``; each copy spreads on when it arrives.  Started
+        with a subtree root's parent, it is the downward subtree copy."""
         if self._membership is not None and not self.tree.contains(node):
             # In-flight flood copy arriving at a since-pruned leaf: it
             # has no tree links left to spread over.
@@ -868,7 +831,6 @@ class SimNetwork:
             src, packet, self.events.now
         ):
             return
-        if self._fast is not None and not self._link_observers:
-            if self._try_fast_flood(src, packet):
-                return
+        if self._fast is not None and self._try_fast_flood(src, packet):
+            return
         self._flood_spread(src, -1, packet)

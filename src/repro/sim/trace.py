@@ -89,7 +89,8 @@ class TraceRecorder:
     A thin adapter over the network's link-observer stream: attaching
     registers an observer, detaching removes it.  Multiple observers
     coexist (a recorder and the causal tracer can watch one network at
-    once).
+    once).  Attach before the network's fast dissemination is armed:
+    arming then refuses, and attaching to an armed network raises.
     """
 
     def __init__(self, trace_filter: TraceFilter | None = None,

@@ -12,6 +12,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import format_table, improvement_pct, render_figure
 from repro.experiments.runner import build_scenario, run_protocols
+from repro.protocols.base import StreamConfig
 
 
 class TestScenarioConfig:
@@ -35,6 +36,20 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="drain_time"):
             ScenarioConfig(
                 seed=1, num_routers=20, loss_prob=0.1, drain_time=drain
+            )
+
+    @pytest.mark.parametrize("field", ["data_interval", "session_interval"])
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_rejects_bad_stream_interval(self, field, value):
+        # A NaN interval used to pass ``<= 0`` and fail only at the
+        # first reschedule; an infinite one ran to sim_time inf.
+        with pytest.raises(ValueError, match=field):
+            StreamConfig(num_packets=1, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(
+                seed=1, num_routers=20, loss_prob=0.1, **{field: value}
             )
 
     def test_zero_drain_time_is_allowed(self):

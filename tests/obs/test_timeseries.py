@@ -60,8 +60,9 @@ def test_negative_time_rejected():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        TimeSeriesCollector(window=0.0)
+    for window in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="window"):
+            TimeSeriesCollector(window=window)
     with pytest.raises(ValueError):
         TimeSeriesCollector(max_windows=1)
 

@@ -8,9 +8,11 @@ from repro.metrics.collectors import BandwidthLedger
 from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
 from repro.net.topology import NodeKind, Topology
+from repro.protocols.base import StreamConfig
 from repro.sim.engine import EventQueue
 from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
+from repro.sim.trace import TraceKind, TraceRecorder
 
 
 class Recorder:
@@ -245,6 +247,28 @@ class TestAgentManagement:
                 tree,
                 loss_rng=np.random.default_rng(0),
             )
+
+
+class TestLinkObservers:
+    """Fast dissemination emits no link events, so the two exclude each
+    other, settled when the fast path is armed."""
+
+    def test_observer_rejected_once_armed(self):
+        _, _, _, net = build_net()
+        assert net.enable_fast_dissem(StreamConfig(num_packets=1))
+        with pytest.raises(RuntimeError, match="armed"):
+            net.add_link_observer(lambda event: None)
+
+    def test_recorder_attached_before_arming_still_records(self):
+        _, tree, events, net = build_net()
+        recorder = TraceRecorder().attach(net)
+        assert not net.enable_fast_dissem(StreamConfig(num_packets=1))
+        assert not net.fast_dissem_enabled
+        net.multicast_subtree(S, S, DATA0)
+        events.run()
+        kinds = [event.kind for event in recorder.events]
+        assert kinds.count(TraceKind.TRANSMIT) == tree.num_tree_links
+        assert kinds.count(TraceKind.DELIVER) == tree.num_tree_links
 
 
 class TestDataLossPairing:

@@ -240,6 +240,17 @@ class TestHealthCommand:
         assert "OK: no invariant violations" in out
         assert "windows:" in out
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "0"])
+    def test_health_rejects_bad_window_before_simulating(
+        self, window, monkeypatch
+    ):
+        def no_build(config):
+            raise AssertionError("scenario built despite a bad --window")
+
+        monkeypatch.setattr("repro.cli.build_scenario", no_build)
+        with pytest.raises(ValueError, match="window"):
+            main(["health", "--window", window])
+
     def test_health_fingerprint_diff_round_trip(self, capsys, tmp_path):
         fp = tmp_path / "fp.json"
         ledger = tmp_path / "ledger.jsonl"

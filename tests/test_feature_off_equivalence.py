@@ -357,6 +357,28 @@ def test_jitter_disables_fast_path(scalar_dissem):
     assert armed.summary == scalar.summary
 
 
+def test_tracing_disables_fast_path(monkeypatch, scalar_dissem):
+    # A fast dissemination emits no link events for the tracer to see,
+    # so the runner registers the tracer first and arming refuses.
+    armed = []
+    arm = SimNetwork.enable_fast_dissem
+
+    def spy(network, stream):
+        armed.append(arm(network, stream))
+        return armed[-1]
+
+    monkeypatch.setattr(SimNetwork, "enable_fast_dissem", spy)
+
+    def traced(built):
+        return {}, {"trace": True}
+
+    fast = _run(traced, RPProtocolFactory)
+    assert armed == [False]
+    with scalar_dissem():
+        scalar = _run(traced, RPProtocolFactory)
+    assert _observables(fast) == _observables(scalar)
+
+
 def test_congestion_disables_fast_path(scalar_dissem):
     config = dataclasses.replace(CONFIG, congestion_alpha=0.01)
     armed, scalar = _fast_and_scalar(scalar_dissem, RPProtocolFactory, config)
