@@ -22,6 +22,11 @@ Two distance backends implement that API:
     predecessor id), rows kept as numpy arrays in an LRU bounded by a
     memory budget.  Exact distances and optimal paths — this is the
     historical behaviour, minus the old all-pairs O(V²) cache growth.
+    Rows come from :class:`_CoreDijkstra`, the one shortest-path
+    routine here: built once per backend on the first row, it strips
+    pendant trees (repeatedly removed degree-1 nodes), runs the heap
+    Dijkstra on the remaining core and fills each stripped node from its
+    one link toward the core — bit-identical to a whole-graph run.
 
 :class:`LandmarkDistanceBackend`
     Tiered approximation for large topologies.  A **near tier** holds
@@ -44,6 +49,11 @@ Backend selection is automatic by topology size (exact up to
 per table with the ``backend=`` constructor argument (``exact`` /
 ``landmark`` / ``auto``, or a backend instance).  See
 ``docs/PERFORMANCE.md`` ("Distance backends") for the memory model.
+
+Only the landmark build imports scipy, lazily, for its C Dijkstra (the
+core routine stands in when scipy is missing).  Importing
+``scipy.sparse`` alone adds about 22 MiB of resident memory, so the
+exact backend never does.
 """
 
 from __future__ import annotations
@@ -82,51 +92,136 @@ EXACT_ROW_CACHE_MIN_ROWS = 64
 NEAR_TIER_K = 32
 
 
-def _dijkstra(topology: Topology, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-source Dijkstra; returns read-only (distances, predecessors).
+def _adjacency(topology: Topology) -> list[list[tuple[int, float]]]:
+    """Per-node ``(neighbor, delay)`` lists, in link order."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(topology.num_nodes)]
+    for link in topology.links:
+        adj[link.u].append((link.v, link.delay))
+        adj[link.v].append((link.u, link.delay))
+    return adj
 
-    Ties are broken toward the smaller predecessor id, making the
-    forwarding tree deterministic on equal-cost paths.  The predecessor
-    is tracked *tentatively at relaxation time* — an equal-cost
+
+class _CoreDijkstra:
+    """Exact single-source shortest paths over a pendant-stripped core.
+
+    The build repeatedly strips degree-1 nodes.  Each stripped node keeps
+    its one link toward the core (``up`` and that link's delay); what
+    remains is the *core* (the 2-core, plus one root per tree
+    component), which keeps its own adjacency.  A row for ``source``
+    then costs a heap Dijkstra over the core alone:
+
+    * a stripped ``source`` first walks up its pendant chain to the
+      core, summing delays one link at a time with predecessors
+      pointing back toward ``source``;
+    * Dijkstra runs on the core, seeded at the chain's attachment node
+      with the chain's distance;
+    * the other stripped nodes are filled in reverse strip order (each
+      one's ``up`` is settled before it): ``dist[v] = dist[up] + delay``,
+      ``pred[v] = up``; unreachable ones stay ``inf``/``-1``.
+
+    Ties are broken toward the smaller predecessor id, and predecessors
+    are tracked *tentatively at relaxation time*: an equal-cost
     relaxation from a smaller-id node overwrites the tentative
-    predecessor, so the documented rule actually fires.  (The historical
-    implementation only assigned ``pred`` at pop time, which left the
-    equal-cost comparison reading ``-1`` and made the rule dead code.)
+    predecessor, so the rule holds whatever the heap pop order.
+
+    Rows are bit-identical to a Dijkstra over the whole graph.  Delays
+    are positive, so ``dist[v]`` is the minimum of ``dist[u] + delay``
+    over neighbors ``u`` settled before ``v``, and ``pred[v]`` is the
+    smallest such ``u``.  A stripped node has a single route to the
+    core, so the fill performs the same single float addition the full
+    run performs, and no path between two core nodes leaves the core.
     """
-    n = topology.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"unknown node {source}")
-    dist = [math.inf] * n
-    pred = [-1] * n
-    dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    done = [False] * n
-    links = topology.links
-    while heap:
-        d, node = heapq.heappop(heap)
-        if done[node]:
-            continue
-        done[node] = True
-        for neighbor, link_index in topology.incident(node):
-            if done[neighbor]:
+
+    def __init__(self, topology: Topology):
+        n = topology.num_nodes
+        adj = _adjacency(topology)
+        degree = [len(neighbors) for neighbors in adj]
+        stripped = [False] * n
+        up = [-1] * n
+        up_delay = [0.0] * n
+        order: list[int] = []
+        stack = [v for v in range(n) if degree[v] == 1]
+        while stack:
+            v = stack.pop()
+            if degree[v] != 1:
+                continue  # the last node of a tree component: its core
+            for u, w in adj[v]:
+                if not stripped[u]:
+                    break
+            stripped[v] = True
+            order.append(v)
+            up[v] = u
+            up_delay[v] = w
+            degree[v] = 0
+            degree[u] -= 1
+            if degree[u] == 1:
+                stack.append(u)
+        self._num_nodes = n
+        self._up = up
+        self._up_delay = up_delay
+        self._core = [
+            [] if stripped[v] else [(u, w) for u, w in adj[v] if not stripped[u]]
+            for v in range(n)
+        ]
+        self._fill = [(v, up[v], up_delay[v]) for v in reversed(order)]
+
+    def row(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(distances, predecessors)`` arrays from ``source``."""
+        n = self._num_nodes
+        if not 0 <= source < n:
+            raise ValueError(f"unknown node {source}")
+        inf = math.inf
+        dist = [inf] * n
+        pred = [-1] * n
+        up = self._up
+        up_delay = self._up_delay
+        d = 0.0
+        node = source
+        dist[source] = d
+        while up[node] != -1:
+            parent = up[node]
+            d = d + up_delay[node]
+            dist[parent] = d
+            pred[parent] = node
+            node = parent
+        core = self._core
+        heappush, heappop = heapq.heappush, heapq.heappop
+        done = [False] * n
+        heap = [(d, node)]
+        while heap:
+            d, node = heappop(heap)
+            if done[node]:
                 continue
-            nd = d + links[link_index].delay
-            if nd < dist[neighbor]:
-                dist[neighbor] = nd
-                pred[neighbor] = node
-                heapq.heappush(heap, (nd, neighbor))
-            elif nd == dist[neighbor] and node < pred[neighbor]:
-                # Equal cost, smaller predecessor: adopt it.  No push
-                # needed — every equal-cost predecessor is strictly
-                # closer than ``neighbor`` (positive delays), so all of
-                # them relax before ``neighbor`` pops and the smallest
-                # one wins deterministically.
-                pred[neighbor] = node
-    dist_arr = np.array(dist, dtype=np.float64)
-    pred_arr = np.array(pred, dtype=np.int64)
-    dist_arr.flags.writeable = False
-    pred_arr.flags.writeable = False
-    return dist_arr, pred_arr
+            done[node] = True
+            for neighbor, w in core[node]:
+                if done[neighbor]:
+                    continue
+                nd = d + w
+                best = dist[neighbor]
+                if nd < best:
+                    dist[neighbor] = nd
+                    pred[neighbor] = node
+                    heappush(heap, (nd, neighbor))
+                elif nd == best and node < pred[neighbor]:
+                    # Equal cost, smaller predecessor: adopt it.  No push
+                    # needed — every equal-cost predecessor is strictly
+                    # closer than ``neighbor`` (positive delays), so all of
+                    # them relax before ``neighbor`` pops and the smallest
+                    # one wins deterministically.
+                    pred[neighbor] = node
+        # Source's own chain is already set (finite); every other
+        # stripped node is still inf and hangs off a settled ``up``.
+        for v, parent, w in self._fill:
+            if dist[v] == inf:
+                d = dist[parent]
+                if d != inf:
+                    dist[v] = d + w
+                    pred[v] = parent
+        dist_arr = np.array(dist, dtype=np.float64)
+        pred_arr = np.array(pred, dtype=np.int64)
+        dist_arr.flags.writeable = False
+        pred_arr.flags.writeable = False
+        return dist_arr, pred_arr
 
 
 def _walk_to_root(pred: np.ndarray, node: int) -> list[int]:
@@ -171,6 +266,8 @@ class ExactDistanceBackend:
     Query results are identical to the historical all-pairs table; the
     only behavioural difference is that a row evicted under memory
     pressure is recomputed on the next query instead of held forever.
+    Rows come from a :class:`_CoreDijkstra` built on the first row
+    computed, so a table that is never queried costs nothing.
     """
 
     name = "exact"
@@ -183,6 +280,7 @@ class ExactDistanceBackend:
                 EXACT_ROW_CACHE_MIN_ROWS, EXACT_ROW_CACHE_BUDGET // per_row
             )
         self._rows = _RowLRU(max_rows)
+        self._sssp: _CoreDijkstra | None = None
 
     @property
     def topology(self) -> Topology:
@@ -203,7 +301,9 @@ class ExactDistanceBackend:
     def shortest_path_tree(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         entry = self._rows.get(source)
         if entry is None:
-            entry = _dijkstra(self._topology, source)
+            if self._sssp is None:
+                self._sssp = _CoreDijkstra(self._topology)
+            entry = self._sssp.row(source)
             self._rows.put(source, entry)
         return entry
 
@@ -212,6 +312,8 @@ class ExactDistanceBackend:
 
     def path(self, u: int, v: int) -> list[int]:
         dist, pred = self.shortest_path_tree(u)
+        if not 0 <= v < len(dist):
+            raise ValueError(f"unknown node {v}")
         if math.isinf(dist[v]):
             raise ValueError(f"node {v} unreachable from {u}")
         reverse = [int(v)]
@@ -228,6 +330,8 @@ class ExactDistanceBackend:
         # the undirected graph), so forwarding a packet through many
         # intermediate routers reuses one cached tree.
         dist, pred = self.shortest_path_tree(v)
+        if not 0 <= u < len(dist):
+            raise ValueError(f"unknown node {u}")
         if math.isinf(dist[u]):
             # The check reads u's entry in v's tree, so what it
             # establishes is that u cannot reach v's component (the two
@@ -354,7 +458,7 @@ class LandmarkDistanceBackend:
         n = topo.num_nodes
         sssp = _scipy_graph(topo)
         if sssp is None:
-            sssp = lambda source: _dijkstra(topo, source)  # noqa: E731
+            sssp = _CoreDijkstra(topo).row
         # First landmark: the source when the topology has one (queries
         # concentrate around it), node 0 otherwise.  Then farthest-point
         # sampling: each next landmark maximizes the distance to the
@@ -402,7 +506,7 @@ class LandmarkDistanceBackend:
         One truncated Dijkstra per member (it stops after ``k`` settles,
         so the recorded distances are exact and bit-identical to the
         full run's — same heap entries, same pop order).  Predecessors
-        are tracked with :func:`_dijkstra`'s exact tie-break (tentative
+        are tracked with :class:`_CoreDijkstra`'s exact tie-break (tentative
         assignment, equal-cost smaller-id adoption); every equal-cost
         relaxer of a settled node is strictly closer and therefore also
         settles before the break, so the recorded predecessor of every
@@ -429,10 +533,7 @@ class LandmarkDistanceBackend:
             self._ball_cols = np.zeros(0, dtype=np.int64)
             self._ball_pred = np.zeros(0, dtype=np.int64)
             return
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for link in topo.links:
-            adj[link.u].append((link.v, link.delay))
-            adj[link.v].append((link.u, link.delay))
+        adj = _adjacency(topo)
         members = topo.nodes_of_kind(NodeKind.CLIENT)
         if members:
             members = sorted(members + topo.nodes_of_kind(NodeKind.SOURCE))
@@ -671,6 +772,7 @@ class RoutingTable:
 
     def __init__(self, topology: Topology, backend=None):
         self._topology = topology
+        self._num_nodes = topology.num_nodes
         if backend is None:
             backend = "auto"
         if isinstance(backend, str):
@@ -695,7 +797,13 @@ class RoutingTable:
     # -- queries --------------------------------------------------------------
 
     def delay(self, u: int, v: int) -> float:
-        """Expected one-way delay from ``u`` to ``v`` (inf if unreachable)."""
+        """Expected one-way delay from ``u`` to ``v`` (inf if unreachable).
+
+        Raises ``ValueError`` for an unknown endpoint (the backend's
+        ``distances_from`` checks ``u``).
+        """
+        if not 0 <= v < self._num_nodes:
+            raise ValueError(f"unknown node {v}")
         return float(self._backend.distances_from(u)[v])
 
     def rtt(self, u: int, v: int) -> float:

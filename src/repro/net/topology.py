@@ -17,6 +17,7 @@ arrays, following the HPC guidance of keeping hot structures contiguous.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -69,8 +70,10 @@ class Link:
             raise ValueError(f"self-loop link on node {self.u}")
         if self.u > self.v:
             raise ValueError("Link endpoints must satisfy u < v; use Topology.add_link")
-        if self.delay <= 0.0:
-            raise ValueError(f"link ({self.u},{self.v}) has non-positive delay {self.delay}")
+        if not 0.0 < self.delay < math.inf:
+            raise ValueError(
+                f"link ({self.u},{self.v}) has delay {self.delay} outside (0, inf)"
+            )
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError(
                 f"link ({self.u},{self.v}) has loss_prob {self.loss_prob} outside [0, 1)"

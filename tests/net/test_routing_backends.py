@@ -1,12 +1,17 @@
 """Distance-backend tests: the Dijkstra tie-break regression, API
-hardening (read-only rows, unreachable error messages), exact-backend
-bit-identity against the historical all-pairs implementation, landmark
-parity properties, the members-only near tier against the every-node
-build, LRU bounds and backend selection."""
+hardening (read-only rows, unreachable and unknown-node errors),
+exact-backend bit-identity against the historical all-pairs
+implementation, the pendant-stripped core against a whole-graph
+Dijkstra, landmark parity properties, the members-only near tier
+against the every-node build, LRU bounds and backend selection."""
 
 import copy
 import heapq
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +25,8 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol_detailed
 from repro.net.generators import TopologyConfig, random_backbone
 from repro.net.mcast_tree import random_multicast_tree
+import repro
+from repro.net import routing as routing_module
 from repro.net.routing import (
     ExactDistanceBackend,
     LandmarkDistanceBackend,
@@ -59,6 +66,50 @@ def legacy_dijkstra(topology, source):
                 dist[neighbor] = nd
                 heapq.heappush(heap, (nd, node, neighbor))
     return dist, pred
+
+
+def reference_dijkstra(topology, source):
+    """Whole-graph heap Dijkstra with the backends' tie-break: the oracle
+    for the pendant-stripped core.
+
+    Predecessors are tracked tentatively at relaxation time, and an
+    equal-cost relaxation from a smaller-id node overwrites them.
+    Returns ``(dist, pred)`` as float64 / int64 arrays.
+    """
+    n = topology.num_nodes
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = [False] * n
+    links = topology.links
+    while heap:
+        d, node = heapq.heappop(heap)
+        if done[node]:
+            continue
+        done[node] = True
+        for neighbor, link_index in topology.incident(node):
+            if done[neighbor]:
+                continue
+            nd = d + links[link_index].delay
+            if nd < dist[neighbor]:
+                dist[neighbor] = nd
+                pred[neighbor] = node
+                heapq.heappush(heap, (nd, neighbor))
+            elif nd == dist[neighbor] and node < pred[neighbor]:
+                pred[neighbor] = node
+    return np.array(dist, dtype=np.float64), np.array(pred, dtype=np.int64)
+
+
+def assert_rows_match_reference(topology, backend=None):
+    """Every source's exact row is byte-equal to the oracle's."""
+    if backend is None:
+        backend = ExactDistanceBackend(topology)
+    for source in range(topology.num_nodes):
+        expect_dist, expect_pred = reference_dijkstra(topology, source)
+        dist, pred = backend.shortest_path_tree(source)
+        assert dist.tobytes() == expect_dist.tobytes(), source
+        assert pred.tobytes() == expect_pred.tobytes(), source
 
 
 def equal_cost_diamond():
@@ -145,6 +196,161 @@ class TestUnreachableErrors:
         routing = RoutingTable(two_islands(), backend="exact")
         assert math.isinf(routing.delay(0, 2))
         assert not routing.reachable(0, 2)
+
+
+def line_of_four():
+    topo = Topology()
+    topo.add_nodes(4)
+    for u in range(3):
+        topo.add_link(u, u + 1, 1.0)
+    return topo
+
+
+class TestUnknownNodes:
+    """Out-of-range ids used to wrap around through numpy's negative
+    indexing (or leak an ``IndexError``) instead of being rejected."""
+
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 4), (4, 0)])
+    def test_exact_path_rejects_unknown_endpoints(self, u, v):
+        backend = ExactDistanceBackend(line_of_four())
+        with pytest.raises(ValueError, match="unknown node"):
+            backend.path(u, v)
+
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 4), (4, 0)])
+    def test_exact_next_hop_rejects_unknown_endpoints(self, u, v):
+        backend = ExactDistanceBackend(line_of_four())
+        with pytest.raises(ValueError, match="unknown node"):
+            backend.next_hop(u, v)
+
+    @pytest.mark.parametrize("backend_name", ["exact", "landmark"])
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 4), (4, 0)])
+    def test_delay_rejects_unknown_endpoints(self, backend_name, u, v):
+        routing = RoutingTable(line_of_four(), backend=backend_name)
+        routing.distances_from(0)  # a cached row must not bypass the check
+        with pytest.raises(ValueError, match="unknown node"):
+            routing.delay(u, v)
+
+    def test_known_endpoints_still_answer(self):
+        routing = RoutingTable(line_of_four(), backend="exact")
+        assert routing.delay(0, 3) == 3.0
+        assert routing.path(0, 3) == [0, 1, 2, 3]
+        assert routing.next_hop(3, 0) == 2
+
+
+@st.composite
+def small_graphs(draw):
+    """Sparse random graphs with delays in {1, 2, 3}, so equal-cost
+    ties are common.  A random forest (a node may start a new
+    component, which makes graphs disconnected) plus a few extra links
+    (none gives a pure forest); a parent of ``v - 1`` builds long
+    pendant chains."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    topo = Topology()
+    topo.add_nodes(n)
+    delay = st.integers(min_value=1, max_value=3).map(float)
+    for v in range(1, n):
+        parent = draw(st.sampled_from([None, v - 1, v - 1]) | st.integers(0, v - 1))
+        if parent is not None:
+            topo.add_link(parent, v, draw(delay))
+    if n > 2:
+        for _ in range(draw(st.integers(min_value=0, max_value=n // 2))):
+            u = draw(st.integers(0, n - 1))
+            v = draw(st.integers(0, n - 1))
+            if u != v and not topo.has_link(u, v):
+                topo.add_link(u, v, draw(delay))
+    return topo
+
+
+def lollipop_with_islands():
+    """A 4-cycle carrying a pendant tree (a 6-node chain with a side
+    branch) plus a separate path component and an isolated node."""
+    topo = Topology()
+    topo.add_nodes(16)
+    for u, v, w in [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]:
+        topo.add_link(u, v, w)
+    chain = [2, 4, 5, 6, 7, 8, 9]
+    for u, v in zip(chain, chain[1:]):
+        topo.add_link(u, v, 2.0)
+    topo.add_link(6, 10, 1.0)
+    topo.add_link(10, 11, 3.0)
+    for u in (12, 13):
+        topo.add_link(u, u + 1, 1.0)  # 12-13-14: a pure tree component
+    return topo  # node 15 is isolated
+
+
+class TestPendantCoreOracle:
+    """The pendant-stripped core's rows against a whole-graph Dijkstra,
+    byte for byte (distances and predecessors)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(topo=small_graphs())
+    def test_rows_match_whole_graph_dijkstra(self, topo):
+        assert_rows_match_reference(topo)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_pure_path_collapses_to_one_core_node(self, n):
+        topo = Topology()
+        topo.add_nodes(n)
+        for u in range(n - 1):
+            topo.add_link(u, u + 1, 1.0 + u % 2)
+        assert_rows_match_reference(topo)
+
+    def test_pendant_chains_and_disconnected_components(self):
+        topo = lollipop_with_islands()
+        assert_rows_match_reference(topo)
+        backend = ExactDistanceBackend(topo)
+        # From the end of the long chain, back through the cycle's
+        # equal-cost halves (2 -> 1 -> 0 beats 2 -> 3 -> 0 on the id).
+        assert backend.path(9, 0) == [9, 8, 7, 6, 5, 4, 2, 1, 0]
+        assert backend.path(11, 9) == [11, 10, 6, 7, 8, 9]
+        with pytest.raises(ValueError, match="unreachable"):
+            backend.path(9, 12)
+        assert math.isinf(backend.distances_from(15)[0])
+
+    def test_every_exact_lru_source_matches(self):
+        # The end-to-end benchmark's exact-lru topology (1,501 nodes,
+        # about a third of them in pendant trees).
+        built = build_scenario(ScenarioConfig(
+            seed=1, num_routers=1500, loss_prob=0.05, num_packets=8
+        ))
+        assert_rows_match_reference(
+            built.topology, ExactDistanceBackend(built.topology, max_rows=1)
+        )
+
+    def test_landmark_fallback_uses_the_same_rows(self, monkeypatch):
+        # Without scipy the landmark build computes its landmark trees
+        # with the core routine, tie-break included.
+        monkeypatch.setattr(routing_module, "_scipy_graph", lambda topo: None)
+        topo = lollipop_with_islands()
+        backend = LandmarkDistanceBackend(topo, num_landmarks=6)
+        for i, landmark in enumerate(backend.landmarks):
+            dist, pred = reference_dijkstra(topo, landmark)
+            assert backend.landmark_matrix[i].tobytes() == dist.tobytes()
+            assert backend._pred[i].tobytes() == pred.tobytes()
+
+
+def test_exact_runs_never_import_scipy_sparse():
+    # Importing scipy.sparse costs ~22 MiB of RSS (csgraph ~33 MiB), so
+    # no exact-backend run may pull it in.  A subprocess gives a clean
+    # ``sys.modules``.
+    code = (
+        "import sys\n"
+        "from repro.experiments.config import ScenarioConfig\n"
+        "from repro.experiments.runner import build_scenario, run_protocol_detailed\n"
+        "from repro.protocols.rp import RPProtocolFactory\n"
+        "built = build_scenario(ScenarioConfig(seed=1, num_routers=40,"
+        " loss_prob=0.05, num_packets=4))\n"
+        "assert built.routing.backend_name == 'exact'\n"
+        "run_protocol_detailed(built, RPProtocolFactory())\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestExactBitIdentity:

@@ -1,5 +1,7 @@
 """Unit tests for the topology primitives."""
 
+import math
+
 import pytest
 
 from repro.net.topology import Link, NodeKind, Topology
@@ -29,6 +31,16 @@ class TestLink:
             Link(0, 1, delay=0.0)
         with pytest.raises(ValueError):
             Link(0, 1, delay=-2.0)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delay(self, delay):
+        # ``nan <= 0.0`` is False, so a sign check alone let NaN through
+        # (and a NaN link left its far end silently unreachable).
+        topo = Topology()
+        topo.add_nodes(2)
+        with pytest.raises(ValueError, match="outside"):
+            topo.add_link(0, 1, delay)
+        assert topo.num_links == 0
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
     def test_rejects_bad_loss_prob(self, p):
