@@ -88,8 +88,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"drain_time must be finite and >= 0, got {self.drain_time}"
             )
-        # The stream's packet count and intervals, likewise at
-        # construction rather than at the first DATA or SESSION send.
+        # The topology knobs and the stream's packet count and
+        # intervals, likewise at construction rather than inside
+        # build_scenario or at the first DATA or SESSION send.
+        self.topology_config()
         self.stream_config()
 
     def topology_config(self) -> TopologyConfig:

@@ -15,6 +15,7 @@ of ``DS`` distances and expected delays feasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,15 @@ class TopologyConfig:
     def __post_init__(self) -> None:
         if self.num_routers < 1:
             raise ValueError("num_routers must be >= 1")
-        if self.extra_link_fraction < 0:
-            raise ValueError("extra_link_fraction must be >= 0")
+        # Negated, so NaN fails too: random_backbone turns the fraction
+        # into a link count and draws delays from the range.
+        if not 0 <= self.extra_link_fraction < math.inf:
+            raise ValueError("extra_link_fraction must be finite and >= 0")
         low, high = self.typical_delay_range
-        if not 0 < low <= high:
-            raise ValueError("typical_delay_range must satisfy 0 < low <= high")
+        if not 0 < low <= high < math.inf:
+            raise ValueError(
+                "typical_delay_range must satisfy 0 < low <= high < inf"
+            )
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")
 

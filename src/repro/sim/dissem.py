@@ -9,12 +9,14 @@ in a handful of numpy passes instead:
 * :class:`TreeDissem` — static per-tree arrays in preorder (incoming
   edge delay/loss, per-depth level slices, sibling ranks, deepest lossy
   ancestor columns, lossy prefix sums);
-* :func:`plan_cascades` — any set of root cascades at once: per-edge
-  Bernoulli draws taken in the exact ``(event time, sibling rank)``
-  order the scalar path draws them, survivor reachability via anchor
-  columns, arrival times as per-level prefix delay sums.  A DATA stream
-  (:func:`build_data_plan`) passes its whole send grid; a SESSION send
-  passes its one instant and the next send as a deadline;
+* :class:`CascadeSet` — root cascades resolved epoch by epoch: an
+  epoch's per-edge Bernoulli draws, across every cascade in flight, are
+  taken in the exact ``(event time, sibling rank)`` order the scalar
+  path draws them, survivor reachability via anchor columns, arrival
+  times as per-level prefix delay sums.  SESSION flushes resolve one
+  epoch per send, up to the next send; :func:`plan_cascades` is the
+  one-epoch case, which a DATA stream (:func:`build_data_plan`) takes
+  over its whole send grid;
 * :func:`subtree_arrivals` / :func:`flood_arrivals` — arrival times for
   the draw-free recovery multicasts (repair subtrees, SRM floods).
 
@@ -22,22 +24,25 @@ in a handful of numpy passes instead:
 exactly: identical RNG consumption (count, order and comparison
 direction of draws), identical arrival times (per-hop left-associated
 float accumulation — each level does the same single ``fl(a + d)`` the
-scalar hop did), identical delivery sets.  The plan builders *refuse*
-(return ``None``) before consuming any randomness whenever the scalar
-draw order cannot be reproduced from times alone — i.e. when two
+scalar hop did), identical delivery sets.  Cascades are *refused*
+(``None`` / ``False``) before consuming any randomness whenever the
+scalar draw order cannot be reproduced from times alone — i.e. when two
 cascade events share an exact float timestamp, because the scalar tie
 break is heap insertion order, which the vectorized path does not
 model.  On the continuous random-delay topologies the experiment
 runner generates, exact ties are measure-zero; deterministic
-hand-built topologies simply fall back to the scalar path.
+hand-built topologies simply fall back to the scalar path.  A tie
+first met by a later SESSION send, after draws were spent, can only
+come from float rounding; the network raises on it.
 
 The module is pure computation over a tree + RNG; all simulation state
-(event scheduling, ledgers, eligibility gating, the in-flight hop
-registry) stays in :mod:`repro.sim.network`.
+(event scheduling, ledgers, eligibility gating, epoch boundaries, the
+in-flight hop registry) stays in :mod:`repro.sim.network`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,20 +164,27 @@ def _arrival_matrix(dissem: TreeDissem, t0s: np.ndarray) -> np.ndarray:
     return a
 
 
+#: ``_segmented_draws`` dependency of a slot whose parent is known
+#: dead: it consumes no draw and does not survive.
+DEAD = -2
+
+
 def _segmented_draws(
     dep: np.ndarray, lp: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Resolve the loss draws of ``dep.size`` slots in merged order.
 
     ``dep[i]`` is the merged index of the slot whose survival decides
-    whether slot ``i``'s parent event fires (-1 = always fires); it is
-    always ``< i`` (a parent's anchor event precedes the child's, and
-    event times are unique).  Slots whose parent is dead consume **no**
-    draw — exactly the scalar behaviour, where a pruned subtree's
-    events never exist.  Draws are taken in batches over maximal
-    prefixes whose dependencies are already resolved; within a batch
-    ``rng.random(k)`` consumes the identical stream the scalar path's
-    ``k`` successive ``rng.random()`` calls would.
+    whether slot ``i``'s parent event fires, -1 when it always fires and
+    :data:`DEAD` when it never does; an index is always ``< i`` (a
+    parent's anchor event precedes the child's, and event times are
+    unique).  Slots whose parent is dead consume **no** draw — exactly
+    the scalar behaviour, where a pruned subtree's events never exist —
+    and count as dead for their own dependents.  Draws are taken in
+    batches over maximal prefixes whose dependencies are already
+    resolved; within a batch ``rng.random(k)`` consumes the identical
+    stream the scalar path's ``k`` successive ``rng.random()`` calls
+    would.
     """
     n = int(dep.size)
     survived = np.zeros(n, dtype=bool)
@@ -186,7 +198,7 @@ def _segmented_draws(
         j = i + int(np.searchsorted(m[i:], i, side="left"))
         dseg = dep[i:j]
         parent_alive = np.where(
-            dseg >= 0, survived[np.maximum(dseg, 0)], True
+            dseg >= 0, survived[np.maximum(dseg, 0)], dseg == -1
         )
         k = int(np.count_nonzero(parent_alive))
         if k:
@@ -199,21 +211,24 @@ def _segmented_draws(
     return survived
 
 
-def _alive_matrix(
-    dissem: TreeDissem, survived_2d: np.ndarray | None, num_cascades: int
-) -> np.ndarray:
-    """Per-cascade reachability of every position, ``(P, M)`` bool."""
-    m = dissem.num_members
-    ac = dissem.anchor_col
-    if survived_2d is None:
-        return np.ones((num_cascades, m), dtype=bool)
-    safe = np.maximum(ac, 0)
-    return np.where(ac[np.newaxis, :] >= 0, survived_2d[:, safe], True)
+def _has_ties(times: np.ndarray) -> bool:
+    return np.unique(times).size != times.size
+
+
+def send_grid(t0: float, interval: float, n: int) -> np.ndarray:
+    """The instants of ``n`` sends every ``interval`` from ``t0``,
+    fl-accumulated the way the event queue re-arms a periodic timer."""
+    t0s = np.empty(n, dtype=np.float64)
+    acc = t0
+    for k in range(n):
+        t0s[k] = acc
+        acc = acc + interval
+    return t0s
 
 
 @dataclass
 class CascadeOutcome:
-    """One cascade's resolved dissemination."""
+    """One cascade's resolved dissemination (over one epoch)."""
 
     #: Agent node ids reached, with their arrival times (same order).
     deliver_nodes: np.ndarray
@@ -234,78 +249,154 @@ class DataPlan:
     next_seq: int = 0
 
 
-def _finish_cascades(
-    dissem: TreeDissem,
-    arrivals: np.ndarray,
-    survived_2d: np.ndarray | None,
-    agent_pos: np.ndarray,
-) -> list[CascadeOutcome]:
-    num_cascades = arrivals.shape[0]
-    alive = _alive_matrix(dissem, survived_2d, num_cascades)
-    parent_pos = dissem.parent_pos
-    order = dissem.order
-    attempted = alive[:, parent_pos[1:]]
-    attempt_times = arrivals[:, parent_pos[1:]]
-    if survived_2d is not None:
-        lossy_parents = parent_pos[dissem.lossy_pos]
-        dropped = alive[:, lossy_parents] & ~survived_2d
-        lossy_times = arrivals[:, lossy_parents]
-    else:
-        dropped = None
-        lossy_times = None
-    empty = np.empty(0, dtype=np.float64)
-    out = []
-    for k in range(num_cascades):
-        mask = alive[k, agent_pos]
-        reached = agent_pos[mask]
-        out.append(
-            CascadeOutcome(
-                deliver_nodes=order[reached],
-                deliver_times=arrivals[k, reached],
-                hop_times=attempt_times[k][attempted[k]],
-                drop_times=(
-                    lossy_times[k][dropped[k]] if dropped is not None else empty
-                ),
-            )
-        )
-    return out
+class CascadeSet:
+    """Root cascades on one tree and one loss lane, resolved epoch by
+    epoch.
 
-
-def _merged_slots(
-    dissem: TreeDissem, arrivals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Merged draw order of every lossy slot of every cascade.
-
-    Returns ``(perm, dep_merged, lp_merged)`` where ``perm`` maps merged
-    rank → flat slot index (``cascade * L + lossy_col``), or ``None``
-    when two cascade events share an exact timestamp (the scalar tie
-    break is unreproducible from times alone — caller must fall back
-    before consuming randomness).
+    An epoch ``[lo, hi)`` is resolved by :meth:`resolve`: every
+    transmission whose parent event falls in it, across all cascades
+    still in flight.  Its loss draws are taken in one merged
+    ``(parent time, sibling rank)`` order — the order the scalar path
+    draws them — which is stream-identical to the scalar path as long as
+    the set is the lane's only consumer and no cascade added later has
+    an event before ``hi``.  A slot whose parent's anchor was resolved
+    in an earlier epoch reads its stored survival; one whose anchor
+    falls in this epoch depends on it through ``_segmented_draws``; a
+    dead anchor propagates as :data:`DEAD`.  Cascades retire once every
+    event precedes the epoch end; an emptied set starts afresh.
     """
-    num_cascades, m = arrivals.shape
-    if np.unique(arrivals.ravel()).size != num_cascades * m:
-        return None
-    lossy_pos = dissem.lossy_pos
-    l = lossy_pos.size
-    # A slot draws inside its parent's arrival event; equal-time slots
-    # only ever share one parent event (times are unique), where the
-    # scalar order is sibling order.
-    ptime = arrivals[:, dissem.parent_pos[lossy_pos]]  # (P, L)
-    sib = np.broadcast_to(dissem.sib_index[lossy_pos], (num_cascades, l))
-    perm = np.lexsort((sib.ravel(), ptime.ravel()))
-    inv = np.empty(num_cascades * l, dtype=np.int64)
-    inv[perm] = np.arange(num_cascades * l, dtype=np.int64)
-    # Parent's anchor slot, as a merged rank (-1 = parent always alive).
-    anchor_parent = dissem.anchor_col[dissem.parent_pos[lossy_pos]]  # (L,)
-    base = (np.arange(num_cascades, dtype=np.int64) * l)[:, np.newaxis]
-    flat_anchor = base + np.maximum(anchor_parent, 0)[np.newaxis, :]
-    dep_flat = np.where(
-        anchor_parent[np.newaxis, :] >= 0, inv[flat_anchor], -1
-    ).ravel()
-    lp_flat = np.broadcast_to(
-        dissem.loss[lossy_pos], (num_cascades, l)
-    ).ravel()
-    return perm, dep_flat[perm], lp_flat[perm]
+
+    def __init__(
+        self,
+        dissem: TreeDissem,
+        rng: np.random.Generator,
+        agent_pos: np.ndarray,
+    ):
+        self.dissem = dissem
+        self.rng = rng
+        self.agent_pos = agent_pos
+        self.arrivals = np.empty((0, dissem.num_members), dtype=np.float64)
+        self.survived = np.empty((0, dissem.num_lossy), dtype=bool)
+        self.lo = -np.inf
+        #: Whether a transmission at or after the last epoch end is
+        #: still unresolved.
+        self.pending = False
+
+    def add(self, t0s: np.ndarray) -> bool:
+        """Start cascades at ``t0s`` (none before the current epoch).
+
+        Returns ``False``, adding nothing, when on a lossy tree two of
+        their events — or one of theirs and one of a cascade still in
+        flight — share an exact timestamp: the scalar tie break is heap
+        insertion order, which times alone cannot reproduce.
+        """
+        rows = _arrival_matrix(self.dissem, t0s)
+        if self.dissem.num_lossy:
+            old = self.arrivals[self.arrivals >= t0s.min()]
+            if _has_ties(np.concatenate((rows.ravel(), old))):
+                return False
+        self.arrivals = np.concatenate((self.arrivals, rows))
+        self.survived = np.concatenate((
+            self.survived,
+            np.zeros((t0s.size, self.dissem.num_lossy), dtype=bool),
+        ))
+        return True
+
+    def resolve(self, hi: float) -> list[CascadeOutcome]:
+        """Resolve the epoch ``[lo, hi)``: one outcome per cascade in
+        flight, in the order they were added."""
+        dissem = self.dissem
+        arrivals = self.arrivals
+        lo = self.lo
+        parent_pos = dissem.parent_pos
+        # Transmit instant of every edge (position 1..M-1) per cascade.
+        tx = arrivals[:, parent_pos[1:]]
+        in_epoch = (tx >= lo) & (tx < hi)
+        if dissem.num_lossy:
+            self._draw(tx, in_epoch)
+            ac = dissem.anchor_col
+            alive = np.where(
+                ac >= 0, self.survived[:, np.maximum(ac, 0)], True
+            )
+        else:
+            alive = np.ones(arrivals.shape, dtype=bool)
+        attempted = in_epoch & alive[:, parent_pos[1:]]
+        lossy_pos = dissem.lossy_pos
+        dropped = in_epoch[:, lossy_pos - 1] & ~self.survived
+        dropped &= alive[:, parent_pos[lossy_pos]]
+        agent_pos = self.agent_pos
+        reached = in_epoch[:, agent_pos - 1] & alive[:, agent_pos]
+        order = dissem.order
+        out = []
+        for k in range(arrivals.shape[0]):
+            hit = agent_pos[reached[k]]
+            out.append(
+                CascadeOutcome(
+                    deliver_nodes=order[hit],
+                    deliver_times=arrivals[k, hit],
+                    hop_times=tx[k][attempted[k]],
+                    drop_times=tx[k, lossy_pos - 1][dropped[k]],
+                )
+            )
+        self.pending = bool((tx >= hi).any())
+        keep = arrivals.max(axis=1) >= hi
+        self.arrivals = arrivals[keep]
+        self.survived = self.survived[keep]
+        self.lo = hi if keep.any() else -np.inf
+        return out
+
+    def _draw(self, tx: np.ndarray, in_epoch: np.ndarray) -> None:
+        """Take the epoch's loss draws and store each slot's survival."""
+        slots, dep, lp = self._merged_slots(tx, in_epoch)
+        survived = self.survived.reshape(-1)
+        survived[slots] = _segmented_draws(dep, lp, self.rng)
+        self.survived = survived.reshape(self.survived.shape)
+
+    def _merged_slots(
+        self, tx: np.ndarray, in_epoch: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The epoch's lossy slots in merged draw order, as flat
+        ``cascade * L + lossy_col`` indices, with each one's
+        ``_segmented_draws`` dependency and loss probability."""
+        dissem = self.dissem
+        lossy_pos = dissem.lossy_pos
+        l = lossy_pos.size
+        flat = np.flatnonzero(in_epoch[:, lossy_pos - 1])
+        ptime = tx[:, lossy_pos - 1].ravel()[flat]
+        # A slot draws inside its parent's arrival event; equal-time
+        # slots only ever share one parent event (times are unique),
+        # where the scalar order is sibling order.
+        sib = dissem.sib_index[lossy_pos][flat % l]
+        slots = flat[np.lexsort((sib, ptime))]
+        col = slots % l
+        rank = np.full(tx.shape[0] * l, -1, dtype=np.int64)
+        rank[slots] = np.arange(slots.size, dtype=np.int64)
+        # The parent's anchor slot: -1 = the parent is always reached.
+        anchor = dissem.anchor_col[dissem.parent_pos[lossy_pos]][col]
+        anchor_flat = slots - col + np.maximum(anchor, 0)
+        # An anchor in this epoch is a dependency; one resolved earlier
+        # is a known alive or dead parent.
+        dep = rank[anchor_flat]
+        earlier = dep < 0
+        dep[earlier] = np.where(
+            self.survived.reshape(-1)[anchor_flat[earlier]], -1, DEAD
+        )
+        dep[anchor < 0] = -1
+        return slots, dep, dissem.loss[lossy_pos][col]
+
+
+def sends_tie(dissem: TreeDissem, t0: float, interval: float) -> bool:
+    """Whether periodic root cascades from ``t0`` tie while they overlap.
+
+    Checks sends ``0..W``, ``W = ceil(span / interval)`` with ``span``
+    the cascade's delay span: every send that overlaps the first.  With
+    exactly representable delays the tie pattern repeats every send, so
+    this catches integer-delay topologies before any draw; a tie first
+    met later can only come from float rounding.
+    """
+    span = float(_arrival_matrix(dissem, np.array([t0])).max()) - t0
+    t0s = send_grid(t0, interval, math.ceil(span / interval) + 1)
+    return _has_ties(_arrival_matrix(dissem, t0s).ravel())
 
 
 def plan_cascades(
@@ -313,34 +404,19 @@ def plan_cascades(
     t0s: np.ndarray,
     rng: np.random.Generator,
     agent_pos: np.ndarray,
-    deadline: float | None,
 ) -> list[CascadeOutcome] | None:
-    """Resolve the root cascades sent at ``t0s``, one outcome each.
+    """Resolve the root cascades sent at ``t0s`` whole, one outcome each.
 
-    A lossy tree's draws come from ``rng`` in merged event order, which
-    is stream-identical to the scalar path only while these cascades are
-    ``rng``'s sole consumer.  DATA guarantees that with a dedicated lane
-    and passes no ``deadline``; SESSION shares the loss lane with the
-    next session send, so every cascade must finish strictly before
-    ``deadline``, or its tail would interleave with the next one's
-    draws.  Returns ``None`` — before any draw — on that overlap or on
-    an exact event-time tie; the caller then falls back to the scalar
-    path permanently, keeping the draw stream consistent.
+    The one-epoch case ``[t0s[0], inf)`` of :class:`CascadeSet`: a lossy
+    tree's draws come from ``rng`` in merged event order, which is
+    stream-identical to the scalar path only while these cascades are
+    ``rng``'s sole consumer.  Returns ``None`` — before any draw — on an
+    exact event-time tie.
     """
-    arrivals = _arrival_matrix(dissem, t0s)
-    survived_2d = None
-    if dissem.num_lossy:
-        if deadline is not None and not float(arrivals.max()) < deadline:
-            return None
-        slots = _merged_slots(dissem, arrivals)
-        if slots is None:
-            return None
-        perm, dep, lp = slots
-        survived_merged = _segmented_draws(dep, lp, rng)
-        survived_flat = np.empty(survived_merged.size, dtype=bool)
-        survived_flat[perm] = survived_merged
-        survived_2d = survived_flat.reshape(t0s.size, dissem.num_lossy)
-    return _finish_cascades(dissem, arrivals, survived_2d, agent_pos)
+    cascades = CascadeSet(dissem, rng, agent_pos)
+    if not cascades.add(t0s):
+        return None
+    return cascades.resolve(np.inf)
 
 
 def build_data_plan(
@@ -354,15 +430,11 @@ def build_data_plan(
     """Resolve the whole DATA stream's dissemination at the first send.
 
     The network gives DATA its own loss lane, so the stream's cascades
-    are that lane's only consumer and need no deadline.  Returns
-    ``None`` — before any draw — on exact event-time ties.
+    are that lane's only consumer.  Returns ``None`` — before any draw —
+    on exact event-time ties.
     """
-    t0s = np.empty(num_packets, dtype=np.float64)
-    acc = t0
-    for k in range(num_packets):  # fl-accumulate like schedule() does
-        t0s[k] = acc
-        acc = acc + data_interval
-    cascades = plan_cascades(dissem, t0s, rng, agent_pos, None)
+    t0s = send_grid(t0, data_interval, num_packets)
+    cascades = plan_cascades(dissem, t0s, rng, agent_pos)
     return None if cascades is None else DataPlan(t0s=t0s, cascades=cascades)
 
 

@@ -37,6 +37,13 @@ bit-identical to the scalar path — same RNG consumption, same arrival
 times, same ledger totals (an in-flight registry refunds hops/drops the
 scalar path would not have charged before the drain cutoff).
 
+The DATA stream is resolved whole at its first send, on its own loss
+lane.  SESSION flushes share the loss lane, which under lossless
+recovery they alone consume, so they resolve epoch by epoch: a send
+resolves every draw up to the next send's instant, across all cascades
+still in flight, and an epoch-boundary timer at that instant lets the
+tails resolve alone once the stream driver stops sending.
+
 The scalar path is two closure-free walkers: a path walker steps a
 cached route (LRUs of routed paths — client↔peer pairs repeat heavily
 — and of tree access legs), a flood walker copies over cached per-node
@@ -57,7 +64,7 @@ from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
 from repro.net.topology import Link, Topology
 from repro.sim import dissem as dissem_mod
-from repro.sim.engine import EventQueue
+from repro.sim.engine import EventQueue, Timer
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.trace import TraceEvent, TraceKind
 
@@ -165,7 +172,8 @@ class _FastDissem:
 
     __slots__ = (
         "stream", "dissem", "agent_pos", "scratch",
-        "data_state", "data_plan", "session_state", "inflight",
+        "data_state", "data_plan", "session_state", "session",
+        "session_packet", "session_next", "boundary", "inflight",
     )
 
     def __init__(
@@ -185,6 +193,13 @@ class _FastDissem:
         self.data_state = self.PENDING
         self.data_plan: dissem_mod.DataPlan | None = None
         self.session_state = self.PENDING
+        # SESSION cascades resolved epoch by epoch, the send that
+        # started them, the next send's predicted instant and the
+        # pending epoch-boundary timer.
+        self.session: dissem_mod.CascadeSet | None = None
+        self.session_packet: Packet | None = None
+        self.session_next = 0.0
+        self.boundary: Timer | None = None
         # Hop/drop charge times of every fast transmission, by kind —
         # reconciled against the drain cutoff in finalize_fast_dissem.
         self.inflight: list[tuple[PacketKind, np.ndarray, np.ndarray | None]] = []
@@ -445,6 +460,10 @@ class SimNetwork:
         fast = self._fast
         if fast is None:
             return
+        if fast.boundary is not None:
+            # An epoch boundary past the cutoff: its tails never fire.
+            fast.boundary.cancel()
+            fast.boundary = None
         for kind, hop_times, drop_times in fast.inflight:
             late = int(np.count_nonzero(hop_times > now))
             if late:
@@ -530,41 +549,90 @@ class SimNetwork:
         fast = self._fast
         if fast.session_state == _FastDissem.OFF:
             return False
-        root = self.tree.root
-        expected = Packet(
-            PacketKind.SESSION, 0, origin=root,
-            highest_seq=fast.stream.num_packets - 1,
-        )
-        if packet != expected or (
-            fast.dissem.num_lossy and not self._lossless_recovery
-        ):
-            # With a lossy tree and recovery traffic sharing the loss
-            # lane, per-send precompute would reorder draws.
-            fast.session_state = _FastDissem.OFF
-            return False
+        dissem = fast.dissem
         now = self.events.now
-        cascades = dissem_mod.plan_cascades(
-            fast.dissem,
-            np.array([now]),
-            self._loss_rng,
-            fast.agent_pos[fast.agent_pos > 0],
-            now + fast.stream.session_interval,
-        )
-        if cascades is None:
-            # Overlapping cascades or an exact tie: nothing was
-            # consumed, but the fallback must be permanent — a later
-            # fast cascade would draw ahead of this scalar one's tail.
-            fast.session_state = _FastDissem.OFF
-            return False
-        outcome = cascades[0]
-        self._apply_fast(
-            packet,
-            outcome.deliver_nodes.tolist(),
-            outcome.deliver_times.tolist(),
-            outcome.hop_times,
-            outcome.drop_times,
-        )
+        interval = fast.stream.session_interval
+        if fast.session_state == _FastDissem.PENDING:
+            # Decided at the first send, before any draw, and for good:
+            # a later fast send would resolve draws ahead of a scalar
+            # cascade's tail.
+            root = self.tree.root
+            expected = Packet(
+                PacketKind.SESSION, 0, origin=root,
+                highest_seq=fast.stream.num_packets - 1,
+            )
+            if packet != expected or (dissem.num_lossy and (
+                # SESSION cascades must be the loss lane's only
+                # consumer: lossy recovery traffic, or a scalar DATA
+                # tail still in flight on a shared lane, would
+                # interleave with their draws.
+                not self._lossless_recovery
+                or self._data_loss_rng is self._loss_rng
+                or dissem_mod.sends_tie(dissem, now, interval)
+            )):
+                fast.session_state = _FastDissem.OFF
+                return False
+            fast.session = dissem_mod.CascadeSet(
+                dissem, self._loss_rng, fast.agent_pos[fast.agent_pos > 0]
+            )
+            fast.session_packet = packet
+            fast.session_state = _FastDissem.ON
+        elif packet != fast.session_packet or (
+            dissem.num_lossy and now != fast.session_next
+        ):
+            # Draws are resolved up to the predicted next send; a
+            # divergent caller cannot be replayed.
+            raise RuntimeError(
+                "fast SESSION dissemination diverged from the stream "
+                f"driver (t={now}, expected t={fast.session_next}, "
+                f"packet={packet})"
+            )
+        if fast.boundary is not None:
+            # This send is the epoch boundary's driver tick.
+            fast.boundary.cancel()
+            fast.boundary = None
+        if not fast.session.add(np.array([now])):
+            raise RuntimeError(
+                f"SESSION cascades tie at t={now} (float rounding); "
+                "their draw order cannot be replayed"
+            )
+        # An epoch ends at the next send; a lossless tree draws
+        # nothing, so its cascades resolve whole.
+        fast.session_next = now + interval if dissem.num_lossy else np.inf
+        self._resolve_session(fast.session_next)
         return True
+
+    def _resolve_session(self, hi: float) -> None:
+        """Resolve the SESSION epoch ending at ``hi`` and, while a tail
+        reaches past it, arm the boundary timer at ``hi``."""
+        fast = self._fast
+        for outcome in fast.session.resolve(hi):
+            if outcome.hop_times.size:
+                # SESSION packets are frozen and value-equal: one stands
+                # for every send.
+                self._apply_fast(
+                    fast.session_packet,
+                    outcome.deliver_nodes.tolist(),
+                    outcome.deliver_times.tolist(),
+                    outcome.hop_times,
+                    outcome.drop_times,
+                )
+        if fast.session.pending:
+            fast.boundary = self.events.schedule_at(
+                hi, self._session_boundary
+            )
+
+    def _session_boundary(self) -> None:
+        # The stream driver's tick at this instant was queued after this
+        # timer; re-queue behind it, so only a tick that sent nothing
+        # (the session is complete) lets the tails resolve alone.
+        self._fast.boundary = self.events.schedule_at(
+            self.events.now, self._session_tail
+        )
+
+    def _session_tail(self) -> None:
+        self._fast.boundary = None
+        self._resolve_session(np.inf)
 
     def _try_fast_subtree(
         self, src: int, subtree_root: int, packet: Packet

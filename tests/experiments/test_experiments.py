@@ -52,6 +52,20 @@ class TestScenarioConfig:
                 seed=1, num_routers=20, loss_prob=0.1, **{field: value}
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_routers", 0),
+        ("loss_prob", float("nan")),
+        ("loss_prob", 1.5),
+        ("extra_link_fraction", -1.0),
+        ("extra_link_fraction", float("nan")),
+        ("typical_delay_range", (1.0, float("inf"))),
+    ])
+    def test_rejects_bad_topology_fields(self, field, value):
+        # Checked at construction, not first inside build_scenario.
+        fields = {"seed": 1, "num_routers": 20, "loss_prob": 0.1}
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{**fields, field: value})
+
     def test_zero_drain_time_is_allowed(self):
         config = ScenarioConfig(
             seed=1, num_routers=20, loss_prob=0.1, drain_time=0.0

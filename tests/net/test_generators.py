@@ -35,6 +35,22 @@ class TestTopologyConfig:
         with pytest.raises(ValueError):
             TopologyConfig(num_routers=5, loss_prob=1.0)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_rejects_non_finite_extra_links(self, fraction):
+        # random_backbone turns the fraction into a link count, which
+        # failed with a NaN-to-int ValueError or an OverflowError.
+        with pytest.raises(ValueError, match="extra_link_fraction"):
+            TopologyConfig(num_routers=5, extra_link_fraction=fraction)
+
+    @pytest.mark.parametrize("delay_range", [
+        (1.0, float("inf")),
+        (float("inf"), float("inf")),
+    ])
+    def test_rejects_non_finite_delay_range(self, delay_range):
+        # An infinite bound overflowed inside random_backbone.
+        with pytest.raises(ValueError, match="typical_delay_range"):
+            TopologyConfig(num_routers=5, typical_delay_range=delay_range)
+
 
 class TestRandomBackbone:
     @pytest.fixture

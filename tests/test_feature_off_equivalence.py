@@ -26,15 +26,19 @@ JSONL telemetry stream, and the summary JSON persistence writes.
 Feature-specific cases follow as single tests.
 """
 
+import collections
 import contextlib
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.experiments import runner
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import (
+    BuiltScenario,
     build_scenario,
     run_protocol,
     run_protocol_detailed,
@@ -54,7 +58,15 @@ from repro.sim.membership import (
     MembershipSchedule,
     random_membership_schedule,
 )
+from repro.net.generators import line_topology
+from repro.net.mcast_tree import MulticastTree, random_multicast_tree
+from repro.net.routing import RoutingTable
+from repro.net.topology import NodeKind, Topology
+from repro.protocols.base import StreamConfig
+from repro.sim.dissem import send_grid
+from repro.sim.engine import EventQueue
 from repro.sim.network import SimNetwork
+from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
 
 FACTORIES = [
@@ -406,3 +418,184 @@ def test_churn_disables_fast_path(scalar_dissem):
         scalar_dissem, RPProtocolFactory, CONFIG, membership=schedule
     )
     assert armed.summary == scalar.summary
+
+
+# -- fast dissemination: SESSION cascades that outlive session_interval ------
+
+#: A lossy tree whose SESSION cascades span several session intervals;
+#: recovery is lossless, so SESSION is the loss lane's only consumer.
+SESSION_OVERLAP = ScenarioConfig(
+    seed=5, num_routers=60, loss_prob=0.1, num_packets=6,
+    lossless_recovery=True, session_interval=20.0,
+)
+
+
+def _cascade_span(tree):
+    """Delay from the root to the farthest tree member."""
+    topology = tree.topology
+
+    def delay(node):
+        path = tree.tree_path(tree.root, node)
+        return sum(
+            topology.link_between(u, v).delay for u, v in zip(path, path[1:])
+        )
+
+    return max(delay(node) for node in tree.members)
+
+
+@pytest.fixture
+def session_transmits(monkeypatch):
+    """Counts the scalar path's SESSION link transmissions."""
+    counts = collections.Counter()
+    transmit = SimNetwork._transmit
+
+    def counting(network, link, to_node, packet, on_arrival):
+        counts[packet.kind] += 1
+        return transmit(network, link, to_node, packet, on_arrival)
+
+    monkeypatch.setattr(SimNetwork, "_transmit", counting)
+    return lambda: counts.pop(PacketKind.SESSION, 0)
+
+
+def _fast_and_scalar_sessions(
+    scalar_dissem, session_transmits, factory_cls, config=SESSION_OVERLAP,
+    built=None,
+):
+    """Artifacts of one run armed and on the scalar path, each with its
+    scalar SESSION transmission count."""
+    built = built if built is not None else build_scenario(config)
+    fast = run_protocol_detailed(built, factory_cls())
+    fast_tx = session_transmits()
+    with scalar_dissem():
+        scalar = run_protocol_detailed(built, factory_cls())
+    return fast, fast_tx, scalar, session_transmits()
+
+
+@pytest.mark.parametrize(
+    "factory_cls",
+    [RPProtocolFactory, SRMProtocolFactory, RMAProtocolFactory],
+    ids=lambda c: c.name,
+)
+def test_overlapping_session_cascades_leave_the_scalar_flood(
+    factory_cls, scalar_dissem, session_transmits
+):
+    # Each SESSION send resolves the loss draws of its epoch, up to the
+    # next send, across every cascade still in flight.
+    built = build_scenario(SESSION_OVERLAP)
+    assert _cascade_span(built.tree) > 2 * SESSION_OVERLAP.session_interval
+    fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
+        scalar_dissem, session_transmits, factory_cls, built=built
+    )
+    assert _observables(fast, True) == _observables(scalar, True)
+    assert scalar_tx > 0
+    assert fast_tx == 0
+
+
+def test_session_boundary_past_the_drain_cutoff_is_cancelled(
+    monkeypatch, scalar_dissem, session_transmits
+):
+    # The last send's epoch ends at the next send, after the cutoff, and
+    # its would-be tail (under already-dropped edges) leaves the epoch
+    # boundary timer armed there.  The finalize step cancels it, so the
+    # runner's quiescence.timers check (it raises on a violation) holds.
+    config = ScenarioConfig(
+        seed=3, num_routers=20, loss_prob=0.4, num_packets=4,
+        lossless_recovery=True, session_interval=30.0, drain_time=10.0,
+    )
+    armed = []
+    finalize = SimNetwork.finalize_fast_dissem
+
+    def spy(network, now):
+        fast = network._fast
+        if fast is not None:  # the scalar reference run has none
+            armed.append(fast.boundary is not None)
+        finalize(network, now)
+        assert fast is None or fast.boundary is None
+
+    monkeypatch.setattr(SimNetwork, "finalize_fast_dissem", spy)
+    fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
+        scalar_dissem, session_transmits, RPProtocolFactory, config
+    )
+    assert armed == [True]
+    assert _observables(fast, True) == _observables(scalar, True)
+    assert fast_tx == 0 < scalar_tx
+
+
+def test_integer_delay_session_ties_stay_scalar(
+    scalar_dissem, session_transmits
+):
+    # Sends every 15 ms over 10 ms links: cascade k reaches the third
+    # router exactly when send k + 2 leaves the root, a tie the scalar
+    # path breaks by heap order.  Caught at the first send, before any
+    # draw: SESSION stays scalar throughout.  (SRM: RP's unicast
+    # recovery journeys collapse to one event each, whose ties with
+    # other events on this grid the fast path does not order.)
+    topology = line_topology(5, delay=10.0, loss_prob=0.2)
+    config = ScenarioConfig(
+        seed=4, num_routers=5, loss_prob=0.2, num_packets=6,
+        lossless_recovery=True, session_interval=15.0,
+    )
+    built = BuiltScenario(
+        config=config,
+        topology=topology,
+        tree=random_multicast_tree(topology, np.random.default_rng(0)),
+        routing=RoutingTable(topology),
+    )
+    fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
+        scalar_dissem, session_transmits, SRMProtocolFactory, built=built
+    )
+    assert _observables(fast, True) == _observables(scalar, True)
+    assert fast_tx == scalar_tx > 0
+
+
+def test_shared_data_lane_keeps_session_scalar(
+    monkeypatch, scalar_dissem, session_transmits
+):
+    # With DATA on the loss lane, a scalar DATA tail can still be in
+    # flight when the first SESSION cascade starts.
+    def shared_lane(*args, data_loss_rng=None, **kwargs):
+        return SimNetwork(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "SimNetwork", shared_lane)
+    fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
+        scalar_dissem, session_transmits, RPProtocolFactory
+    )
+    assert _observables(fast, True) == _observables(scalar, True)
+    assert fast_tx == scalar_tx > 0
+
+
+def test_session_tie_first_met_at_a_later_epoch_raises(session_transmits):
+    # S -a- b, sends every 0.1 ms from t=1: the fl-accumulated send grid
+    # drifts by an ulp, so b's delay can land one cascade's arrival on
+    # send 11's instant while sends 0..W (W = 2 here) do not tie.  Draws
+    # up to that send are spent, so there is no scalar fallback.
+    interval, t0, d1 = 0.1, 1.0, 0.03
+    grid = send_grid(t0, interval, 12)
+    topology = Topology()
+    a = topology.add_node(NodeKind.ROUTER)
+    s = topology.add_node(NodeKind.SOURCE)
+    b = topology.add_node(NodeKind.CLIENT)
+    topology.add_link(s, a, d1, 0.1)
+    topology.add_link(a, b, grid[11] - (grid[10] + d1), 0.1)
+    tree = MulticastTree(topology, s, {a: s, b: a})
+    events = EventQueue()
+    network = SimNetwork(
+        events, topology, RoutingTable(topology), tree,
+        loss_rng=np.random.default_rng(0),
+        data_loss_rng=np.random.default_rng(1),
+        lossless_recovery=True,
+    )
+    assert network.enable_fast_dissem(
+        StreamConfig(num_packets=1, session_interval=interval)
+    )
+    session = Packet(PacketKind.SESSION, 0, origin=s, highest_seq=0)
+
+    def send():
+        network.multicast_subtree(s, s, session)
+        events.schedule(interval, send)
+
+    events.schedule_at(t0, send)
+    with pytest.raises(RuntimeError, match="tie"):
+        events.run(until=3.0)
+    assert events.now > grid[2]
+    assert session_transmits() == 0
