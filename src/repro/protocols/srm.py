@@ -23,6 +23,7 @@ full reliability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,14 @@ class SRMConfig:
     max_request_rounds: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.c1, self.c2, self.d1, self.d2) < 0:
-            raise ValueError("timer constants must be non-negative")
+        # Negated, so NaN fails too: a non-finite constant would reach
+        # the calendar as a NaN or infinite timer deadline.
+        for name in ("c1", "c2", "d1", "d2", "repair_hold_factor"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.c1 + self.c2 <= 0:
             raise ValueError("request timer window must be positive")
-        if self.repair_hold_factor < 0:
-            raise ValueError("repair_hold_factor must be >= 0")
         if self.max_backoff < 0:
             raise ValueError("max_backoff must be >= 0")
         if self.max_request_rounds < 0:

@@ -9,6 +9,13 @@ reproducible network simulation and are guaranteed here:
 * **Deterministic ties** — events with equal timestamps fire in the
   order they were scheduled (a monotone sequence number breaks heap
   ties), so two runs with the same seeds replay identically.
+* **Batched entries** — :meth:`EventQueue.schedule_batch` keys ``n``
+  events exactly as ``n`` consecutive :meth:`~EventQueue.schedule_at`
+  calls would (one reserved block of sequence numbers), but sorts them
+  once and keeps only the smallest remaining key in the heap; firing
+  it pushes the batch's next key.  Every key not in the heap is larger
+  than its batch's cursor, so pop order is exactly the per-event order.
+  A batch counts one event per item in ``pending`` and ``processed``.
 * **O(1) cancellation** — timers are cancelled lazily by flagging; the
   heap entry is discarded when popped.  Protocol code cancels far more
   timers than it lets expire (every suppressed SRM request, every
@@ -31,7 +38,10 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import Profiler
@@ -73,6 +83,46 @@ class Timer:
         return not self.cancelled
 
 
+class _Batch:
+    """Pre-keyed events of one :meth:`EventQueue.schedule_batch` call.
+
+    Sits in the heap as one ``(time, seq, batch)`` cursor entry, always
+    its smallest unfired key.  The dispatch loop treats it like a
+    :class:`Timer` (``cancelled``, ``_queue``, ``callback``); a batch is
+    never cancelled.
+    """
+
+    __slots__ = ("cancelled", "_queue", "_owner", "_entries", "_items",
+                 "_fire", "_next")
+
+    def __init__(self, owner: "EventQueue", items: list, fire: Callable[[Any], Any]):
+        self.cancelled = False
+        self._queue = None
+        self._owner = owner
+        self._entries: list[tuple[float, int, _Batch]] = []
+        self._items = items
+        self._fire = fire
+        self._next = 1
+
+    def callback(self) -> None:
+        i = self._next
+        entries = self._entries
+        if i < len(entries):
+            # Re-key before delivering, so a callback that raises
+            # leaves the rest of the batch queued, as separate timers.
+            self._next = i + 1
+            owner = self._owner
+            owner._batched -= 1
+            heapq.heappush(owner._heap, entries[i])
+            self._fire(self._items[i - 1])
+        else:
+            # Last item: drop the entries, which point back at this
+            # batch, so reference counting frees it without the GC.
+            item = self._items[i - 1]
+            self._entries = self._items = None
+            self._fire(item)
+
+
 class EventQueue:
     """The simulator clock and future-event list."""
 
@@ -80,12 +130,15 @@ class EventQueue:
         self._now = 0.0
         # (time, seq, timer) entries; the list object is never replaced,
         # so a dispatch loop may hold it across callbacks that compact.
-        self._heap: list[tuple[float, int, Timer]] = []
+        self._heap: list[tuple[float, int, Timer | _Batch]] = []
         self._seq = 0
         self._processed = 0
         # Cancelled timers still sitting in the heap; drives compaction
         # and makes `pending` O(1).
         self._cancelled = 0
+        # Unfired batch items beyond each batch's one heap entry, so
+        # `pending` and the compaction threshold see per-event counts.
+        self._batched = 0
         self._compactions = 0
         # Optional wall-clock profiling of the dispatch loop; one scope
         # per run() call (not per event), so an attached-but-disabled
@@ -100,7 +153,7 @@ class EventQueue:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return len(self._heap) - self._cancelled
+        return len(self._heap) - self._cancelled + self._batched
 
     @property
     def cancelled_pending(self) -> int:
@@ -136,12 +189,49 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, timer))
         return timer
 
+    def schedule_batch(
+        self, times, items, fire: Callable[[Any], Any]
+    ) -> None:
+        """Run ``fire(items[i])`` at absolute ``times[i]`` for every ``i``.
+
+        Keyed exactly as ``len(times)`` consecutive :meth:`schedule_at`
+        calls in index order (equal times fire in index order), so the
+        replay is identical; the batch cannot be cancelled.  ``times``
+        and ``items`` are equal-length 1-D arrays (or sequences of
+        scalars); each item reaches ``fire`` as a Python scalar.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        items = np.asarray(items)
+        if times.ndim != 1 or items.shape != times.shape:
+            raise ValueError(
+                f"times {times.shape} and items {items.shape} must be "
+                "equal-length 1-D arrays"
+            )
+        n = times.size
+        if not n:
+            return
+        earliest = times.min()  # NaN-propagating
+        if not earliest >= self._now:  # also rejects NaN
+            raise ValueError(
+                f"cannot schedule at {earliest}, current time is {self._now}"
+            )
+        order = np.argsort(times, kind="stable")
+        seq0 = self._seq
+        self._seq = seq0 + n
+        batch = _Batch(self, items[order].tolist(), fire)
+        batch._entries = entries = list(zip(
+            times[order].tolist(), (order + seq0).tolist(), repeat(batch, n)
+        ))
+        self._batched += n - 1
+        heapq.heappush(self._heap, entries[0])
+
     def _note_cancelled(self) -> None:
         """A timer in the heap was cancelled; compact when mostly dead."""
         self._cancelled += 1
         if (
             self._cancelled >= COMPACT_MIN_DEAD
-            and self._cancelled >= COMPACT_DEAD_FRACTION * len(self._heap)
+            and self._cancelled
+            >= COMPACT_DEAD_FRACTION * (len(self._heap) + self._batched)
         ):
             self._compact()
 
@@ -251,9 +341,11 @@ class EventQueue:
             if stop_when is not None and stop_when():
                 return
         # Fully drained: every cancelled timer must have been popped or
-        # compacted away, or the dead count has drifted (a bug).
-        assert self._cancelled == 0, (
-            f"cancelled-timer count drifted: {self._cancelled} with empty heap"
+        # compacted away, and every batch fired out, or a count has
+        # drifted (a bug).
+        assert self._cancelled == 0 and self._batched == 0, (
+            f"calendar counts drifted: {self._cancelled} cancelled, "
+            f"{self._batched} batched with empty heap"
         )
         if until is not None and until > self._now:
             self._now = until

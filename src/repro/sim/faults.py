@@ -38,6 +38,7 @@ silent hang is a protocol bug, not a measurement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,6 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.instrumentation import Instrumentation
 
 
+def _check_window(what: str, start: float, end: float) -> None:
+    # Negated, so NaN fails too; no schedule needs an infinite end.
+    if not 0.0 <= start <= end < math.inf:
+        raise ValueError(
+            f"{what} window needs finite 0 <= start <= end, got [{start}, {end})"
+        )
+
+
 @dataclass(frozen=True)
 class CrashWindow:
     """Node ``node`` is crashed during ``[start, end)`` (sim time)."""
@@ -59,10 +68,7 @@ class CrashWindow:
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(
-                f"crash window needs 0 <= start <= end, got [{self.start}, {self.end})"
-            )
+        _check_window("crash", self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,7 @@ class LinkDownWindow:
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(
-                f"link-down window needs 0 <= start <= end, got [{self.start}, {self.end})"
-            )
+        _check_window("link-down", self.start, self.end)
 
 
 @dataclass(frozen=True)

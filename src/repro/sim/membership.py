@@ -39,6 +39,7 @@ byte stream exactly (enforced by the feature-off equivalence suite).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -63,8 +64,8 @@ class MembershipEvent:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
+        if not 0.0 <= self.time < math.inf:  # negated, so NaN fails too
+            raise ValueError(f"event time must be finite and >= 0, got {self.time}")
         if self.kind not in (LEAVE, JOIN):
             raise ValueError(
                 f"kind must be {LEAVE!r} or {JOIN!r}, got {self.kind!r}"

@@ -136,7 +136,7 @@ class _PathTransit:
         i = self._index
         if i == len(path.nodes) - 1:
             node = path.nodes[i]
-            network._deliver(node, self._packet)
+            network._deliver(self._packet, node)
             if self._came_from is not None:
                 network._flood_spread(node, self._came_from, self._packet)
             return
@@ -159,7 +159,7 @@ class _FloodArrival:
         self._packet = packet
 
     def __call__(self) -> None:
-        self._network._deliver(self._node, self._packet)
+        self._network._deliver(self._packet, self._node)
         self._network._flood_spread(self._node, self._came_from, self._packet)
 
 
@@ -343,7 +343,7 @@ class SimNetwork:
     def agent_at(self, node: int) -> Agent | None:
         return self._agents.get(node)
 
-    def _deliver(self, node: int, packet: Packet) -> None:
+    def _deliver(self, packet: Packet, node: int) -> None:
         # The DELIVER event fires for every arrival — agentless routers
         # and crash-dropped deliveries included — so observers see the
         # wire's view, not the process's.
@@ -474,23 +474,33 @@ class SimNetwork:
                     self.ledger.refund_drops(kind, late_drops)
         fast.inflight.clear()
 
-    def _apply_fast(
+    def _charge_fast(
         self,
         packet: Packet,
-        deliver_nodes,
-        deliver_times,
         hop_times: np.ndarray,
         drop_times: np.ndarray | None,
     ) -> None:
-        """Charge a resolved dissemination and schedule its deliveries."""
+        """Charge a resolved journey's hops and drops, recording their
+        would-be transmit times for the drain refunds."""
         self.ledger.charge_hops(packet.kind, int(hop_times.size))
         if drop_times is not None and drop_times.size:
             self.ledger.charge_drops(packet.kind, int(drop_times.size))
         self._fast.inflight.append((packet.kind, hop_times, drop_times))
-        schedule_at = self.events.schedule_at
-        deliver = self._deliver
-        for node, when in zip(deliver_nodes, deliver_times):
-            schedule_at(when, partial(deliver, node, packet))
+
+    def _apply_fast(
+        self,
+        packet: Packet,
+        deliver_nodes: np.ndarray,
+        deliver_times: np.ndarray,
+        hop_times: np.ndarray,
+        drop_times: np.ndarray | None,
+    ) -> None:
+        """Charge a resolved dissemination and schedule its deliveries
+        as one calendar batch."""
+        self._charge_fast(packet, hop_times, drop_times)
+        self.events.schedule_batch(
+            deliver_times, deliver_nodes, partial(self._deliver, packet)
+        )
 
     def _try_fast_data(self, packet: Packet) -> bool:
         fast = self._fast
@@ -538,8 +548,8 @@ class SimNetwork:
         outcome = plan.cascades[k]
         self._apply_fast(
             packet,
-            outcome.deliver_nodes.tolist(),
-            outcome.deliver_times.tolist(),
+            outcome.deliver_nodes,
+            outcome.deliver_times,
             outcome.hop_times,
             outcome.drop_times,
         )
@@ -612,8 +622,8 @@ class SimNetwork:
                 # for every send.
                 self._apply_fast(
                     fast.session_packet,
-                    outcome.deliver_nodes.tolist(),
-                    outcome.deliver_times.tolist(),
+                    outcome.deliver_nodes,
+                    outcome.deliver_times,
                     outcome.hop_times,
                     outcome.drop_times,
                 )
@@ -672,13 +682,13 @@ class SimNetwork:
         lo = int(np.searchsorted(agent_pos, p0 + 1))
         hi = int(np.searchsorted(agent_pos, p0 + size))
         reached = agent_pos[lo:hi]
-        nodes = dissem.order[reached].tolist()
-        times = scratch[reached].tolist()
+        nodes = dissem.order[reached]
+        times = scratch[reached]
         if src != subtree_root and subtree_root in self._agents:
             # The subtree root is delivered at the end of the access
             # leg (before its descendants — scalar order).
-            nodes.insert(0, subtree_root)
-            times.insert(0, t_root)
+            nodes = np.concatenate(([subtree_root], nodes))
+            times = np.concatenate(([t_root], times))
         self._apply_fast(packet, nodes, times, hop_times, None)
         return True
 
@@ -698,11 +708,7 @@ class SimNetwork:
         agent_pos = fast.agent_pos
         reached = agent_pos[agent_pos != src_pos]
         self._apply_fast(
-            packet,
-            dissem.order[reached].tolist(),
-            arrivals[reached].tolist(),
-            hop_times,
-            None,
+            packet, dissem.order[reached], arrivals[reached], hop_times, None
         )
         return True
 
@@ -802,7 +808,7 @@ class SimNetwork:
                 # receiver's only signal is its own timeout.
                 return
         if src == dst:
-            self.events.schedule(0.0, partial(self._deliver, dst, packet))
+            self.events.schedule(0.0, partial(self._deliver, packet, dst))
             return
         path = self._routed_path(src, dst)
         if self._fast is not None and (
@@ -816,7 +822,8 @@ class SimNetwork:
             for i, d in enumerate(path.delays):
                 hop_times[i] = t
                 t = t + d
-            self._apply_fast(packet, (dst,), (t,), hop_times, None)
+            self._charge_fast(packet, hop_times, None)
+            self.events.schedule_at(t, partial(self._deliver, packet, dst))
             return
         _PathTransit(self, path, packet, None)()
 

@@ -38,6 +38,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             SRMConfig(c1=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["c1", "c2", "d1", "d2", "repair_hold_factor"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_constants(self, field, value):
+        # `min(...) < 0` is False for NaN, so these used to construct
+        # and fail later, inside the calendar.
+        with pytest.raises(ValueError, match=field):
+            SRMConfig(**{field: value})
+
     def test_rejects_zero_request_window(self):
         with pytest.raises(ValueError):
             SRMConfig(c1=0.0, c2=0.0)

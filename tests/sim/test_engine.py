@@ -1,9 +1,11 @@
 """Tests for the event calendar: ordering, determinism, cancellation."""
 
+import gc
+import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import engine
 from repro.sim.engine import (
@@ -323,6 +325,213 @@ class TestCompaction:
         assert q.processed == 50
 
 
+class TestBatch:
+    """``schedule_batch`` must replay exactly as the same ``n``
+    ``schedule_at`` calls in index order: firing order, clock,
+    ``processed`` and ``pending`` at every delivery."""
+
+    @staticmethod
+    def _pair(script):
+        """Run ``script(q, add, log)`` twice.  ``add(times, labels,
+        then=None)`` schedules one batch on the first queue and the same
+        ``schedule_at`` loop on the second; each delivery logs its label
+        and the queue's state, then calls ``then(label)``.  Returns the
+        (equal) log and the batched queue."""
+        results = []
+        for batched in (True, False):
+            q = EventQueue()
+            log = []
+
+            def add(times, labels, then=None, q=q, log=log, batched=batched):
+                def fire(label):
+                    log.append((label, q.now, q.processed, q.pending))
+                    if then is not None:
+                        then(label)
+
+                if batched:
+                    q.schedule_batch(times, labels, fire)
+                else:
+                    for t, label in zip(times, labels):
+                        q.schedule_at(t, lambda label=label: fire(label))
+
+            script(q, add, log)
+            results.append((log, q))
+        (log_b, q_b), (log_s, q_s) = results
+        assert log_b == log_s
+        assert (q_b.now, q_b.processed, q_b.pending, q_b.compactions) == (
+            q_s.now, q_s.processed, q_s.pending, q_s.compactions
+        )
+        return log_b, q_b
+
+    def test_ties_inside_a_batch_fire_in_index_order(self):
+        def script(q, add, log):
+            add([2.0, 1.0, 2.0, 1.0, 0.5], [0, 1, 2, 3, 4])
+            q.run()
+
+        log, _ = self._pair(script)
+        assert [label for label, *_ in log] == [4, 1, 3, 0, 2]
+
+    def test_ties_across_batches_and_timers(self):
+        def script(q, add, log):
+            q.schedule_at(1.0, lambda: log.append(("t0", q.now)))
+            add([1.0, 0.0, 1.0], ["a0", "a1", "a2"])
+            q.schedule_at(1.0, lambda: log.append(("t1", q.now)))
+            add([1.0, 1.0], ["b0", "b1"])
+            q.schedule_at(0.0, lambda: log.append(("t2", q.now)))
+            q.run()
+
+        log, _ = self._pair(script)
+        assert [entry[0] for entry in log] == [
+            "a1", "t2", "t0", "a0", "a2", "t1", "b0", "b1",
+        ]
+
+    def test_one_heap_entry_per_batch(self):
+        q = EventQueue()
+        q.schedule_batch([3.0, 1.0, 2.0], [0, 1, 2], lambda i: None)
+        assert len(q._heap) == 1
+        assert q.pending == 3
+        assert q.step()
+        assert (q.now, q.processed, q.pending, len(q._heap)) == (1.0, 1, 2, 1)
+        q.run()
+        assert (q.processed, q.pending, len(q._heap)) == (3, 0, 0)
+
+    def test_batch_scheduled_from_a_batch_delivery(self):
+        def script(q, add, log):
+            def spawn(label):
+                if label == "a1":
+                    add([q.now, q.now + 1.0, q.now], ["c0", "c1", "c2"])
+
+            add([1.0, 2.0, 2.0, 3.0], ["a0", "a1", "a2", "a3"], spawn)
+            q.run()
+
+        log, _ = self._pair(script)
+        assert [entry[0] for entry in log] == [
+            "a0", "a1", "a2", "c0", "c2", "a3", "c1",
+        ]
+        assert log[1] == ("a1", 2.0, 2, 2)
+        assert log[2] == ("a2", 2.0, 3, 4)
+
+    def test_until_lands_mid_batch(self):
+        def script(q, add, log):
+            add([1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3])
+            q.run(until=2.5)
+            log.append(("cut", q.now, q.processed, q.pending))
+            q.run(until=3.0)
+            log.append(("cut", q.now, q.processed, q.pending))
+            q.run()
+
+        log, _ = self._pair(script)
+        assert log[2] == ("cut", 2.5, 2, 2)
+        assert log[4] == ("cut", 3.0, 3, 1)
+
+    def test_stop_when_lands_mid_batch(self):
+        def script(q, add, log):
+            add([1.0, 1.0, 2.0, 3.0], [0, 1, 2, 3])
+            q.run(stop_when=lambda: len(log) == 2)
+            log.append(("stop", q.now, q.processed, q.pending))
+            q.run()
+
+        log, _ = self._pair(script)
+        assert log[2] == ("stop", 1.0, 2, 2)
+
+    def test_max_events_lands_mid_batch(self):
+        def script(q, add, log):
+            add([1.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 2, 3, 4])
+            with pytest.raises(RuntimeError):
+                q.run(max_events=3)
+            log.append(("budget", q.now, q.processed, q.pending))
+            q.run(max_events=2)
+
+        log, _ = self._pair(script)
+        assert log[3] == ("budget", 3.0, 3, 2)
+        assert len(log) == 6
+
+    def test_raising_delivery_leaves_the_rest_queued(self):
+        def script(q, add, log):
+            def boom(label):
+                if label == 1:
+                    raise KeyError(label)
+
+            add([1.0, 2.0, 3.0], [0, 1, 2], boom)
+            with pytest.raises(KeyError):
+                q.run()
+            log.append(("raised", q.now, q.processed, q.pending))
+            q.run()
+
+        log, _ = self._pair(script)
+        assert log[2:] == [("raised", 2.0, 2, 1), (2, 3.0, 3, 0)]
+
+    def test_compaction_with_a_batch_in_flight(self):
+        def script(q, add, log):
+            doomed = [
+                q.schedule_at(10.0 + i, lambda: log.append("doomed"))
+                for i in range(COMPACT_MIN_DEAD * 2)
+            ]
+            add([float(i % 5) for i in range(COMPACT_MIN_DEAD * 3)],
+                list(range(COMPACT_MIN_DEAD * 3)))
+
+            def cancel_some():
+                for _ in range(COMPACT_MIN_DEAD):
+                    doomed.pop().cancel()
+
+            # The threshold counts every unfired batch item, so the same
+            # cancels compact at the same moment on both queues.
+            q.schedule_at(2.0, cancel_some)
+            q.schedule_at(3.0, cancel_some)
+            q.run()
+
+        log, q = self._pair(script)
+        assert q.compactions >= 1
+        assert "doomed" not in log
+        assert q.cancelled_pending == 0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_spent_batch_is_freed_without_the_collector(self, n):
+        class Fire:
+            def __call__(self, item):
+                pass
+
+        fire = Fire()
+        alive = weakref.ref(fire)
+        q = EventQueue()
+        q.schedule_batch([2.0] * n, list(range(n)), fire)
+        del fire
+        gc.disable()
+        try:
+            q.run()
+            # Reference counting alone must free the batch (and with it
+            # its fire callable): no cycle is left for the collector.
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "times", [[1.0, 0.5, 2.0], [1.0, float("nan"), 2.0], [float("nan")]]
+    )
+    def test_rejects_past_and_nan_times_consuming_nothing(self, times):
+        q = EventQueue()
+        q.run(until=0.75)
+        fired = []
+        with pytest.raises(ValueError):
+            q.schedule_batch(times, list(range(len(times))), fired.append)
+        assert (q.pending, len(q._heap), q._seq) == (0, 0, 0)
+        q.run()
+        assert fired == []
+        assert q.now == 0.75
+
+    def test_rejects_mismatched_shapes(self):
+        q = EventQueue()
+        with pytest.raises(ValueError):
+            q.schedule_batch([1.0, 2.0], [0], lambda i: None)
+        with pytest.raises(ValueError):
+            q.schedule_batch([[1.0]], [[0]], lambda i: None)
+
+    def test_empty_batch_is_a_no_op(self):
+        q = EventQueue()
+        q.schedule_batch([], [], lambda i: None)
+        assert (q.pending, len(q._heap), q._seq) == (0, 0, 0)
+
+
 class _CalendarModel:
     """Reference calendar: a sorted list with the same lazy-cancel and
     compaction bookkeeping as :class:`EventQueue`, but no heap."""
@@ -388,6 +597,9 @@ class TestModel:
     """The calendar against a sorted-list model: many ties, cancels up
     front and from callbacks, drained by a mix of run(until) and step()."""
 
+    # Twice the default examples: about half draw batches, and the other
+    # half keep the batch-free model test's coverage.
+    @settings(max_examples=200)
     @given(st.data())
     def test_matches_sorted_list_model(self, data):
         # A lowered compaction floor makes small examples compact, often
@@ -399,16 +611,47 @@ class TestModel:
             self._check_against_model(data, min_dead)
 
     def _check_against_model(self, data, min_dead):
-        fates = data.draw(
+        time_st = st.integers(0, 5).map(float)
+        singles = data.draw(
             st.lists(
                 st.tuples(
-                    st.integers(0, 5).map(float),
+                    time_st,
                     st.sampled_from(["live", "up_front", "callback"]),
                 ),
                 max_size=200,
             ),
             label="fates",
         )
+        # Batches of live deliveries, each scheduled by one
+        # schedule_batch call just before singles[pos].  Batches cannot
+        # be cancelled and their items dilute the dead fraction, so
+        # they are drawn apart from the up-to-200 cancellable singles
+        # (which can still reach the real COMPACT_MIN_DEAD), and only in
+        # some examples: the rest are the batch-free model test.
+        inserts = []
+        if data.draw(st.booleans(), label="with_batches"):
+            inserts = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, len(singles)),
+                        st.lists(time_st, min_size=1, max_size=8),
+                    ),
+                    min_size=1,
+                    max_size=20,
+                ),
+                label="batches",
+            )
+        inserts.sort(key=lambda insert: insert[0])
+        fates = []
+        batches = []
+        for pos in range(len(singles) + 1):
+            while inserts and inserts[0][0] == pos:
+                group = inserts.pop(0)[1]
+                batches.append((len(fates), len(fates) + len(group)))
+                fates.extend((t, "batch") for t in group)
+            if pos < len(singles):
+                fates.append(singles[pos])
+        batch_of = {first: last for first, last in batches}
         times = [t for t, _ in fates]
         up_front = [
             i for i, (_, fate) in enumerate(fates) if fate == "up_front"
@@ -441,8 +684,16 @@ class TestModel:
             for victim in kills.get(i, ()):
                 timers[victim].cancel()
 
-        for i, t in enumerate(times):
-            timers.append(q.schedule_at(t, lambda i=i: callback(i)))
+        i = 0
+        while i < len(times):
+            if i in batch_of:
+                last = batch_of[i]
+                q.schedule_batch(times[i:last], range(i, last), callback)
+                timers.extend([None] * (last - i))
+                i = last
+                continue
+            timers.append(q.schedule_at(times[i], lambda i=i: callback(i)))
+            i += 1
         model = _CalendarModel(times, kills, min_dead)
         for i in up_front:
             timers[i].cancel()

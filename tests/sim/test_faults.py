@@ -32,6 +32,18 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             LinkDownWindow(u=0, v=1, start=3.0, end=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_windows_reject_non_finite_times(self, bad):
+        # `start < 0 or end < start` is False for NaN on either side.
+        with pytest.raises(ValueError):
+            CrashWindow(node=1, start=bad, end=5.0)
+        with pytest.raises(ValueError):
+            CrashWindow(node=1, start=1.0, end=bad)
+        with pytest.raises(ValueError):
+            LinkDownWindow(u=0, v=1, start=bad, end=5.0)
+        with pytest.raises(ValueError):
+            LinkDownWindow(u=0, v=1, start=1.0, end=bad)
+
     def test_gilbert_elliott_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             GilbertElliottParams(p_enter_bad=1.5, p_exit_bad=0.5)

@@ -30,6 +30,11 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             MembershipEvent(time=-1.0, node=3, kind=LEAVE)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_event_rejects_non_finite_time(self, bad):
+        with pytest.raises(ValueError):
+            MembershipEvent(time=bad, node=3, kind=LEAVE)
+
     def test_event_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             MembershipEvent(time=1.0, node=3, kind="crash")

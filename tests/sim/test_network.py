@@ -271,6 +271,63 @@ class TestLinkObservers:
         assert kinds.count(TraceKind.DELIVER) == tree.num_tree_links
 
 
+def build_chain_net(num_clients):
+    """S - r0 - r1 - ... with one client hanging off each router; a
+    lossless tree, with equal-delay ties between some arrivals."""
+    topo = Topology()
+    routers = topo.add_nodes(num_clients, NodeKind.ROUTER)
+    s = topo.add_node(NodeKind.SOURCE)
+    clients = topo.add_nodes(num_clients, NodeKind.CLIENT)
+    parents = {}
+    prev = s
+    for i, (router, client) in enumerate(zip(routers, clients)):
+        topo.add_link(prev, router, 1.0 + 0.5 * (i % 3), 0.0)
+        topo.add_link(router, client, 2.0 if i % 2 else 3.5, 0.0)
+        parents[router] = prev
+        parents[client] = router
+        prev = router
+    tree = MulticastTree(topo, s, parents)
+    events = EventQueue()
+    net = SimNetwork(
+        events, topo, RoutingTable(topo), tree,
+        loss_rng=np.random.default_rng(0), ledger=BandwidthLedger(),
+    )
+    recorders = {}
+    for node in (s, *clients):
+        recorders[node] = Recorder(events)
+        net.attach_agent(node, recorders[node])
+    return events, net, clients, recorders
+
+
+class TestFastBatch:
+    """An armed network schedules a fast dissemination's deliveries as
+    one calendar batch: one heap entry, one pending event per agent."""
+
+    REPAIR = Packet(PacketKind.REPAIR, 0, origin=CA)
+
+    def _flood(self, armed):
+        events, net, clients, recorders = build_chain_net(12)
+        if armed:  # a directly constructed network stays scalar
+            assert net.enable_fast_dissem(StreamConfig(num_packets=1))
+        events.schedule_at(0.5, lambda: None)  # an ordinary timer
+        heap, pending = len(events._heap), events.pending
+        net.flood_tree(clients[3], self.REPAIR)
+        grown = (len(events._heap) - heap, events.pending - pending)
+        events.run()
+        deliveries = {node: rec.deliveries for node, rec in recorders.items()}
+        return grown, deliveries, dict(net.ledger.hops_by_kind), events
+
+    def test_flood_is_one_heap_entry(self):
+        (entries, pending), fast, hops, events = self._flood(armed=True)
+        agents = 12  # 12 clients and the source, all but the sender
+        assert (entries, pending) == (1, agents)
+        assert events.pending == 0 and not events._heap
+
+        _, scalar, scalar_hops, _ = self._flood(armed=False)
+        assert fast == scalar
+        assert hops == scalar_hops
+
+
 class TestDataLossPairing:
     def test_data_stream_isolated_from_recovery_draws(self):
         """Two networks drawing recovery losses differently still see the
