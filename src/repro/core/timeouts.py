@@ -19,6 +19,7 @@ timers with them), so the model and the simulated behaviour agree:
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -50,8 +51,9 @@ class FixedTimeout(TimeoutPolicy):
     """A single constant ``t0`` regardless of the peer."""
 
     def __init__(self, t0: float):
-        if not t0 > 0:  # also rejects NaN
-            raise ValueError(f"t0 must be positive, got {t0}")
+        # Negated so NaN fails; an infinite t0 arms timers that never fire.
+        if not 0.0 < t0 < math.inf:
+            raise ValueError(f"t0 must be finite and positive, got {t0}")
         self._t0 = t0
 
     @property
@@ -84,12 +86,14 @@ class ProportionalTimeout(TimeoutPolicy):
     """
 
     def __init__(self, factor: float = 1.5, slack: float = 1.0, floor: float = 1e-3):
-        if not factor >= 1.0:  # negated so NaN fails; likewise below
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        if not slack >= 0.0:
-            raise ValueError(f"slack must be >= 0, got {slack}")
-        if not floor > 0.0:
-            raise ValueError(f"floor must be positive, got {floor}")
+        # Negated so NaN fails; an infinite knob arms timers at +inf
+        # that never fire.  Likewise below.
+        if not 1.0 <= factor < math.inf:
+            raise ValueError(f"factor must be finite and >= 1, got {factor}")
+        if not 0.0 <= slack < math.inf:
+            raise ValueError(f"slack must be finite and >= 0, got {slack}")
+        if not 0.0 < floor < math.inf:
+            raise ValueError(f"floor must be finite and positive, got {floor}")
         self._factor = factor
         self._slack = slack
         self._floor = floor

@@ -413,6 +413,7 @@ class StreamDriver:
 
     def _send_session(self) -> None:
         if self.tracker.complete:
+            self.network.end_session()
             return
         source = self.source_agent.node
         packet = Packet(

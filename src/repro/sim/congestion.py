@@ -18,6 +18,8 @@ SRM's reported latency was the load-independence subsidy.
 
 from __future__ import annotations
 
+import math
+
 
 class LinearCongestionModel:
     """Per-link linear slowdown with in-flight occupancy.
@@ -31,8 +33,8 @@ class LinearCongestionModel:
     """
 
     def __init__(self, alpha: float = 0.1):
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if not 0.0 <= alpha < math.inf:  # negated so NaN fails
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         self._alpha = alpha
         self._in_flight: dict[tuple[int, int], int] = {}
         self._peak: dict[tuple[int, int], int] = {}

@@ -13,10 +13,8 @@ in a handful of numpy passes instead:
   epoch's per-edge Bernoulli draws, across every cascade in flight, are
   taken in the exact ``(event time, sibling rank)`` order the scalar
   path draws them, survivor reachability via anchor columns, arrival
-  times as per-level prefix delay sums.  SESSION flushes resolve one
-  epoch per send, up to the next send; :func:`plan_cascades` is the
-  one-epoch case, which a DATA stream (:func:`build_data_plan`) takes
-  over its whole send grid;
+  times as per-level prefix delay sums.  The DATA stream and the
+  SESSION flushes each resolve one epoch per send, up to the next send;
 * :func:`subtree_arrivals` / :func:`flood_arrivals` — arrival times for
   the draw-free recovery multicasts (repair subtrees, SRM floods).
 
@@ -24,19 +22,20 @@ in a handful of numpy passes instead:
 exactly: identical RNG consumption (count, order and comparison
 direction of draws), identical arrival times (per-hop left-associated
 float accumulation — each level does the same single ``fl(a + d)`` the
-scalar hop did), identical delivery sets.  Cascades are *refused*
-(``None`` / ``False``) before consuming any randomness whenever the
-scalar draw order cannot be reproduced from times alone — i.e. when two
-cascade events share an exact float timestamp, because the scalar tie
-break is heap insertion order, which the vectorized path does not
+scalar hop did), identical delivery sets.  A stream is
+*refused* (:func:`sends_tie`) before consuming any randomness whenever
+the scalar draw order cannot be reproduced from times alone — i.e. when
+two cascade events share an exact float timestamp, because the scalar
+tie break is heap insertion order, which the vectorized path does not
 model.  On the continuous random-delay topologies the experiment
 runner generates, exact ties are measure-zero; deterministic
 hand-built topologies simply fall back to the scalar path.  A tie
-first met by a later SESSION send, after draws were spent, can only
-come from float rounding; the network raises on it.
+first met by a later send, after draws were spent, can only come from
+float rounding; :meth:`CascadeSet.add` reports it and the network
+raises on it.
 
 The module is pure computation over a tree + RNG; all simulation state
-(event scheduling, ledgers, eligibility gating, epoch boundaries, the
+(event scheduling, ledgers, eligibility gating, the stream lanes, the
 in-flight hop registry) stays in :mod:`repro.sim.network`.
 """
 
@@ -230,6 +229,8 @@ def send_grid(t0: float, interval: float, n: int) -> np.ndarray:
 class CascadeOutcome:
     """One cascade's resolved dissemination (over one epoch)."""
 
+    #: The cascade's ordinal among those added to its set.
+    cascade: int
     #: Agent node ids reached, with their arrival times (same order).
     deliver_nodes: np.ndarray
     deliver_times: np.ndarray
@@ -238,15 +239,6 @@ class CascadeOutcome:
     #: have charged the ledger, kept for drain-cutoff reconciliation.
     hop_times: np.ndarray
     drop_times: np.ndarray
-
-
-@dataclass
-class DataPlan:
-    """Every DATA cascade of a stream, resolved at the first send."""
-
-    t0s: np.ndarray
-    cascades: list[CascadeOutcome]
-    next_seq: int = 0
 
 
 class CascadeSet:
@@ -263,7 +255,8 @@ class CascadeSet:
     in an earlier epoch reads its stored survival; one whose anchor
     falls in this epoch depends on it through ``_segmented_draws``; a
     dead anchor propagates as :data:`DEAD`.  Cascades retire once every
-    event precedes the epoch end; an emptied set starts afresh.
+    event precedes the epoch end; an emptied set starts afresh.  Each
+    outcome names its cascade by the ordinal :meth:`add` gave it.
     """
 
     def __init__(
@@ -277,29 +270,28 @@ class CascadeSet:
         self.agent_pos = agent_pos
         self.arrivals = np.empty((0, dissem.num_members), dtype=np.float64)
         self.survived = np.empty((0, dissem.num_lossy), dtype=bool)
+        #: Cascades added so far; the next one's ordinal.
+        self.added = 0
         self.lo = -np.inf
-        #: Whether a transmission at or after the last epoch end is
-        #: still unresolved.
-        self.pending = False
 
-    def add(self, t0s: np.ndarray) -> bool:
-        """Start cascades at ``t0s`` (none before the current epoch).
+    def add(self, t0: float) -> bool:
+        """Start a cascade at ``t0`` (not before the current epoch).
 
-        Returns ``False``, adding nothing, when on a lossy tree two of
-        their events — or one of theirs and one of a cascade still in
-        flight — share an exact timestamp: the scalar tie break is heap
-        insertion order, which times alone cannot reproduce.
+        Returns ``False``, adding nothing, when on a lossy tree one of
+        its events and one of a cascade still in flight share an exact
+        timestamp: the scalar tie break is heap insertion order, which
+        times alone cannot reproduce.
         """
-        rows = _arrival_matrix(self.dissem, t0s)
+        row = _arrival_matrix(self.dissem, np.array([t0]))
         if self.dissem.num_lossy:
-            old = self.arrivals[self.arrivals >= t0s.min()]
-            if _has_ties(np.concatenate((rows.ravel(), old))):
+            old = self.arrivals[self.arrivals >= t0]
+            if _has_ties(np.concatenate((row.ravel(), old))):
                 return False
-        self.arrivals = np.concatenate((self.arrivals, rows))
+        self.arrivals = np.concatenate((self.arrivals, row))
         self.survived = np.concatenate((
-            self.survived,
-            np.zeros((t0s.size, self.dissem.num_lossy), dtype=bool),
+            self.survived, np.zeros((1, self.dissem.num_lossy), dtype=bool)
         ))
+        self.added += 1
         return True
 
     def resolve(self, hi: float) -> list[CascadeOutcome]:
@@ -327,18 +319,21 @@ class CascadeSet:
         agent_pos = self.agent_pos
         reached = in_epoch[:, agent_pos - 1] & alive[:, agent_pos]
         order = dissem.order
+        # Every cascade spans the same tree, so they retire in the order
+        # they were added: those in flight are the last ones added.
+        first = self.added - arrivals.shape[0]
         out = []
         for k in range(arrivals.shape[0]):
             hit = agent_pos[reached[k]]
             out.append(
                 CascadeOutcome(
+                    cascade=first + k,
                     deliver_nodes=order[hit],
                     deliver_times=arrivals[k, hit],
                     hop_times=tx[k][attempted[k]],
                     drop_times=tx[k, lossy_pos - 1][dropped[k]],
                 )
             )
-        self.pending = bool((tx >= hi).any())
         keep = arrivals.max(axis=1) >= hi
         self.arrivals = arrivals[keep]
         self.survived = self.survived[keep]
@@ -385,57 +380,23 @@ class CascadeSet:
         return slots, dep, dissem.loss[lossy_pos][col]
 
 
-def sends_tie(dissem: TreeDissem, t0: float, interval: float) -> bool:
-    """Whether periodic root cascades from ``t0`` tie while they overlap.
+def sends_tie(
+    dissem: TreeDissem, t0: float, interval: float, count: int | None
+) -> bool:
+    """Whether periodic root cascades from ``t0`` tie.
 
-    Checks sends ``0..W``, ``W = ceil(span / interval)`` with ``span``
+    Checks all ``count`` sends of a stream of known length; ``None``
+    checks sends ``0..W``, ``W = ceil(span / interval)`` with ``span``
     the cascade's delay span: every send that overlaps the first.  With
     exactly representable delays the tie pattern repeats every send, so
     this catches integer-delay topologies before any draw; a tie first
     met later can only come from float rounding.
     """
-    span = float(_arrival_matrix(dissem, np.array([t0])).max()) - t0
-    t0s = send_grid(t0, interval, math.ceil(span / interval) + 1)
+    if count is None:
+        span = float(_arrival_matrix(dissem, np.array([t0])).max()) - t0
+        count = math.ceil(span / interval) + 1
+    t0s = send_grid(t0, interval, count)
     return _has_ties(_arrival_matrix(dissem, t0s).ravel())
-
-
-def plan_cascades(
-    dissem: TreeDissem,
-    t0s: np.ndarray,
-    rng: np.random.Generator,
-    agent_pos: np.ndarray,
-) -> list[CascadeOutcome] | None:
-    """Resolve the root cascades sent at ``t0s`` whole, one outcome each.
-
-    The one-epoch case ``[t0s[0], inf)`` of :class:`CascadeSet`: a lossy
-    tree's draws come from ``rng`` in merged event order, which is
-    stream-identical to the scalar path only while these cascades are
-    ``rng``'s sole consumer.  Returns ``None`` — before any draw — on an
-    exact event-time tie.
-    """
-    cascades = CascadeSet(dissem, rng, agent_pos)
-    if not cascades.add(t0s):
-        return None
-    return cascades.resolve(np.inf)
-
-
-def build_data_plan(
-    dissem: TreeDissem,
-    t0: float,
-    num_packets: int,
-    data_interval: float,
-    rng: np.random.Generator,
-    agent_pos: np.ndarray,
-) -> DataPlan | None:
-    """Resolve the whole DATA stream's dissemination at the first send.
-
-    The network gives DATA its own loss lane, so the stream's cascades
-    are that lane's only consumer.  Returns ``None`` — before any draw —
-    on exact event-time ties.
-    """
-    t0s = send_grid(t0, data_interval, num_packets)
-    cascades = plan_cascades(dissem, t0s, rng, agent_pos)
-    return None if cascades is None else DataPlan(t0s=t0s, cascades=cascades)
 
 
 def subtree_arrivals(

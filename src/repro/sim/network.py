@@ -37,12 +37,14 @@ bit-identical to the scalar path — same RNG consumption, same arrival
 times, same ledger totals (an in-flight registry refunds hops/drops the
 scalar path would not have charged before the drain cutoff).
 
-The DATA stream is resolved whole at its first send, on its own loss
-lane.  SESSION flushes share the loss lane, which under lossless
-recovery they alone consume, so they resolve epoch by epoch: a send
-resolves every draw up to the next send's instant, across all cascades
-still in flight, and an epoch-boundary timer at that instant lets the
-tails resolve alone once the stream driver stops sending.
+The DATA stream and the SESSION flushes each run on one stream lane
+(:class:`_Stream`) whose loss draws only its cascades consume: DATA has
+its own loss lane, and SESSION shares the recovery lane only under
+lossless recovery, which draws nothing there.  A send resolves every
+draw up to the next send's instant, across all cascades still in
+flight; DATA's last send resolves the rest, and the stream driver's
+:meth:`SimNetwork.end_session` does so for SESSION once it finds the
+session complete.
 
 The scalar path is two closure-free walkers: a path walker steps a
 cached route (LRUs of routed paths — client↔peer pairs repeat heavily
@@ -55,6 +57,7 @@ share the flood walker.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Protocol
 
@@ -64,7 +67,7 @@ from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
 from repro.net.topology import Link, Topology
 from repro.sim import dissem as dissem_mod
-from repro.sim.engine import EventQueue, Timer
+from repro.sim.engine import EventQueue
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.trace import TraceEvent, TraceKind
 
@@ -163,17 +166,28 @@ class _FloodArrival:
         self._network._flood_spread(self._node, self._came_from, self._packet)
 
 
+@dataclass(eq=False, slots=True)
+class _Stream:
+    """One root stream of the fast path, DATA or SESSION: its cascades,
+    resolved epoch by epoch between the stream driver's sends."""
+
+    cascades: dissem_mod.CascadeSet  # holds the lane's loss RNG
+    interval: float
+    #: Sends in the stream; None = until the session ends.
+    count: int | None
+    #: The packets sent, by cascade ordinal, and the next send's instant
+    #: (the epoch end).
+    packets: list[Packet] = field(default_factory=list)
+    next: float = 0.0
+
+
 class _FastDissem:
     """Per-run state of the array dissemination fast path: the tree's
-    arrays and the agents' preorder positions, built when it is armed."""
-
-    #: DATA/SESSION plan states.
-    PENDING, ON, OFF = 0, 1, 2
+    arrays, the agents' preorder positions and the two stream lanes,
+    built when it is armed."""
 
     __slots__ = (
-        "stream", "dissem", "agent_pos", "scratch",
-        "data_state", "data_plan", "session_state", "session",
-        "session_packet", "session_next", "boundary", "inflight",
+        "stream", "dissem", "agent_pos", "scratch", "streams", "inflight",
     )
 
     def __init__(
@@ -181,6 +195,8 @@ class _FastDissem:
         tree: MulticastTree,
         agents: dict[int, Agent],
         stream: "StreamConfig",
+        data_rng: np.random.Generator,
+        session_rng: np.random.Generator,
     ):
         self.stream = stream
         self.dissem = dissem_mod.TreeDissem(tree)
@@ -190,16 +206,18 @@ class _FastDissem:
             dtype=np.int64,
         )
         self.scratch = np.empty(self.dissem.num_members, dtype=np.float64)
-        self.data_state = self.PENDING
-        self.data_plan: dissem_mod.DataPlan | None = None
-        self.session_state = self.PENDING
-        # SESSION cascades resolved epoch by epoch, the send that
-        # started them, the next send's predicted instant and the
-        # pending epoch-boundary timer.
-        self.session: dissem_mod.CascadeSet | None = None
-        self.session_packet: Packet | None = None
-        self.session_next = 0.0
-        self.boundary: Timer | None = None
+        receivers = self.agent_pos[self.agent_pos > 0]
+        # A lane refused at its first send is removed.
+        self.streams = {
+            PacketKind.DATA: _Stream(
+                dissem_mod.CascadeSet(self.dissem, data_rng, receivers),
+                stream.data_interval, stream.num_packets,
+            ),
+            PacketKind.SESSION: _Stream(
+                dissem_mod.CascadeSet(self.dissem, session_rng, receivers),
+                stream.session_interval, None,
+            ),
+        }
         # Hop/drop charge times of every fast transmission, by kind —
         # reconciled against the drain cutoff in finalize_fast_dissem.
         self.inflight: list[tuple[PacketKind, np.ndarray, np.ndarray | None]] = []
@@ -426,9 +444,10 @@ class SimNetwork:
         dissemination emits no per-link events; :meth:`add_link_observer`
         refuses once armed).  What remains per send is whether the
         journey's loss draws can be reproduced (draw-freedom, the
-        DATA/SESSION plan guards); a send that fails it takes the scalar
-        path.  Arming builds the tree's arrays and the agents' positions,
-        so every agent must be attached first.  Only the runner calls
+        DATA/SESSION lanes' first-send refusals); a send that fails it
+        takes the scalar path.  Arming builds the tree's arrays, the
+        agents' positions and the stream lanes, so every agent must be
+        attached first.  Only the runner calls
         this; directly constructed networks keep the scalar path
         throughout.
         """
@@ -441,7 +460,10 @@ class SimNetwork:
             # Churn mutates the tree mid-run; the fast path's TreeDissem
             # arrays snapshot it once.  Scalar path throughout.
             return False
-        self._fast = _FastDissem(self.tree, self._agents, stream)
+        self._fast = _FastDissem(
+            self.tree, self._agents, stream,
+            self._data_loss_rng, self._loss_rng,
+        )
         return True
 
     @property
@@ -460,10 +482,6 @@ class SimNetwork:
         fast = self._fast
         if fast is None:
             return
-        if fast.boundary is not None:
-            # An epoch boundary past the cutoff: its tails never fire.
-            fast.boundary.cancel()
-            fast.boundary = None
         for kind, hop_times, drop_times in fast.inflight:
             late = int(np.count_nonzero(hop_times > now))
             if late:
@@ -502,147 +520,101 @@ class SimNetwork:
             deliver_times, deliver_nodes, partial(self._deliver, packet)
         )
 
-    def _try_fast_data(self, packet: Packet) -> bool:
-        fast = self._fast
-        if fast.data_state == _FastDissem.OFF:
-            return False
+    def _stream_packet(self, kind: PacketKind, k: int) -> Packet:
+        """The stream driver's ``k``-th send of ``kind``."""
         root = self.tree.root
-        if fast.data_state == _FastDissem.PENDING:
-            # Decide — and, on success, consume the whole DATA loss lane
-            # in merged event order — strictly before the first draw.
-            if packet != Packet(PacketKind.DATA, 0, origin=root) or (
-                fast.dissem.num_lossy and self._data_loss_rng is self._loss_rng
-            ):
-                # Not the stream driver's pattern, or DATA shares the
-                # loss lane with recovery traffic (whole-lane precompute
-                # would steal recovery draws).
-                fast.data_state = _FastDissem.OFF
-                return False
-            plan = dissem_mod.build_data_plan(
-                fast.dissem,
-                self.events.now,
-                fast.stream.num_packets,
-                fast.stream.data_interval,
-                self._data_loss_rng,
-                fast.agent_pos[fast.agent_pos > 0],
-            )
-            if plan is None:  # exact event-time tie; nothing consumed
-                fast.data_state = _FastDissem.OFF
-                return False
-            fast.data_plan = plan
-            fast.data_state = _FastDissem.ON
-        plan = fast.data_plan
-        k = plan.next_seq
-        if (
-            k >= fast.stream.num_packets
-            or packet != Packet(PacketKind.DATA, k, origin=root)
-            or self.events.now != plan.t0s[k]
-        ):
-            # The plan consumed the DATA lane for the stream driver's
-            # exact send pattern; a divergent caller cannot be replayed.
-            raise RuntimeError(
-                "fast DATA dissemination diverged from the stream driver "
-                f"(send {k}, t={self.events.now}, packet={packet})"
-            )
-        plan.next_seq = k + 1
-        outcome = plan.cascades[k]
-        self._apply_fast(
-            packet,
-            outcome.deliver_nodes,
-            outcome.deliver_times,
-            outcome.hop_times,
-            outcome.drop_times,
+        if kind is PacketKind.DATA:
+            return Packet(PacketKind.DATA, k, origin=root)
+        return Packet(
+            PacketKind.SESSION, 0, origin=root,
+            highest_seq=self._fast.stream.num_packets - 1,
         )
-        return True
 
-    def _try_fast_session(self, packet: Packet) -> bool:
-        fast = self._fast
-        if fast.session_state == _FastDissem.OFF:
+    def _stream_refused(self, lane: _Stream, packet: Packet) -> bool:
+        """Whether a stream's first send must leave its lane to the
+        scalar path — decided before any draw, and for good: a later
+        fast send would resolve draws ahead of a scalar cascade's
+        tail."""
+        if packet != self._stream_packet(packet.kind, 0):
+            return True  # not the stream driver's pattern
+        dissem = self._fast.dissem
+        if not dissem.num_lossy:
             return False
-        dissem = fast.dissem
+        # The lane's cascades must be its RNG's only consumer: lossy
+        # recovery traffic, or a scalar DATA tail on a shared lane,
+        # would interleave with their draws.
+        if self._data_loss_rng is self._loss_rng or (
+            packet.kind is PacketKind.SESSION and not self._lossless_recovery
+        ):
+            return True
+        return dissem_mod.sends_tie(
+            dissem, self.events.now, lane.interval, lane.count
+        )
+
+    def _try_fast_stream(self, packet: Packet) -> bool:
+        """A root DATA or SESSION send: add its cascade to the kind's
+        lane and resolve the lane up to the next send."""
+        fast = self._fast
+        lane = fast.streams.get(packet.kind)
+        if lane is None:
+            return False
         now = self.events.now
-        interval = fast.stream.session_interval
-        if fast.session_state == _FastDissem.PENDING:
-            # Decided at the first send, before any draw, and for good:
-            # a later fast send would resolve draws ahead of a scalar
-            # cascade's tail.
-            root = self.tree.root
-            expected = Packet(
-                PacketKind.SESSION, 0, origin=root,
-                highest_seq=fast.stream.num_packets - 1,
-            )
-            if packet != expected or (dissem.num_lossy and (
-                # SESSION cascades must be the loss lane's only
-                # consumer: lossy recovery traffic, or a scalar DATA
-                # tail still in flight on a shared lane, would
-                # interleave with their draws.
-                not self._lossless_recovery
-                or self._data_loss_rng is self._loss_rng
-                or dissem_mod.sends_tie(dissem, now, interval)
-            )):
-                fast.session_state = _FastDissem.OFF
+        k = len(lane.packets)
+        lossy = fast.dissem.num_lossy
+        if k == 0:
+            if self._stream_refused(lane, packet):
+                del fast.streams[packet.kind]
                 return False
-            fast.session = dissem_mod.CascadeSet(
-                dissem, self._loss_rng, fast.agent_pos[fast.agent_pos > 0]
-            )
-            fast.session_packet = packet
-            fast.session_state = _FastDissem.ON
-        elif packet != fast.session_packet or (
-            dissem.num_lossy and now != fast.session_next
+        elif (
+            packet != self._stream_packet(packet.kind, k)
+            or (lane.count is not None and k >= lane.count)
+            or (lossy and now != lane.next)
         ):
             # Draws are resolved up to the predicted next send; a
             # divergent caller cannot be replayed.
             raise RuntimeError(
-                "fast SESSION dissemination diverged from the stream "
-                f"driver (t={now}, expected t={fast.session_next}, "
+                f"fast {packet.kind.value} dissemination diverged from the "
+                f"stream driver (send {k}, t={now}, expected t={lane.next}, "
                 f"packet={packet})"
             )
-        if fast.boundary is not None:
-            # This send is the epoch boundary's driver tick.
-            fast.boundary.cancel()
-            fast.boundary = None
-        if not fast.session.add(np.array([now])):
+        if not lane.cascades.add(now):
             raise RuntimeError(
-                f"SESSION cascades tie at t={now} (float rounding); "
-                "their draw order cannot be replayed"
+                f"{packet.kind.value} cascades tie at t={now} (float "
+                "rounding); their draw order cannot be replayed"
             )
-        # An epoch ends at the next send; a lossless tree draws
-        # nothing, so its cascades resolve whole.
-        fast.session_next = now + interval if dissem.num_lossy else np.inf
-        self._resolve_session(fast.session_next)
+        lane.packets.append(packet)
+        lane.next = now + lane.interval
+        # An epoch ends at the next send; a lossless tree draws nothing
+        # and a stream's last send has no next, so those resolve whole.
+        last = lane.count is not None and k + 1 == lane.count
+        self._resolve_stream(lane, np.inf if last or not lossy else lane.next)
         return True
 
-    def _resolve_session(self, hi: float) -> None:
-        """Resolve the SESSION epoch ending at ``hi`` and, while a tail
-        reaches past it, arm the boundary timer at ``hi``."""
-        fast = self._fast
-        for outcome in fast.session.resolve(hi):
+    def _resolve_stream(self, lane: _Stream, hi: float) -> None:
+        """Resolve ``lane``'s epoch ending at ``hi``: charge it and
+        schedule its deliveries."""
+        for outcome in lane.cascades.resolve(hi):
             if outcome.hop_times.size:
-                # SESSION packets are frozen and value-equal: one stands
-                # for every send.
                 self._apply_fast(
-                    fast.session_packet,
+                    lane.packets[outcome.cascade],
                     outcome.deliver_nodes,
                     outcome.deliver_times,
                     outcome.hop_times,
                     outcome.drop_times,
                 )
-        if fast.session.pending:
-            fast.boundary = self.events.schedule_at(
-                hi, self._session_boundary
-            )
 
-    def _session_boundary(self) -> None:
-        # The stream driver's tick at this instant was queued after this
-        # timer; re-queue behind it, so only a tick that sent nothing
-        # (the session is complete) lets the tails resolve alone.
-        self._fast.boundary = self.events.schedule_at(
-            self.events.now, self._session_tail
-        )
+    def end_session(self) -> None:
+        """The stream driver found the session complete and sends no
+        more SESSION flushes: resolve their tails over ``[now, inf)``.
 
-    def _session_tail(self) -> None:
-        self._fast.boundary = None
-        self._resolve_session(np.inf)
+        SESSION cascades still in flight at the drain cutoff, with no
+        driver tick before it, stay unresolved and uncharged — their
+        scalar transmissions would have fallen after the cutoff too.
+        """
+        fast = self._fast
+        lane = None if fast is None else fast.streams.get(PacketKind.SESSION)
+        if lane is not None and len(lane.cascades.arrivals):
+            self._resolve_stream(lane, np.inf)
 
     def _try_fast_subtree(
         self, src: int, subtree_root: int, packet: Packet
@@ -856,12 +828,10 @@ class SimNetwork:
         ):
             return
         if self._fast is not None:
-            from_root = src == subtree_root == self.tree.root
-            if packet.kind is PacketKind.DATA and from_root:
-                if self._try_fast_data(packet):
-                    return
-            elif packet.kind is PacketKind.SESSION and from_root:
-                if self._try_fast_session(packet):
+            if src == subtree_root == self.tree.root and packet.kind in (
+                PacketKind.DATA, PacketKind.SESSION
+            ):
+                if self._try_fast_stream(packet):
                     return
             elif self._try_fast_subtree(src, subtree_root, packet):
                 return

@@ -20,6 +20,10 @@ class TestFixedTimeout:
         with pytest.raises(ValueError):
             FixedTimeout(float("nan"))
 
+    def test_rejects_infinite_t0(self):
+        with pytest.raises(ValueError, match="t0"):
+            FixedTimeout(float("inf"))
+
     def test_repr(self):
         assert "75.0" in repr(FixedTimeout(75.0))
 
@@ -80,3 +84,8 @@ class TestProportionalTimeout:
             ProportionalTimeout(floor=-1.0)
         with pytest.raises(ValueError):
             ProportionalTimeout(floor=float("nan"))
+
+    @pytest.mark.parametrize("knob", ["factor", "slack", "floor"])
+    def test_rejects_infinite_knobs(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            ProportionalTimeout(**{knob: float("inf")})

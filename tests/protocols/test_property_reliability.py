@@ -10,7 +10,7 @@ unrecovered loss or an exhausted event budget.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol
@@ -47,6 +47,16 @@ scenario_strategy = st.fixed_dictionaries(
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(params=scenario_strategy)
+# Jitter reorders a DATA packet behind its own repair: one detection,
+# one recovery on a lossless tree.
+@example(params={
+    "seed": 5320, "num_routers": 15, "loss_prob": 0.0,
+    "lossless_recovery": False, "jitter": 0.3, "protocol": "nearest",
+})
+@example(params={
+    "seed": 5320, "num_routers": 15, "loss_prob": 0.0,
+    "lossless_recovery": True, "jitter": 0.3, "protocol": "nearest",
+})
 def test_every_protocol_fully_recovers_any_scenario(params):
     config = ScenarioConfig(
         seed=params["seed"],
@@ -64,12 +74,17 @@ def test_every_protocol_fully_recovers_any_scenario(params):
     # Accounting invariants.
     assert summary.losses_recovered <= summary.num_clients * config.num_packets
     if params["loss_prob"] == 0.0:
-        # No losses to detect... unless jitter reordered the stream,
-        # which triggers (later retracted) false detections whose
-        # requests legitimately consumed bandwidth.
-        assert summary.losses_detected == 0
         if params["jitter"] == 0.0:
+            # No losses to detect.
+            assert summary.losses_detected == 0
             assert summary.recovery_hops == 0
+        else:
+            # Jitter can reorder the stream.  A gap whose late packet
+            # lands first is retracted and not counted; one whose repair
+            # lands first was a real detection (the receiver acted on
+            # it and spent bandwidth), so it counts as detected and
+            # recovered.
+            assert summary.losses_detected == summary.losses_recovered
     if summary.losses_recovered:
         assert summary.avg_latency > 0.0
         assert summary.p50_latency <= summary.p95_latency

@@ -49,6 +49,11 @@ class TestModel:
         with pytest.raises(ValueError):
             LinearCongestionModel(-0.1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            LinearCongestionModel(alpha)
+
 
 class TestNetworkIntegration:
     def _net_with_congestion(self, alpha):

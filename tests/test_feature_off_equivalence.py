@@ -444,8 +444,10 @@ def _cascade_span(tree):
 
 
 @pytest.fixture
-def session_transmits(monkeypatch):
-    """Counts the scalar path's SESSION link transmissions."""
+def transmits(monkeypatch):
+    """Counts the scalar path's link transmissions: ``transmits(kind)``
+    returns those of ``kind`` since the last call and restarts every
+    count."""
     counts = collections.Counter()
     transmit = SimNetwork._transmit
 
@@ -453,22 +455,27 @@ def session_transmits(monkeypatch):
         counts[packet.kind] += 1
         return transmit(network, link, to_node, packet, on_arrival)
 
+    def take(kind):
+        count = counts[kind]
+        counts.clear()
+        return count
+
     monkeypatch.setattr(SimNetwork, "_transmit", counting)
-    return lambda: counts.pop(PacketKind.SESSION, 0)
+    return take
 
 
 def _fast_and_scalar_sessions(
-    scalar_dissem, session_transmits, factory_cls, config=SESSION_OVERLAP,
-    built=None,
+    scalar_dissem, transmits, factory_cls, config=SESSION_OVERLAP,
+    built=None, kind=PacketKind.SESSION,
 ):
     """Artifacts of one run armed and on the scalar path, each with its
-    scalar SESSION transmission count."""
+    count of scalar ``kind`` transmissions."""
     built = built if built is not None else build_scenario(config)
     fast = run_protocol_detailed(built, factory_cls())
-    fast_tx = session_transmits()
+    fast_tx = transmits(kind)
     with scalar_dissem():
         scalar = run_protocol_detailed(built, factory_cls())
-    return fast, fast_tx, scalar, session_transmits()
+    return fast, fast_tx, scalar, transmits(kind)
 
 
 @pytest.mark.parametrize(
@@ -477,79 +484,100 @@ def _fast_and_scalar_sessions(
     ids=lambda c: c.name,
 )
 def test_overlapping_session_cascades_leave_the_scalar_flood(
-    factory_cls, scalar_dissem, session_transmits
+    factory_cls, scalar_dissem, transmits
 ):
     # Each SESSION send resolves the loss draws of its epoch, up to the
     # next send, across every cascade still in flight.
     built = build_scenario(SESSION_OVERLAP)
     assert _cascade_span(built.tree) > 2 * SESSION_OVERLAP.session_interval
     fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
-        scalar_dissem, session_transmits, factory_cls, built=built
+        scalar_dissem, transmits, factory_cls, built=built
     )
     assert _observables(fast, True) == _observables(scalar, True)
     assert scalar_tx > 0
     assert fast_tx == 0
 
 
-def test_session_boundary_past_the_drain_cutoff_is_cancelled(
-    monkeypatch, scalar_dissem, session_transmits
+def test_session_tails_past_the_drain_cutoff_stay_unresolved(
+    monkeypatch, scalar_dissem, transmits
 ):
-    # The last send's epoch ends at the next send, after the cutoff, and
-    # its would-be tail (under already-dropped edges) leaves the epoch
-    # boundary timer armed there.  The finalize step cancels it, so the
-    # runner's quiescence.timers check (it raises on a violation) holds.
+    # The last send's epoch ends at the next send, after the cutoff, so
+    # no driver tick calls end_session: its would-be tail (under
+    # already-dropped edges) is still in flight at the cutoff, and stays
+    # unresolved and uncharged.  Nothing of it is on the calendar, so
+    # the runner's quiescence.timers check (it raises on a violation)
+    # holds.
     config = ScenarioConfig(
         seed=3, num_routers=20, loss_prob=0.4, num_packets=4,
         lossless_recovery=True, session_interval=30.0, drain_time=10.0,
     )
-    armed = []
+    in_flight = []
     finalize = SimNetwork.finalize_fast_dissem
 
     def spy(network, now):
         fast = network._fast
         if fast is not None:  # the scalar reference run has none
-            armed.append(fast.boundary is not None)
+            cascades = fast.streams[PacketKind.SESSION].cascades
+            in_flight.append(len(cascades.arrivals))
+            # Resolved up to the next send, which lies past the cutoff.
+            assert cascades.lo > now
         finalize(network, now)
-        assert fast is None or fast.boundary is None
 
     monkeypatch.setattr(SimNetwork, "finalize_fast_dissem", spy)
     fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
-        scalar_dissem, session_transmits, RPProtocolFactory, config
+        scalar_dissem, transmits, RPProtocolFactory, config
     )
-    assert armed == [True]
+    assert in_flight[0] > 0 and len(in_flight) == 1
     assert _observables(fast, True) == _observables(scalar, True)
     assert fast_tx == 0 < scalar_tx
 
 
-def test_integer_delay_session_ties_stay_scalar(
-    scalar_dissem, session_transmits
-):
-    # Sends every 15 ms over 10 ms links: cascade k reaches the third
-    # router exactly when send k + 2 leaves the root, a tie the scalar
-    # path breaks by heap order.  Caught at the first send, before any
-    # draw: SESSION stays scalar throughout.  (SRM: RP's unicast
-    # recovery journeys collapse to one event each, whose ties with
-    # other events on this grid the fast path does not order.)
+def _integer_delay_scenario(**interval):
+    """Sends every 15 ms over 10 ms links: cascade k reaches the third
+    router exactly when send k + 2 leaves the root, a tie the scalar
+    path breaks by heap order."""
     topology = line_topology(5, delay=10.0, loss_prob=0.2)
     config = ScenarioConfig(
         seed=4, num_routers=5, loss_prob=0.2, num_packets=6,
-        lossless_recovery=True, session_interval=15.0,
+        lossless_recovery=True, **interval,
     )
-    built = BuiltScenario(
+    return BuiltScenario(
         config=config,
         topology=topology,
         tree=random_multicast_tree(topology, np.random.default_rng(0)),
         routing=RoutingTable(topology),
     )
+
+
+def test_integer_delay_session_ties_stay_scalar(
+    scalar_dissem, transmits
+):
+    # Caught at the first send, before any draw: SESSION stays scalar
+    # throughout.  (SRM: RP's unicast recovery journeys collapse to one
+    # event each, whose ties with other events on this grid the fast
+    # path does not order.)
     fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
-        scalar_dissem, session_transmits, SRMProtocolFactory, built=built
+        scalar_dissem, transmits, SRMProtocolFactory,
+        built=_integer_delay_scenario(session_interval=15.0),
+    )
+    assert _observables(fast, True) == _observables(scalar, True)
+    assert fast_tx == scalar_tx > 0
+
+
+def test_integer_delay_data_ties_stay_scalar(scalar_dissem, transmits):
+    # The same tie on the DATA grid, caught at the first send over the
+    # whole stream, before any draw: DATA stays scalar throughout.
+    fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
+        scalar_dissem, transmits, SRMProtocolFactory,
+        built=_integer_delay_scenario(data_interval=15.0),
+        kind=PacketKind.DATA,
     )
     assert _observables(fast, True) == _observables(scalar, True)
     assert fast_tx == scalar_tx > 0
 
 
 def test_shared_data_lane_keeps_session_scalar(
-    monkeypatch, scalar_dissem, session_transmits
+    monkeypatch, scalar_dissem, transmits
 ):
     # With DATA on the loss lane, a scalar DATA tail can still be in
     # flight when the first SESSION cascade starts.
@@ -558,13 +586,13 @@ def test_shared_data_lane_keeps_session_scalar(
 
     monkeypatch.setattr(runner, "SimNetwork", shared_lane)
     fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
-        scalar_dissem, session_transmits, RPProtocolFactory
+        scalar_dissem, transmits, RPProtocolFactory
     )
     assert _observables(fast, True) == _observables(scalar, True)
     assert fast_tx == scalar_tx > 0
 
 
-def test_session_tie_first_met_at_a_later_epoch_raises(session_transmits):
+def test_session_tie_first_met_at_a_later_epoch_raises(transmits):
     # S -a- b, sends every 0.1 ms from t=1: the fl-accumulated send grid
     # drifts by an ulp, so b's delay can land one cascade's arrival on
     # send 11's instant while sends 0..W (W = 2 here) do not tie.  Draws
@@ -598,4 +626,4 @@ def test_session_tie_first_met_at_a_later_epoch_raises(session_transmits):
     with pytest.raises(RuntimeError, match="tie"):
         events.run(until=3.0)
     assert events.now > grid[2]
-    assert session_transmits() == 0
+    assert transmits(PacketKind.SESSION) == 0
