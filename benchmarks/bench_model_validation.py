@@ -26,6 +26,7 @@ from repro.core.timeouts import ProportionalTimeout
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 from repro.experiments.runner import build_scenario, run_protocol
+from repro.obs.report import predict_model
 from repro.protocols.rp import RPProtocolFactory
 
 
@@ -35,8 +36,8 @@ def test_analytic_vs_simulated_latency(benchmark):
     )
     built = build_scenario(config)
     planner = RPPlanner(built.tree, built.routing)
-    plans = planner.plan_all()
-    predicted = sum(p.expected_delay for p in plans.values()) / len(plans)
+    # The same eq.-3 mean `repro obs` prints as its planned E[delay].
+    _, predicted = predict_model(planner.plan_all(), planner.estimator)
     summary = benchmark.pedantic(
         lambda: run_protocol(built, RPProtocolFactory()), rounds=1, iterations=1
     )

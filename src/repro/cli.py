@@ -350,11 +350,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     finally:
         instr.close()
     store = artifacts.spans
-    assert store is not None
-    report = analyze(
-        store, strategies=getattr(factory, "last_strategies", None) or None
-    )
-    print(report.render(worst_k=args.worst))
+    assert store is not None and artifacts.obs is not None
+    print(analyze(store).render(worst_k=args.worst))
+    # From attempt events (every attempt, whatever the sample rate) and
+    # without the wall-clock timer rows, so the output is deterministic.
+    print("\n".join(["", *artifacts.obs.render_model()]))
     if args.perfetto is not None:
         path = write_perfetto(store, args.perfetto)
         print(f"\nPerfetto trace written to {path}")

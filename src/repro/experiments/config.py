@@ -75,6 +75,14 @@ class ScenarioConfig:
     congestion_alpha: float = 0.0
 
     def __post_init__(self) -> None:
+        # numpy rejects a negative seed only inside build_scenario; a
+        # budget below 1 fails at t=0, and a NaN one disables the guard.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 1 <= self.max_events < math.inf:
+            raise ValueError(
+                f"max_events must be finite and >= 1, got {self.max_events}"
+            )
         # The runner builds a congestion model only for alpha > 0, so a
         # negative or NaN slope would otherwise run as the paper model.
         if not 0.0 <= self.congestion_alpha < math.inf:

@@ -319,6 +319,7 @@ def run_protocol_detailed(
             instr,
             protocol=factory.name.lower(),
             strategies=getattr(factory, "last_strategies", None) or None,
+            estimator=getattr(factory, "last_estimator", None),
         )
     artifacts = RunArtifacts(
         summary=summary, log=log, ledger=ledger, obs=obs,

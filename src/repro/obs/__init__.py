@@ -18,7 +18,8 @@ behaviour.  This subpackage records it:
   three, with a free disabled default (:data:`NULL_INSTRUMENTATION`);
 * :mod:`repro.obs.report` — reduces a run's telemetry to the
   attempt-level :class:`ObsReport` (attempts-per-recovery histogram,
-  per-rank success rates vs. the model, top timers);
+  per-rank success rates and attempt times vs. the model's
+  :func:`predict_model`, top timers);
 * :mod:`repro.obs.spans` / :mod:`repro.obs.tracing` — causal recovery
   tracing: every recovery becomes a span tree (root ``recovery``,
   attempt children, link-traversal grandchildren) assembled by a
@@ -27,7 +28,7 @@ behaviour.  This subpackage records it:
   (Chrome/Perfetto trace-event JSON, JSONL);
 * :mod:`repro.obs.critical_path` — splits traced recovery latency into
   request-transit / peer-processing / repair-transit / timeout-slack /
-  backoff components and checks per-rank outcomes against the model;
+  backoff components;
 * :mod:`repro.obs.timeseries` — bounded fixed-width sim-time windows
   over the event stream (event rate, in-flight recoveries by phase,
   per-kind bandwidth, timer-heap size) with ASCII sparklines;
@@ -79,7 +80,6 @@ from repro.obs.timeseries import (
 from repro.obs.critical_path import (
     COMPONENTS,
     CriticalPathReport,
-    RankPath,
     TraceBreakdown,
     analyze,
     analyze_trace,
@@ -98,7 +98,7 @@ from repro.obs.report import (
     ObsReport,
     RankStats,
     build_obs_report,
-    predicted_rank_success,
+    predict_model,
 )
 from repro.obs.sinks import (
     EventSink,
@@ -153,7 +153,7 @@ __all__ = [
     "ObsReport",
     "RankStats",
     "build_obs_report",
-    "predicted_rank_success",
+    "predict_model",
     "EventSink",
     "JsonlSink",
     "NullSink",
@@ -167,7 +167,6 @@ __all__ = [
     "sample_hash",
     "COMPONENTS",
     "CriticalPathReport",
-    "RankPath",
     "TraceBreakdown",
     "analyze",
     "analyze_trace",

@@ -17,23 +17,18 @@ delay model reasons about:
 * ``other`` — whatever the trace cannot attribute (e.g. the tail of a
   retracted recovery).
 
-Aggregation happens on two axes.  Per *component*: totals over the
-whole store — where does recovery latency actually go.  Per *rank*:
-observed conditional failure rates and mean attempt costs for each
-prioritized-list rank, laid next to the model's predictions — failure
-``DS_j/DS_{j-1}`` (Lemma 3) and cost
-``d(v_j) = d_j·P(success) + t0·P(failure)`` (eq. 1) — when the RP
-strategies are supplied.  :meth:`CriticalPathReport.worst` surfaces the
-slowest recoveries with their dominant component, which is the
-``repro trace`` subcommand's "what should I look at first" answer.
+Per-component totals over the whole store show where recovery latency
+actually goes; :meth:`CriticalPathReport.worst` surfaces the slowest
+recoveries with their dominant component, which is the ``repro trace``
+subcommand's "what should I look at first" answer.  The per-rank check
+against the model (Lemma 3, eq. 1) reads attempt events, not spans:
+see :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.objective import BlendEstimator
-from repro.obs.events import SOURCE_RANK
 from repro.obs.spans import (
     CATEGORY_ATTEMPT,
     CATEGORY_RECOVERY,
@@ -50,9 +45,6 @@ COMPONENTS = (
     "backoff",
     "other",
 )
-
-#: Attempt statuses that count as conditional failures at their rank.
-_FAILURE_STATUSES = ("timed_out", "nacked")
 
 #: Causal order of succeeded-attempt milestones: ties in time (e.g. a
 #: source answering a request on the tick it arrives) must still
@@ -91,32 +83,6 @@ class TraceBreakdown:
             "attempts": self.attempts,
             "components": dict(self.components),
         }
-
-
-@dataclass
-class RankPath:
-    """Observed vs predicted behaviour of one prioritized-list rank."""
-
-    rank: int
-    attempts: int = 0
-    successes: int = 0
-    failures: int = 0
-    total_cost: float = 0.0
-    predicted_failure: float | None = None
-    predicted_cost: float | None = None
-
-    @property
-    def observed_failure(self) -> float | None:
-        decided = self.successes + self.failures
-        return self.failures / decided if decided else None
-
-    @property
-    def mean_cost(self) -> float | None:
-        return self.total_cost / self.attempts if self.attempts else None
-
-    @property
-    def label(self) -> str:
-        return "source" if self.rank == SOURCE_RANK else f"v{self.rank + 1}"
 
 
 def _attempt_milestones(span: Span) -> list[tuple[float, str]]:
@@ -218,44 +184,11 @@ def analyze_trace(spans: list[Span]) -> TraceBreakdown | None:
     )
 
 
-def _predicted_per_rank(strategies: dict) -> dict[int, tuple[float, float]]:
-    """``rank → (mean DS_j/DS_{j-1}, mean eq.-1 cost)`` over clients."""
-    estimator = BlendEstimator()
-    fail_sums: dict[int, float] = {}
-    cost_sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    src_cost_sum = 0.0
-    for strategy in strategies.values():
-        prev_ds = strategy.ds_u
-        for rank, candidate in enumerate(strategy.attempts):
-            if prev_ds > 0:
-                p_fail = candidate.ds / prev_ds
-                timeout = strategy.timeouts[rank]
-                fail_sums[rank] = fail_sums.get(rank, 0.0) + p_fail
-                cost_sums[rank] = cost_sums.get(rank, 0.0) + estimator.cost(
-                    candidate.rtt, timeout, 1.0 - p_fail
-                )
-                counts[rank] = counts.get(rank, 0) + 1
-            prev_ds = candidate.ds
-        src_cost_sum += strategy.source_rtt
-    out = {
-        rank: (fail_sums[rank] / counts[rank], cost_sums[rank] / counts[rank])
-        for rank in counts
-    }
-    if strategies:
-        # The source always has the packet: failure only through loss of
-        # the request/repair themselves, which the single-loss model
-        # puts at zero; cost is the plain round trip.
-        out[SOURCE_RANK] = (0.0, src_cost_sum / len(strategies))
-    return out
-
-
 @dataclass
 class CriticalPathReport:
     """Aggregated critical-path view of a span store."""
 
     breakdowns: list[TraceBreakdown] = field(default_factory=list)
-    per_rank: list[RankPath] = field(default_factory=list)
     sampled_out: int = 0
     late_events: int = 0
 
@@ -282,19 +215,6 @@ class CriticalPathReport:
             "traces": len(self.breakdowns),
             "totals": self.totals,
             "total_latency": self.total_latency,
-            "per_rank": [
-                {
-                    "rank": r.rank,
-                    "attempts": r.attempts,
-                    "successes": r.successes,
-                    "failures": r.failures,
-                    "observed_failure": r.observed_failure,
-                    "predicted_failure": r.predicted_failure,
-                    "mean_cost": r.mean_cost,
-                    "predicted_cost": r.predicted_cost,
-                }
-                for r in self.per_rank
-            ],
             "sampled_out": self.sampled_out,
             "late_events": self.late_events,
             "breakdowns": [b.to_dict() for b in self.breakdowns],
@@ -311,36 +231,6 @@ class CriticalPathReport:
                 bar = "#" * max(0, round(30 * share))
                 lines.append(
                     f"  {component:<16} {value:12.2f}  {share:6.1%}  {bar}"
-                )
-        if self.per_rank:
-            lines.append("")
-            lines.append(
-                "per-rank attempt outcomes vs model "
-                "(failure = DS_j/DS_j-1, cost = eq. 1):"
-            )
-            lines.append(
-                "  rank    attempts   failed  obs fail  pred fail"
-                "  mean ms   pred ms"
-            )
-            for r in self.per_rank:
-                obs = (
-                    f"{r.observed_failure:8.3f}"
-                    if r.observed_failure is not None else "       -"
-                )
-                pred = (
-                    f"{r.predicted_failure:9.3f}"
-                    if r.predicted_failure is not None else "        -"
-                )
-                cost = (
-                    f"{r.mean_cost:7.2f}" if r.mean_cost is not None else "      -"
-                )
-                pcost = (
-                    f"{r.predicted_cost:7.2f}"
-                    if r.predicted_cost is not None else "      -"
-                )
-                lines.append(
-                    f"  {r.label:>6}  {r.attempts:8d}  {r.failures:7d}"
-                    f"  {obs}  {pred}  {cost}   {pcost}"
                 )
         if worst_k > 0 and self.breakdowns:
             lines.append("")
@@ -365,50 +255,21 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def analyze(
-    store: SpanStore, strategies: dict | None = None
-) -> CriticalPathReport:
-    """Fold a span store into a :class:`CriticalPathReport`.
-
-    ``strategies`` (client → ``RecoveryStrategy``, RP only) attaches the
-    model's per-rank failure-rate and attempt-cost predictions.
-    """
+def analyze(store: SpanStore) -> CriticalPathReport:
+    """Fold a span store into a :class:`CriticalPathReport`."""
     report = CriticalPathReport(
         sampled_out=store.sampled_out, late_events=store.late_events
     )
-    ranks: dict[int, RankPath] = {}
     for spans in store.by_trace().values():
         breakdown = analyze_trace(spans)
         if breakdown is not None:
             report.breakdowns.append(breakdown)
-        for span in spans:
-            if span.category != CATEGORY_ATTEMPT or span.end is None:
-                continue
-            rank = span.attrs.get("rank", SOURCE_RANK)
-            stats = ranks.get(rank)
-            if stats is None:
-                stats = RankPath(rank=rank)
-                ranks[rank] = stats
-            stats.attempts += 1
-            stats.total_cost += span.end - span.start
-            status = span.attrs.get("status", "")
-            if status == "succeeded":
-                stats.successes += 1
-            elif status in _FAILURE_STATUSES:
-                stats.failures += 1
-    predictions = _predicted_per_rank(strategies) if strategies else {}
-    for rank in sorted(ranks, key=lambda r: (r == SOURCE_RANK, r)):
-        stats = ranks[rank]
-        if rank in predictions:
-            stats.predicted_failure, stats.predicted_cost = predictions[rank]
-        report.per_rank.append(stats)
     return report
 
 
 __all__ = [
     "COMPONENTS",
     "TraceBreakdown",
-    "RankPath",
     "CriticalPathReport",
     "analyze",
     "analyze_trace",

@@ -8,11 +8,11 @@ predicts:
   loss needed (the makespan/retransmission-count metric hierarchical-
   recovery follow-up work evaluates);
 * **per-rank success rates** — how often the attempt to the ``j``-th
-  peer of the prioritized list succeeded.  When the RP strategies are
-  supplied, each rank also carries the model's prediction
-  ``1 − DS_j/DS_{j−1}`` (Lemma 3's telescoping conditional success
-  probability), so the simulated attempt outcomes can be checked
-  against the theory rank by rank;
+  peer of the prioritized list succeeded, and how long it took.  When
+  the RP strategies are supplied, :func:`predict_model` attaches the
+  model's predictions (Lemma 3's ``1 − DS_j/DS_{j−1}``, eq. 1's cost,
+  eq. 3's list delay), so the simulated attempt outcomes can be
+  checked against the theory rank by rank;
 * **top timers** — the profiler's per-subsystem wall-clock totals, the
   ROADMAP's "find the hot path before optimizing it" hook.
 
@@ -24,14 +24,18 @@ summaries), and :meth:`ObsReport.render` prints the human breakdown the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from repro.core.objective import AttemptCostEstimator, BlendEstimator
 from repro.obs.events import SOURCE_RANK, AttemptEvent
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.sinks import RingBufferSink
 
 #: Format version; bump on breaking schema changes.
 OBS_SCHEMA_VERSION = 1
+
+#: Decided attempts a list rank needs for its success residual to count.
+RESIDUAL_MIN_DECIDED = 50
 
 
 @dataclass
@@ -44,10 +48,22 @@ class RankStats:
     timeouts: int = 0
     nacks: int = 0
     predicted: float | None = None
+    #: Summed started-to-terminal sim-time of this rank's attempts.
+    total_time: float = 0.0
+    predicted_cost: float | None = None
+
+    @property
+    def decided(self) -> int:
+        return self.successes + self.timeouts + self.nacks
 
     @property
     def success_rate(self) -> float | None:
-        return self.successes / self.attempts if self.attempts else None
+        decided = self.decided
+        return self.successes / decided if decided else None
+
+    @property
+    def mean_time(self) -> float | None:
+        return self.total_time / self.attempts if self.attempts else None
 
     @property
     def label(self) -> str:
@@ -74,12 +90,26 @@ class ObsReport:
     #: :func:`repro.obs.timeseries.render_sparklines`); empty unless the
     #: run carried a time-series collector.
     sparklines: str = ""
+    #: Mean detection-to-repair time of the recovered losses.
+    mean_latency: float | None = None
+    #: Mean planned eq.-3 delay over the RP strategies (RP only).
+    planned_delay: float | None = None
 
     @property
     def mean_attempts_per_recovery(self) -> float | None:
         total = sum(n * c for n, c in self.attempts_per_recovery.items())
         count = sum(self.attempts_per_recovery.values())
         return total / count if count else None
+
+    def largest_residual(self) -> tuple[float, str] | None:
+        """``(|observed − predicted| success, label)`` of the list rank
+        furthest from Lemma 3, among ranks with enough decided attempts."""
+        return max((
+            (abs(r.success_rate - r.predicted), r.label)
+            for r in self.per_rank
+            if r.rank != SOURCE_RANK and r.predicted is not None
+            and r.decided >= RESIDUAL_MIN_DECIDED
+        ), default=None)
 
     # -- serialization --------------------------------------------------------
 
@@ -93,17 +123,7 @@ class ObsReport:
             "attempts_per_recovery": {
                 str(n): c for n, c in sorted(self.attempts_per_recovery.items())
             },
-            "per_rank": [
-                {
-                    "rank": r.rank,
-                    "attempts": r.attempts,
-                    "successes": r.successes,
-                    "timeouts": r.timeouts,
-                    "nacks": r.nacks,
-                    "predicted": r.predicted,
-                }
-                for r in self.per_rank
-            ],
+            "per_rank": [asdict(r) for r in self.per_rank],
             "timers": [
                 {"name": name, "count": count, "total_s": total}
                 for name, count, total in self.timers
@@ -112,6 +132,8 @@ class ObsReport:
             "events_recorded": self.events_recorded,
             "events_dropped": self.events_dropped,
             "sparklines": self.sparklines,
+            "mean_latency": self.mean_latency,
+            "planned_delay": self.planned_delay,
         }
 
     @classmethod
@@ -139,8 +161,10 @@ class ObsReport:
             # Tolerant read: reports saved before the drop counter
             # existed simply never dropped anything they could count.
             events_dropped=data.get("events_dropped", 0),
-            # Same for reports saved before sparklines existed.
+            # Same for fields added later (RankStats has defaults too).
             sparklines=data.get("sparklines", ""),
+            mean_latency=data.get("mean_latency"),
+            planned_delay=data.get("planned_delay"),
         )
 
     # -- rendering -------------------------------------------------------------
@@ -171,20 +195,10 @@ class ObsReport:
                 count = self.attempts_per_recovery[n]
                 bar = "#" * max(1, round(40 * count / peak))
                 lines.append(f"  {n:3d}  {count:6d}  {bar}")
-        if self.per_rank:
+        model = self.render_model()
+        if model:
             lines.append("")
-            lines.append("per-rank success rates (model: 1 - DS_j/DS_j-1):")
-            lines.append(
-                "  rank    attempts  succeeded  timed_out  "
-                "nacked     rate  predicted"
-            )
-            for r in self.per_rank:
-                rate = f"{r.success_rate:9.3f}" if r.success_rate is not None else "        -"
-                predicted = f"{r.predicted:9.3f}" if r.predicted is not None else "        -"
-                lines.append(
-                    f"  {r.label:>6}  {r.attempts:8d}  {r.successes:9d}"
-                    f"  {r.timeouts:9d}  {r.nacks:6d}  {rate}  {predicted}"
-                )
+            lines.extend(model)
         membership = {
             name: value
             for name, value in sorted(self.counters.items())
@@ -209,41 +223,83 @@ class ObsReport:
                 lines.append(f"  {name:<24} {count:10d} calls  {total * 1e3:10.2f} ms")
         return "\n".join(lines)
 
+    def render_model(self) -> list[str]:
+        """The per-rank table and the whole-list check against the
+        model, shared by ``repro obs`` and ``repro trace``."""
+        if not self.per_rank:
+            return []
+        row = "  {:>6}  {:>8}  {:>9}  {:>9}  {:>6}  {:>7}  {:>9}  {:>7}  {:>7}"
+        lines = [
+            "per-rank attempts vs model (success: 1 - DS_j/DS_j-1,"
+            " cost: eq. 1):",
+            row.format("rank", "attempts", "succeeded", "timed_out",
+                       "nacked", "rate", "predicted", "mean ms", "pred ms"),
+        ]
+        for r in self.per_rank:
+            lines.append(row.format(
+                r.label, r.attempts, r.successes, r.timeouts, r.nacks,
+                _fmt(r.success_rate, 3), _fmt(r.predicted, 3),
+                _fmt(r.mean_time, 2), _fmt(r.predicted_cost, 2),
+            ))
+        if self.planned_delay is not None:
+            lines.append(
+                f"planned E[delay] (eq. 3): {self.planned_delay:.2f} ms"
+                f"   mean recovery latency: {_fmt(self.mean_latency, 2)} ms"
+            )
+        if (residual := self.largest_residual()) is not None:
+            lines.append(
+                f"largest success residual (ranks with >= {RESIDUAL_MIN_DECIDED}"
+                f" decided): {residual[1]} {residual[0]:.3f}"
+            )
+        return lines
 
-def predicted_rank_success(strategies: dict) -> dict[int, float]:
-    """Mean model-predicted success probability per list rank.
 
-    For a client ``u`` with prioritized list ``v_1 … v_k`` the model's
-    conditional success probability of the attempt to ``v_j`` — given
-    that every earlier attempt failed — is ``1 − DS_j/DS_{j−1}`` with
-    ``DS_0 = DS_u`` (Lemma 3; under the single-loss model the loss link
-    is uniform on the remaining upstream path).  Averaged over the
-    clients whose list reaches that rank; the source rank is certain.
+def _fmt(value: float | None, digits: int) -> str:
+    return "-" if value is None else f"{value:.{digits}f}"
+
+
+def predict_model(
+    strategies: dict, estimator: AttemptCostEstimator | None = None
+) -> tuple[dict[int, tuple[float, float]], float]:
+    """The paper's model on a run's (non-empty) planned strategies:
+    ``rank → (success probability, eq.-1 cost)``, averaged over the
+    clients whose list reaches the rank, and the mean eq.-3 delay.
+
+    Lemma 3: after ``v_1 … v_{j−1}`` failed, ``v_j`` succeeds with
+    ``1 − DS_j/DS_{j−1}`` (``DS_0 = DS_u``); the source always does.
+    Pass the ``estimator`` the strategies were planned with.
     """
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
+    estimator = estimator if estimator is not None else BlendEstimator()
+    samples: dict[int, list[tuple[float, float]]] = {
+        SOURCE_RANK: [(1.0, s.source_rtt) for s in strategies.values()]
+    }
     for strategy in strategies.values():
         prev_ds = strategy.ds_u
         for rank, candidate in enumerate(strategy.attempts):
             if prev_ds > 0:
                 p = 1.0 - candidate.ds / prev_ds
-                sums[rank] = sums.get(rank, 0.0) + p
-                counts[rank] = counts.get(rank, 0) + 1
+                samples.setdefault(rank, []).append((p, estimator.cost(
+                    candidate.rtt, strategy.timeouts[rank], p
+                )))
             prev_ds = candidate.ds
-    out = {rank: sums[rank] / counts[rank] for rank in sums}
-    out[SOURCE_RANK] = 1.0
-    return out
+    per_rank = {
+        rank: tuple(sum(column) / len(rows) for column in zip(*rows))
+        for rank, rows in samples.items()
+    }
+    delays = [s.expected_delay for s in strategies.values()]
+    return per_rank, sum(delays) / len(delays)
 
 
 def build_obs_report(
     instr: Instrumentation,
     protocol: str = "",
     strategies: dict | None = None,
+    estimator: AttemptCostEstimator | None = None,
 ) -> ObsReport:
     """Fold an instrumented run's telemetry into an :class:`ObsReport`.
 
-    ``strategies`` (client → ``RecoveryStrategy``, RP only) attaches the
-    model's per-rank predictions next to the measured success rates.
+    ``strategies`` (client → ``RecoveryStrategy``, RP only), planned
+    with ``estimator``, attach :func:`predict_model`'s predictions.
     """
     events = instr.ring_events()
     timeseries = getattr(instr, "timeseries", None)
@@ -267,7 +323,8 @@ def build_obs_report(
     by_status: dict[str, int] = {}
     per_rank: dict[int, RankStats] = {}
     started_per_recovery: dict[tuple[int, int], int] = {}
-    succeeded: set[tuple[int, int]] = set()
+    open_since: dict[tuple[int, int, int], float] = {}
+    latency: dict[tuple[int, int], float] = {}
     for e in attempts:
         by_status[e.status] = by_status.get(e.status, 0) + 1
         stats = per_rank.get(e.rank)
@@ -278,31 +335,39 @@ def build_obs_report(
         if e.status == "started":
             stats.attempts += 1
             started_per_recovery[key] = started_per_recovery.get(key, 0) + 1
-        elif e.status == "succeeded":
+            open_since[(e.client, e.seq, e.attempt)] = e.time
+            continue
+        # A second terminal event (abandoned after timed_out) finds none.
+        start = open_since.pop((e.client, e.seq, e.attempt), None)
+        if start is not None:
+            stats.total_time += e.time - start
+        if e.status == "succeeded":
             stats.successes += 1
-            succeeded.add(key)
+            latency.setdefault(key, e.elapsed)
         elif e.status == "timed_out":
             stats.timeouts += 1
         elif e.status == "nacked":
             stats.nacks += 1
 
     histogram: dict[int, int] = {}
-    for key in succeeded:
+    for key in latency:
         n = started_per_recovery.get(key, 0)
         if n:
             histogram[n] = histogram.get(n, 0) + 1
 
-    predictions = predicted_rank_success(strategies) if strategies else {}
+    predicted, planned_delay = (
+        predict_model(strategies, estimator) if strategies else ({}, None)
+    )
     ranks = []
     # List ranks first (v1, v2, …), the source fallback last.
     for rank in sorted(per_rank, key=lambda r: (r == SOURCE_RANK, r)):
         stats = per_rank[rank]
-        stats.predicted = predictions.get(rank)
+        stats.predicted, stats.predicted_cost = predicted.get(rank, (None, None))
         ranks.append(stats)
 
     return ObsReport(
         protocol=protocol,
-        recoveries=len(succeeded),
+        recoveries=len(latency),
         attempts_total=by_status.get("started", 0),
         attempts_by_status=by_status,
         attempts_per_recovery=histogram,
@@ -315,4 +380,6 @@ def build_obs_report(
         events_recorded=len(events),
         events_dropped=dropped,
         sparklines=sparklines,
+        mean_latency=sum(latency.values()) / len(latency) if latency else None,
+        planned_delay=planned_delay,
     )

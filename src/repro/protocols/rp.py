@@ -478,9 +478,10 @@ class RPProtocolFactory(ProtocolFactory):
 
     def __init__(self, config: RPConfig | None = None):
         self.config = config or RPConfig()
-        #: Strategies planned by the most recent :meth:`install` —
-        #: telemetry reports read them for the per-rank predictions.
+        #: Strategies planned by the most recent :meth:`install` and
+        #: their estimator — telemetry reports read them for predictions.
         self.last_strategies: dict[int, RecoveryStrategy] = {}
+        self.last_estimator: AttemptCostEstimator | None = None
         #: The incremental repairer wired by the most recent
         #: :meth:`attach_membership` (its history/stats feed the churn
         #: sweep's repair-cost report); None until one is attached.
@@ -521,6 +522,7 @@ class RPProtocolFactory(ProtocolFactory):
                 estimator=estimator,
                 restrictions=restrictions,
             )
+            self.last_estimator = planner.estimator
             # Planning is a pure function of (tree, RTTs, timeout,
             # estimator, restrictions) — notably not of link loss
             # probabilities — so a loss-probability sweep hits the

@@ -151,3 +151,64 @@ def test_chaos_horizon_covers_stream_and_session():
     assert horizon == 20 * 10.0 + 2 * 100.0
     assert horizon < config.num_packets * config.data_interval + \
         config.drain_time + 2 * config.session_interval
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: churn repairs forbid departed peers but not"
+    " the failure detector's dead ones",
+)
+def test_rp_lists_never_hold_departed_or_dead_peers():
+    # After the 10th membership event (a join), 17 of 30 live agents
+    # hold one of the 3 peers the failure detector declared dead.
+    from repro.experiments.runner import build_scenario, run_protocol_detailed
+    from repro.sim.faults import random_fault_schedule
+    from repro.sim.membership import random_membership_schedule
+    from repro.sim.rng import RngStreams
+
+    config = ScenarioConfig(
+        seed=1, num_routers=60, loss_prob=0.05, num_packets=12,
+        lossless_recovery=False,
+    )
+    built = build_scenario(config)
+    horizon = chaos_horizon(config)
+    candidates = [c for c in built.tree.clients if c != built.tree.root]
+    # Drawn from the lanes run_chaos_sweep draws intensity 0.3 from.
+    lanes = RngStreams(config.seed)
+    faults = random_fault_schedule(
+        0.3, lanes.get("fault-schedule:0.3"), candidates,
+        built.topology.links, horizon,
+    )
+    membership = random_membership_schedule(
+        0.3, lanes.get("membership-schedule:0.3"), candidates, horizon
+    )
+    factory = next(f for f in hardened_factories() if f.name == "RP")
+    attach_repairer = factory.attach_membership
+    events: list[tuple[str, int]] = []
+    stale: list[tuple[int, str, int, list[int]]] = []
+
+    def attach(director):
+        attach_repairer(director)
+        agents = factory._install_ctx[1]
+        detector = next(iter(agents.values())).detector
+
+        def check(kind, node, director):
+            events.append((kind, node))
+            forbidden = director.departed | detector.dead
+            holders = sorted(
+                client for client, agent in agents.items()
+                if client not in director.departed
+                and forbidden.intersection(agent.strategy.peer_nodes)
+            )
+            if holders:
+                stale.append((len(events), kind, node, holders))
+
+        # Added after the repairer's listener, so it sees repaired lists.
+        director.add_listener(check)
+
+    factory.attach_membership = attach
+    artifacts = run_protocol_detailed(
+        built, factory, faults=faults, membership=membership
+    )
+    assert any(kind == "join" for kind, _ in events)
+    assert not stale, f"live agents hold departed or dead peers: {stale[:3]}"

@@ -53,6 +53,21 @@ class TestScenarioConfig:
             )
 
     @pytest.mark.parametrize("field, value", [
+        ("max_events", 0),
+        ("max_events", -5),
+        ("max_events", float("nan")),
+        ("max_events", float("inf")),
+        ("seed", -1),
+    ])
+    def test_rejects_bad_budget_and_seed(self, field, value):
+        # A zero budget used to die at t=0 as "event budget exceeded",
+        # a NaN one to disable the runaway guard, and a negative seed
+        # to fail inside numpy's generator.
+        fields = {"seed": 1, "num_routers": 20, "loss_prob": 0.1}
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field, value", [
         ("num_routers", 0),
         ("loss_prob", float("nan")),
         ("loss_prob", 1.5),

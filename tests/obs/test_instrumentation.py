@@ -127,6 +127,27 @@ class TestBuildReport:
         assert (v1.attempts, v1.successes, v1.timeouts) == (2, 1, 1)
         assert v1.success_rate == pytest.approx(0.5)
         assert (source.attempts, source.successes) == (1, 1)
+        # Started-to-terminal times, paired by (client, seq, attempt).
+        assert v1.total_time == pytest.approx(70.0)
+        assert v1.mean_time == pytest.approx(35.0)
+        assert source.total_time == pytest.approx(50.0)
+        # Detection-to-repair latency of the two recovered losses.
+        assert report.mean_latency == pytest.approx(60.0)
+        assert report.planned_delay is None  # no strategies supplied
+
+    def test_success_rate_ignores_undecided_attempts(self):
+        # A retracted attempt (a third party's repair arrived first) is
+        # neither a success nor a failure of its rank.
+        instr = self._instr_with([
+            _attempt(0.0, 7, 3, 1, 0, "started"),
+            _attempt(10.0, 7, 3, 1, 0, "retracted", elapsed=10.0),
+            _attempt(0.0, 8, 1, 1, 0, "started"),
+            _attempt(30.0, 8, 1, 1, 0, "succeeded", elapsed=30.0),
+        ])
+        (v1,) = build_obs_report(instr, protocol="rp").per_rank
+        assert (v1.attempts, v1.decided) == (2, 1)
+        assert v1.success_rate == 1.0
+        assert v1.mean_time == pytest.approx(20.0)
 
     def test_report_round_trips_through_json(self):
         import json
@@ -174,3 +195,28 @@ class TestBuildReport:
         data = build_obs_report(instr, protocol="rp").to_dict()
         del data["events_dropped"]  # a report saved before the counter
         assert ObsReport.from_dict(data).events_dropped == 0
+
+    def test_load_tolerates_reports_without_time_and_model_fields(
+        self, tmp_path
+    ):
+        import json
+
+        from repro.experiments.persistence import load_obs_report
+
+        instr = self._instr_with([
+            _attempt(0.0, 7, 3, 1, 0, "started"),
+            _attempt(30.0, 7, 3, 1, 0, "succeeded", elapsed=30.0),
+        ])
+        data = build_obs_report(instr, protocol="rp").to_dict()
+        # A report saved before attempt times and eq.-1/eq.-3 fields.
+        del data["mean_latency"], data["planned_delay"]
+        for raw in data["per_rank"]:
+            del raw["total_time"], raw["predicted_cost"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        report = load_obs_report(path)
+        (v1,) = report.per_rank
+        assert (v1.attempts, v1.successes) == (1, 1)
+        assert v1.total_time == 0.0 and v1.predicted_cost is None
+        assert report.mean_latency is None and report.planned_delay is None
+        assert "per-rank attempts vs model" in report.render()

@@ -204,6 +204,10 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "request_transit" in out
+        # The obs report's per-rank table, without wall-clock timers.
+        assert "per-rank attempts vs model" in out
+        assert "planned E[delay] (eq. 3)" in out
+        assert "top timers" not in out
         import json
 
         doc = json.loads(perfetto.read_text())
@@ -218,6 +222,32 @@ class TestTraceCommand:
         assert main(common + ["--spans", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_trace_same_seed_prints_identical_stdout(self, capsys):
+        common = ["trace", "--routers", "25", "--packets", "8", "--seed", "9"]
+        assert main(common) == 0
+        first = capsys.readouterr().out
+        assert main(common) == 0
+        assert capsys.readouterr().out == first
+        assert "per-rank attempts vs model" in first
+
+
+class TestObsCommand:
+    def test_obs_prints_and_saves_the_model_check(self, capsys, tmp_path):
+        from repro.experiments.persistence import load_obs_report
+
+        saved = tmp_path / "obs.json"
+        rc = main([
+            "obs", "--routers", "30", "--packets", "10", "--seed", "5",
+            "--save", str(saved),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "per-rank attempts vs model" in out
+        assert "planned E[delay] (eq. 3)" in out
+        report = load_obs_report(saved)
+        assert report.planned_delay > 0
+        assert report.mean_latency > 0
 
 
 class TestHealthCommand:
