@@ -4,10 +4,10 @@ Five arms run the identical seeded RP session:
 
 * **uninstrumented** — the process-wide ``NULL_INSTRUMENTATION``
   default (what every normal run pays);
-* **noop sink** — ``Instrumentation.noop()``: counters live, the event
-  bus wired to a discarding sink (``EventBus.active`` is False, so no
-  records are built), profiler off.  This is the cost of merely having
-  the layer present;
+* **noop sink** — ``Instrumentation(profiler=Profiler(enabled=False))``:
+  counters live, an event bus without sinks (``EventBus.active`` is
+  False, so no records are built), profiler off.  This is the cost of
+  merely having the layer present;
 * **recording** — ``Instrumentation.recording()``: ring buffer plus
   profiler, everything ``repro obs`` needs — tracing *off*, so this is
   also the "tracing disabled" reference for the tracing arms;
@@ -47,7 +47,12 @@ import time
 from benchmarks.conftest import record
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol_detailed
-from repro.obs import NULL_INSTRUMENTATION, Instrumentation, TimeSeriesCollector
+from repro.obs import (
+    NULL_INSTRUMENTATION,
+    Instrumentation,
+    Profiler,
+    TimeSeriesCollector,
+)
 from repro.protocols.rp import RPProtocolFactory
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_obs_overhead.json"
@@ -57,7 +62,7 @@ REPEATS = 5
 
 ARMS = {
     "uninstrumented": lambda: NULL_INSTRUMENTATION,
-    "noop_sink": Instrumentation.noop,
+    "noop_sink": lambda: Instrumentation(profiler=Profiler(enabled=False)),
     "recording": Instrumentation.recording,
     "tracing": lambda: Instrumentation.recording(trace=True),
     "tracing_sampled": lambda: Instrumentation.recording(

@@ -96,7 +96,7 @@ def candidate_clients(
 ) -> list[Candidate]:
     """Candidate clients for ``client``: one min-RTT peer per competitive
     class, sorted by strictly decreasing ``DS`` (the meaningful-strategy
-    order Algorithm 1 consumes).
+    order Algorithm 1 expects).
 
     Ties inside a class are broken by ``(rtt, node id)``.  The returned
     ``DS`` values are pairwise distinct because each class corresponds to

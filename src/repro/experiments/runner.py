@@ -221,7 +221,7 @@ def run_protocol_detailed(
     )
     tracer = instr.tracer if instr is not None else None
     if tracer is not None:
-        # The tracer consumes the network's link-event stream; packet
+        # The tracer also reads the network's link-event stream; packet
         # stamping happens inside the protocol agents via trace_ids.
         network.add_link_observer(tracer.on_link_event)
     clients = tree.clients

@@ -5,13 +5,13 @@ The paper's claim is quantitative — the prioritized list minimizes
 ``DS_j/DS_{j-1}`` — but end-of-run summaries can't show per-attempt
 behaviour.  This subpackage records it:
 
-* :mod:`repro.obs.metrics` — named counters, gauges and histograms
-  (with percentile queries) in a :class:`MetricsRegistry`;
+* :mod:`repro.obs.metrics` — named counters in a
+  :class:`MetricsRegistry`;
 * :mod:`repro.obs.events` — typed telemetry records (recovery attempts,
   protocol timers, backoffs, session phases) fanned out by an
   :class:`EventBus`;
 * :mod:`repro.obs.sinks` — pluggable event destinations: in-memory ring
-  buffer, JSONL file, discarding null sink;
+  buffer, JSONL file;
 * :mod:`repro.obs.profiler` — scoped wall-clock timers over the event
   dispatch loop, the transmit path and the RP planner;
 * :mod:`repro.obs.instrumentation` — the injectable facade bundling the
@@ -23,7 +23,7 @@ behaviour.  This subpackage records it:
 * :mod:`repro.obs.spans` / :mod:`repro.obs.tracing` — causal recovery
   tracing: every recovery becomes a span tree (root ``recovery``,
   attempt children, link-traversal grandchildren) assembled by a
-  deterministically head-sampled :class:`Tracer`;
+  deterministically head-sampled :class:`Tracer`, one more bus sink;
 * :mod:`repro.obs.export` — deterministic span exporters
   (Chrome/Perfetto trace-event JSON, JSONL);
 * :mod:`repro.obs.critical_path` — splits traced recovery latency into
@@ -92,7 +92,7 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.instrumentation import NULL_INSTRUMENTATION, Instrumentation
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.profiler import Profiler, TimerStat
 from repro.obs.report import (
     ObsReport,
@@ -103,7 +103,6 @@ from repro.obs.report import (
 from repro.obs.sinks import (
     EventSink,
     JsonlSink,
-    NullSink,
     RingBufferSink,
     read_jsonl,
 )
@@ -145,8 +144,6 @@ __all__ = [
     "NULL_INSTRUMENTATION",
     "Instrumentation",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Profiler",
     "TimerStat",
@@ -156,7 +153,6 @@ __all__ = [
     "predict_model",
     "EventSink",
     "JsonlSink",
-    "NullSink",
     "RingBufferSink",
     "read_jsonl",
     "NO_SPAN",

@@ -28,10 +28,10 @@ cannot show:
   for departed members), or the plan-repair reaction to it.  See
   :mod:`repro.sim.membership`.
 
-The :class:`EventBus` fans records out to attached sinks.  Its
-``active`` property is the fast path guard: when no attached sink
-consumes events (e.g. only a ``NullSink``), emitters skip building the
-record entirely, which is what keeps no-op instrumentation nearly free.
+The :class:`EventBus` fans records out to its sinks.  Its ``active``
+flag is the fast path guard: a bus without sinks is inactive, and
+emitters skip building the record entirely, which is what keeps
+counter-only instrumentation nearly free.
 """
 
 from __future__ import annotations
@@ -217,30 +217,16 @@ def event_from_dict(data: dict) -> ObsEvent:
 
 
 class EventBus:
-    """Fans emitted records out to the attached sinks."""
+    """Fans emitted records out to a fixed set of sinks."""
 
     def __init__(self, sinks: "list[EventSink] | None" = None):
-        self._sinks: list[EventSink] = list(sinks) if sinks else []
-        self._recompute_active()
-
-    def _recompute_active(self) -> None:
-        self.active = any(
-            getattr(sink, "consumes", True) for sink in self._sinks
-        )
-
-    @property
-    def sinks(self) -> "tuple[EventSink, ...]":
-        return tuple(self._sinks)
-
-    def add_sink(self, sink: "EventSink") -> "EventBus":
-        self._sinks.append(sink)
-        self._recompute_active()
-        return self
+        self.sinks: tuple[EventSink, ...] = tuple(sinks) if sinks else ()
+        self.active = bool(self.sinks)
 
     def emit(self, event: ObsEvent) -> None:
-        for sink in self._sinks:
+        for sink in self.sinks:
             sink.write(event)
 
     def close(self) -> None:
-        for sink in self._sinks:
+        for sink in self.sinks:
             sink.close()

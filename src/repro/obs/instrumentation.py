@@ -7,25 +7,25 @@ Carries the three observability facilities as one injectable unit:
 * ``profiler`` — the :class:`~repro.obs.profiler.Profiler`.
 
 Emit helpers (:meth:`attempt`, :meth:`timer`, :meth:`backoff`,
-:meth:`phase`) keep protocol code terse: they bump the matching
-counters, and construct the typed record only when the bus has a
-consuming sink.
+:meth:`fault`, :meth:`member`, :meth:`phase`) keep protocol code terse:
+each bumps its counter and, when the bus has sinks, emits the typed
+record.  The registry holds counters only; every other quantity is
+folded from the recorded events.
 
 The module-level :data:`NULL_INSTRUMENTATION` is the process-wide
 default every simulation runs with unless a caller injects its own; its
 methods are all no-ops so uninstrumented runs pay nothing beyond the
-attribute checks at the call sites.  Three presets cover the common
-configurations:
+attribute checks at the call sites.  A plain ``Instrumentation()`` has
+live counters and no sinks, so it builds no records.  Two presets cover
+the common configurations:
 
 * ``Instrumentation.null()`` — the shared disabled singleton;
-* ``Instrumentation.noop()`` — live registry, event emission wired to a
-  discarding sink, profiler off (the overhead bench's middle arm);
 * ``Instrumentation.recording(...)`` — ring buffer (optionally plus a
   JSONL file), profiler on: everything the ``repro obs`` breakdown and
   :class:`~repro.obs.report.ObsReport` need.  ``recording(trace=True)``
-  additionally attaches a causal :class:`~repro.obs.tracing.Tracer`,
-  which the emit helpers forward to and ``trace_ids`` reads span
-  contexts from (the ``repro trace`` configuration).
+  adds a causal :class:`~repro.obs.tracing.Tracer` as one more bus
+  sink, which ``trace_ids`` reads span contexts from (the
+  ``repro trace`` configuration).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
-from repro.obs.sinks import JsonlSink, NullSink, RingBufferSink
+from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.obs.spans import NO_SPAN
 from repro.obs.timeseries import TimeSeriesCollector
 from repro.obs.tracing import Tracer
@@ -63,12 +63,16 @@ class Instrumentation:
         tracer: Tracer | None = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.bus = bus if bus is not None else EventBus()
+        bus = bus if bus is not None else EventBus()
+        if tracer is not None:
+            # The tracer is one more sink, after the caller's: it folds
+            # the attempt, timer, backoff and fault records into spans.
+            bus = EventBus([*bus.sinks, tracer])
+        self.bus = bus
         self.profiler = profiler if profiler is not None else Profiler()
-        #: Optional causal tracer: when set, the emit helpers forward
-        #: their events to it and ``trace_ids`` hands out span contexts
-        #: for packet stamping.  None keeps every forwarding site at a
-        #: single attribute test.
+        #: Optional causal tracer: ``trace_ids`` hands out its span
+        #: contexts for packet stamping, and the runner feeds it link
+        #: events and finishes it after the drain.
         self.tracer = tracer
         #: Optional windowed :class:`~repro.obs.timeseries.TimeSeriesCollector`.
         #: Set by ``recording(timeseries=...)`` (which also attaches it
@@ -89,13 +93,6 @@ class Instrumentation:
         return NULL_INSTRUMENTATION
 
     @classmethod
-    def noop(cls) -> "Instrumentation":
-        """Emission wired to a discarding sink; profiler off."""
-        return cls(
-            bus=EventBus([NullSink()]), profiler=Profiler(enabled=False)
-        )
-
-    @classmethod
     def recording(
         cls,
         capacity: int = 1_000_000,
@@ -109,8 +106,8 @@ class Instrumentation:
 
         ``trace=True`` adds a causal :class:`~repro.obs.tracing.Tracer`
         (head-sampled at ``trace_sample_rate``; abandonment/fault traces
-        always kept) — the runner registers it on the network and
-        finishes it after the drain.
+        always kept) as the last bus sink — the runner registers it on
+        the network and finishes it after the drain.
 
         ``timeseries`` attaches a windowed
         :class:`~repro.obs.timeseries.TimeSeriesCollector` as an extra
@@ -159,12 +156,6 @@ class Instrumentation:
                 attempt=attempt, rank=rank, peer=peer, status=status,
                 elapsed=elapsed,
             ))
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_attempt(
-                time, protocol, client, seq, attempt, rank, peer, status,
-                elapsed,
-            )
 
     def timer(
         self,
@@ -186,9 +177,6 @@ class Instrumentation:
                 time=time, protocol=protocol, node=node, label=label,
                 action=action, deadline=deadline, seq=seq,
             ))
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_timer(time, protocol, node, label, action, deadline, seq)
 
     def backoff(
         self, time: float, protocol: str, node: int, seq: int, backoff: int,
@@ -204,9 +192,6 @@ class Instrumentation:
                 time=time, protocol=protocol, node=node, seq=seq,
                 backoff=backoff, extra=extra,
             ))
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_backoff(time, protocol, node, seq, backoff, extra)
 
     def fault(
         self,
@@ -228,9 +213,6 @@ class Instrumentation:
             self.bus.emit(FaultEvent(
                 time=time, fault=fault, node=node, peer=peer, seq=seq,
             ))
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_fault(time, fault, node, peer, seq)
 
     def member(
         self, time: float, action: str, node: int = -1, seq: int = -1
@@ -266,12 +248,6 @@ class Instrumentation:
         if tracer is None:
             return (NO_SPAN, NO_SPAN)
         return tracer.ids(client, seq)
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.registry.counter(name).inc(n)
-
-    def observe(self, name: str, value: float) -> None:
-        self.registry.histogram(name).observe(value)
 
     def scope(self, name: str):
         """Profiler scope passthrough (a with-block timer)."""
@@ -313,12 +289,6 @@ class _NullInstrumentation(Instrumentation):
         pass
 
     def phase(self, *args, **kwargs) -> None:
-        pass
-
-    def count(self, name: str, n: int = 1) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
         pass
 
 

@@ -1,20 +1,14 @@
-"""Named metric instruments and their registry.
+"""Named counters and their registry.
 
-Three instrument families cover what the simulator needs to explain
-itself quantitatively:
+A :class:`Counter` is a monotonically increasing event count (requests
+sent, repairs multicast, timeouts fired).  Distributions such as
+attempts per recovery are not kept here: :func:`repro.obs.report.
+build_obs_report` folds them from the recorded events.
 
-* :class:`Counter` — monotonically increasing event counts (requests
-  sent, repairs multicast, timeouts fired);
-* :class:`Gauge` — a sampled level that moves both ways (outstanding
-  recoveries, pending timers);
-* :class:`Histogram` — a distribution with percentile queries
-  (attempts per recovery, per-attempt elapsed time).
-
-A :class:`MetricsRegistry` is a flat name → instrument map with
+A :class:`MetricsRegistry` is a flat name → counter map with
 get-or-create semantics, so instrumentation sites never coordinate on
 construction order.  Names are dotted lowercase by convention
-(``rp.attempts.started``); the registry enforces only that one name maps
-to one instrument kind.
+(``rp.attempts.started``).
 """
 
 from __future__ import annotations
@@ -35,240 +29,21 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """A level that can move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
-
-
-class Histogram:
-    """Bounded-memory distribution with nearest-rank percentile queries.
-
-    Two regimes.  Up to ``exact_limit`` observations, samples are kept
-    verbatim and percentiles are exact — every histogram a figure-sized
-    run produces stays in this regime.  Past the limit the samples
-    collapse into ``num_bins`` fixed-width bins and each further
-    observation costs O(1) memory: a 100k-client instrumented run holds
-    256 ints per histogram, not one float per latency sample.
-
-    ``count``, ``total``, ``mean``, ``min`` and ``max`` are maintained
-    as running aggregates and stay **exact in both regimes**; only
-    percentiles coarsen, to bin-midpoint resolution (p0/p100 still
-    return the exact min/max).  When an observation falls outside the
-    binned range, the bins are re-gridded over the exact [min, max]
-    span, reassigning each old bin's count at its midpoint — a bin
-    never silently drops a sample.
-    """
-
-    __slots__ = (
-        "name", "exact_limit", "num_bins", "_samples", "_sorted",
-        "_bins", "_bin_lo", "_bin_width", "_count", "_total", "_min",
-        "_max",
-    )
-
-    def __init__(self, name: str, exact_limit: int = 1024, num_bins: int = 256):
-        if exact_limit < 1:
-            raise ValueError(f"exact_limit must be >= 1, got {exact_limit}")
-        if num_bins < 2:
-            raise ValueError(f"num_bins must be >= 2, got {num_bins}")
-        self.name = name
-        self.exact_limit = exact_limit
-        self.num_bins = num_bins
-        self._samples: list[float] = []
-        self._sorted: list[float] | None = None
-        self._bins: list[int] | None = None
-        self._bin_lo = 0.0
-        self._bin_width = 1.0
-        self._count = 0
-        self._total = 0.0
-        self._min: float | None = None
-        self._max: float | None = None
-
-    def observe(self, value: float) -> None:
-        self._count += 1
-        self._total += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        if self._bins is None:
-            self._samples.append(value)
-            self._sorted = None
-            if len(self._samples) > self.exact_limit:
-                self._collapse()
-        else:
-            index = self._bin_index(value)
-            if index is None:
-                self._regrid()
-                index = self._bin_index(value)
-                assert index is not None  # regrid covers [min, max]
-            self._bins[index] += 1
-
-    # -- binned regime ---------------------------------------------------
-
-    def _grid(self) -> None:
-        """Size the bin grid to the exact observed [min, max] span."""
-        assert self._min is not None and self._max is not None
-        self._bin_lo = self._min
-        span = self._max - self._min
-        self._bin_width = (span / self.num_bins) if span > 0 else 1.0
-
-    def _bin_index(self, value: float) -> int | None:
-        """Bin index for ``value``; None when outside the current grid."""
-        offset = value - self._bin_lo
-        if offset < 0:
-            return None
-        index = int(offset / self._bin_width)
-        if index >= self.num_bins:
-            # The grid's top edge belongs to the last bin.
-            if value <= self._bin_lo + self._bin_width * self.num_bins:
-                return self.num_bins - 1
-            return None
-        return index
-
-    def _collapse(self) -> None:
-        """Leave the exact regime: fold every retained sample into bins."""
-        self._grid()
-        self._bins = [0] * self.num_bins
-        for sample in self._samples:
-            self._bins[self._bin_index(sample)] += 1
-        self._samples = []
-        self._sorted = None
-
-    def _regrid(self) -> None:
-        """Re-span the grid over the new [min, max]; counts move to the
-        bin containing their old bin's midpoint."""
-        assert self._bins is not None
-        old = [
-            (self._bin_lo + (i + 0.5) * self._bin_width, count)
-            for i, count in enumerate(self._bins)
-            if count
-        ]
-        self._grid()
-        self._bins = [0] * self.num_bins
-        for midpoint, count in old:
-            index = self._bin_index(min(max(midpoint, self._min), self._max))
-            self._bins[index] += count
-
-    # -- aggregates (exact in both regimes) ------------------------------
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    @property
-    def mean(self) -> float | None:
-        return self._total / self._count if self._count else None
-
-    @property
-    def min(self) -> float | None:
-        return self._min
-
-    @property
-    def max(self) -> float | None:
-        return self._max
-
-    @property
-    def binned(self) -> bool:
-        """True once the histogram left the exact-sample regime."""
-        return self._bins is not None
-
-    def percentile(self, q: float) -> float | None:
-        """Nearest-rank percentile; ``q`` in [0, 100]; None when empty.
-
-        Exact below ``exact_limit`` observations; bin-midpoint
-        resolution after (clamped to the exact [min, max], with p0 and
-        p100 returning them exactly).
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"q must be in [0, 100], got {q}")
-        if not self._count:
-            return None
-        rank = int(round(q / 100.0 * (self._count - 1)))
-        rank = max(0, min(self._count - 1, rank))
-        if self._bins is None:
-            if self._sorted is None:
-                self._sorted = sorted(self._samples)
-            return self._sorted[rank]
-        if rank == 0:
-            return self._min
-        if rank == self._count - 1:
-            return self._max
-        seen = 0
-        for i, count in enumerate(self._bins):
-            seen += count
-            if seen > rank:
-                midpoint = self._bin_lo + (i + 0.5) * self._bin_width
-                return min(max(midpoint, self._min), self._max)
-        return self._max  # pragma: no cover - counts always sum to _count
-
-    def samples(self) -> list[float]:
-        """The verbatim samples (exact regime) — empty once binned;
-        check :attr:`binned` before relying on this view."""
-        return list(self._samples)
-
-
 class MetricsRegistry:
-    """Flat name → instrument map with get-or-create access."""
+    """Flat name → counter map with get-or-create access."""
 
     def __init__(self):
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-
-    def _get_or_create(self, name: str, cls):
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = cls(name)
-            self._instruments[name] = instrument
-        elif not isinstance(instrument, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as"
-                f" {type(instrument).__name__}, not {cls.__name__}"
-            )
-        return instrument
+        self._counters: dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def names(self) -> list[str]:
-        return sorted(self._instruments)
+        return sorted(self._counters)
 
-    def snapshot(self) -> dict[str, object]:
-        """JSON-ready view: counters/gauges to their value, histograms
-        to a summary dict (count, mean, p50, p95, max)."""
-        out: dict[str, object] = {}
-        for name in self.names():
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                out[name] = {
-                    "count": instrument.count,
-                    "mean": instrument.mean,
-                    "p50": instrument.percentile(50.0),
-                    "p95": instrument.percentile(95.0),
-                    "max": instrument.max,
-                }
-            else:
-                out[name] = instrument.value
-        return out
+    def snapshot(self) -> dict[str, int]:
+        """JSON-ready view: each counter's name to its value."""
+        return {name: self._counters[name].value for name in self.names()}

@@ -313,9 +313,6 @@ def build_obs_report(
         for sink in instr.bus.sinks
         if isinstance(sink, RingBufferSink)
     )
-    # Surfaced as a gauge too, so metric scrapes see truncation without
-    # holding the report.
-    instr.registry.gauge("obs.ring.dropped").set(dropped)
     attempts = [e for e in events if isinstance(e, AttemptEvent)]
     if not protocol and attempts:
         protocol = attempts[0].protocol

@@ -1,11 +1,8 @@
 """Event sinks — where emitted telemetry records go.
 
-A sink is anything with ``write(event)`` / ``close()``.  The class
-attribute ``consumes`` tells the :class:`~repro.obs.events.EventBus`
-whether the sink actually keeps events: a bus whose sinks all declare
-``consumes = False`` reports itself inactive and emitters skip record
-construction altogether — that is the "no-op sink" mode the overhead
-bench measures.
+A sink is anything with ``write(event)`` / ``close()``.  Besides the
+two here, the :class:`~repro.obs.timeseries.TimeSeriesCollector` and
+the causal :class:`~repro.obs.tracing.Tracer` are sinks too.
 """
 
 from __future__ import annotations
@@ -22,26 +19,11 @@ from repro.obs.events import ObsEvent, event_from_dict
 class EventSink(Protocol):
     """Anything that accepts emitted events."""
 
-    consumes: bool
-
     def write(self, event: ObsEvent) -> None:  # pragma: no cover - protocol
         ...
 
     def close(self) -> None:  # pragma: no cover - protocol
         ...
-
-
-class NullSink:
-    """Swallows everything; exists to measure instrumentation overhead
-    with the emission machinery wired in but no storage behind it."""
-
-    consumes = False
-
-    def write(self, event: ObsEvent) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class RingBufferSink:
@@ -51,8 +33,6 @@ class RingBufferSink:
     a figure-sized run; ``dropped`` counts evictions so a consumer can
     tell a complete record from a truncated one.
     """
-
-    consumes = True
 
     def __init__(self, capacity: int = 1_000_000):
         if capacity < 1:
@@ -86,8 +66,6 @@ class JsonlSink:
     last N-1 events.  Use as a context manager or call :meth:`close`
     explicitly to flush; ``__exit__`` closes on exceptions too.
     """
-
-    consumes = True
 
     def __init__(self, path: str | pathlib.Path, flush_every: int = 0):
         if flush_every < 0:

@@ -210,8 +210,6 @@ class TimeSeriesCollector:
     a plain sink for offline folding of a recorded stream.
     """
 
-    consumes = True
-
     def __init__(self, window: float = 50.0, max_windows: int = 512):
         # Negated, so NaN fails too; an infinite width would hold the
         # whole run in one window, where progress.stall cannot fire.

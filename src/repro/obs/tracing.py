@@ -1,11 +1,11 @@
 """The causal tracer: assembling recoveries into span trees.
 
-The :class:`Tracer` sits between the instrumentation layer and the
-network's link-observer stream and turns both into the span taxonomy of
+The :class:`Tracer` is an event-bus sink that also observes the
+network's link events, and turns both into the span taxonomy of
 :mod:`repro.obs.spans`:
 
-* attempt events (forwarded by
-  :meth:`~repro.obs.instrumentation.Instrumentation.attempt`) drive the
+* attempt events (written to it by the
+  :class:`~repro.obs.events.EventBus`) drive the
   span *lifecycle* — a ``started`` attempt opens the trace's root span
   (back-dated to loss detection via the event's ``elapsed``) and an
   attempt child span; terminal statuses close them;
@@ -35,7 +35,14 @@ in ``SpanStore.sampled_out``.
 
 from __future__ import annotations
 
-from repro.obs.events import SOURCE_RANK
+from repro.obs.events import (
+    SOURCE_RANK,
+    AttemptEvent,
+    BackoffEvent,
+    FaultEvent,
+    ObsEvent,
+    TimerEvent,
+)
 from repro.obs.spans import (
     CATEGORY_ATTEMPT,
     CATEGORY_LINK,
@@ -95,12 +102,13 @@ class _OpenTrace:
 
 
 class Tracer:
-    """Builds span trees from instrumentation + link events.
+    """Builds span trees from bus events + link events.
 
     One tracer per run.  Register :meth:`on_link_event` as a network
     link observer and hand the tracer to an
-    :class:`~repro.obs.instrumentation.Instrumentation`; call
-    :meth:`finish` after the drain so stragglers terminate explicitly.
+    :class:`~repro.obs.instrumentation.Instrumentation`, which puts it
+    on the event bus; call :meth:`finish` after the drain so stragglers
+    terminate explicitly.
     """
 
     def __init__(
@@ -147,39 +155,45 @@ class Tracer:
         span = state.current if state.current is not None else state.root
         return (state.trace_id, span.span_id)
 
+    # -- bus sink ------------------------------------------------------------
+
+    def write(self, event: ObsEvent) -> None:
+        """Fold one bus event into the open span trees; events of other
+        kinds (phases, membership, health) carry no recovery identity."""
+        kind = event.kind
+        if kind == "attempt":
+            self._on_attempt(event)
+        elif kind == "timer":
+            self._on_timer(event)
+        elif kind == "backoff":
+            self._on_backoff(event)
+        elif kind == "fault":
+            self._on_fault(event)
+
+    def close(self) -> None:
+        pass
+
     # -- attempt lifecycle -------------------------------------------------
 
-    def on_attempt(
-        self,
-        time: float,
-        protocol: str,
-        client: int,
-        seq: int,
-        attempt: int,
-        rank: int,
-        peer: int,
-        status: str,
-        elapsed: float,
-    ) -> None:
-        key = (client, seq)
-        state = self._open.get(key)
+    def _on_attempt(self, event: AttemptEvent) -> None:
+        time, client, seq = event.time, event.client, event.seq
+        status = event.status
+        state = self._open.get((client, seq))
         if status == "started":
             if state is None:
                 state = self._start_trace(
-                    time - elapsed, protocol, client, seq
+                    time - event.elapsed, event.protocol, client, seq
                 )
-            self._open_attempt(state, time, attempt, rank, peer)
+            self._open_attempt(state, time, event.attempt, event.rank,
+                               event.peer)
             return
         if state is None:
             return  # terminal event for a trace we never saw start
         if status in ("timed_out", "nacked"):
             self._close_attempt(state, time, status)
-        elif status in ("succeeded", "retracted"):
+        elif status in ("succeeded", "retracted", "abandoned"):
             self._close_attempt(state, time, status)
             self._close_trace(state, time, status)
-        elif status == "abandoned":
-            self._close_attempt(state, time, "abandoned")
-            self._close_trace(state, time, "abandoned")
 
     def _start_trace(
         self, detected_at: float, protocol: str, client: int, seq: int
@@ -305,31 +319,28 @@ class Tracer:
 
     # -- annotations -------------------------------------------------------
 
-    def on_timer(
-        self, time: float, protocol: str, node: int, label: str,
-        action: str, deadline: float, seq: int,
-    ) -> None:
-        if seq < 0:
+    def _on_timer(self, event: TimerEvent) -> None:
+        if event.seq < 0:
             return
-        state = self._open.get((node, seq))
+        state = self._open.get((event.node, event.seq))
         if state is None:
             return
         span = state.current if state.current is not None else state.root
-        entry = {"time": time, "label": f"timer.{action}", "timer": label}
-        if action == "armed":
-            entry["deadline"] = deadline
+        entry = {
+            "time": event.time, "label": f"timer.{event.action}",
+            "timer": event.label,
+        }
+        if event.action == "armed":
+            entry["deadline"] = event.deadline
         span.annotations.append(entry)
 
-    def on_backoff(
-        self, time: float, protocol: str, node: int, seq: int,
-        backoff: int, extra: float,
-    ) -> None:
-        state = self._open.get((node, seq))
+    def _on_backoff(self, event: BackoffEvent) -> None:
+        state = self._open.get((event.node, event.seq))
         if state is None:
             return
         entry = {
-            "time": time, "label": "backoff", "backoff": backoff,
-            "extra": extra,
+            "time": event.time, "label": "backoff", "backoff": event.backoff,
+            "extra": event.extra,
         }
         if state.current is not None:
             state.current.annotations.append(entry)
@@ -338,16 +349,17 @@ class Tracer:
             # scales — hold it for the next attempt span.
             state.pending_backoffs.append(entry)
 
-    def on_fault(
-        self, time: float, fault: str, node: int, peer: int, seq: int
-    ) -> None:
-        if seq < 0:
+    def _on_fault(self, event: FaultEvent) -> None:
+        if event.seq < 0:
             return
-        state = self._open.get((node, seq))
+        state = self._open.get((event.node, event.seq))
         if state is None:
             return
         span = state.current if state.current is not None else state.root
-        span.annotate(time, f"fault.{fault}", node=node, peer=peer)
+        span.annotate(
+            event.time, f"fault.{event.fault}", node=event.node,
+            peer=event.peer,
+        )
         state.promoted = True
 
     # -- termination -------------------------------------------------------

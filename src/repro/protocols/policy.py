@@ -33,6 +33,7 @@ equivalence suite enforces this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,10 +80,12 @@ class RecoveryPolicy:
             raise ValueError("max_peer_retries must be >= 1")
         if self.max_source_attempts < 0:
             raise ValueError("max_source_attempts must be >= 0 (0 = unbounded)")
-        if not self.backoff_factor >= 1.0:  # negated so NaN fails too
-            raise ValueError("backoff_factor must be >= 1")
-        if not self.max_backoff_scale >= 1.0:
-            raise ValueError("max_backoff_scale must be >= 1")
+        # NaN fails isfinite; an infinite value would arm a timer at
+        # t = inf.
+        for name in ("backoff_factor", "max_backoff_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 1.0):
+                raise ValueError(f"{name} must be finite and >= 1, got {value}")
         if self.failure_threshold < 0:
             raise ValueError("failure_threshold must be >= 0 (0 = disabled)")
 
@@ -110,7 +113,11 @@ class RecoveryPolicy:
         bit-identical timers on the fault-free path)."""
         if retries <= 0 or self.backoff_factor == 1.0:
             return 1.0
-        return min(self.backoff_factor ** retries, self.max_backoff_scale)
+        try:
+            scale = self.backoff_factor ** retries
+        except OverflowError:  # the power is far past the (finite) cap
+            return self.max_backoff_scale
+        return min(scale, self.max_backoff_scale)
 
 
 #: The paper-faithful behaviour every factory uses unless told otherwise.

@@ -331,9 +331,6 @@ class ListClientAgent(ClientAgent):
                 pending.attempts_sent, pending.rank, pending.peer,
                 "succeeded", elapsed=now - pending.detected_at,
             )
-            self.instr.observe(
-                f"{self.protocol}.attempts_per_recovery", pending.attempts_sent
-            )
         else:
             # The original DATA arrived late — the detection was false.
             self.instr.attempt(

@@ -296,10 +296,6 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
                 now, "srm", self.node, seq, pending.attempts_sent, 0, -1,
                 "succeeded", elapsed=now - pending.detected_at,
             )
-            if pending.attempts_sent:
-                self.instr.observe(
-                    "srm.attempts_per_recovery", pending.attempts_sent
-                )
         else:
             self.instr.attempt(
                 now, "srm", self.node, seq, pending.attempts_sent, 0, -1,

@@ -164,7 +164,7 @@ def _arrival_matrix(dissem: TreeDissem, t0s: np.ndarray) -> np.ndarray:
 
 
 #: ``_segmented_draws`` dependency of a slot whose parent is known
-#: dead: it consumes no draw and does not survive.
+#: dead: it takes no draw and does not survive.
 DEAD = -2
 
 
@@ -181,7 +181,7 @@ def _segmented_draws(
     the scalar behaviour, where a pruned subtree's events never exist —
     and count as dead for their own dependents.  Draws are taken in
     batches over maximal prefixes whose dependencies are already
-    resolved; within a batch ``rng.random(k)`` consumes the identical
+    resolved; within a batch ``rng.random(k)`` reads the identical
     stream the scalar path's ``k`` successive ``rng.random()`` calls
     would.
     """

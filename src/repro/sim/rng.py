@@ -6,7 +6,7 @@ derived from a single experiment seed via ``SeedSequence.spawn``-style
 keyed derivation.  Two consequences we rely on:
 
 * experiments are exactly reproducible from one integer seed;
-* changing how many random numbers one component consumes (say, a
+* changing how many random numbers one component uses (say, a
   protocol draws an extra timer) does not perturb any other component,
   so protocol comparisons stay paired on identical topologies and can
   share loss realizations when configured to.

@@ -1,8 +1,8 @@
-"""Tests for the metric instruments and their registry."""
+"""Tests for the counters and their registry."""
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 
 class TestCounter:
@@ -18,169 +18,19 @@ class TestCounter:
             Counter("x").inc(-1)
 
 
-class TestGauge:
-    def test_moves_both_ways(self):
-        g = Gauge("pending")
-        g.set(3.0)
-        g.inc()
-        g.dec(2.0)
-        assert g.value == 2.0
-
-
-class TestHistogram:
-    def test_empty_stats_are_none(self):
-        h = Histogram("lat")
-        assert h.count == 0
-        assert h.mean is None
-        assert h.min is None
-        assert h.max is None
-        assert h.percentile(50.0) is None
-
-    def test_basic_stats(self):
-        h = Histogram("lat")
-        for v in (4.0, 1.0, 7.0, 4.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.total == 16.0
-        assert h.mean == 4.0
-        assert h.min == 1.0
-        assert h.max == 7.0
-
-    def test_percentiles_nearest_rank(self):
-        h = Histogram("lat")
-        for v in range(1, 101):
-            h.observe(float(v))
-        assert h.percentile(0.0) == 1.0
-        assert h.percentile(100.0) == 100.0
-        assert h.percentile(50.0) == pytest.approx(51.0, abs=1.0)
-        assert h.percentile(95.0) >= h.percentile(50.0)
-
-    def test_percentile_cache_invalidated_by_new_sample(self):
-        h = Histogram("lat")
-        h.observe(10.0)
-        assert h.percentile(100.0) == 10.0
-        h.observe(99.0)
-        assert h.percentile(100.0) == 99.0
-
-    def test_percentile_rejects_out_of_range(self):
-        h = Histogram("lat")
-        with pytest.raises(ValueError):
-            h.percentile(-0.1)
-        with pytest.raises(ValueError):
-            h.percentile(100.1)
-
-    def test_samples_returns_copy(self):
-        h = Histogram("lat")
-        h.observe(1.0)
-        h.samples().append(2.0)
-        assert h.count == 1
-
-
-class TestHistogramBinnedRegime:
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", exact_limit=0)
-        with pytest.raises(ValueError):
-            Histogram("lat", num_bins=1)
-
-    def test_collapse_happens_past_exact_limit(self):
-        h = Histogram("lat", exact_limit=10, num_bins=8)
-        for v in range(10):
-            h.observe(float(v))
-        assert not h.binned
-        h.observe(10.0)
-        assert h.binned
-        assert h.samples() == []  # verbatim samples gone once binned
-
-    def test_aggregates_stay_exact_after_collapse(self):
-        h = Histogram("lat", exact_limit=100, num_bins=32)
-        values = [float((7 * i) % 500) for i in range(5000)]
-        for v in values:
-            h.observe(v)
-        assert h.binned
-        assert h.count == 5000
-        assert h.total == sum(values)
-        assert h.min == min(values)
-        assert h.max == max(values)
-        assert h.mean == pytest.approx(sum(values) / 5000)
-
-    def test_memory_stays_bounded(self):
-        h = Histogram("lat", exact_limit=16, num_bins=8)
-        for i in range(10_000):
-            h.observe(float(i % 321))
-        assert len(h._bins) == 8
-        assert sum(h._bins) == 10_000
-
-    def test_binned_percentiles_near_exact(self):
-        exact = Histogram("a", exact_limit=10_000)
-        binned = Histogram("b", exact_limit=100, num_bins=64)
-        values = [float((13 * i) % 1000) for i in range(5000)]
-        for v in values:
-            exact.observe(v)
-            binned.observe(v)
-        assert not exact.binned and binned.binned
-        span = (binned.max - binned.min) / 64  # one bin width
-        for q in (10.0, 50.0, 90.0, 95.0):
-            assert binned.percentile(q) == pytest.approx(
-                exact.percentile(q), abs=1.5 * span
-            )
-        # p0/p100 stay exactly min/max in both regimes.
-        assert binned.percentile(0.0) == exact.percentile(0.0)
-        assert binned.percentile(100.0) == exact.percentile(100.0)
-
-    def test_out_of_range_observation_regrids(self):
-        h = Histogram("lat", exact_limit=4, num_bins=8)
-        for v in (10.0, 11.0, 12.0, 13.0, 14.0):
-            h.observe(v)
-        assert h.binned
-        h.observe(500.0)   # above the grid
-        h.observe(-500.0)  # below the new grid
-        assert h.count == 7
-        assert h.min == -500.0
-        assert h.max == 500.0
-        assert sum(h._bins) == 7  # no sample silently dropped
-        assert h.percentile(100.0) == 500.0
-        assert h.percentile(0.0) == -500.0
-
-    def test_identical_values_collapse_cleanly(self):
-        h = Histogram("lat", exact_limit=3, num_bins=4)
-        for _ in range(10):
-            h.observe(5.0)
-        assert h.binned
-        assert h.count == 10
-        assert h.percentile(50.0) == pytest.approx(5.0, abs=1.0)
-
-
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("h") is reg.histogram("h")
-
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError):
-            reg.gauge("a")
-        with pytest.raises(TypeError):
-            reg.histogram("a")
 
     def test_names_sorted(self):
         reg = MetricsRegistry()
         reg.counter("z")
-        reg.gauge("a")
+        reg.counter("a")
         assert reg.names() == ["a", "z"]
 
     def test_snapshot_shapes(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
-        reg.gauge("g").set(1.5)
-        h = reg.histogram("h")
-        h.observe(2.0)
-        h.observe(4.0)
-        snap = reg.snapshot()
-        assert snap["c"] == 3
-        assert snap["g"] == 1.5
-        assert snap["h"]["count"] == 2
-        assert snap["h"]["mean"] == 3.0
-        assert snap["h"]["max"] == 4.0
+        reg.counter("b")
+        assert reg.snapshot() == {"b": 0, "c": 3}

@@ -2,6 +2,15 @@
 
 import pytest
 
+from repro.obs.events import (
+    AttemptEvent,
+    BackoffEvent,
+    EventBus,
+    FaultEvent,
+    TimerEvent,
+)
+from repro.obs.instrumentation import Instrumentation
+from repro.obs.sinks import RingBufferSink
 from repro.obs.spans import (
     CATEGORY_ATTEMPT,
     CATEGORY_LINK,
@@ -73,8 +82,8 @@ class TestTracerLifecycle:
 
     def test_root_backdated_to_detection(self):
         tracer = Tracer()
-        tracer.on_attempt(10.0, "rp", 3, 1, 1, 0, 7, "started", 2.0)
-        tracer.on_attempt(14.0, "rp", 3, 1, 1, 0, 7, "succeeded", 6.0)
+        tracer.write(AttemptEvent(10.0, "rp", 3, 1, 1, 0, 7, "started", 2.0))
+        tracer.write(AttemptEvent(14.0, "rp", 3, 1, 1, 0, 7, "succeeded", 6.0))
         spans = tracer.store.spans()
         root = next(s for s in spans if s.category == CATEGORY_RECOVERY)
         assert root.start == 8.0  # detection, not first send
@@ -83,10 +92,10 @@ class TestTracerLifecycle:
 
     def test_attempt_tree_shape(self):
         tracer = Tracer()
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
-        tracer.on_attempt(5.0, "rp", 3, 1, 1, 0, 7, "timed_out", 5.0)
-        tracer.on_attempt(5.0, "rp", 3, 1, 2, -1, 9, "started", 5.0)
-        tracer.on_attempt(8.0, "rp", 3, 1, 2, -1, 9, "succeeded", 8.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
+        tracer.write(AttemptEvent(5.0, "rp", 3, 1, 1, 0, 7, "timed_out", 5.0))
+        tracer.write(AttemptEvent(5.0, "rp", 3, 1, 2, -1, 9, "started", 5.0))
+        tracer.write(AttemptEvent(8.0, "rp", 3, 1, 2, -1, 9, "succeeded", 8.0))
         spans = tracer.store.spans()
         root = next(s for s in spans if s.category == CATEGORY_RECOVERY)
         attempts = [s for s in spans if s.category == CATEGORY_ATTEMPT]
@@ -99,27 +108,27 @@ class TestTracerLifecycle:
         tracer = Tracer()
         assert tracer.ids(3, 1) == (NO_SPAN, NO_SPAN)
         assert tracer.context(3, 1) is None
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
         trace_id, span_id = tracer.ids(3, 1)
         assert tracer.context(3, 1) == TraceContext(trace_id, span_id)
         first_span = span_id
-        tracer.on_attempt(5.0, "rp", 3, 1, 1, 0, 7, "timed_out", 5.0)
+        tracer.write(AttemptEvent(5.0, "rp", 3, 1, 1, 0, 7, "timed_out", 5.0))
         # Between attempts the root is the context.
         _, between = tracer.ids(3, 1)
         assert between != first_span
-        tracer.on_attempt(5.0, "rp", 3, 1, 2, 1, 8, "started", 5.0)
+        tracer.write(AttemptEvent(5.0, "rp", 3, 1, 2, 1, 8, "started", 5.0))
         _, second = tracer.ids(3, 1)
         assert second not in (first_span, between)
 
     def test_terminal_without_start_is_ignored(self):
         tracer = Tracer()
-        tracer.on_attempt(4.0, "srm", 3, 1, 0, 0, -1, "retracted", 4.0)
+        tracer.write(AttemptEvent(4.0, "srm", 3, 1, 0, 0, -1, "retracted", 4.0))
         assert len(tracer.store) == 0
         assert tracer.traces_started == 0
 
     def test_finish_promotes_unterminated(self):
         tracer = Tracer(sample_rate=0.0)
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
         tracer.finish(50.0)
         roots = tracer.store.roots()
         assert len(roots) == 1
@@ -130,38 +139,38 @@ class TestTracerLifecycle:
 class TestTracerSampling:
     def test_sampled_out_counted(self):
         tracer = Tracer(sample_rate=0.0)
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
-        tracer.on_attempt(4.0, "rp", 3, 1, 1, 0, 7, "succeeded", 4.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
+        tracer.write(AttemptEvent(4.0, "rp", 3, 1, 1, 0, 7, "succeeded", 4.0))
         assert len(tracer.store) == 0
         assert tracer.store.sampled_out == 1
         assert tracer.traces_started == 1
 
     def test_abandonment_always_kept(self):
         tracer = Tracer(sample_rate=0.0)
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
-        tracer.on_attempt(9.0, "rp", 3, 1, 1, 0, 7, "abandoned", 9.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
+        tracer.write(AttemptEvent(9.0, "rp", 3, 1, 1, 0, 7, "abandoned", 9.0))
         assert len(tracer.store.roots()) == 1
         assert tracer.store.sampled_out == 0
 
     def test_abnormal_keep_can_be_disabled(self):
         tracer = Tracer(sample_rate=0.0, always_sample_abnormal=False)
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
-        tracer.on_attempt(9.0, "rp", 3, 1, 1, 0, 7, "abandoned", 9.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
+        tracer.write(AttemptEvent(9.0, "rp", 3, 1, 1, 0, 7, "abandoned", 9.0))
         assert len(tracer.store) == 0
         assert tracer.store.sampled_out == 1
 
     def test_fault_promotes_unsampled_trace(self):
         tracer = Tracer(sample_rate=0.0)
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
-        tracer.on_fault(2.0, "blackhole.request", 3, -1, 1)
-        tracer.on_attempt(4.0, "rp", 3, 1, 1, 0, 7, "succeeded", 4.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
+        tracer.write(FaultEvent(2.0, "blackhole.request", 3, -1, 1))
+        tracer.write(AttemptEvent(4.0, "rp", 3, 1, 1, 0, 7, "succeeded", 4.0))
         roots = tracer.store.roots()
         assert len(roots) == 1
 
 
 class TestTracerLinkEvents:
     def _started(self, tracer):
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
         return tracer.ids(3, 1)
 
     def test_transmit_becomes_link_span(self):
@@ -171,7 +180,7 @@ class TestTracerLinkEvents:
             TraceKind.TRANSMIT, PacketKind.REQUEST, trace_id, span_id,
             time=1.0, node=5, peer=3, delay=2.0,
         ))
-        tracer.on_attempt(6.0, "rp", 3, 1, 1, 0, 7, "succeeded", 6.0)
+        tracer.write(AttemptEvent(6.0, "rp", 3, 1, 1, 0, 7, "succeeded", 6.0))
         links = [
             s for s in tracer.store.spans() if s.category == CATEGORY_LINK
         ]
@@ -188,7 +197,7 @@ class TestTracerLinkEvents:
         tracer.on_link_event(_link(
             TraceKind.DROP, PacketKind.REQUEST, trace_id, span_id, time=1.5,
         ))
-        tracer.on_attempt(6.0, "rp", 3, 1, 1, 0, 7, "succeeded", 6.0)
+        tracer.write(AttemptEvent(6.0, "rp", 3, 1, 1, 0, 7, "succeeded", 6.0))
         link = next(
             s for s in tracer.store.spans() if s.category == CATEGORY_LINK
         )
@@ -242,13 +251,34 @@ class TestTracerLinkEvents:
         assert tracer.store.late_events == 1
 
 
+class TestTracerOnTheBus:
+    def test_instrumentation_puts_tracer_last_on_the_bus(self):
+        ring = RingBufferSink()
+        tracer = Tracer()
+        instr = Instrumentation(bus=EventBus([ring]), tracer=tracer)
+        assert instr.bus.sinks == (ring, tracer)
+        recording = Instrumentation.recording(trace=True)
+        assert recording.bus.sinks[-1] is recording.tracer
+
+    def test_emit_helpers_reach_the_tracer(self):
+        tracer = Tracer()
+        instr = Instrumentation(tracer=tracer)
+        assert instr.bus.active
+        instr.attempt(0.0, "rp", 3, 1, 1, 0, 7, "started")
+        instr.phase(1.0, "session.complete")  # no recovery identity
+        instr.attempt(4.0, "rp", 3, 1, 1, 0, 7, "succeeded", elapsed=4.0)
+        (root,) = tracer.store.roots()
+        assert root.attrs["status"] == "succeeded"
+
+
 class TestTracerAnnotations:
     def test_timer_annotations_attach_by_seq(self):
         tracer = Tracer()
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
-        tracer.on_timer(0.0, "rp", 3, "rp.request", "armed", 12.0, 1)
-        tracer.on_timer(0.5, "rp", 3, "rp.request", "armed", 12.0, -1)  # no seq
-        tracer.on_timer(1.0, "rp", 9, "rp.request", "armed", 12.0, 1)  # no trace
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
+        tracer.write(TimerEvent(0.0, "rp", 3, "rp.request", "armed", 12.0, 1))
+        # No seq, then no open trace: neither attaches.
+        tracer.write(TimerEvent(0.5, "rp", 3, "rp.request", "armed", 12.0, -1))
+        tracer.write(TimerEvent(1.0, "rp", 9, "rp.request", "armed", 12.0, 1))
         state = list(tracer._by_trace.values())[0]
         assert state.current.annotations == [
             {"time": 0.0, "label": "timer.armed", "timer": "rp.request",
@@ -257,11 +287,11 @@ class TestTracerAnnotations:
 
     def test_backoff_before_attempt_is_held_for_it(self):
         tracer = Tracer()
-        tracer.on_attempt(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0)
-        tracer.on_attempt(5.0, "rp", 3, 1, 1, 0, 7, "timed_out", 5.0)
+        tracer.write(AttemptEvent(0.0, "rp", 3, 1, 1, 0, 7, "started", 0.0))
+        tracer.write(AttemptEvent(5.0, "rp", 3, 1, 1, 0, 7, "timed_out", 5.0))
         # RP emits the backoff before the attempt it scales.
-        tracer.on_backoff(5.0, "rp", 3, 1, 1, 10.0)
-        tracer.on_attempt(5.0, "rp", 3, 1, 2, -1, 9, "started", 5.0)
+        tracer.write(BackoffEvent(5.0, "rp", 3, 1, 1, 10.0))
+        tracer.write(AttemptEvent(5.0, "rp", 3, 1, 2, -1, 9, "started", 5.0))
         state = list(tracer._by_trace.values())[0]
         assert state.current.annotations == [
             {"time": 5.0, "label": "backoff", "backoff": 1, "extra": 10.0}
@@ -269,7 +299,7 @@ class TestTracerAnnotations:
 
     def test_backoff_during_attempt_attaches_directly(self):
         tracer = Tracer()
-        tracer.on_attempt(0.0, "srm", 3, 1, 1, 0, -1, "started", 0.0)
-        tracer.on_backoff(1.0, "srm", 3, 1, 1, 0.0)
+        tracer.write(AttemptEvent(0.0, "srm", 3, 1, 1, 0, -1, "started", 0.0))
+        tracer.write(BackoffEvent(1.0, "srm", 3, 1, 1, 0.0))
         state = list(tracer._by_trace.values())[0]
         assert state.current.annotations[0]["label"] == "backoff"

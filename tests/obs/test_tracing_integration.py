@@ -11,8 +11,10 @@ whether produced in-process or in a worker pool, and tracing never
 changes what the simulation itself computes.
 """
 
+import hashlib
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.config import ScenarioConfig
@@ -35,7 +37,7 @@ from repro.protocols.rma import RMAConfig, RMAProtocolFactory
 from repro.protocols.rp import RPConfig, RPProtocolFactory
 from repro.protocols.source import SourceConfig, SourceProtocolFactory
 from repro.protocols.srm import SRMConfig, SRMProtocolFactory
-from repro.sim.faults import random_fault_schedule
+from repro.sim.faults import FaultSchedule, random_fault_schedule
 from repro.sim.rng import RngStreams
 
 
@@ -185,6 +187,33 @@ class TestDeterminism:
             parallel = list(pool.map(_span_stream, seeds))
         assert inline == parallel
         assert inline[0] != inline[1]  # different seeds actually differ
+
+    @pytest.mark.parametrize("factory, faults, digest", [
+        (RPProtocolFactory, None,
+         "dafa23cc9e8e59619205103cd3f54988b43f977b9efb8b90d9ca2dca995cedc9"),
+        (SRMProtocolFactory, None,
+         "fedaa75054c29265cbb667760d580bf68b507a619f9f78fb65800f90c7f5d7e4"),
+        # Black-holed requests and repairs: 130 timer, 26 backoff and 22
+        # fault annotations ride on this run's spans.
+        (lambda: RPProtocolFactory(
+            RPConfig(recovery_policy=RecoveryPolicy.hardened())
+         ),
+         FaultSchedule(request_blackhole_prob=0.3, repair_blackhole_prob=0.3),
+         "cc57196d27b01c7ce0f04dac86c22705dfee259c6507ad374fb4adecebaea018"),
+    ], ids=["rp", "srm", "rp-hardened-blackhole"])
+    def test_span_stream_pinned(self, factory, faults, digest):
+        # The tracer folds the bus's attempt, timer, backoff and fault
+        # records; any change to that wiring shows up in these bytes.
+        config = ScenarioConfig(
+            seed=3, num_routers=30, loss_prob=0.05, num_packets=10
+        )
+        instr = Instrumentation.recording(trace=True)
+        artifacts = run_protocol_detailed(
+            build_scenario(config), factory(), instrumentation=instr,
+            faults=faults,
+        )
+        text = spans_to_jsonl(artifacts.spans)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_tracing_does_not_perturb_the_simulation(self):
         config = ScenarioConfig(

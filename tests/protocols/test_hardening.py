@@ -72,6 +72,24 @@ class TestRecoveryPolicy:
         assert policy.backoff_scale(3) == 8.0
         assert policy.backoff_scale(100) == policy.max_backoff_scale
 
+    @pytest.mark.parametrize("retries", [1023, 1024, 1100, 10**6])
+    def test_backoff_caps_past_float_overflow(self, retries):
+        # Unbounded source retries (max_source_attempts=0) keep counting
+        # past the point where factor ** retries overflows a float.
+        policy = RecoveryPolicy(backoff_factor=2.0)
+        assert policy.backoff_scale(retries) == policy.max_backoff_scale
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("backoff_factor", {"backoff_factor": float("inf")}),
+        ("max_backoff_scale", {"max_backoff_scale": float("inf")}),
+        ("backoff_factor", {
+            "backoff_factor": float("inf"), "max_backoff_scale": float("inf"),
+        }),
+    ])
+    def test_non_finite_backoff_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RecoveryPolicy(**kwargs)
+
 
 class TestPeerFailureDetector:
     def test_death_after_threshold_consecutive_timeouts(self):
