@@ -1,12 +1,12 @@
-"""Parallel sweep speedup: sequential vs ``jobs=N`` wall clock.
+"""Parallel sweep speedup: ``jobs=1`` vs ``jobs=N`` wall clock.
 
 Runs the same shrunken campaign (2 backbone sizes + 2 loss points,
-3 seeds, 3 protocols = 36 simulation units) twice — ``jobs=1`` (the
-in-process sequential path) and ``jobs=N`` (the process-pool fan-out) —
-and writes the wall-clock ratio to ``BENCH_parallel_speedup.json`` at
-the repo root.  Determinism is asserted as a side effect: both arms
-must produce byte-identical sweep JSON, or the "speedup" would compare
-different work.
+3 seeds, 3 protocols = 36 simulation units) twice on the one sweep
+runner — ``jobs=1`` (units run in the calling process) and ``jobs=N``
+(units run on a process pool) — and writes the wall-clock ratio to
+``BENCH_parallel_speedup.json`` at the repo root.  Determinism is
+asserted as a side effect: both arms must produce byte-identical sweep
+JSON, or the "speedup" would compare different work.
 
 The acceptance target is ≥ 1.8× at ``jobs=4``, which obviously needs
 hardware: the JSON records ``cpu_count`` next to the measured ratio and

@@ -138,37 +138,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    seeds = tuple(args.seeds)
     if args.load is not None:
         from repro.experiments.persistence import load_sweep
 
         sweep = load_sweep(args.load)
-        metric, title, unit = _figure_meta(args.number)
-        print(render_figure(sweep, metric, title, unit))
-        if args.plot:
-            from repro.experiments.ascii_plot import plot_series
-
-            series = (
-                sweep.latency_series() if metric == "latency"
-                else sweep.bandwidth_series()
-            )
-            print()
-            print(plot_series(series, x_label=sweep.x_label, y_label=unit))
-        return 0
-    runner = run_client_sweep if args.number in (5, 6) else run_loss_sweep
-    sweep = runner(
-        num_packets=args.packets,
-        seeds=seeds,
-        lossless_recovery=not args.lossy_recovery,
-        jobs=args.jobs,
-        progress=print if args.jobs > 1 else None,
-    )
-    for failure in sweep.failures:
-        print(
-            f"WARNING: unit failed after {failure.attempts} attempts"
-            f" (x={failure.x:g} seed={failure.seed} {failure.protocol}):"
-            f" {failure.error}"
+    else:
+        runner = run_client_sweep if args.number in (5, 6) else run_loss_sweep
+        sweep = runner(
+            num_packets=args.packets,
+            seeds=tuple(args.seeds),
+            lossless_recovery=not args.lossy_recovery,
+            jobs=args.jobs,
+            progress=print if args.jobs > 1 else None,
         )
+        for failure in sweep.failures:
+            print(
+                f"WARNING: unit failed after {failure.attempts} attempts"
+                f" (x={failure.x:g} seed={failure.seed} {failure.protocol}):"
+                f" {failure.error}"
+            )
     metric, title, unit = _figure_meta(args.number)
     print(render_figure(sweep, metric, title, unit))
     if args.plot:
@@ -180,7 +168,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         )
         print()
         print(plot_series(series, x_label=sweep.x_label, y_label=unit))
-    if args.save is not None:
+    if args.save is not None and args.load is None:
         from repro.experiments.persistence import save_sweep
 
         save_sweep(sweep, args.save)

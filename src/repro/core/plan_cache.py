@@ -8,8 +8,8 @@ loss-probability sweep (Figures 7–8) therefore re-plans the *identical*
 prioritized lists at every sweep point; with ten points and a handful of
 seeds that is 90% pure waste.  This module caches ``plan_all`` results
 behind a value-based fingerprint so each distinct planning problem is
-solved once per process, whether the sweep runs sequentially in-process
-or fanned out over the PR 2 worker pool (each worker holds its own
+solved once per process, whether a sweep's units run in the calling
+process (``jobs=1``) or on worker processes (each worker holds its own
 cache and warms it on its first unit of a topology).
 
 Correctness discipline:
@@ -58,8 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Distinct planning problems kept per cache (LRU beyond this).  Each
 #: entry holds one strategy dict for every client of one topology; 8
-#: covers the scenario-cache width of a parallel worker with room for
-#: interleaved sequential sweeps.
+#: covers the scenario-cache width of a sweep process with room for
+#: interleaved sweeps.
 DEFAULT_CAPACITY = 8
 
 #: Attribute used to memoize the structural fingerprint on a tree.

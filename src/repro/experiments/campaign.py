@@ -92,8 +92,8 @@ def campaign_fingerprint(
     fingerprints only compare counter-for-counter when they measured
     the same campaign.  Counters are sim-time quantities only: loss
     totals, event totals and the figure-level means per protocol.
-    Failed parallel units are counted — a unit that starts failing in
-    CI shows up as a ``CHANGED`` line, not silence.
+    Failed sweep units are counted — a unit that starts failing in CI
+    shows up as a ``CHANGED`` line, not silence.
     """
     config_data = {
         "num_packets": num_packets,
@@ -184,10 +184,11 @@ def run_campaign(
     ``progress`` receives status lines (pass ``lambda *_: None`` to
     silence).
 
-    ``jobs > 1`` runs each sweep's (point, seed, protocol) grid on that
-    many worker processes with bit-identical results (see
-    :mod:`repro.experiments.parallel`); failed units are reported and
-    listed in ``REPORT.md`` instead of aborting the campaign.
+    ``jobs`` sets how many worker processes run each sweep's (point,
+    seed, protocol) grid (1: the calling process); results are
+    bit-identical at every value (see :mod:`repro.experiments.parallel`).
+    Units that fail even after a retry are reported and listed in
+    ``REPORT.md`` instead of aborting the campaign.
 
     With ``telemetry`` one fully instrumented run per protocol is added
     on a ``telemetry_routers``-sized network and its attempt-level
@@ -198,11 +199,9 @@ def run_campaign(
         raise ValueError(
             "run_campaign requires at least one seed (seeds is empty)"
         )
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profiler = Profiler() if jobs > 1 else None
+    profiler = Profiler()
 
     progress(
         f"running Figures 5-6 sweep (backbone size, p = 5%)"
@@ -243,13 +242,12 @@ def run_campaign(
             f" attempts (x={failure.x:g} seed={failure.seed}"
             f" {failure.protocol}): {failure.error}"
         )
-    if profiler is not None:
-        stat = profiler.stats().get("parallel.unit")
-        if stat is not None:
-            progress(
-                f"parallel execution: {stat.count} units,"
-                f" {stat.total:.1f}s of simulation across {jobs} workers"
-            )
+    stat = profiler.stats().get("parallel.unit")
+    if stat is not None:
+        progress(
+            f"sweep execution: {stat.count} units,"
+            f" {stat.total:.1f}s of simulation, jobs={jobs}"
+        )
 
     sweep_paths = {
         "client": out / "client_sweep.json",

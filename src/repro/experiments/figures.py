@@ -9,7 +9,10 @@ the per-link loss probability 2%–20%.
 One sweep run yields *both* metrics of its figure pair, so
 :func:`run_client_sweep` backs Figures 5 and 6 and
 :func:`run_loss_sweep` backs Figures 7 and 8; the bench files share the
-sweep through a result cache.
+sweep through a result cache.  Both list their (point, seed, protocol)
+grid as units, run them through
+:func:`repro.experiments.parallel.run_units` — whose ``jobs`` sets only
+the worker count — and reassemble the points by unit index.
 
 Paper reference points (section 5.2), the shapes our reproduction is
 judged against:
@@ -29,7 +32,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import ensure_unique_factories, run_protocols
+from repro.experiments.parallel import SweepUnit, UnitFailure, run_units
+from repro.experiments.runner import ensure_unique_factories
 from repro.metrics.summary import RunSummary
 from repro.obs.profiler import Profiler
 from repro.protocols.base import ProtocolFactory
@@ -54,19 +58,6 @@ def default_protocols() -> list[ProtocolFactory]:
     return [SRMProtocolFactory(), RMAProtocolFactory(), RPProtocolFactory()]
 
 
-@dataclass(frozen=True)
-class UnitFailure:
-    """One sweep unit (point × seed × protocol) that still failed after
-    its retry.  Parallel sweeps record these on the
-    :class:`SweepResult` instead of discarding the completed siblings."""
-
-    x: float
-    seed: int
-    protocol: str
-    error: str
-    attempts: int
-
-
 @dataclass
 class SweepPoint:
     """One x-axis point of a sweep: per-protocol run summaries, averaged
@@ -88,8 +79,8 @@ class SweepPoint:
 
     def mean_bandwidth(self, protocol: str) -> float | None:
         """Per-protocol bandwidth at this point; ``None`` when every run
-        of the protocol here failed (parallel mode marks failed units
-        instead of aborting the sweep)."""
+        of the protocol here failed (a sweep marks failed units instead
+        of aborting)."""
         runs = self.runs[protocol]
         if not runs:
             return None
@@ -111,9 +102,8 @@ class FigureSeries:
 class SweepResult:
     """A completed sweep backing one figure pair.
 
-    ``failures`` lists the units a parallel sweep (``jobs > 1``) marked
-    failed after their retry; it is empty on the sequential path, which
-    raises on the first failure instead."""
+    ``failures`` lists the units that still failed after their retry,
+    at any ``jobs``; the points average the remaining runs."""
 
     x_label: str
     points: list[SweepPoint]
@@ -167,6 +157,7 @@ class SweepResult:
 
 
 def _sweep(
+    grid: str,
     configs: list[ScenarioConfig],
     xs: list[float],
     x_label: str,
@@ -176,46 +167,62 @@ def _sweep(
     progress: Callable[[str], None] | None = None,
     profiler: Profiler | None = None,
 ) -> SweepResult:
+    """Run one sweep grid; ``grid`` names the swept argument."""
     factories = factories if factories is not None else default_protocols()
     ensure_unique_factories(factories)
+    if not xs:
+        raise ValueError(
+            f"{grid} must be non-empty: a sweep needs at least one point"
+        )
     if not seeds:
         raise ValueError(
             "seeds must be non-empty: a sweep needs at least one"
             " experiment seed"
         )
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1:
-        # Imported lazily: the parallel layer depends on this module.
-        from repro.experiments.parallel import run_parallel_sweep
-
-        return run_parallel_sweep(
-            configs, xs, x_label, factories, seeds, jobs,
-            progress=progress, profiler=profiler,
-        )
-    points = []
-    for x, base in zip(xs, configs):
-        runs: dict[str, list[RunSummary]] = {f.name: [] for f in factories}
-        client_counts = []
-        for seed in seeds:
+    units: list[SweepUnit] = []
+    for point_index, (x, base) in enumerate(zip(xs, configs)):
+        for seed_index, seed in enumerate(seeds):
             # dataclasses.replace keeps every other scenario knob
             # (including ones added later) instead of enumerating them.
             config = replace(base, seed=seed)
-            summaries = run_protocols(config, factories)
-            for name, summary in summaries.items():
-                runs[name].append(summary)
-            client_counts.append(
-                next(iter(summaries.values())).num_clients
-            )
-        points.append(
-            SweepPoint(
-                x=x,
-                num_clients=sum(client_counts) / len(client_counts),
-                runs=runs,
-            )
+            units += [
+                SweepUnit(
+                    index=len(units) + offset,
+                    point_index=point_index,
+                    seed_index=seed_index,
+                    x=x,
+                    config=config,
+                    factory=factory,
+                    protocol=factory.name,
+                )
+                for offset, factory in enumerate(factories)
+            ]
+    results, failures = run_units(
+        units, jobs, progress=progress, profiler=profiler
+    )
+
+    points = [
+        SweepPoint(x=x, num_clients=0.0, runs={f.name: [] for f in factories})
+        for x in xs
+    ]
+    # Per point, the client count of each seed with at least one run.
+    seed_clients: list[dict[int, int]] = [{} for _ in xs]
+    for unit in units:
+        result = results.get(unit.index)
+        if result is None:
+            continue
+        points[unit.point_index].runs[unit.protocol].append(result.summary)
+        seed_clients[unit.point_index].setdefault(
+            unit.seed_index, result.num_clients
         )
+    for point, clients in zip(points, seed_clients):
+        if clients:
+            point.num_clients = sum(clients.values()) / len(clients)
     return SweepResult(
-        x_label=x_label, points=points, protocols=[f.name for f in factories]
+        x_label=x_label,
+        points=points,
+        protocols=[f.name for f in factories],
+        failures=[failures[i] for i in sorted(failures)],
     )
 
 
@@ -234,8 +241,8 @@ def run_client_sweep(
 
     ``lossless_recovery`` defaults to the paper simulator's behaviour
     (recovery traffic never lost); pass False for the realistic mode.
-    ``jobs > 1`` fans the grid out over worker processes with results
-    bit-identical to the sequential default (see
+    ``jobs`` sets how many worker processes run the grid (1: the calling
+    process); results are bit-identical at every value (see
     :mod:`repro.experiments.parallel`).
     """
     configs = [
@@ -244,7 +251,7 @@ def run_client_sweep(
                        lossless_recovery=lossless_recovery)
         for n in num_routers
     ]
-    return _sweep(configs, [float(n) for n in num_routers],
+    return _sweep("num_routers", configs, [float(n) for n in num_routers],
                   "backbone routers", factories, seeds,
                   jobs=jobs, progress=progress, profiler=profiler)
 
@@ -274,6 +281,6 @@ def run_loss_sweep(
                        lossless_recovery=lossless_recovery)
         for p in loss_probs
     ]
-    return _sweep(configs, [100.0 * p for p in loss_probs],
+    return _sweep("loss_probs", configs, [100.0 * p for p in loss_probs],
                   "per-link loss (%)", factories, seeds,
                   jobs=jobs, progress=progress, profiler=profiler)

@@ -1,56 +1,65 @@
-"""Parallel sweep execution.
+"""The figure-sweep runner.
 
 A figure sweep is an embarrassingly parallel grid — every
 ``(config point, seed, protocol)`` triple is one independent simulation,
 because each run derives *all* of its randomness from
 ``RngStreams(config.seed)`` named streams (topology, tree, per-protocol
-loss and timers) and shares nothing mutable with its siblings.  This
-module decomposes a sweep into self-describing :class:`SweepUnit` work
-units, fans them out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
-and reassembles the :class:`~repro.experiments.figures.SweepPoint` grid
-in deterministic order, so a parallel sweep is **bit-identical** to the
-sequential one (enforced by the fixed-seed equivalence tests).
+loss and timers) and shares nothing mutable with its siblings.
+:func:`repro.experiments.figures.run_client_sweep` and
+:func:`~repro.experiments.figures.run_loss_sweep` list their grid as
+self-describing :class:`SweepUnit` work units and hand them to
+:func:`run_units`, the one runner every figure sweep goes through.
+``jobs`` sets nothing but its worker count: ``jobs == 1`` runs the units
+in the calling process (no fork, no pickling), ``jobs > 1`` on a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Results come back
+keyed by unit index, so a sweep is **bit-identical** at every ``jobs``
+(enforced by the fixed-seed equivalence tests).
 
-Workers build scenarios on their side of the fork and keep a small LRU
-cache keyed by ``(seed, topology knobs)``: the three protocols of one
-seed reuse one built topology/tree/routing whenever they land on the
-same worker, mirroring the sequential path's build-once discipline.
+Each process keeps a small LRU of built scenarios keyed by
+``(seed, topology knobs)``: the three protocols of one seed reuse one
+built topology/tree/routing whenever they run in the same process.  The
+calling process empties its LRU when the run ends.
 
-Failure policy: a unit whose run raises — or whose worker process dies
-outright (:class:`BrokenProcessPool`) — is retried once; a second
-failure marks the unit failed and the sweep *continues*, recording a
-:class:`~repro.experiments.figures.UnitFailure` on the result instead of
-discarding the completed sibling runs.  Per-unit wall clock is folded
-into the ``repro.obs`` profiler under ``parallel.unit`` /
-``parallel.unit.<protocol>``, and progress callbacks fire in unit order
-regardless of completion order.
+Failure policy, the same at every ``jobs``: a unit whose run raises is
+retried once; a second failure marks the unit failed and the sweep
+*continues*, recording a :class:`UnitFailure` on the result instead of
+discarding the completed sibling runs.  At most ``jobs`` units are in
+flight.  A worker process that dies outright (:class:`BrokenProcessPool`)
+takes every in-flight unit down with it, so those units re-run one at a
+time and only a unit that breaks the pool while running alone is charged
+an attempt.  (At ``jobs == 1`` such a unit kills the caller.)  Per-unit
+wall clock is folded into the ``repro.obs`` profiler under
+``parallel.unit`` / ``parallel.unit.<protocol>``, the whole run under
+``parallel.sweep``, and progress callbacks fire in unit order regardless
+of completion order.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.figures import (
-    SweepPoint,
-    SweepResult,
-    UnitFailure,
-)
 from repro.experiments.runner import BuiltScenario, build_scenario, run_protocol
 from repro.metrics.summary import RunSummary
 from repro.obs.profiler import Profiler
 from repro.protocols.base import ProtocolFactory
 
-#: How many units a failing unit is attempted in total (1 try + 1 retry).
+#: How many times a failing unit is attempted in total (1 try + 1 retry).
 MAX_ATTEMPTS = 2
 
-#: Worker-side scenario cache capacity (scenarios, not bytes).
+#: Per-process scenario cache capacity (scenarios, not bytes).
 SCENARIO_CACHE_SIZE = 4
 
 
@@ -59,10 +68,10 @@ class SweepUnit:
     """One self-describing simulation of a sweep grid.
 
     ``index`` is the unit's position in the deterministic enumeration
-    order (points outermost, then seeds, then protocols — exactly the
-    sequential loop's order); reassembly and progress reporting key on
-    it.  ``config`` already carries the unit's seed; ``factory`` is the
-    protocol spec and must be picklable (the stock factories are).
+    order (points outermost, then seeds, then protocols); reassembly and
+    progress reporting key on it.  ``config`` already carries the unit's
+    seed; ``factory`` is the protocol spec and must be picklable for
+    ``jobs > 1`` (the stock factories are).
     """
 
     index: int
@@ -76,22 +85,35 @@ class SweepUnit:
 
 @dataclass(frozen=True)
 class UnitResult:
-    """A unit's run summary plus worker-side metadata."""
+    """A unit's run summary plus run-side metadata."""
 
-    index: int
     summary: RunSummary
     num_clients: int
     elapsed: float
     attempts: int
 
 
-# -- worker side ----------------------------------------------------------
+@dataclass(frozen=True)
+class UnitFailure:
+    """One sweep unit (point × seed × protocol) that still failed after
+    its retry.  Sweeps record these on the
+    :class:`~repro.experiments.figures.SweepResult` instead of discarding
+    the completed siblings."""
+
+    x: float
+    seed: int
+    protocol: str
+    error: str
+    attempts: int
+
+
+# -- run side (a worker process, or the caller at jobs == 1) --------------
 
 _scenario_cache: OrderedDict[tuple, BuiltScenario] = OrderedDict()
 
 
 def _cached_scenario(config: ScenarioConfig) -> BuiltScenario:
-    """Build (or reuse) the scenario for ``config`` in this worker.
+    """Build (or reuse) the scenario for ``config`` in this process.
 
     The cache key is ``(seed, topology knobs)`` — everything the
     topology, tree and routing depend on.  Stream knobs (packet count,
@@ -102,7 +124,7 @@ def _cached_scenario(config: ScenarioConfig) -> BuiltScenario:
     links), so a loss sweep rebuilds the scenario per point; the RP
     prioritized lists, however, come from the process-global
     :mod:`repro.core.plan_cache`, whose value-based fingerprint excludes
-    loss probabilities — each worker plans a topology once and reuses
+    loss probabilities — each process plans a topology once and reuses
     the lists across every loss point it is handed.
     """
     key = (config.seed, config.topology_config())
@@ -117,18 +139,33 @@ def _cached_scenario(config: ScenarioConfig) -> BuiltScenario:
     return built
 
 
-def _execute_unit(unit: SweepUnit) -> tuple[int, RunSummary, int, float]:
-    """Run one unit in a worker process."""
+def _execute_unit(unit: SweepUnit) -> tuple[RunSummary, int, float]:
+    """Run one unit."""
     t0 = time.perf_counter()
     built = _cached_scenario(unit.config)
     summary = run_protocol(built, unit.factory)
-    return unit.index, summary, built.num_clients, time.perf_counter() - t0
+    return summary, built.num_clients, time.perf_counter() - t0
 
 
-# -- parent side ----------------------------------------------------------
+# -- calling side ---------------------------------------------------------
 
 
-def _new_executor(jobs: int) -> ProcessPoolExecutor:
+class _InlineExecutor(Executor):
+    """The ``jobs == 1`` executor: ``submit`` runs the call in the
+    calling process and returns its already-settled future."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _new_executor(jobs: int) -> Executor:
+    if jobs == 1:
+        return _InlineExecutor()
     # fork is much cheaper than spawn (no interpreter/numpy re-import per
     # worker) and results are identical either way; fall back where fork
     # does not exist (Windows, macOS sandboxes).
@@ -144,9 +181,8 @@ def run_units(
     jobs: int,
     progress: Callable[[str], None] | None = None,
     profiler: Profiler | None = None,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> tuple[dict[int, UnitResult], dict[int, UnitFailure]]:
-    """Fan ``units`` out over ``jobs`` worker processes.
+    """Run ``units`` on ``jobs`` workers (in-process at ``jobs == 1``).
 
     Returns ``(results, failures)`` keyed by unit index; every unit ends
     up in exactly one of the two.  ``progress`` (if given) receives one
@@ -155,27 +191,36 @@ def run_units(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    order = {unit.index: pos for pos, unit in enumerate(units)}
-    if sorted(order) != list(range(len(units))):
+    if sorted(unit.index for unit in units) != list(range(len(units))):
         raise ValueError("unit indexes must be 0..n-1")
+    if profiler is None:
+        profiler = Profiler()
     results: dict[int, UnitResult] = {}
     failures: dict[int, UnitFailure] = {}
-    attempts: dict[int, int] = {unit.index: 0 for unit in units}
-    queue: list[SweepUnit] = list(units)
+    #: Failed attempts charged to each unit so far.
+    charged: dict[int, int] = {unit.index: 0 for unit in units}
+    queue: deque[SweepUnit] = deque(units)
+    #: Units that must run with nothing beside them: the suspects of a
+    #: pool break, and the retry of a unit that broke the pool alone.
+    solo: deque[SweepUnit] = deque()
     pending: dict[Future, SweepUnit] = {}
     next_report = 0
 
-    def settle(unit: SweepUnit, error: BaseException) -> None:
-        """Requeue a failed unit, or mark it failed after the retry."""
-        if attempts[unit.index] < max_attempts:
-            queue.append(unit)
+    def settle(
+        unit: SweepUnit, error: BaseException, retry: deque[SweepUnit]
+    ) -> None:
+        """Charge a failed attempt: requeue the unit on ``retry``, or
+        mark it failed once it is out of attempts."""
+        charged[unit.index] += 1
+        if charged[unit.index] < MAX_ATTEMPTS:
+            retry.appendleft(unit)
             return
         failures[unit.index] = UnitFailure(
             x=unit.x,
             seed=unit.config.seed,
             protocol=unit.protocol,
             error=f"{type(error).__name__}: {error}",
-            attempts=attempts[unit.index],
+            attempts=charged[unit.index],
         )
 
     def report_ready() -> None:
@@ -206,124 +251,56 @@ def run_units(
 
     executor = _new_executor(jobs)
     try:
-        while queue or pending:
-            while queue:
-                unit = queue.pop(0)
-                attempts[unit.index] += 1
-                pending[executor.submit(_execute_unit, unit)] = unit
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                unit = pending.pop(future)
-                try:
-                    index, summary, num_clients, elapsed = future.result()
-                except BrokenProcessPool as exc:
-                    broken = True
-                    settle(unit, exc)
-                except Exception as exc:
-                    settle(unit, exc)
+        with profiler.scope("parallel.sweep"):
+            while queue or solo or pending:
+                if solo:
+                    if not pending:
+                        unit = solo.popleft()
+                        pending[executor.submit(_execute_unit, unit)] = unit
                 else:
-                    results[index] = UnitResult(
-                        index=index,
-                        summary=summary,
-                        num_clients=num_clients,
-                        elapsed=elapsed,
-                        attempts=attempts[index],
-                    )
-                    if profiler is not None:
+                    while queue and len(pending) < jobs:
+                        unit = queue.popleft()
+                        pending[executor.submit(_execute_unit, unit)] = unit
+                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+                hit: list[SweepUnit] = []
+                for future in done:
+                    unit = pending.pop(future)
+                    try:
+                        summary, num_clients, elapsed = future.result()
+                    except BrokenProcessPool:
+                        hit.append(unit)
+                    except Exception as exc:
+                        settle(unit, exc, queue)
+                    else:
+                        results[unit.index] = UnitResult(
+                            summary=summary,
+                            num_clients=num_clients,
+                            elapsed=elapsed,
+                            attempts=charged[unit.index] + 1,
+                        )
                         profiler.add("parallel.unit", elapsed)
                         profiler.add(f"parallel.unit.{unit.protocol}", elapsed)
-            if broken:
-                # The pool is dead: every still-pending future is doomed.
-                # Requeue (or fail) them all and start a fresh pool.
-                crash = BrokenProcessPool(
-                    "worker process died before the unit finished"
-                )
-                for unit in pending.values():
-                    settle(unit, crash)
-                pending.clear()
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = _new_executor(jobs)
-            report_ready()
+                if hit:
+                    # The pool is dead and took every in-flight unit with
+                    # it.  Blame is certain only when one unit was in
+                    # flight; otherwise each suspect re-runs alone,
+                    # uncharged, and a second break names the culprit.
+                    hit += pending.values()
+                    pending.clear()
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    executor = _new_executor(jobs)
+                    if len(hit) == 1:
+                        settle(
+                            hit[0],
+                            BrokenProcessPool(
+                                "worker process died while running the unit"
+                            ),
+                            solo,
+                        )
+                    else:
+                        solo.extend(sorted(hit, key=lambda u: u.index))
+                report_ready()
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
+        _scenario_cache.clear()
     return results, failures
-
-
-def run_parallel_sweep(
-    configs: list[ScenarioConfig],
-    xs: list[float],
-    x_label: str,
-    factories: list[ProtocolFactory],
-    seeds: tuple[int, ...],
-    jobs: int,
-    progress: Callable[[str], None] | None = None,
-    profiler: Profiler | None = None,
-) -> SweepResult:
-    """Parallel drop-in for the sequential ``_sweep`` loop.
-
-    Enumerates units in the sequential loop's order, executes them with
-    :func:`run_units`, and reassembles points so that a fully successful
-    parallel sweep equals the sequential :class:`SweepResult` exactly
-    (same floats, same dict insertion order, same saved JSON bytes).
-    """
-    units: list[SweepUnit] = []
-    for point_index, (x, base) in enumerate(zip(xs, configs)):
-        for seed_index, seed in enumerate(seeds):
-            config = replace(base, seed=seed)
-            for factory in factories:
-                units.append(
-                    SweepUnit(
-                        index=len(units),
-                        point_index=point_index,
-                        seed_index=seed_index,
-                        x=x,
-                        config=config,
-                        factory=factory,
-                        protocol=factory.name,
-                    )
-                )
-    if profiler is not None:
-        with profiler.scope("parallel.sweep"):
-            results, failures = run_units(
-                units, jobs, progress=progress, profiler=profiler
-            )
-    else:
-        results, failures = run_units(units, jobs, progress=progress)
-
-    num_factories = len(factories)
-    points: list[SweepPoint] = []
-    for point_index, x in enumerate(xs):
-        runs: dict[str, list[RunSummary]] = {f.name: [] for f in factories}
-        client_counts: list[int] = []
-        for seed_index in range(len(seeds)):
-            base_index = (
-                point_index * len(seeds) + seed_index
-            ) * num_factories
-            seed_clients: int | None = None
-            for offset, factory in enumerate(factories):
-                result = results.get(base_index + offset)
-                if result is None:
-                    continue
-                runs[factory.name].append(result.summary)
-                if seed_clients is None:
-                    seed_clients = result.num_clients
-            if seed_clients is not None:
-                client_counts.append(seed_clients)
-        points.append(
-            SweepPoint(
-                x=x,
-                num_clients=(
-                    sum(client_counts) / len(client_counts)
-                    if client_counts
-                    else 0.0
-                ),
-                runs=runs,
-            )
-        )
-    return SweepResult(
-        x_label=x_label,
-        points=points,
-        protocols=[f.name for f in factories],
-        failures=[failures[i] for i in sorted(failures)],
-    )

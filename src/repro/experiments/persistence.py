@@ -18,7 +18,8 @@ import json
 import pathlib
 from dataclasses import asdict
 
-from repro.experiments.figures import SweepPoint, SweepResult, UnitFailure
+from repro.experiments.figures import SweepPoint, SweepResult
+from repro.experiments.parallel import UnitFailure
 from repro.metrics.summary import RunSummary
 from repro.obs.report import ObsReport
 

@@ -1,11 +1,12 @@
-"""Tests for the parallel sweep execution layer.
+"""Tests for the sweep runner.
 
 The load-bearing guarantee is bit-identical equivalence: because every
 run derives all randomness from ``RngStreams(config.seed)`` named
 streams, fanning the sweep grid out over processes must change nothing
 — not the dataclasses, not a byte of the saved JSON.  The failure
-tests inject deterministic worker failures (raise, raise-once, die)
-through picklable module-level factories.
+tests inject deterministic unit failures (raise, raise-once, die)
+through picklable module-level factories, and hold the failure policy
+to be the same at every ``jobs``.
 """
 
 import os
@@ -13,12 +14,17 @@ import pathlib
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.figures import run_client_sweep, run_loss_sweep
 from repro.experiments.persistence import load_sweep, save_sweep
 from repro.experiments.report import render_figure
 from repro.obs.profiler import Profiler
+from repro.protocols.rp import RPProtocolFactory
 from repro.protocols.source import SourceProtocolFactory
 from repro.protocols.srm import SRMProtocolFactory
+
+#: Both runner arms: in the calling process, and on a process pool.
+BOTH_JOBS = pytest.mark.parametrize("jobs", [1, 2])
 
 
 class AlwaysFailFactory(SourceProtocolFactory):
@@ -77,11 +83,12 @@ class TestEquivalence:
 
 
 class TestFailureHandling:
-    def test_failed_unit_marked_not_dropped(self, tmp_path):
+    @BOTH_JOBS
+    def test_failed_unit_marked_not_dropped(self, tmp_path, jobs):
         sweep = run_client_sweep(
             num_routers=(15,), num_packets=4, seeds=(1,),
             factories=[SRMProtocolFactory(), AlwaysFailFactory()],
-            jobs=2,
+            jobs=jobs,
         )
         # The healthy sibling's run survives the other unit's failure.
         assert len(sweep.points[0].runs["SRM"]) == 1
@@ -99,11 +106,21 @@ class TestFailureHandling:
         save_sweep(sweep, path)
         assert load_sweep(path).failures == sweep.failures
 
-    def test_retry_recovers_flaky_unit(self, tmp_path):
+    def test_failure_policy_same_at_every_jobs(self):
+        kwargs = dict(
+            num_routers=(15,), num_packets=4, seeds=(1,),
+            factories=[SRMProtocolFactory(), AlwaysFailFactory()],
+        )
+        assert run_client_sweep(**kwargs, jobs=1) == run_client_sweep(
+            **kwargs, jobs=2
+        )
+
+    @BOTH_JOBS
+    def test_retry_recovers_flaky_unit(self, tmp_path, jobs):
         sweep = run_client_sweep(
             num_routers=(15,), num_packets=4, seeds=(1,),
             factories=[FlakyOnceFactory(tmp_path / "flag")],
-            jobs=2,
+            jobs=jobs,
         )
         assert sweep.failures == []
         assert len(sweep.points[0].runs["FLAKY"]) == 1
@@ -120,13 +137,32 @@ class TestFailureHandling:
         assert sweep.points[0].runs["CRASH"] == []
         assert sweep.points[0].num_clients == 0.0
 
+    def test_worker_crash_charges_only_the_crashing_units(self):
+        # A pool break takes every in-flight unit down; the healthy ones
+        # must re-run uncharged instead of burning their retry.
+        sweep = run_client_sweep(
+            num_routers=(15, 20, 25), num_packets=4, seeds=(1, 2),
+            factories=[
+                CrashFactory(), SRMProtocolFactory(), RPProtocolFactory()
+            ],
+            jobs=2,
+        )
+        for point in sweep.points:
+            assert len(point.runs["SRM"]) == 2
+            assert len(point.runs["RP"]) == 2
+        assert len(sweep.failures) == 6
+        for failure in sweep.failures:
+            assert failure.protocol == "CRASH"
+            assert failure.attempts == 2
+
 
 class TestObservability:
-    def test_progress_lines_in_unit_order(self):
+    @BOTH_JOBS
+    def test_progress_lines_in_unit_order(self, jobs):
         lines = []
         run_client_sweep(
             num_routers=(15, 25), num_packets=4, seeds=(1, 2),
-            jobs=2, progress=lines.append,
+            jobs=jobs, progress=lines.append,
         )
         # 2 points x 2 seeds x 3 protocols, reported strictly in order
         # no matter which worker finished first.
@@ -137,11 +173,12 @@ class TestObservability:
         assert lines[0].startswith("[1/12] x=15 seed=1 SRM:")
         assert lines[-1].startswith("[12/12] x=25 seed=2 RP:")
 
-    def test_per_unit_timing_in_profiler(self):
+    @BOTH_JOBS
+    def test_per_unit_timing_in_profiler(self, jobs):
         profiler = Profiler()
         run_client_sweep(
             num_routers=(15,), num_packets=4, seeds=(1,),
-            jobs=2, profiler=profiler,
+            jobs=jobs, profiler=profiler,
         )
         stats = profiler.stats()
         assert stats["parallel.unit"].count == 3
@@ -157,3 +194,15 @@ class TestValidation:
             run_client_sweep(
                 num_routers=(15,), num_packets=4, seeds=(1,), jobs=0
             )
+
+    @pytest.mark.parametrize(
+        "sweep, grid",
+        [(run_client_sweep, "num_routers"), (run_loss_sweep, "loss_probs")],
+    )
+    def test_empty_grid_rejected(self, sweep, grid):
+        with pytest.raises(ValueError, match=grid):
+            sweep(**{grid: ()}, num_packets=4, seeds=(1,))
+
+    def test_inline_run_keeps_no_scenarios(self):
+        run_client_sweep(num_routers=(15,), num_packets=4, seeds=(1,))
+        assert not parallel._scenario_cache
