@@ -168,7 +168,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         )
         print()
         print(plot_series(series, x_label=sweep.x_label, y_label=unit))
-    if args.save is not None and args.load is None:
+    if args.save is not None:
         from repro.experiments.persistence import save_sweep
 
         save_sweep(sweep, args.save)

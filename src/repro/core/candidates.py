@@ -64,7 +64,7 @@ def competitive_classes(
         raise ValueError("the source does not need a recovery strategy")
     if peers is None:
         peers = tree.clients
-    # One O(n) subtree pass answers every peer's first common router at
+    # One vectorized query answers every peer's first common router at
     # once (vs one LCA query per peer).
     row = tree.lca_row(client)
     ds_u = tree.depth(client)

@@ -72,8 +72,9 @@ class RunArtifacts:
     """A run's summary plus its raw collectors, for deeper analysis.
 
     ``obs`` is the attempt-level telemetry report; ``None`` unless the
-    run was given an :class:`~repro.obs.instrumentation.Instrumentation`
-    with at least one consuming sink.  ``faults`` is the run's live
+    run was given an enabled
+    :class:`~repro.obs.instrumentation.Instrumentation` whose event bus
+    has at least one sink.  ``faults`` is the run's live
     injector (``None`` for fault-free runs) — its ``counts`` carry the
     per-kind injection totals.
     """

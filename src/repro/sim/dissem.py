@@ -53,20 +53,18 @@ class TreeDissem:
     """Static preorder arrays of a :class:`MulticastTree`.
 
     All arrays are indexed by *preorder position* (root at 0); ``order``
-    maps positions back to node ids.  Built once per tree and shared by
-    every plan of every run on that tree.
+    maps positions back to node ids and ``pos_of_node`` (the tree's
+    ``tin``, -1 at non-members) maps node ids to positions.  Built when
+    a network arms its fast path, and shared by every plan of that run.
     """
 
     def __init__(self, tree: MulticastTree):
         self.tree = tree
         topo = tree.topology
-        order_nodes, _tin, size_nodes, parent_nodes = tree.structure_arrays()
-        order = np.asarray(order_nodes, dtype=np.int64)
+        order, pos_of_node, size_nodes, parent_nodes = tree.structure_arrays()
         m = int(order.size)
         self.order = order
         self.num_members = m
-        pos_of_node = np.full(topo.num_nodes, -1, dtype=np.int64)
-        pos_of_node[order] = np.arange(m, dtype=np.int64)
         self.pos_of_node = pos_of_node
         parent_node = parent_nodes[order]  # -1 for the root
         parent_pos = np.where(
@@ -74,8 +72,7 @@ class TreeDissem:
         )
         self.parent_pos = parent_pos
         self.size_pos = size_nodes[order]
-        depth_nodes = tree.depth_vector()
-        depth = depth_nodes[order]
+        depth = tree.depth_vector()[order]
         self.depth = depth
 
         # Incoming-edge delay / loss per position (0 for the root).

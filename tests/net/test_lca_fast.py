@@ -96,3 +96,77 @@ def test_fast_path_on_hand_built_line():
     assert tree.subtree_link_count(4) == 5
     assert tree.subtree_size(3) == 2
     assert tree.top_level_subgroup(5) == 0
+
+
+def assert_index_matches_naive(tree):
+    """The vectorized queries and the stored arrays agree with the
+    pointer walks on every member."""
+    members = np.asarray(tree.members, dtype=np.int64)
+    n = tree.topology.num_nodes
+    outside = np.setdiff1d(np.arange(n), members)
+    order, tin, size, parent = tree.structure_arrays()
+    depth = tree.depth_vector()
+    for arr in (order, tin, size, parent, depth):
+        assert not arr.flags.writeable
+    assert sorted(order.tolist()) == members.tolist()
+    assert order[0] == tree.root
+    assert (tin[order] == np.arange(len(order))).all()
+    for arr in (tin, size, parent, depth):
+        assert (arr[outside] == -1).all()
+    for v in members.tolist():
+        assert depth[v] == tree.depth(v)
+        assert parent[v] == (-1 if v == tree.root else tree.parent(v))
+        # The preorder slice of v is exactly v's subtree.
+        inside = set(order[tin[v] : tin[v] + size[v]].tolist())
+        assert inside == {u for u in tree.members if tree.naive_is_ancestor(v, u)}
+        row = tree.lca_vector(v, members)
+        assert row.tolist() == [
+            tree.naive_first_common_router(v, u) for u in members.tolist()
+        ]
+    us = np.repeat(members, len(members))
+    vs = np.tile(members, len(members))
+    assert tree.lca_pairs(us, vs).tolist() == [
+        tree.naive_first_common_router(u, v)
+        for u, v in zip(us.tolist(), vs.tolist())
+    ]
+
+
+def assert_same_index(a, b):
+    for x, y in zip(a.structure_arrays(), b.structure_arrays()):
+        assert np.array_equal(x, y)
+    assert np.array_equal(a.depth_vector(), b.depth_vector())
+    for v in a.members:
+        assert a.delay_from_root(v) == b.delay_from_root(v)
+        assert a.top_level_subgroup(v) == b.top_level_subgroup(v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=5_000))
+def test_vector_queries_and_arrays_match_naive(seed):
+    _, tree = build(seed, routers=15)
+    assert_index_matches_naive(tree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=5_000), data=st.data())
+def test_index_after_prune_graft_matches_fresh_build(seed, data):
+    topo, tree = build(seed, routers=15)
+    pruned: list[int] = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        graftable = [
+            (node, par)
+            for node in pruned
+            for par in topo.neighbors(node)
+            if tree.contains(par)
+        ]
+        if graftable and data.draw(st.booleans()):
+            node, par = data.draw(st.sampled_from(graftable))
+            tree.graft_leaf(node, par)
+            pruned.remove(node)
+        else:
+            leaf = data.draw(st.sampled_from(sorted(tree.leaves)))
+            tree.prune_leaf(leaf)
+            pruned.append(leaf)
+    assert_index_matches_naive(tree)
+    parents = {v: tree.parent(v) for v in tree.members if v != tree.root}
+    assert_same_index(tree, MulticastTree(topo, tree.root, parents))

@@ -75,6 +75,27 @@ class TestTreeStructure:
         with pytest.raises(ValueError):
             tree.children(99)
 
+    @pytest.mark.parametrize("node", [-1, 6, 99])
+    def test_queries_reject_ids_outside_the_tree(self, small_tree, node):
+        # -1 must not wrap around to the last node of an id-indexed array.
+        _, tree = small_tree
+        for query in (
+            tree.depth, tree.delay_from_root, tree.subtree_size,
+            tree.iter_subtree, tree.top_level_subgroup, tree.lca_row,
+            lambda v: tree.first_common_router(2, v),
+            lambda v: tree.is_ancestor(v, 2),
+            lambda v: tree.lca_vector(v, np.array([2])),
+            lambda v: tree.lca_pairs(np.array([2]), np.array([v])),
+        ):
+            with pytest.raises(ValueError):
+                query(node)
+
+    @pytest.mark.parametrize("root", [-1, 6])
+    def test_root_must_be_a_topology_node(self, small_tree, root):
+        topo, _ = small_tree
+        with pytest.raises(ValueError, match="not a node of the topology"):
+            MulticastTree(topo, root, {})
+
     def test_root_cannot_have_parent(self, small_tree):
         topo, _ = small_tree
         with pytest.raises(ValueError):

@@ -85,6 +85,23 @@ class TestFigureCommand:
         assert "Figure 5" in out
         assert "RP" in out
 
+    def test_load_then_save_writes_the_loaded_sweep(self, capsys, tmp_path):
+        from repro.experiments.figures import run_client_sweep
+        from repro.experiments.persistence import save_sweep
+
+        saved = tmp_path / "sweep.json"
+        copy = tmp_path / "copy.json"
+        save_sweep(
+            run_client_sweep(num_routers=(15,), num_packets=3, seeds=(1,)),
+            saved,
+        )
+        rc = main([
+            "figure", "5", "--load", str(saved), "--save", str(copy),
+        ])
+        assert rc == 0
+        assert f"sweep saved to {copy}" in capsys.readouterr().out
+        assert copy.read_bytes() == saved.read_bytes()
+
 
 class TestPlanCommand:
     def test_plan_prints_strategies(self, capsys):
