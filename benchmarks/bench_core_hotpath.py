@@ -1,7 +1,9 @@
 """Single-run hot path: O(1) LCA planning, plan caching, loop slimming.
 
 Measures the three layers of the fast path against their reference
-implementations and writes ``BENCH_core_hotpath.json`` at the repo root:
+implementations and writes its four keys (``planner``, ``lca``,
+``plan_cache``, ``event_loop``) into ``BENCH_core_hotpath.json`` at the
+repo root, leaving the keys other benches write there as they are:
 
 * **Planner speedup** — ``RPPlanner.plan_all`` on a tree with ≥ 200
   clients, fast (the array planner) vs naive (the pointer-walk
@@ -239,7 +241,9 @@ def test_core_hotpath():
             "compactions": q.compactions,
         },
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    data = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    data.update(payload)
+    RESULT_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
     record(
         f"== Core hot path ({routers} routers, {num_clients} clients) ==\n"

@@ -109,11 +109,23 @@ class ClientAgent:
         self._next_unchecked = 0
         #: True while the member is out of the group (see :meth:`depart`).
         self.departed = False
+        # Earliest-arrival row of the armed fast path (bind_fast_path).
+        self._arrival = None
 
     # -- reception --------------------------------------------------------
 
     def has(self, seq: int) -> bool:
         return seq in self.received
+
+    def bind_fast_path(self, receivers, row: int) -> None:
+        """The network armed its array fast path and this agent is
+        ``row`` of its :class:`~repro.sim.network.FastReceivers`.
+
+        A DATA or REPAIR for a seq already held changes nothing here,
+        so the fast path may leave such deliveries out; :meth:`_accept`
+        records each first acceptance in the row for it.
+        """
+        self._arrival = receivers.bind(row)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind in (PacketKind.DATA, PacketKind.REPAIR):
@@ -127,11 +139,14 @@ class ClientAgent:
         if seq in self.received:
             return
         self.received.add(seq)
-        if 0 <= seq < self.num_packets and seq not in self.abandoned_seqs:
-            # Abandonment already settled this slot in the tracker; a
-            # late repair must not decrement it a second time.
-            self.tracker.mark_received()
         now = self.network.events.now
+        if 0 <= seq < self.num_packets:
+            if self._arrival is not None:
+                self._arrival[seq] = now
+            if seq not in self.abandoned_seqs:
+                # Abandonment already settled this slot in the tracker; a
+                # late repair must not decrement it a second time.
+                self.tracker.mark_received()
         if seq in self.detected:
             if kind is PacketKind.DATA and seq not in self.abandoned_seqs:
                 # The original data arrived after all — the detection was
@@ -311,6 +326,11 @@ class SourceAgentBase(abc.ABC):
 
     def has(self, seq: int) -> bool:
         return 0 <= seq < self.next_seq
+
+    def bind_fast_path(self, receivers, row: int) -> None:
+        """See :meth:`ClientAgent.bind_fast_path`: the source holds
+        every packet, so every DATA or REPAIR it hears is a duplicate."""
+        receivers.bind(row, holds_all=True)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind is PacketKind.REQUEST:

@@ -23,6 +23,7 @@ full reliability.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -82,7 +83,18 @@ class SRMConfig:
 
 
 class _SRMRepairLogic:
-    """Repair-side behaviour shared by members and the source."""
+    """Repair-side behaviour shared by members and the source.
+
+    Under the armed fast path, a duplicate REPAIR that finds no repair
+    timer pending at its key only starts a hold, so the network leaves
+    it off the calendar and records its key in ``_suppressed`` (see
+    :class:`~repro.sim.network.FastReceivers`).  :meth:`_settle` applies
+    those records before every read or write of the seq's repair state:
+    the latest one keyed below the current event sets the hold, exactly
+    as its delivery would have.  Arming a timer puts the earliest record
+    inside the timer's window back on the calendar, since that delivery
+    cancels it.
+    """
 
     def __init__(
         self,
@@ -104,12 +116,43 @@ class _SRMRepairLogic:
         # Trace context of the NACK each pending repair answers, so the
         # repair flood inherits the requester's span (causal stamping).
         self._repair_ctx: dict[int, tuple[int, int]] = {}
+        # The hold another member's repair starts: the repair-hold
+        # factor times the distance to the source, at least one unit.
+        self._suppress_hold = config.repair_hold_factor * max(
+            network.routing.delay(node, network.tree.root), 1.0
+        )
+        # Keys of the dropped duplicate REPAIRs, seq -> sorted [(t, key
+        # seq)], and the fast path's repair-deadline row (both filled
+        # once the fast path is armed).
+        self._suppressed: dict[int, list] = {}
+        self._repair_due = None
+
+    def _settle(self, seq: int) -> None:
+        """Apply the dropped REPAIRs of ``seq`` keyed below the current
+        event: the latest of them sets the hold."""
+        records = self._suppressed.get(seq)
+        if not records:
+            return
+        now_key = self._srm_network.events.current_key
+        if records[0] > now_key:
+            return
+        i = bisect.bisect_left(records, now_key)
+        self._repair_hold_until[seq] = records[i - 1][0] + self._suppress_hold
+        del records[:i]
+
+    def repair_hold_until(self) -> dict[int, float]:
+        """The hold deadline of every seq, settled up to the current
+        event."""
+        for seq in list(self._suppressed):
+            self._settle(seq)
+        return self._repair_hold_until
 
     def _maybe_schedule_repair(self, nack: Packet) -> None:
         now = self._srm_network.events.now
         seq, requester = nack.seq, nack.origin
         if seq in self._repair_timers:
             return
+        self._settle(seq)
         if self._repair_hold_until.get(seq, -1.0) > now:
             return
         cfg = self._srm_config
@@ -124,9 +167,23 @@ class _SRMRepairLogic:
             now, "srm", self._srm_node, "srm.repair", "armed",
             deadline=now + delay, seq=seq,
         )
+        if self._repair_due is not None:
+            self._repair_due[seq] = now + delay
+            self._restore_suppression(seq, now + delay)
+
+    def _restore_suppression(self, seq: int, due: float) -> None:
+        """The earliest dropped REPAIR of ``seq`` due by ``due`` cancels
+        the timer just armed: put its delivery back on the calendar.
+        (It was keyed before the timer, so a tie at ``due`` is its.)"""
+        records = self._suppressed.get(seq)
+        if records and records[0][0] <= due:
+            self._srm_network.redeliver(records.pop(0), self._srm_node)
 
     def _fire_repair(self, seq: int, requester: int) -> None:
+        self._settle(seq)
         self._repair_timers.pop(seq, None)
+        if self._repair_due is not None:
+            self._repair_due[seq] = -math.inf
         self._srm_instr.timer(
             self._srm_network.events.now, "srm", self._srm_node,
             "srm.repair", "fired", seq=seq,
@@ -146,10 +203,13 @@ class _SRMRepairLogic:
         )
 
     def _suppress_repair(self, seq: int) -> None:
+        self._settle(seq)
         timer = self._repair_timers.pop(seq, None)
         self._repair_ctx.pop(seq, None)
         if timer is not None:
             timer.cancel()
+            if self._repair_due is not None:
+                self._repair_due[seq] = -math.inf
             self._srm_instr.timer(
                 self._srm_network.events.now, "srm", self._srm_node,
                 "srm.repair", "cancelled", seq=seq,
@@ -157,12 +217,8 @@ class _SRMRepairLogic:
         # Seeing someone else's repair also starts our hold period:
         # without it we might respond to a retransmitted NACK that the
         # just-seen repair is already answering.
-        d_s = self._srm_network.routing.delay(
-            self._srm_node, self._srm_network.tree.root
-        )
         self._repair_hold_until[seq] = (
-            self._srm_network.events.now
-            + self._srm_config.repair_hold_factor * max(d_s, 1.0)
+            self._srm_network.events.now + self._suppress_hold
         )
 
 
@@ -316,11 +372,18 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         self._requests.clear()
         for seq, timer in self._repair_timers.items():
             timer.cancel()
+            if self._repair_due is not None:
+                self._repair_due[seq] = -math.inf
             self.instr.timer(
                 now, "srm", self.node, "srm.repair", "cancelled", seq=seq
             )
         self._repair_timers.clear()
         self._repair_ctx.clear()
+        self.repair_hold_until()
+
+    def bind_fast_path(self, receivers, row: int) -> None:
+        super().bind_fast_path(receivers, row)
+        self._repair_due = receivers.watch_repairs(row, self._suppressed)
 
     # -- overheard traffic ---------------------------------------------------
 
@@ -360,6 +423,10 @@ class SRMSourceAgent(SourceAgentBase, _SRMRepairLogic):
         _SRMRepairLogic.__init__(
             self, node, network, config, rng, instrumentation=instrumentation
         )
+
+    def bind_fast_path(self, receivers, row: int) -> None:
+        super().bind_fast_path(receivers, row)
+        self._repair_due = receivers.watch_repairs(row, self._suppressed)
 
     def on_request(self, packet: Packet) -> None:
         # SRM has no unicast requests; treat defensively as a NACK.

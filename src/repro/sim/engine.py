@@ -16,6 +16,12 @@ reproducible network simulation and are guaranteed here:
   it pushes the batch's next key.  Every key not in the heap is larger
   than its batch's cursor, so pop order is exactly the per-event order.
   A batch counts one event per item in ``pending`` and ``processed``.
+  A keep mask leaves items out without renumbering the rest: a dropped
+  item's key stays reserved, so the survivors fire in the slots an
+  unmasked batch gives them, and :meth:`~EventQueue.schedule_at_key`
+  can put a dropped item back in its own slot later.  Callers compare
+  their own keys against :attr:`~EventQueue.current_key`, the key of
+  the event firing now.
 * **O(1) cancellation** — timers are cancelled lazily by flagging; the
   heap entry is discarded when popped.  Protocol code cancels far more
   timers than it lets expire (every suppressed SRM request, every
@@ -132,6 +138,8 @@ class EventQueue:
         # so a dispatch loop may hold it across callbacks that compact.
         self._heap: list[tuple[float, int, Timer | _Batch]] = []
         self._seq = 0
+        # Sequence number of the event firing now (see current_key).
+        self._current = -1
         self._processed = 0
         # Cancelled timers still sitting in the heap; drives compaction
         # and makes `pending` O(1).
@@ -149,6 +157,18 @@ class EventQueue:
     def now(self) -> float:
         """Current simulation time (milliseconds by convention)."""
         return self._now
+
+    @property
+    def current_key(self) -> tuple[float, int]:
+        """``(time, sequence number)`` of the event firing now.
+
+        Every key the queue has handed out (:meth:`schedule_batch`
+        returns them) compares below it exactly when that event has
+        fired, or would have had it not been dropped.  Between
+        :meth:`run` calls that stopped at a deadline or drained the
+        queue, it sits above every key reserved so far at ``now``.
+        """
+        return (self._now, self._current)
 
     @property
     def pending(self) -> int:
@@ -182,23 +202,46 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        timer = Timer(callback)
-        timer._queue = self
         seq = self._seq
         self._seq = seq + 1
+        return self._push(time, seq, callback)
+
+    def schedule_at_key(
+        self, time: float, seq: int, callback: Callable[[], Any]
+    ) -> Timer:
+        """Run ``callback`` at the key ``(time, seq)`` that an earlier
+        :meth:`schedule_batch` reserved for an item it dropped.
+
+        The event fires exactly where that item would have.  The key
+        must still lie ahead of :attr:`current_key`.
+        """
+        if not seq < self._seq or not (time, seq) > (self._now, self._current):
+            raise ValueError(
+                f"key ({time}, {seq}) is not a reserved key ahead of "
+                f"{self.current_key}"
+            )
+        return self._push(time, seq, callback)
+
+    def _push(self, time: float, seq: int, callback: Callable[[], Any]) -> Timer:
+        timer = Timer(callback)
+        timer._queue = self
         heapq.heappush(self._heap, (time, seq, timer))
         return timer
 
     def schedule_batch(
-        self, times, items, fire: Callable[[Any], Any]
-    ) -> None:
-        """Run ``fire(items[i])`` at absolute ``times[i]`` for every ``i``.
+        self, times, items, fire: Callable[[Any], Any], keep=None
+    ) -> int:
+        """Run ``fire(items[i])`` at absolute ``times[i]`` for every ``i``
+        where ``keep[i]`` (every ``i`` without a mask).
 
         Keyed exactly as ``len(times)`` consecutive :meth:`schedule_at`
         calls in index order (equal times fire in index order), so the
-        replay is identical; the batch cannot be cancelled.  ``times``
-        and ``items`` are equal-length 1-D arrays (or sequences of
+        replay is identical; the batch cannot be cancelled.  Item ``i``
+        gets the key ``(times[i], seq0 + i)`` whether it is kept or not,
+        so dropping items never moves the others.  ``times``, ``items``
+        and ``keep`` are equal-length 1-D arrays (or sequences of
         scalars); each item reaches ``fire`` as a Python scalar.
+        Returns ``seq0``.
         """
         times = np.asarray(times, dtype=np.float64)
         items = np.asarray(items)
@@ -207,23 +250,36 @@ class EventQueue:
                 f"times {times.shape} and items {items.shape} must be "
                 "equal-length 1-D arrays"
             )
+        seq0 = self._seq
         n = times.size
         if not n:
-            return
+            return seq0
         earliest = times.min()  # NaN-propagating
         if not earliest >= self._now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule at {earliest}, current time is {self._now}"
             )
-        order = np.argsort(times, kind="stable")
-        seq0 = self._seq
+        if keep is None:
+            order = np.argsort(times, kind="stable")
+        else:
+            keep = np.asarray(keep, dtype=bool)
+            if keep.shape != times.shape:
+                raise ValueError(
+                    f"keep {keep.shape} must match times {times.shape}"
+                )
+            kept = np.flatnonzero(keep)
+            order = kept[np.argsort(times[kept], kind="stable")]
         self._seq = seq0 + n
+        m = order.size
+        if not m:
+            return seq0
         batch = _Batch(self, items[order].tolist(), fire)
         batch._entries = entries = list(zip(
-            times[order].tolist(), (order + seq0).tolist(), repeat(batch, n)
+            times[order].tolist(), (order + seq0).tolist(), repeat(batch, m)
         ))
-        self._batched += n - 1
+        self._batched += m - 1
         heapq.heappush(self._heap, entries[0])
+        return seq0
 
     def _note_cancelled(self) -> None:
         """A timer in the heap was cancelled; compact when mostly dead."""
@@ -259,12 +315,13 @@ class EventQueue:
         """Execute the next event; returns False when the queue is empty."""
         heap = self._heap
         while heap:
-            at, _, timer = heapq.heappop(heap)
+            at, seq, timer = heapq.heappop(heap)
             if timer.cancelled:
                 self._cancelled -= 1
                 continue
             timer._queue = None
             self._now = at
+            self._current = seq
             self._processed += 1
             timer.callback()
             return True
@@ -319,13 +376,14 @@ class EventQueue:
         heappop = heapq.heappop
         executed = 0
         while heap:
-            at, _, timer = heap[0]
+            at, seq, timer = heap[0]
             if timer.cancelled:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
             if until is not None and at > until:
                 self._now = until
+                self._current = self._seq
                 return
             if max_events is not None and executed >= max_events:
                 raise RuntimeError(
@@ -335,6 +393,7 @@ class EventQueue:
             # Clock and counters first: callbacks read `pending`/`processed`.
             timer._queue = None
             self._now = at
+            self._current = seq
             self._processed += 1
             timer.callback()
             executed += 1
@@ -347,5 +406,6 @@ class EventQueue:
             f"calendar counts drifted: {self._cancelled} cancelled, "
             f"{self._batched} batched with empty heap"
         )
+        self._current = self._seq
         if until is not None and until > self._now:
             self._now = until

@@ -29,13 +29,19 @@ protocol code observes a consistent clock.
 :meth:`SimNetwork.enable_fast_dissem` and the run has load-independent
 links (no jitter, no congestion, no faults), a fixed membership and no
 link observers, eligible disseminations are computed in numpy via
-:mod:`repro.sim.dissem` and only the O(agents) deliveries are scheduled
-as events, instead of one event per link traversal.  Eligibility is
-settled when the path is armed; a send then falls back to the scalar
-path only when its loss draws cannot be reproduced.  The fast path is
-bit-identical to the scalar path — same RNG consumption, same arrival
-times, same ledger totals (an in-flight registry refunds hops/drops the
-scalar path would not have charged before the drain cutoff).
+:mod:`repro.sim.dissem` and their deliveries are scheduled as one
+calendar batch, instead of one event per link traversal.  A batch
+holds one event per delivery that can change its receiver's state: a
+DATA or REPAIR copy of a seq the receiver already holds, or will hold
+from an earlier-keyed delivery, is left out (:class:`FastReceivers`),
+and an SRM member settles the hold such a REPAIR would have started
+when it next reads its repair state.  Eligibility is settled when the
+path is armed; a send then falls back to the scalar path only when its
+loss draws cannot be reproduced.  The fast path is bit-identical to
+the scalar path — same RNG consumption, same arrival times, same
+ledger totals (an in-flight registry refunds hops/drops the scalar
+path would not have charged before the drain cutoff) — except for the
+number of events it runs.
 
 The DATA stream and the SESSION flushes each run on one stream lane
 (:class:`_Stream`) whose loss draws only its cascades consume: DATA has
@@ -56,6 +62,7 @@ share the flood walker.
 
 from __future__ import annotations
 
+import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -86,7 +93,12 @@ LEG_CACHE_SIZE = 8192
 
 
 class Agent(Protocol):
-    """Protocol endpoint attached to a node."""
+    """Protocol endpoint attached to a node.
+
+    An agent may also define ``bind_fast_path(receivers, row)``, called
+    when the fast path is armed (see :class:`FastReceivers`); one that
+    does not receives every delivery.
+    """
 
     def on_packet(self, packet: Packet) -> None:  # pragma: no cover - protocol
         ...
@@ -181,13 +193,113 @@ class _Stream:
     next: float = 0.0
 
 
-class _FastDissem:
-    """Per-run state of the array dissemination fast path: the tree's
-    arrays, the agents' preorder positions and the two stream lanes,
-    built when it is armed."""
+class FastReceivers:
+    """Receiver-side sequence state of an armed fast path: one row per
+    agent, in preorder, so its size follows the agents, not the nodes.
+
+    ``arrival[row, seq]`` is the earliest instant at which the row's
+    agent is known to hold ``seq``: written by the agent when it first
+    accepts ``seq`` and lowered by :meth:`SimNetwork._apply_fast` for
+    every delivery it schedules.  A delivery at ``t >= arrival[row,
+    seq]`` is therefore a duplicate — the agent holds ``seq`` already,
+    or an earlier-keyed delivery will have given it.  NaN marks an agent
+    that did not bind (:meth:`bind`): every delivery to it runs.
+
+    A bound agent is one for which a duplicate DATA or REPAIR changes
+    nothing, and the fast path drops those deliveries.  An agent that
+    also :meth:`watch_repairs` (SRM) still acts on a duplicate REPAIR:
+    it cancels a repair timer pending at that key and starts a hold.
+    ``repair_due[row, seq]`` is that timer's deadline (-inf when none is
+    armed).  A duplicate REPAIR before it runs; any other is dropped and
+    its key ``(t, key seq)`` recorded in the agent's ``suppressed`` map,
+    in key order, for the agent to settle.
+    """
 
     __slots__ = (
-        "stream", "dissem", "agent_pos", "scratch", "streams", "inflight",
+        "arrival", "nodes", "watched", "repair_due", "suppressed",
+        "elided_from", "elided_packets",
+    )
+
+    def __init__(self, nodes: np.ndarray, num_packets: int):
+        #: Node id of each row.
+        self.nodes = nodes
+        self.arrival = np.full((nodes.size, num_packets), np.nan)
+        self.watched = np.zeros(nodes.size, dtype=bool)
+        self.repair_due: np.ndarray | None = None
+        self.suppressed: dict[int, dict] = {}
+        # First recorded key seq and packet of every batch that recorded
+        # any, in key order (for elided_packet).
+        self.elided_from: list[int] = []
+        self.elided_packets: list[Packet] = []
+
+    def bind(self, row: int, holds_all: bool = False) -> np.ndarray:
+        """Drop duplicate DATA/REPAIR deliveries to ``row``; returns
+        the row's arrival view (-inf throughout when the agent holds
+        every packet from the start, the source)."""
+        self.arrival[row] = -np.inf if holds_all else np.inf
+        return self.arrival[row]
+
+    def watch_repairs(self, row: int, suppressed: dict) -> np.ndarray:
+        """Duplicate REPAIRs to ``row`` act on its repair timers; the
+        dropped ones are recorded in ``suppressed`` (seq -> sorted keys).
+        Returns the row's repair-deadline view for the agent to keep."""
+        if self.repair_due is None:
+            self.repair_due = np.full(self.arrival.shape, -np.inf)
+        self.watched[row] = True
+        self.suppressed[row] = suppressed
+        return self.repair_due[row]
+
+    def screen(
+        self, packet: Packet, rows: np.ndarray, times: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(keep, recorded)`` masks over a DATA/REPAIR batch to
+        ``rows``, lowering their arrivals; None when every item runs
+        (keep) or none is recorded."""
+        seq = packet.seq
+        known = self.arrival[rows, seq]
+        dup = times >= known
+        self.arrival[rows, seq] = np.minimum(known, times)  # NaN stays
+        if not dup.any():
+            return None, None
+        keep = ~dup
+        if packet.kind is PacketKind.REPAIR and self.repair_due is not None:
+            watched = dup & self.watched[rows]
+            if watched.any():
+                real = watched & (times < self.repair_due[rows, seq])
+                keep |= real
+                recorded = watched & ~real
+                return keep, recorded if recorded.any() else None
+        return keep, None
+
+    def record(
+        self, packet: Packet, rows: np.ndarray, times: np.ndarray,
+        keys: np.ndarray,
+    ) -> None:
+        """Record each dropped duplicate REPAIR's key with its agent, in
+        key order."""
+        seq = packet.seq
+        suppressed = self.suppressed
+        self.elided_from.append(int(keys[0]))
+        self.elided_packets.append(packet)
+        for row, key in zip(
+            rows.tolist(), zip(times.tolist(), keys.tolist())
+        ):
+            bisect.insort(suppressed[row].setdefault(seq, []), key)
+
+    def elided_packet(self, key_seq: int) -> Packet:
+        """The packet of the dropped delivery keyed ``key_seq``."""
+        i = bisect.bisect_right(self.elided_from, key_seq) - 1
+        return self.elided_packets[i]
+
+
+class _FastDissem:
+    """Per-run state of the array dissemination fast path: the tree's
+    arrays, the agents' preorder positions, their receiver state and
+    the two stream lanes, built when it is armed."""
+
+    __slots__ = (
+        "stream", "dissem", "agent_pos", "receivers", "scratch", "streams",
+        "inflight",
     )
 
     def __init__(
@@ -205,6 +317,12 @@ class _FastDissem:
             sorted(int(pos[n]) for n in agents if pos[n] >= 0),
             dtype=np.int64,
         )
+        nodes = self.dissem.order[self.agent_pos]
+        self.receivers = FastReceivers(nodes, stream.num_packets)
+        for row, node in enumerate(nodes.tolist()):
+            bind = getattr(agents[node], "bind_fast_path", None)
+            if bind is not None:
+                bind(self.receivers, row)
         self.scratch = np.empty(self.dissem.num_members, dtype=np.float64)
         receivers = self.agent_pos[self.agent_pos > 0]
         # A lane refused at its first send is removed.
@@ -508,16 +626,36 @@ class SimNetwork:
     def _apply_fast(
         self,
         packet: Packet,
-        deliver_nodes: np.ndarray,
+        rows: np.ndarray,
         deliver_times: np.ndarray,
         hop_times: np.ndarray,
         drop_times: np.ndarray | None,
     ) -> None:
         """Charge a resolved dissemination and schedule its deliveries
-        as one calendar batch."""
+        to the agents of ``rows`` as one calendar batch, leaving out the
+        DATA/REPAIR duplicates that change nothing (see
+        :class:`FastReceivers`)."""
         self._charge_fast(packet, hop_times, drop_times)
-        self.events.schedule_batch(
-            deliver_times, deliver_nodes, partial(self._deliver, packet)
+        receivers = self._fast.receivers
+        keep = recorded = None
+        if packet.kind in (PacketKind.DATA, PacketKind.REPAIR) and (
+            0 <= packet.seq < receivers.arrival.shape[1]
+        ):
+            keep, recorded = receivers.screen(packet, rows, deliver_times)
+        seq0 = self.events.schedule_batch(
+            deliver_times, receivers.nodes[rows],
+            partial(self._deliver, packet), keep,
+        )
+        if recorded is not None:
+            idx = np.flatnonzero(recorded)
+            receivers.record(packet, rows[idx], deliver_times[idx], idx + seq0)
+
+    def redeliver(self, key: tuple[float, int], node: int) -> None:
+        """Put the duplicate REPAIR to ``node`` that the fast path recorded
+        under ``key`` back on the calendar, at that key."""
+        packet = self._fast.receivers.elided_packet(key[1])
+        self.events.schedule_at_key(
+            key[0], key[1], partial(self._deliver, packet, node)
         )
 
     def _stream_packet(self, kind: PacketKind, k: int) -> Packet:
@@ -593,11 +731,16 @@ class SimNetwork:
     def _resolve_stream(self, lane: _Stream, hi: float) -> None:
         """Resolve ``lane``'s epoch ending at ``hi``: charge it and
         schedule its deliveries."""
+        fast = self._fast
         for outcome in lane.cascades.resolve(hi):
             if outcome.hop_times.size:
+                rows = np.searchsorted(
+                    fast.agent_pos,
+                    fast.dissem.pos_of_node[outcome.deliver_nodes],
+                )
                 self._apply_fast(
                     lane.packets[outcome.cascade],
-                    outcome.deliver_nodes,
+                    rows,
                     outcome.deliver_times,
                     outcome.hop_times,
                     outcome.drop_times,
@@ -653,15 +796,14 @@ class SimNetwork:
         agent_pos = fast.agent_pos
         lo = int(np.searchsorted(agent_pos, p0 + 1))
         hi = int(np.searchsorted(agent_pos, p0 + size))
-        reached = agent_pos[lo:hi]
-        nodes = dissem.order[reached]
-        times = scratch[reached]
+        rows = np.arange(lo, hi)
+        times = scratch[agent_pos[lo:hi]]
         if src != subtree_root and subtree_root in self._agents:
             # The subtree root is delivered at the end of the access
             # leg (before its descendants — scalar order).
-            nodes = np.concatenate(([subtree_root], nodes))
+            rows = np.concatenate(([lo - 1], rows))
             times = np.concatenate(([t_root], times))
-        self._apply_fast(packet, nodes, times, hop_times, None)
+        self._apply_fast(packet, rows, times, hop_times, None)
         return True
 
     def _try_fast_flood(self, src: int, packet: Packet) -> bool:
@@ -678,9 +820,9 @@ class SimNetwork:
         edges = np.flatnonzero(pred >= 0)
         hop_times = arrivals[pred[edges]]
         agent_pos = fast.agent_pos
-        reached = agent_pos[agent_pos != src_pos]
+        rows = np.flatnonzero(agent_pos != src_pos)
         self._apply_fast(
-            packet, dissem.order[reached], arrivals[reached], hop_times, None
+            packet, rows, arrivals[agent_pos[rows]], hop_times, None
         )
         return True
 

@@ -532,15 +532,101 @@ class TestBatch:
         assert (q.pending, len(q._heap), q._seq) == (0, 0, 0)
 
 
+class TestKeepMask:
+    """A batch with a keep mask keys its survivors exactly as the
+    unmasked batch would, and a dropped item scheduled later at its
+    reserved key fires in its original slot."""
+
+    TIMES = [2.0, 1.0, 2.0, 1.0, 1.0, 3.0, 1.0]
+    KEEP = [True, False, True, False, True, False, True]
+
+    def _log(self, keep=None, restore=()):
+        """Fire order with each event's key: two timers tie with the
+        batch at t=1 and t=2; the first one puts the ``restore`` items
+        back at their reserved keys from inside the run."""
+        q = EventQueue()
+        log = []
+
+        def note(label):
+            log.append((label, q.current_key))
+
+        def put_back():
+            note("t0")
+            for i in restore:
+                q.schedule_at_key(
+                    self.TIMES[i], seq0 + i, lambda i=i: note(i)
+                )
+
+        q.schedule_at(1.0, put_back)
+        seq0 = q.schedule_batch(self.TIMES, range(len(self.TIMES)), note, keep)
+        q.schedule_at(1.0, lambda: note("t1"))
+        q.schedule_at(2.0, lambda: note("t2"))
+        assert q.pending == 3 + (len(self.TIMES) if keep is None else sum(keep))
+        q.run()
+        assert q.processed == len(log)
+        return log
+
+    def test_survivors_fire_at_their_unmasked_keys(self):
+        full = self._log()
+        dropped = {i for i, kept in enumerate(self.KEEP) if not kept}
+        assert self._log(self.KEEP) == [e for e in full if e[0] not in dropped]
+        # The ties at t=1 interleave timers and survivors by key.
+        assert [e[0] for e in self._log(self.KEEP)] == [
+            "t0", 4, 6, "t1", 0, 2, "t2",
+        ]
+
+    def test_item_put_back_at_its_reserved_key_fires_in_its_slot(self):
+        full = self._log()
+        put_back = self._log(self.KEEP, restore=(3, 5))
+        assert put_back == [e for e in full if e[0] != 1]
+
+    def test_all_dropped_batch_reserves_its_keys_only(self):
+        q = EventQueue()
+        seq0 = q.schedule_batch([1.0, 2.0], [0, 1], lambda i: None, [False] * 2)
+        assert (seq0, q._seq, q.pending, len(q._heap)) == (0, 2, 0, 0)
+        fired = []
+        q.schedule_at(1.0, lambda: fired.append(q.current_key))
+        q.run()
+        assert fired == [(1.0, 2)] and q.processed == 1
+
+    def test_rejects_mismatched_mask(self):
+        q = EventQueue()
+        with pytest.raises(ValueError):
+            q.schedule_batch([1.0, 2.0], [0, 1], lambda i: None, [True])
+
+    def test_reserved_key_must_be_reserved_and_ahead(self):
+        q = EventQueue()
+        seq0 = q.schedule_batch([1.0, 2.0], [0, 1], lambda i: None, [True, False])
+        with pytest.raises(ValueError):  # never handed out
+            q.schedule_at_key(3.0, seq0 + 2, lambda: None)
+        q.run(until=2.0)
+        with pytest.raises(ValueError):  # would have fired already
+            q.schedule_at_key(2.0, seq0 + 1, lambda: None)
+
+    def test_current_key_passes_every_reserved_key_at_a_deadline(self):
+        q = EventQueue()
+        seq0 = q.schedule_batch([1.0, 1.0], [0, 1], lambda i: None, [True, False])
+        assert q.current_key == (0.0, -1)
+        q.step()
+        assert q.current_key == (1.0, seq0)
+        assert q.current_key < (1.0, seq0 + 1)
+        q.run(until=1.0)
+        assert q.current_key > (1.0, seq0 + 1)
+
+
 class _CalendarModel:
     """Reference calendar: a sorted list with the same lazy-cancel and
-    compaction bookkeeping as :class:`EventQueue`, but no heap."""
+    compaction bookkeeping as :class:`EventQueue`, but no heap.  Items
+    in ``dropped`` (masked out of their batch) never enter it."""
 
-    def __init__(self, times, kills, min_dead):
+    def __init__(self, times, kills, min_dead, dropped=()):
         self.times = times
         self.min_dead = min_dead
         self.kills = kills
-        self.queue = sorted(range(len(times)), key=lambda i: (times[i], i))
+        self.queue = sorted(
+            (i for i in range(len(times)) if i not in dropped),
+            key=lambda i: (times[i], i),
+        )
         self.cancelled = set()
         self.dead = 0
         self.fired = []
@@ -622,8 +708,9 @@ class TestModel:
             ),
             label="fates",
         )
-        # Batches of live deliveries, each scheduled by one
-        # schedule_batch call just before singles[pos].  Batches cannot
+        # Batches of deliveries, each scheduled by one schedule_batch
+        # call just before singles[pos], some items masked out of their
+        # batch ("dropped": keys reserved, never fired).  Batches cannot
         # be cancelled and their items dilute the dead fraction, so
         # they are drawn apart from the up-to-200 cancellable singles
         # (which can still reach the real COMPACT_MIN_DEAD), and only in
@@ -634,7 +721,13 @@ class TestModel:
                 st.lists(
                     st.tuples(
                         st.integers(0, len(singles)),
-                        st.lists(time_st, min_size=1, max_size=8),
+                        st.lists(
+                            st.tuples(
+                                time_st,
+                                st.sampled_from(["batch", "dropped"]),
+                            ),
+                            min_size=1, max_size=8,
+                        ),
                     ),
                     min_size=1,
                     max_size=20,
@@ -648,7 +741,7 @@ class TestModel:
             while inserts and inserts[0][0] == pos:
                 group = inserts.pop(0)[1]
                 batches.append((len(fates), len(fates) + len(group)))
-                fates.extend((t, "batch") for t in group)
+                fates.extend(group)
             if pos < len(singles):
                 fates.append(singles[pos])
         batch_of = {first: last for first, last in batches}
@@ -688,13 +781,19 @@ class TestModel:
         while i < len(times):
             if i in batch_of:
                 last = batch_of[i]
-                q.schedule_batch(times[i:last], range(i, last), callback)
+                q.schedule_batch(
+                    times[i:last], range(i, last), callback,
+                    [fate == "batch" for _, fate in fates[i:last]],
+                )
                 timers.extend([None] * (last - i))
                 i = last
                 continue
             timers.append(q.schedule_at(times[i], lambda i=i: callback(i)))
             i += 1
-        model = _CalendarModel(times, kills, min_dead)
+        dropped = {
+            i for i, (_, fate) in enumerate(fates) if fate == "dropped"
+        }
+        model = _CalendarModel(times, kills, min_dead, dropped)
         for i in up_front:
             timers[i].cancel()
             model.cancel(i)

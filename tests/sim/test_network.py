@@ -10,7 +10,7 @@ from repro.net.routing import RoutingTable
 from repro.net.topology import NodeKind, Topology
 from repro.protocols.base import StreamConfig
 from repro.sim.engine import EventQueue
-from repro.sim.network import SimNetwork
+from repro.sim.network import FastReceivers, SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.trace import TraceKind, TraceRecorder
 
@@ -326,6 +326,87 @@ class TestFastBatch:
         _, scalar, scalar_hops, _ = self._flood(armed=False)
         assert fast == scalar
         assert hops == scalar_hops
+
+
+class TestFastReceivers:
+    """The fast path's duplicate screen: which deliveries of a DATA or
+    REPAIR batch are left off the calendar, and which are recorded."""
+
+    REPAIR = Packet(PacketKind.REPAIR, 1, origin=CA)
+    DATA = Packet(PacketKind.DATA, 1, origin=S)
+    ROWS = np.arange(4)
+
+    @staticmethod
+    def _receivers():
+        # Rows 0-1 bound, row 2 the source (holds everything), row 3 an
+        # agent that did not bind.
+        receivers = FastReceivers(np.array([10, 11, 12, 13]), num_packets=2)
+        receivers.bind(0)
+        receivers.bind(1)
+        receivers.bind(2, holds_all=True)
+        return receivers
+
+    def test_later_or_tied_arrivals_of_a_held_seq_are_dropped(self):
+        receivers = self._receivers()
+        times = np.array([5.0, 5.0, 5.0, 5.0])
+        keep, recorded = receivers.screen(self.REPAIR, self.ROWS, times)
+        assert keep.tolist() == [True, True, False, True]
+        assert recorded is None
+        # An equal time is keyed after the delivery already scheduled.
+        times = np.array([5.0, 4.0, 6.0, 5.0])
+        keep, _ = receivers.screen(self.DATA, self.ROWS, times)
+        assert keep.tolist() == [False, True, False, True]
+        assert receivers.arrival[:2, 1].tolist() == [5.0, 4.0]
+        assert np.isnan(receivers.arrival[3, 1])
+
+    def test_fresh_batch_keeps_everything(self):
+        keep, recorded = self._receivers().screen(
+            self.REPAIR, self.ROWS[:2], np.array([1.0, 2.0])
+        )
+        assert keep is None and recorded is None
+
+    def test_watched_duplicates_run_only_while_a_timer_is_pending(self):
+        receivers = self._receivers()
+        suppressed = {}
+        due = receivers.watch_repairs(0, suppressed)
+        receivers.arrival[:3, 1] = 0.0  # rows 0-1 accepted seq 1
+        due[1] = 7.0
+        rows = np.array([0, 1])
+        # Row 0's timer is still pending at t=6: that REPAIR runs.
+        keep, recorded = receivers.screen(
+            self.REPAIR, rows, np.array([6.0, 6.0])
+        )
+        assert keep.tolist() == [True, False] and recorded is None
+        # At t=7 the timer, keyed first, has fired: the REPAIR is
+        # recorded.
+        keep, recorded = receivers.screen(
+            self.REPAIR, rows, np.array([7.0, 7.0])
+        )
+        assert keep.tolist() == [False, False]
+        assert recorded.tolist() == [True, False]
+        due[1] = -np.inf
+        _, recorded = receivers.screen(
+            self.REPAIR, rows, np.array([3.0, 3.0])
+        )
+        assert recorded.tolist() == [True, False]
+        # A duplicate DATA starts no hold: never recorded.
+        keep, recorded = receivers.screen(
+            self.DATA, rows, np.array([3.0, 3.0])
+        )
+        assert keep.tolist() == [False, False] and recorded is None
+
+    def test_recorded_keys_stay_sorted_and_find_their_packet(self):
+        receivers = self._receivers()
+        suppressed = {}
+        receivers.watch_repairs(0, suppressed)
+        other = Packet(PacketKind.REPAIR, 1, origin=CB)
+        receivers.record(self.REPAIR, np.array([0]), np.array([9.0]),
+                         np.array([4]))
+        receivers.record(other, np.array([0]), np.array([8.0]),
+                         np.array([7]))
+        assert suppressed == {1: [(8.0, 7), (9.0, 4)]}
+        assert receivers.elided_packet(4) is self.REPAIR
+        assert receivers.elided_packet(7) is other
 
 
 class TestDataLossPairing:

@@ -17,8 +17,9 @@ reference: a default run (fast path armed) ≡ the same run on the
 per-hop scalar path (the ``scalar_dissem`` fixture).  Same RNG
 consumption, arrival times, delivery sets and ledger totals;
 ``events_processed`` is the one quantity that legitimately differs —
-the fast path schedules one event per delivery instead of one per link
-traversal — so this column is compared modulo that counter.
+the fast path schedules one event per delivery that can change its
+receiver's state instead of one per link traversal — so this column is
+compared modulo that counter.
 
 Every off value is checked against its default on three observables:
 the run's summary, ledger and latencies for the five protocols, the
@@ -50,7 +51,7 @@ from repro.protocols.naive import NearestPeerProtocolFactory
 from repro.protocols.rma import RMAProtocolFactory
 from repro.protocols.rp import RPProtocolFactory
 from repro.protocols.source import SourceProtocolFactory
-from repro.protocols.srm import SRMProtocolFactory
+from repro.protocols.srm import SRMConfig, SRMProtocolFactory
 from repro.sim.faults import CrashWindow, FaultSchedule
 from repro.sim.membership import (
     LEAVE,
@@ -65,7 +66,7 @@ from repro.net.topology import NodeKind, Topology
 from repro.protocols.base import StreamConfig
 from repro.sim.dissem import send_grid
 from repro.sim.engine import EventQueue
-from repro.sim.network import SimNetwork
+from repro.sim.network import FastReceivers, SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
 
@@ -627,3 +628,163 @@ def test_session_tie_first_met_at_a_later_epoch_raises(transmits):
         events.run(until=3.0)
     assert events.now > grid[2]
     assert transmits(PacketKind.SESSION) == 0
+
+
+# -- fast dissemination: duplicate deliveries left off the calendar ---------
+
+
+@pytest.fixture
+def elided(monkeypatch):
+    """Spies on the fast path's duplicate screening: ``elided["items"]``
+    counts batch items a keep mask dropped, ``elided["recorded"]`` lists
+    the ``(node, time)`` of every duplicate REPAIR recorded with an SRM
+    agent and ``elided["restored"]`` those put back on the calendar."""
+    seen = {"items": 0, "recorded": [], "restored": []}
+    schedule_batch = EventQueue.schedule_batch
+    record = FastReceivers.record
+    redeliver = SimNetwork.redeliver
+
+    def counting(queue, times, items, fire, keep=None):
+        if keep is not None:
+            seen["items"] += int(np.size(keep) - np.count_nonzero(keep))
+        return schedule_batch(queue, times, items, fire, keep)
+
+    def recording(receivers, packet, rows, times, keys):
+        seen["recorded"].extend(
+            zip(receivers.nodes[rows].tolist(), times.tolist())
+        )
+        return record(receivers, packet, rows, times, keys)
+
+    def restoring(network, key, node):
+        seen["restored"].append((node, key[0]))
+        return redeliver(network, key, node)
+
+    monkeypatch.setattr(EventQueue, "schedule_batch", counting)
+    monkeypatch.setattr(FastReceivers, "record", recording)
+    monkeypatch.setattr(SimNetwork, "redeliver", restoring)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "factory_cls",
+    [SRMProtocolFactory, RMAProtocolFactory, RPProtocolFactory],
+    ids=lambda c: c.name,
+)
+def test_lossless_recovery_jsonl_stream_matches_scalar(
+    factory_cls, tmp_path, scalar_dissem, elided
+):
+    # Under lossless recovery every repair multicast takes the fast
+    # path, and the duplicates among its deliveries are left out.
+    config = dataclasses.replace(CONFIG, lossless_recovery=True)
+
+    def variant(built):
+        return {}, {}
+
+    paths = (tmp_path / "fast.jsonl", tmp_path / "scalar.jsonl")
+    _run(variant, factory_cls, paths[0], config)
+    assert elided["items"] > 0
+    with scalar_dissem():
+        _run(variant, factory_cls, paths[1], config)
+    streams = [path.read_text().splitlines() for path in paths]
+    assert streams[0] == streams[1]
+    assert streams[0]
+
+
+def _y_tree_scenario():
+    """Clients inside the tree, on links of distinct integer delays:
+    S - c1 - c2 - c3 with c1 - c4 - c5 and c2 - c6.  A member that
+    repairs at once relays its REPAIR in step with the NACK it answers,
+    so a member further on hears both at one instant."""
+    topology = Topology()
+    source = topology.add_node(NodeKind.SOURCE)
+    nodes = [source, *topology.add_nodes(6, NodeKind.CLIENT)]
+    parent = {}
+    for (u, v), delay in zip(
+        [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6)],
+        [7.0, 11.0, 13.0, 17.0, 19.0, 23.0],
+    ):
+        topology.add_link(nodes[u], nodes[v], delay, 0.2)
+        parent[nodes[v]] = nodes[u]
+    return BuiltScenario(
+        config=ScenarioConfig(
+            seed=1, num_routers=topology.num_nodes, loss_prob=0.2,
+            num_packets=6, lossless_recovery=True,
+        ),
+        topology=topology,
+        tree=MulticastTree(topology, source, parent),
+        routing=RoutingTable(topology),
+    )
+
+
+def _srm_run_with_holds(monkeypatch, built, jsonl_path, config=None):
+    """One SRM run: its JSONL events and every agent's repair holds,
+    settled after the drain."""
+    networks = []
+    install = SRMProtocolFactory.install
+
+    def capture(factory, network, *args, **kwargs):
+        networks.append(network)
+        return install(factory, network, *args, **kwargs)
+
+    instr = Instrumentation.recording(jsonl_path=jsonl_path, profile=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(SRMProtocolFactory, "install", capture)
+        try:
+            run_protocol_detailed(
+                built, SRMProtocolFactory(config), instrumentation=instr
+            )
+        finally:
+            instr.close()
+    (network,) = networks
+    holds = {
+        node: dict(network.agent_at(node).repair_hold_until())
+        for node in (built.tree.root, *built.tree.clients)
+    }
+    events = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
+    return events, holds
+
+
+def test_lossless_recovery_srm_holds_match_scalar(
+    monkeypatch, tmp_path, scalar_dissem, elided
+):
+    # Agents settle several recorded REPAIRs at once here: the latest one
+    # keyed before the settling event sets the hold.
+    config = dataclasses.replace(CONFIG, lossless_recovery=True)
+    fast = _srm_run_with_holds(
+        monkeypatch, build_scenario(config), tmp_path / "f.jsonl"
+    )
+    assert elided["recorded"]
+    with scalar_dissem():
+        scalar = _srm_run_with_holds(
+            monkeypatch, build_scenario(config), tmp_path / "s.jsonl"
+        )
+    assert fast == scalar
+
+
+def test_integer_delay_duplicate_repair_ties(
+    monkeypatch, tmp_path, scalar_dissem, elided
+):
+    # Repairs go out as soon as a NACK is heard, so timers are due the
+    # instant they are armed.
+    config = SRMConfig(c2=0.0, d1=0.0, d2=0.0)
+    fast, fast_holds = _srm_run_with_holds(
+        monkeypatch, _y_tree_scenario(), tmp_path / "f.jsonl", config
+    )
+    with scalar_dissem():
+        scalar, scalar_holds = _srm_run_with_holds(
+            monkeypatch, _y_tree_scenario(), tmp_path / "s.jsonl", config
+        )
+    assert fast == scalar
+    assert fast_holds == scalar_holds
+    assert any(fast_holds.values())
+    # A NACK arms a repair timer at the instant a recorded duplicate REPAIR,
+    # keyed before the timer, arrives: the REPAIR goes back on the
+    # calendar and cancels the timer at its deadline.
+    armed_now, cancelled = set(), set()
+    for e in fast:
+        if e["kind"] == "timer" and e["label"] == "srm.repair":
+            if e["action"] == "armed" and e["deadline"] == e["time"]:
+                armed_now.add((e["node"], e["time"]))
+            elif e["action"] == "cancelled":
+                cancelled.add((e["node"], e["time"]))
+    assert set(elided["restored"]) & armed_now & cancelled
