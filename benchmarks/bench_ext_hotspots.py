@@ -106,12 +106,12 @@ def run_protocols_on(topo, tree, routing, seed):
             data_loss_rng=streams.get("loss:data"),
             lossless_recovery=True,
         )
-        tracker = CompletionTracker(len(tree.clients), bench_packets())
+        tracker = CompletionTracker(len(tree.clients), bench_packets(), events)
         source = factory.install(net, log, tracker, streams, bench_packets())
         StreamDriver(
             net, source, StreamConfig(num_packets=bench_packets()), tracker
         ).start()
-        events.run(stop_when=lambda: tracker.complete, max_events=20_000_000)
+        events.run(max_events=20_000_000)
         assert tracker.complete
         out[factory.name] = log.mean_latency()
     return out

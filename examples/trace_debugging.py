@@ -74,11 +74,11 @@ def main() -> None:
         TraceFilter(seqs=frozenset({1}))  # follow sequence 1 only
     ).attach(net)
 
-    tracker = CompletionTracker(3, 3)
+    tracker = CompletionTracker(3, 3, events)
     factory = RPProtocolFactory()
     source_agent = factory.install(net, log, tracker, RngStreams(0), 3)
     StreamDriver(net, source_agent, StreamConfig(num_packets=3), tracker).start()
-    events.run(stop_when=lambda: tracker.complete, max_events=100_000)
+    events.run(max_events=100_000)
 
     drops = recorder.drops()
     assert len(drops) == 1 and drops[0].packet_kind is PacketKind.DATA

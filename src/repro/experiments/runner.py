@@ -226,7 +226,7 @@ def run_protocol_detailed(
         # stamping happens inside the protocol agents via trace_ids.
         network.add_link_observer(tracer.on_link_event)
     clients = tree.clients
-    tracker = CompletionTracker(len(clients), config.num_packets)
+    tracker = CompletionTracker(len(clients), config.num_packets, events)
     source_agent = factory.install(
         network, log, tracker, streams, config.num_packets,
         instrumentation=instr,
@@ -259,7 +259,7 @@ def run_protocol_detailed(
         timeseries.arm(events, ledger)
     driver.start()
 
-    events.run(max_events=config.max_events, stop_when=lambda: tracker.complete)
+    events.run(max_events=config.max_events)
     if not tracker.complete:
         raise RuntimeError(
             f"{factory.name}: session did not complete "

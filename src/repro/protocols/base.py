@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.metrics.collectors import RecoveryLog
 from repro.obs.instrumentation import NULL_INSTRUMENTATION, Instrumentation
+from repro.sim.engine import EventQueue
 from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
@@ -33,20 +34,34 @@ class CompletionTracker:
 
     ``expected`` is ``num_clients × num_packets``; each first-time
     acceptance of an in-range sequence by a client decrements the
-    remaining count.
+    remaining count.  Given an event queue, the tracker stops its run
+    (:meth:`EventQueue.stop <repro.sim.engine.EventQueue.stop>`) when
+    the count reaches zero — at once if it starts there, which ends the
+    next run after its first event.
     """
 
-    def __init__(self, num_clients: int, num_packets: int):
+    def __init__(
+        self, num_clients: int, num_packets: int,
+        events: EventQueue | None = None,
+    ):
         if num_clients < 0 or num_packets < 0:
             raise ValueError("counts must be non-negative")
         self.expected = num_clients * num_packets
         self._remaining = self.expected
         self._abandoned = 0
+        self._events = events
+        if events is not None and not self._remaining:
+            events.stop()
+
+    def _settle_slot(self) -> None:
+        self._remaining -= 1
+        if not self._remaining and self._events is not None:
+            self._events.stop()
 
     def mark_received(self) -> None:
         if self._remaining <= 0:
             raise ValueError("more receptions than expected — double counting")
-        self._remaining -= 1
+        self._settle_slot()
 
     def mark_abandoned(self) -> None:
         """A (client, seq) slot was explicitly given up on.
@@ -58,8 +73,8 @@ class CompletionTracker:
         """
         if self._remaining <= 0:
             raise ValueError("more settlements than expected — double counting")
-        self._remaining -= 1
         self._abandoned += 1
+        self._settle_slot()
 
     @property
     def remaining(self) -> int:

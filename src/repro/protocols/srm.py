@@ -87,13 +87,19 @@ class _SRMRepairLogic:
 
     Under the armed fast path, a duplicate REPAIR that finds no repair
     timer pending at its key only starts a hold, so the network leaves
-    it off the calendar and records its key in ``_suppressed`` (see
+    it off the calendar and records it in ``_suppressed`` (see
     :class:`~repro.sim.network.FastReceivers`).  :meth:`_settle` applies
     those records before every read or write of the seq's repair state:
     the latest one keyed below the current event sets the hold, exactly
     as its delivery would have.  Arming a timer puts the earliest record
     inside the timer's window back on the calendar, since that delivery
     cancels it.
+
+    A NACK that finds a repair timer armed or a hold running changes
+    nothing either, and the fast path leaves it off the calendar too.
+    Every change of a held seq's repair state tells the network's
+    screen when the agent can next arm a timer (:meth:`_reopen_nacks`),
+    and the screen puts back the first NACK from then on.
     """
 
     def __init__(
@@ -121,11 +127,40 @@ class _SRMRepairLogic:
         self._suppress_hold = config.repair_hold_factor * max(
             network.routing.delay(node, network.tree.root), 1.0
         )
-        # Keys of the dropped duplicate REPAIRs, seq -> sorted [(t, key
-        # seq)], and the fast path's repair-deadline row (both filled
-        # once the fast path is armed).
+        # The dropped duplicate REPAIRs, seq -> sorted [(t, key seq,
+        # packet index)], and the fast path's repair-deadline row (both
+        # filled once the fast path is armed).
         self._suppressed: dict[int, list] = {}
         self._repair_due = None
+        # The fast path's receivers and this agent's row in them.
+        self._screen = None
+        self._screen_row = -1
+
+    def _watch_fast_path(self, receivers, row: int, holds_all: bool) -> None:
+        self._repair_due = receivers.watch(
+            row, self._suppressed, self._suppress_hold, holds_all
+        )
+        self._screen = receivers
+        self._screen_row = row
+
+    def _reopen_nacks(self, seq: int, heard: bool = False) -> None:
+        """Tell the fast path's screen when this agent, which holds
+        ``seq``, can next act on a NACK of it: never while a repair
+        timer is armed, otherwise from its hold on — or from the end of
+        the hold the first dropped REPAIR still ahead starts, if that
+        comes first.  ``heard`` when a NACK of ``seq`` arrives now."""
+        screen = self._screen
+        if screen is None:
+            return
+        if seq in self._repair_timers:
+            screen.nacks_closed(self._screen_row, seq)
+            return
+        self._settle(seq)
+        at = self._repair_hold_until.get(seq, -1.0)
+        records = self._suppressed.get(seq)
+        if records and records[0][0] + self._suppress_hold < at:
+            at = records[0][0] + self._suppress_hold
+        screen.nacks_open(self._screen_row, seq, at, heard)
 
     def _settle(self, seq: int) -> None:
         """Apply the dropped REPAIRs of ``seq`` keyed below the current
@@ -154,11 +189,14 @@ class _SRMRepairLogic:
             return
         self._settle(seq)
         if self._repair_hold_until.get(seq, -1.0) > now:
+            self._reopen_nacks(seq, heard=True)
             return
         cfg = self._srm_config
         d_a = self._srm_network.routing.delay(self._srm_node, requester)
         low, high = cfg.d1 * d_a, (cfg.d1 + cfg.d2) * d_a
-        delay = float(self._srm_rng.uniform(low, high)) if high > low else low
+        delay = low
+        if high > low:  # Generator.uniform(low, high), bit for bit
+            delay += (high - low) * self._srm_rng.random()
         self._repair_ctx[seq] = (nack.trace_id, nack.span_id)
         self._repair_timers[seq] = self._srm_network.events.schedule(
             delay, lambda: self._fire_repair(seq, requester)
@@ -170,6 +208,7 @@ class _SRMRepairLogic:
         if self._repair_due is not None:
             self._repair_due[seq] = now + delay
             self._restore_suppression(seq, now + delay)
+            self._screen.nacks_closed(self._screen_row, seq)
 
     def _restore_suppression(self, seq: int, due: float) -> None:
         """The earliest dropped REPAIR of ``seq`` due by ``due`` cancels
@@ -193,6 +232,7 @@ class _SRMRepairLogic:
         self._repair_hold_until[seq] = (
             self._srm_network.events.now + cfg.repair_hold_factor * d_a
         )
+        self._reopen_nacks(seq)
         trace_id, span_id = self._repair_ctx.pop(seq, (-1, -1))
         self._srm_network.flood_tree(
             self._srm_node,
@@ -220,6 +260,8 @@ class _SRMRepairLogic:
         self._repair_hold_until[seq] = (
             self._srm_network.events.now + self._suppress_hold
         )
+        if self.has(seq):
+            self._reopen_nacks(seq)
 
 
 class _PendingRequest:
@@ -266,7 +308,9 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         scale = 2.0 ** min(backoff, cfg.max_backoff)
         low = cfg.c1 * self._d_source * scale
         high = (cfg.c1 + cfg.c2) * self._d_source * scale
-        return float(self._rng.uniform(low, high)) if high > low else low
+        # Generator.uniform(low, high) draws exactly this, bit for bit,
+        # but its argument handling costs three times the draw.
+        return low + (high - low) * self._rng.random() if high > low else low
 
     def _arm_request(self, pending: _PendingRequest) -> None:
         if pending.timer is not None:
@@ -323,6 +367,8 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         self._requests.pop(pending.seq, None)
         if pending.timer is not None:
             pending.timer.cancel()
+        if self._screen is not None:
+            self._screen.nacks_closed(self._screen_row, pending.seq)
         self.instr.attempt(
             now, "srm", self.node, pending.seq, pending.attempts_sent, 0, -1,
             "abandoned", elapsed=now - pending.detected_at,
@@ -336,6 +382,11 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
         pending = _PendingRequest(seq, detected_at=self.network.events.now)
         self._requests[seq] = pending
         self._arm_request(pending)
+        if self._screen is not None:
+            self._screen.nacks_open(self._screen_row, seq, -math.inf)
+
+    def on_new_packet(self, seq: int) -> None:
+        self._reopen_nacks(seq)
 
     def on_recovered(self, seq: int) -> None:
         pending = self._requests.pop(seq, None)
@@ -383,7 +434,7 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
 
     def bind_fast_path(self, receivers, row: int) -> None:
         super().bind_fast_path(receivers, row)
-        self._repair_due = receivers.watch_repairs(row, self._suppressed)
+        self._watch_fast_path(receivers, row, holds_all=False)
 
     # -- overheard traffic ---------------------------------------------------
 
@@ -399,6 +450,10 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
                 self.network.events.now, "srm", self.node, seq, pending.backoff
             )
             self._arm_request(pending)
+            if self._screen is not None:
+                self._screen.nacks_open(
+                    self._screen_row, seq, -math.inf, heard=True
+                )
         elif self.has(seq):
             self._maybe_schedule_repair(packet)
 
@@ -426,7 +481,7 @@ class SRMSourceAgent(SourceAgentBase, _SRMRepairLogic):
 
     def bind_fast_path(self, receivers, row: int) -> None:
         super().bind_fast_path(receivers, row)
-        self._repair_due = receivers.watch_repairs(row, self._suppressed)
+        self._watch_fast_path(receivers, row, holds_all=True)
 
     def on_request(self, packet: Packet) -> None:
         # SRM has no unicast requests; treat defensively as a NACK.

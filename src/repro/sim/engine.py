@@ -148,6 +148,9 @@ class EventQueue:
         # `pending` and the compaction threshold see per-event counts.
         self._batched = 0
         self._compactions = 0
+        # Set by stop(); the dispatch loop returns after the event that
+        # set it (or, set between runs, after the next run's first).
+        self._stopping = False
         # Optional wall-clock profiling of the dispatch loop; one scope
         # per run() call (not per event), so an attached-but-disabled
         # profiler costs nothing on the hot path.
@@ -327,11 +330,16 @@ class EventQueue:
             return True
         return False
 
+    def stop(self) -> None:
+        """End the current :meth:`run` right after the event firing now
+        (e.g. "all clients fully recovered").  Called between runs, it
+        ends the next run after its first event."""
+        self._stopping = True
+
     def run(
         self,
         until: float | None = None,
         max_events: int | None = None,
-        stop_when: Callable[[], bool] | None = None,
     ) -> None:
         """Drain the event list.
 
@@ -343,9 +351,8 @@ class EventQueue:
         max_events:
             Safety valve against runaway protocols; raises
             ``RuntimeError`` when exceeded.
-        stop_when:
-            Checked after every event; return True to stop early (e.g.
-            "all clients fully recovered").
+
+        A callback may end the run early with :meth:`stop`.
         """
         if until is not None and not until >= self._now:  # also rejects NaN
             raise ValueError(
@@ -356,7 +363,7 @@ class EventQueue:
             t0 = time.perf_counter()
             before = self._processed
             try:
-                self._run(until, max_events, stop_when)
+                self._run(until, max_events)
             finally:
                 profiler.add(
                     "events.run",
@@ -364,13 +371,12 @@ class EventQueue:
                     count=self._processed - before,
                 )
             return
-        self._run(until, max_events, stop_when)
+        self._run(until, max_events)
 
     def _run(
         self,
         until: float | None,
         max_events: int | None,
-        stop_when: Callable[[], bool] | None,
     ) -> None:
         heap = self._heap
         heappop = heapq.heappop
@@ -397,7 +403,8 @@ class EventQueue:
             self._processed += 1
             timer.callback()
             executed += 1
-            if stop_when is not None and stop_when():
+            if self._stopping:
+                self._stopping = False
                 return
         # Fully drained: every cancelled timer must have been popped or
         # compacted away, and every batch fired out, or a count has

@@ -35,8 +35,11 @@ holds one event per delivery that can change its receiver's state: a
 DATA or REPAIR copy of a seq the receiver already holds, or will hold
 from an earlier-keyed delivery, is left out (:class:`FastReceivers`),
 and an SRM member settles the hold such a REPAIR would have started
-when it next reads its repair state.  Eligibility is settled when the
-path is armed; a send then falls back to the scalar path only when its
+when it next reads its repair state.  An SRM NACK that would find its
+member neither waiting for the seq nor able to arm a repair timer is
+left out too, and goes back on the calendar, at its own key, once the
+member's state lets it act.  Eligibility is settled when the path is
+armed; a send then falls back to the scalar path only when its
 loss draws cannot be reproduced.  The fast path is bit-identical to
 the scalar path — same RNG consumption, same arrival times, same
 ledger totals (an in-flight registry refunds hops/drops the scalar
@@ -66,6 +69,7 @@ import bisect
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
@@ -90,6 +94,9 @@ PATH_CACHE_SIZE = 65536
 
 #: Tree access-leg LRU capacity (entries).
 LEG_CACHE_SIZE = 8192
+
+_INF = float("inf")
+_NEG_INF = -_INF
 
 
 class Agent(Protocol):
@@ -207,30 +214,64 @@ class FastReceivers:
 
     A bound agent is one for which a duplicate DATA or REPAIR changes
     nothing, and the fast path drops those deliveries.  An agent that
-    also :meth:`watch_repairs` (SRM) still acts on a duplicate REPAIR:
-    it cancels a repair timer pending at that key and starts a hold.
+    also calls :meth:`watch` (SRM) still acts on a duplicate REPAIR: it
+    cancels a repair timer pending at that key and starts a hold.
     ``repair_due[row, seq]`` is that timer's deadline (-inf when none is
     armed).  A duplicate REPAIR before it runs; any other is dropped and
-    its key ``(t, key seq)`` recorded in the agent's ``suppressed`` map,
-    in key order, for the agent to settle.
+    recorded in the agent's ``suppressed`` map as ``(t, key seq, i)``,
+    ``packets[i]`` its packet, in key order, for the agent to settle.
+
+    A watching agent acts on a NACK for ``seq`` only while it waits for
+    ``seq`` (it backs off its request) or holds it and can arm a repair
+    timer for it (it arms one).  ``nack_open[seq][row]`` says which:
+    -inf while it waits; NaN while it can act on none (it neither holds
+    nor waits for ``seq``, or a repair timer is armed); otherwise a time
+    before which it cannot arm a timer (a lower bound of its hold that
+    counts the dropped REPAIRs still ahead).  ``nack_next[seq][row]`` is
+    the time of a NACK to the agent still on the calendar that fires
+    before any recorded one could act, or inf.  A batch keeps a
+    delivery to a waiting agent only ahead of that one and of the seq's
+    arrival, and to an open agent only from its open time on and ahead
+    of that one, since the first that acts arms a timer; a kept
+    delivery becomes ``nack_next``.  Every other delivery is recorded
+    in ``nacks[row][seq]``, sorted.  Whenever the agent's state changes
+    it tells the screen (:meth:`nacks_open`, :meth:`nacks_closed`),
+    which puts the earliest record that can now act back on the
+    calendar; so does every NACK that runs and leaves the agent waiting
+    or open.  Each NACK that acts thus fires at its own key.
     """
 
     __slots__ = (
         "arrival", "nodes", "watched", "repair_due", "suppressed",
-        "elided_from", "elided_packets",
+        "packets", "nack_open", "nack_next", "hold_span", "nacks",
+        "_node_ids", "_events", "_redeliver",
     )
 
-    def __init__(self, nodes: np.ndarray, num_packets: int):
+    def __init__(
+        self, nodes: np.ndarray, num_packets: int,
+        network: "SimNetwork | None" = None,
+    ):
         #: Node id of each row.
         self.nodes = nodes
+        self._node_ids = nodes.tolist()
         self.arrival = np.full((nodes.size, num_packets), np.nan)
         self.watched = np.zeros(nodes.size, dtype=bool)
         self.repair_due: np.ndarray | None = None
         self.suppressed: dict[int, dict] = {}
-        # First recorded key seq and packet of every batch that recorded
-        # any, in key order (for elided_packet).
-        self.elided_from: list[int] = []
-        self.elided_packets: list[Packet] = []
+        #: The packet of every batch that recorded deliveries.  Records
+        #: hold its index, not the packet: a tuple of numbers leaves the
+        #: garbage collector's tracking, one holding an object does not.
+        self.packets: list[Packet] = []
+        # Per seq, per row (Python lists: the agents read and write
+        # them one at a time).
+        self.nack_open: list[list[float]] = []
+        self.nack_next: list[list[float]] = []
+        #: The hold a REPAIR heard from another member starts, per row.
+        self.hold_span: np.ndarray | None = None
+        self.nacks: list[list[list] | None] = [None] * nodes.size
+        # The clock, and the network's put-back of recorded deliveries.
+        self._events = network.events if network is not None else None
+        self._redeliver = network.redeliver if network is not None else None
 
     def bind(self, row: int, holds_all: bool = False) -> np.ndarray:
         """Drop duplicate DATA/REPAIR deliveries to ``row``; returns
@@ -239,30 +280,67 @@ class FastReceivers:
         self.arrival[row] = -np.inf if holds_all else np.inf
         return self.arrival[row]
 
-    def watch_repairs(self, row: int, suppressed: dict) -> np.ndarray:
-        """Duplicate REPAIRs to ``row`` act on its repair timers; the
-        dropped ones are recorded in ``suppressed`` (seq -> sorted keys).
-        Returns the row's repair-deadline view for the agent to keep."""
+    def watch(
+        self, row: int, suppressed: dict, hold_span: float,
+        holds_all: bool = False,
+    ) -> np.ndarray:
+        """Duplicate REPAIRs and NACKs to ``row`` act as the class
+        docstring says.  The dropped REPAIRs are recorded in
+        ``suppressed`` (seq -> sorted records); one heard from another
+        member holds the agent for ``hold_span``.  The agent starts out
+        closed to the NACKs of every seq, or open from the start when it
+        holds every packet (the source).  Returns the row's
+        repair-deadline view for the agent to keep."""
+        rows, seqs = self.arrival.shape
         if self.repair_due is None:
-            self.repair_due = np.full(self.arrival.shape, -np.inf)
+            self.repair_due = np.full((rows, seqs), -np.inf)
+            self.nack_open = [[np.nan] * rows for _ in range(seqs)]
+            self.nack_next = [[np.inf] * rows for _ in range(seqs)]
+            self.hold_span = np.zeros(rows)
         self.watched[row] = True
         self.suppressed[row] = suppressed
+        for opens in self.nack_open:
+            opens[row] = 0.0 if holds_all else np.nan
+        self.hold_span[row] = hold_span
+        self.nacks[row] = [[] for _ in range(seqs)]
         return self.repair_due[row]
 
     def screen(
         self, packet: Packet, rows: np.ndarray, times: np.ndarray
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(keep, recorded)`` masks over a DATA/REPAIR batch to
-        ``rows``, lowering their arrivals; None when every item runs
-        (keep) or none is recorded."""
-        seq = packet.seq
+        """``(keep, recorded)`` masks over a batch of ``packet`` to
+        ``rows``; None when every item runs (keep) or none is recorded.
+        A DATA/REPAIR batch lowers the rows' arrivals."""
+        kind, seq = packet.kind, packet.seq
+        if kind is PacketKind.NACK:
+            if self.repair_due is None:
+                return None, None
+            opens = np.array(self.nack_open[seq])[rows]
+            ahead = np.array(self.nack_next[seq])[rows]
+            # A waiting agent holds the seq from its arrival on.
+            waiting = opens == -np.inf
+            if waiting.any():
+                ahead = np.where(
+                    waiting, np.fmin(ahead, self.arrival[rows, seq]), ahead
+                )
+            watched = self.watched[rows]
+            keep = (times >= opens) & (times < ahead) & watched
+            nxt = self.nack_next[seq]
+            for row, t in zip(rows[keep].tolist(), times[keep].tolist()):
+                nxt[row] = t
+            keep |= ~watched
+            if keep.all():
+                return None, None
+            return keep, ~keep
+        if kind is not PacketKind.DATA and kind is not PacketKind.REPAIR:
+            return None, None
         known = self.arrival[rows, seq]
         dup = times >= known
         self.arrival[rows, seq] = np.minimum(known, times)  # NaN stays
         if not dup.any():
             return None, None
         keep = ~dup
-        if packet.kind is PacketKind.REPAIR and self.repair_due is not None:
+        if kind is PacketKind.REPAIR and self.repair_due is not None:
             watched = dup & self.watched[rows]
             if watched.any():
                 real = watched & (times < self.repair_due[rows, seq])
@@ -275,21 +353,65 @@ class FastReceivers:
         self, packet: Packet, rows: np.ndarray, times: np.ndarray,
         keys: np.ndarray,
     ) -> None:
-        """Record each dropped duplicate REPAIR's key with its agent, in
-        key order."""
+        """Record each dropped NACK or duplicate REPAIR with its agent as
+        ``(t, key seq, i)``, in key order, ``packets[i]`` being
+        ``packet``.  A REPAIR that holds an open agent for less than its
+        open time opens it earlier."""
         seq = packet.seq
+        pairs = zip(rows.tolist(), zip(
+            times.tolist(), keys.tolist(), repeat(len(self.packets))
+        ))
+        self.packets.append(packet)
+        insort = bisect.insort
+        if packet.kind is PacketKind.NACK:
+            nacks = self.nacks
+            for row, record in pairs:
+                insort(nacks[row][seq], record)
+            return
         suppressed = self.suppressed
-        self.elided_from.append(int(keys[0]))
-        self.elided_packets.append(packet)
-        for row, key in zip(
-            rows.tolist(), zip(times.tolist(), keys.tolist())
-        ):
-            bisect.insort(suppressed[row].setdefault(seq, []), key)
+        for row, record in pairs:
+            insort(suppressed[row].setdefault(seq, []), record)
+        ats = times + self.hold_span[rows]
+        earlier = ats < np.array(self.nack_open[seq])[rows]  # open rows only
+        if earlier.any():
+            for row, at in zip(rows[earlier].tolist(), ats[earlier].tolist()):
+                self.nacks_open(row, seq, at)
 
-    def elided_packet(self, key_seq: int) -> Packet:
-        """The packet of the dropped delivery keyed ``key_seq``."""
-        i = bisect.bisect_right(self.elided_from, key_seq) - 1
-        return self.elided_packets[i]
+    def nacks_open(
+        self, row: int, seq: int, at: float, heard: bool = False
+    ) -> None:
+        """``row`` holds ``seq`` with no repair timer armed and cannot
+        arm one before ``at`` — or waits for ``seq``, ``at`` = -inf;
+        ``heard`` when a NACK of ``seq`` to it fires now.  The earliest
+        NACK recorded from ``at`` on, and after the current event, goes
+        back on the calendar unless a delivery already there comes
+        first — for a waiting agent, only if it comes no later than the
+        seq's arrival (a tie's order is not known)."""
+        self.nack_open[seq][row] = at
+        nxt = self.nack_next[seq]
+        first = nxt[row]
+        records = self.nacks[row][seq]
+        if not records and not heard:
+            return
+        now_key = self._events.current_key
+        if heard and first <= now_key[0]:
+            first = _INF  # it was this delivery
+        if records:
+            i = bisect.bisect_left(
+                records, (at, -1) if at > now_key[0] else now_key
+            )
+            if i < len(records):
+                t = records[i][0]
+                waiting = at == _NEG_INF
+                if t <= first and (not waiting or t <= self.arrival[row, seq]):
+                    self._redeliver(records.pop(i), self._node_ids[row])
+                    first = t
+        nxt[row] = first
+
+    def nacks_closed(self, row: int, seq: int) -> None:
+        """``row`` can act on no NACK of ``seq`` until it tells again."""
+        self.nack_open[seq][row] = np.nan
+        self.nack_next[seq][row] = np.inf
 
 
 class _FastDissem:
@@ -304,21 +426,21 @@ class _FastDissem:
 
     def __init__(
         self,
-        tree: MulticastTree,
-        agents: dict[int, Agent],
+        network: "SimNetwork",
         stream: "StreamConfig",
         data_rng: np.random.Generator,
         session_rng: np.random.Generator,
     ):
+        agents = network._agents
         self.stream = stream
-        self.dissem = dissem_mod.TreeDissem(tree)
+        self.dissem = dissem_mod.TreeDissem(network.tree)
         pos = self.dissem.pos_of_node
         self.agent_pos = np.asarray(
             sorted(int(pos[n]) for n in agents if pos[n] >= 0),
             dtype=np.int64,
         )
         nodes = self.dissem.order[self.agent_pos]
-        self.receivers = FastReceivers(nodes, stream.num_packets)
+        self.receivers = FastReceivers(nodes, stream.num_packets, network)
         for row, node in enumerate(nodes.tolist()):
             bind = getattr(agents[node], "bind_fast_path", None)
             if bind is not None:
@@ -579,8 +701,7 @@ class SimNetwork:
             # arrays snapshot it once.  Scalar path throughout.
             return False
         self._fast = _FastDissem(
-            self.tree, self._agents, stream,
-            self._data_loss_rng, self._loss_rng,
+            self, stream, self._data_loss_rng, self._loss_rng
         )
         return True
 
@@ -633,14 +754,12 @@ class SimNetwork:
     ) -> None:
         """Charge a resolved dissemination and schedule its deliveries
         to the agents of ``rows`` as one calendar batch, leaving out the
-        DATA/REPAIR duplicates that change nothing (see
+        deliveries that cannot change their receiver's state (see
         :class:`FastReceivers`)."""
         self._charge_fast(packet, hop_times, drop_times)
         receivers = self._fast.receivers
         keep = recorded = None
-        if packet.kind in (PacketKind.DATA, PacketKind.REPAIR) and (
-            0 <= packet.seq < receivers.arrival.shape[1]
-        ):
+        if 0 <= packet.seq < receivers.arrival.shape[1]:
             keep, recorded = receivers.screen(packet, rows, deliver_times)
         seq0 = self.events.schedule_batch(
             deliver_times, receivers.nodes[rows],
@@ -650,12 +769,14 @@ class SimNetwork:
             idx = np.flatnonzero(recorded)
             receivers.record(packet, rows[idx], deliver_times[idx], idx + seq0)
 
-    def redeliver(self, key: tuple[float, int], node: int) -> None:
-        """Put the duplicate REPAIR to ``node`` that the fast path recorded
-        under ``key`` back on the calendar, at that key."""
-        packet = self._fast.receivers.elided_packet(key[1])
+    def redeliver(self, record: tuple[float, int, int], node: int) -> None:
+        """Put the delivery to ``node`` that the fast path recorded as
+        ``record`` (see :meth:`FastReceivers.record`) back on the
+        calendar, at its key."""
+        t, key_seq, i = record
+        packet = self._fast.receivers.packets[i]
         self.events.schedule_at_key(
-            key[0], key[1], partial(self._deliver, packet, node)
+            t, key_seq, partial(self._deliver, packet, node)
         )
 
     def _stream_packet(self, kind: PacketKind, k: int) -> Packet:

@@ -11,6 +11,7 @@ from repro.protocols.base import (
     StreamDriver,
 )
 from repro.protocols.rp import RPSourceAgent
+from repro.sim.engine import EventQueue
 from repro.sim.packet import Packet, PacketKind
 
 
@@ -133,6 +134,41 @@ class TestCompletionTracker:
         assert tracker.complete
         assert tracker.remaining == 0
 
+    def test_stops_its_run_at_zero(self):
+        events = EventQueue()
+        tracker = CompletionTracker(1, 2, events)
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            events.schedule_at(
+                t, lambda t=t: (fired.append(t), tracker.mark_received())
+            )
+        events.run()
+        assert fired == [1.0, 2.0] and tracker.complete
+        assert events.pending == 1
+
+    def test_starting_complete_stops_after_one_event(self):
+        # Zero packets: nothing to wait for, and the run ends after its
+        # first event, as a completion check after each event would.
+        events = EventQueue()
+        tracker = CompletionTracker(3, 0, events)
+        assert tracker.complete
+        fired = []
+        for t in (1.0, 2.0):
+            events.schedule_at(t, lambda t=t: fired.append(t))
+        events.run()
+        assert fired == [1.0]
+        events.run()
+        assert fired == [1.0, 2.0]
+
+    def test_abandonment_also_stops_at_zero(self):
+        events = EventQueue()
+        tracker = CompletionTracker(1, 1, events)
+        events.schedule_at(1.0, tracker.mark_abandoned)
+        events.schedule_at(2.0, lambda: None)
+        events.run()
+        assert tracker.complete and tracker.abandoned == 1
+        assert events.now == 1.0 and events.pending == 1
+
     def test_overcount_raises(self):
         tracker = CompletionTracker(1, 1)
         tracker.mark_received()
@@ -150,6 +186,7 @@ class TestCompletionTracker:
 
 class TestStreamDriver:
     def test_stream_delivers_all_packets(self, world):
+        world.tracker = CompletionTracker(3, world.num_packets, world.events)
         agents = [probe(world, n) for n in (world.CA, world.CB, world.CC)]
         source = RPSourceAgent(world.S, world.network, False)
         world.network.attach_agent(world.S, source)
@@ -157,7 +194,9 @@ class TestStreamDriver:
             world.network, source, StreamConfig(num_packets=5), world.tracker
         )
         driver.start()
-        world.events.run(stop_when=lambda: world.tracker.complete)
+        world.events.run()
+        # The last reception stopped the run: the next flush is pending.
+        assert world.events.pending
         for agent in agents:
             assert agent.received == set(range(5))
         assert world.tracker.complete

@@ -51,11 +51,11 @@ def build(factory, drop_draws, num_packets=3):
         data_loss_rng=RiggedLossRng(drop_draws),
     )
     recorder = TraceRecorder().attach(net)
-    tracker = CompletionTracker(2, num_packets)
+    tracker = CompletionTracker(2, num_packets, events)
     source_agent = factory.install(net, log, tracker, RngStreams(0), num_packets)
     StreamDriver(net, source_agent, StreamConfig(num_packets=num_packets),
                  tracker).start()
-    events.run(stop_when=lambda: tracker.complete, max_events=200_000)
+    events.run(max_events=200_000)
     assert tracker.complete
     return topo, tree, log, recorder, (s, ca, cb)
 

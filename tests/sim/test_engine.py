@@ -194,12 +194,33 @@ class TestRunControls:
         assert fired == [0, 1, 2, 3, 4]
         assert q.processed == 5
 
-    def test_stop_when_halts_early(self):
+    def test_stop_halts_after_the_calling_event(self):
         q = EventQueue()
         fired = []
+
+        def fire(i):
+            fired.append(i)
+            if len(fired) == 3:
+                q.stop()
+
         for i in range(10):
+            q.schedule(float(i + 1), lambda i=i: fire(i))
+        q.run()
+        assert fired == [0, 1, 2]
+        assert q.now == 3.0 and q.pending == 7
+        # The request was used up: the next run drains.
+        q.run()
+        assert len(fired) == 10
+
+    def test_stop_between_runs_ends_the_next_after_one_event(self):
+        q = EventQueue()
+        fired = []
+        for i in range(3):
             q.schedule(float(i + 1), lambda i=i: fired.append(i))
-        q.run(stop_when=lambda: len(fired) >= 3)
+        q.stop()
+        q.run()
+        assert fired == [0]
+        q.run()
         assert fired == [0, 1, 2]
 
     def test_step_returns_false_when_empty(self):
@@ -424,10 +445,11 @@ class TestBatch:
         assert log[2] == ("cut", 2.5, 2, 2)
         assert log[4] == ("cut", 3.0, 3, 1)
 
-    def test_stop_when_lands_mid_batch(self):
+    def test_stop_lands_mid_batch(self):
         def script(q, add, log):
-            add([1.0, 1.0, 2.0, 3.0], [0, 1, 2, 3])
-            q.run(stop_when=lambda: len(log) == 2)
+            add([1.0, 1.0, 2.0, 3.0], [0, 1, 2, 3],
+                then=lambda label: label == 1 and q.stop())
+            q.run()
             log.append(("stop", q.now, q.processed, q.pending))
             q.run()
 

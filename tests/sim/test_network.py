@@ -368,7 +368,7 @@ class TestFastReceivers:
     def test_watched_duplicates_run_only_while_a_timer_is_pending(self):
         receivers = self._receivers()
         suppressed = {}
-        due = receivers.watch_repairs(0, suppressed)
+        due = receivers.watch(0, suppressed, hold_span=3.0)
         receivers.arrival[:3, 1] = 0.0  # rows 0-1 accepted seq 1
         due[1] = 7.0
         rows = np.array([0, 1])
@@ -398,15 +398,178 @@ class TestFastReceivers:
     def test_recorded_keys_stay_sorted_and_find_their_packet(self):
         receivers = self._receivers()
         suppressed = {}
-        receivers.watch_repairs(0, suppressed)
+        receivers.watch(0, suppressed, hold_span=3.0)
         other = Packet(PacketKind.REPAIR, 1, origin=CB)
         receivers.record(self.REPAIR, np.array([0]), np.array([9.0]),
                          np.array([4]))
         receivers.record(other, np.array([0]), np.array([8.0]),
                          np.array([7]))
-        assert suppressed == {1: [(8.0, 7), (9.0, 4)]}
-        assert receivers.elided_packet(4) is self.REPAIR
-        assert receivers.elided_packet(7) is other
+        assert suppressed == {1: [(8.0, 7, 1), (9.0, 4, 0)]}
+        assert receivers.packets == [self.REPAIR, other]
+
+
+class TestNackScreen:
+    """The fast path's NACK screen: which deliveries of a NACK batch go
+    on the calendar, which are recorded, and which records come back
+    when an agent's state changes."""
+
+    NACK = Packet(PacketKind.NACK, 1, origin=CA)
+    ROWS = np.arange(4)
+
+    class _Network:
+        """What the screen uses of the network: the clock, and the
+        put-backs (logged instead of scheduled)."""
+
+        def __init__(self):
+            self.events = EventQueue()
+            self.put_back = []
+
+        def redeliver(self, record, node):
+            self.put_back.append((node, record[:2]))
+
+    def _receivers(self):
+        # Rows 0-1 members, row 2 the source (holds everything), row 3
+        # an agent that did not bind.
+        network = self._Network()
+        receivers = FastReceivers(
+            np.array([10, 11, 12, 13]), num_packets=2, network=network
+        )
+        for row in (0, 1):
+            receivers.bind(row)
+            receivers.watch(row, {}, hold_span=3.0)
+        receivers.bind(2, holds_all=True)
+        receivers.watch(2, {}, hold_span=3.0, holds_all=True)
+        return receivers, network
+
+    def _batch(self, receivers, times, key0):
+        """Screen a NACK batch to every row, keyed from ``key0``, and
+        record what it drops, as ``SimNetwork._apply_fast`` does."""
+        times = np.asarray(times, dtype=float)
+        keep, recorded = receivers.screen(self.NACK, self.ROWS, times)
+        if recorded is not None:
+            idx = np.flatnonzero(recorded)
+            receivers.record(
+                self.NACK, self.ROWS[idx], times[idx], idx + key0
+            )
+        return None if keep is None else keep.tolist()
+
+    @staticmethod
+    def _keys(records):
+        return [(t, key) for t, key, _ in records]
+
+    @staticmethod
+    def _at(network, t, call):
+        """Run ``call`` as the event at time ``t``."""
+        network.events.schedule_at(t, call)
+        network.events.run()
+
+    def test_closed_rows_record_and_open_rows_keep_the_first(self):
+        receivers, _ = self._receivers()
+        # Members that neither hold nor wait for seq 1 act on no NACK;
+        # the source acts on the first one; row 3 runs everything.
+        assert self._batch(receivers, [5, 5, 5, 5], 100) == [
+            False, False, True, True,
+        ]
+        assert self._keys(receivers.nacks[0][1]) == [(5.0, 100)]
+        # An earlier delivery to the source comes first now.
+        assert self._batch(receivers, [6, 6, 4, 6], 104) == [
+            False, False, True, True,
+        ]
+        # One at the same instant is keyed after it.
+        assert self._batch(receivers, [7, 7, 4, 7], 108) == [
+            False, False, False, True,
+        ]
+        assert self._keys(receivers.nacks[2][1]) == [(4.0, 110)]
+        assert self._keys(receivers.nacks[1][1]) == [(5.0, 101), (6.0, 105), (7.0, 109)]
+
+    def test_waiting_row_keeps_nacks_until_the_seq_arrives(self):
+        receivers, network = self._receivers()
+        self._at(network, 1.0, lambda: receivers.nacks_open(0, 1, -np.inf))
+        assert self._batch(receivers, [5, 5, 5, 5], 100)[0]
+        assert self._batch(receivers, [3, 3, 3, 3], 104)[0]
+        # Behind a waiting delivery already on the calendar: recorded.
+        assert not self._batch(receivers, [4, 4, 4, 4], 108)[0]
+        # The seq arrives at 6: from then on the member holds it.
+        receivers.arrival[0, 1] = 6.0
+        self._at(
+            network, 3.0,
+            lambda: receivers.nacks_open(0, 1, -np.inf, heard=True),
+        )
+        assert network.put_back == [(10, (4.0, 108))]
+        assert self._batch(receivers, [3.5, 3.5, 3.5, 3.5], 112)[0]
+        assert not self._batch(receivers, [6, 6, 6, 6], 116)[0]
+        assert self._keys(receivers.nacks[0][1]) == [(6.0, 116)]
+
+    def test_detection_puts_back_every_later_record_one_ahead(self):
+        receivers, network = self._receivers()
+        for t, key0 in ((0.5, 100), (2, 104), (9, 108), (7, 112), (4, 116)):
+            self._batch(receivers, [t] * 4, key0)
+        receivers.arrival[0, 1] = 7.0
+        self._at(network, 1.0, lambda: receivers.nacks_open(0, 1, -np.inf))
+        # Each NACK it waits through puts back the next, up to the
+        # arrival (a tie included); the one before detection changed
+        # nothing and stays recorded.
+        for t in (2.0, 4.0):
+            self._at(
+                network, t,
+                lambda: receivers.nacks_open(0, 1, -np.inf, heard=True),
+            )
+        assert network.put_back == [
+            (10, (2.0, 104)), (10, (4.0, 116)), (10, (7.0, 112)),
+        ]
+        assert self._keys(receivers.nacks[0][1]) == [(0.5, 100), (9.0, 108)]
+
+    def test_timer_armed_holder_reopens_at_the_end_of_its_hold(self):
+        receivers, network = self._receivers()
+        receivers.nacks_closed(0, 1)  # a repair timer is armed
+        for t, key0 in ((5, 100), (6, 104), (9, 108)):
+            self._batch(receivers, [t] * 4, key0)
+        assert self._keys(receivers.nacks[0][1]) == [(5.0, 100), (6.0, 104), (9.0, 108)]
+        # The timer fires at 4 and holds until 6: a NACK at 6 acts.
+        self._at(network, 4.0, lambda: receivers.nacks_open(0, 1, 6.0))
+        assert network.put_back == [(10, (6.0, 104))]
+        # Before the hold ends, or behind the one put back: recorded.
+        assert not self._batch(receivers, [5.9] * 4, 112)[0]
+        assert not self._batch(receivers, [6.0] * 4, 116)[0]
+        # That NACK finds a longer hold (a REPAIR came in between).
+        self._at(
+            network, 6.0, lambda: receivers.nacks_open(0, 1, 8.5, heard=True)
+        )
+        assert network.put_back[1:] == [(10, (9.0, 108))]
+        assert receivers.nack_next[1][0] == 9.0
+
+    def test_hold_ending_at_a_delivery_keeps_it(self):
+        receivers, network = self._receivers()
+        receivers.arrival[0, 1] = 0.0
+        self._at(network, 1.0, lambda: receivers.nacks_open(0, 1, 6.0))
+        # A NACK at the instant the hold ends acts (the hold must lie
+        # ahead of it to block it); one just before it cannot.
+        assert not self._batch(receivers, [5.9] * 4, 100)[0]
+        assert self._batch(receivers, [6.0] * 4, 104)[0]
+        # A record at the instant of the delivery already on the
+        # calendar goes back too: which is keyed first is not known.
+        receivers.nack_next[1][0] = 5.9
+        self._at(network, 2.0, lambda: receivers.nacks_open(0, 1, 5.0))
+        assert network.put_back == [(10, (5.9, 100))]
+
+    def test_recorded_repair_opens_a_holder_earlier(self):
+        receivers, network = self._receivers()
+        suppressed = receivers.suppressed[0]
+        receivers.arrival[0, 1] = 0.0
+        for t, key0 in ((12, 100), (25, 104)):
+            self._batch(receivers, [t] * 4, key0)
+        # Its own repair holds it until 20.
+        self._at(network, 1.0, lambda: receivers.nacks_open(0, 1, 20.0))
+        assert network.put_back == [(10, (25.0, 104))]
+        # A REPAIR from another member, dropped at 8, holds it until 11
+        # only, so the NACK at 12 can act.
+        repair = Packet(PacketKind.REPAIR, 1, origin=CB)
+        self._at(network, 2.0, lambda: receivers.record(
+            repair, np.array([0]), np.array([8.0]), np.array([120]),
+        ))
+        assert self._keys(suppressed[1]) == [(8.0, 120)]
+        assert receivers.nack_open[1][0] == 11.0
+        assert network.put_back[1:] == [(10, (12.0, 100))]
 
 
 class TestDataLossPairing:

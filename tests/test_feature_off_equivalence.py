@@ -635,11 +635,15 @@ def test_session_tie_first_met_at_a_later_epoch_raises(transmits):
 
 @pytest.fixture
 def elided(monkeypatch):
-    """Spies on the fast path's duplicate screening: ``elided["items"]``
-    counts batch items a keep mask dropped, ``elided["recorded"]`` lists
-    the ``(node, time)`` of every duplicate REPAIR recorded with an SRM
-    agent and ``elided["restored"]`` those put back on the calendar."""
-    seen = {"items": 0, "recorded": [], "restored": []}
+    """Spies on the fast path's screening: ``elided["items"]`` counts
+    batch items a keep mask dropped, ``elided["recorded"]`` lists the
+    ``(node, time)`` of every duplicate REPAIR or NACK recorded with an
+    SRM agent (``elided["kinds"]`` counts them by packet kind) and
+    ``elided["restored"]`` those put back on the calendar."""
+    seen = {
+        "items": 0, "recorded": [], "restored": [],
+        "kinds": collections.Counter(),
+    }
     schedule_batch = EventQueue.schedule_batch
     record = FastReceivers.record
     redeliver = SimNetwork.redeliver
@@ -653,6 +657,7 @@ def elided(monkeypatch):
         seen["recorded"].extend(
             zip(receivers.nodes[rows].tolist(), times.tolist())
         )
+        seen["kinds"][packet.kind] += len(rows)
         return record(receivers, packet, rows, times, keys)
 
     def restoring(network, key, node):
@@ -688,6 +693,38 @@ def test_lossless_recovery_jsonl_stream_matches_scalar(
     streams = [path.read_text().splitlines() for path in paths]
     assert streams[0] == streams[1]
     assert streams[0]
+
+
+@pytest.mark.parametrize("loss", [0.04, 0.12, 0.2])
+@pytest.mark.parametrize(
+    "srm_config",
+    [SRMConfig(), SRMConfig(c2=0.0, d2=0.0), SRMConfig(max_request_rounds=2)],
+    ids=["default", "fixed-delay", "two-rounds"],
+)
+def test_srm_bit_identity_over_seeds_and_loss(
+    srm_config, loss, tmp_path, scalar_dissem, elided
+):
+    # Every NACK flood takes the fast path here, and the screen leaves
+    # out the deliveries that find their member unable to act.
+    def factory():
+        return SRMProtocolFactory(srm_config)
+
+    def variant(built):
+        return {}, {}
+
+    for seed in (1, 2, 3):
+        config = ScenarioConfig(
+            seed=seed, num_routers=30, loss_prob=loss, num_packets=8,
+            lossless_recovery=True,
+        )
+        paths = (tmp_path / f"f{seed}.jsonl", tmp_path / f"s{seed}.jsonl")
+        fast = _run(variant, factory, paths[0], config)
+        with scalar_dissem():
+            scalar = _run(variant, factory, paths[1], config)
+        assert _observables(fast, True) == _observables(scalar, True)
+        assert paths[0].read_text() == paths[1].read_text()
+        assert fast.summary.events_processed < scalar.summary.events_processed
+    assert elided["kinds"][PacketKind.NACK] > 0
 
 
 def _y_tree_scenario():
