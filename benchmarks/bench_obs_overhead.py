@@ -32,10 +32,11 @@ expensive.
 Determinism is asserted too: every arm must produce the identical run
 summary — modulo ``events_processed``, which is legitimately lower on
 the fast dissemination path — or the "overhead" numbers would compare
-different work.  The uninstrumented, no-op and recording arms run that
-fast path (the profiler times phases, not hops); the time-series
-collector disarms it, and the tracer's link observer makes arming it
-refuse, so the whole traced run is per-hop (see ``docs/PERFORMANCE.md``).
+different work.  The uninstrumented, no-op, recording and time-series
+arms run that fast path (the profiler times phases, not hops; the
+ledger counts each fast hop in the window of its transmit instant); the
+tracer's link observer makes arming it refuse, so the whole traced run
+is per-hop (see ``docs/PERFORMANCE.md``).
 """
 
 import dataclasses
@@ -80,7 +81,8 @@ OVERHEAD_ARMS = (
 def _strip_events(summary):
     """Drop ``events_processed`` before comparing arms: the fast
     dissemination path coalesces per-member deliveries into one event,
-    so arms that disarm it process more events for the same session."""
+    so the traced arms, which run without it, process more events for
+    the same session."""
     return dataclasses.replace(summary, events_processed=0)
 
 

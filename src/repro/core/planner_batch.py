@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.core.candidates import Candidate
+from repro.net.mcast_tree import floor_log2
 from repro.net.routing import LandmarkDistanceBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -187,9 +188,6 @@ def _client_rmq(B: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     earlier position, keeping every downstream choice deterministic.
     """
     num_landmarks, k_clients = B.shape
-    log2 = np.zeros(k_clients + 1, dtype=np.int64)
-    for i in range(2, k_clients + 1):
-        log2[i] = log2[i >> 1] + 1
     base = np.broadcast_to(
         np.arange(k_clients, dtype=np.int32), (num_landmarks, k_clients)
     )
@@ -203,7 +201,7 @@ def _client_rmq(B: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         vb = np.take_along_axis(B, b, axis=1)
         tables.append(np.where(va <= vb, a, b).astype(np.int32))
         span *= 2
-    return tables, log2
+    return tables, floor_log2(k_clients)
 
 
 def _rmq_query(tables, B, log2, lo, hi) -> tuple[np.ndarray, np.ndarray]:

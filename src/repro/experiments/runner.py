@@ -167,11 +167,10 @@ def run_protocol_detailed(
 
     When the instrumentation carries a time-series collector
     (``recording(timeseries=...)``), the collector is armed with the
-    live engine and ledger before the stream starts, the array
-    dissemination fast path is disarmed (its batched ledger charges
-    would smear per-window bandwidth), and after the drain the collector
-    is finalized, the windowed ``progress.stall`` check joins the others
-    and the report is attached as ``artifacts.health``.
+    live engine and ledger before the stream starts, and after the
+    drain the collector is finalized, the windowed ``progress.stall``
+    check joins the others and the report is attached as
+    ``artifacts.health``.
     ``health_config`` tunes the stall threshold.
     """
     config = built.config
@@ -243,20 +242,14 @@ def run_protocol_detailed(
         instrumentation=instr,
     )
     timeseries = instr.timeseries if instr is not None else None
-    if timeseries is None:
-        # Arm the array dissemination fast path once the agents are
-        # installed: it snapshots their tree positions.  Refused under
-        # jitter, congestion, faults, churn or the tracer's link
-        # observer (registered above); an armed run falls back per send
-        # only where a loss draw cannot be replayed, bit-identically.
-        network.enable_fast_dissem(config.stream_config())
-    else:
-        # The fast path batches its ledger charges at send time, which
-        # would smear the collector's per-window bandwidth series;
-        # disarm it explicitly rather than let the windows silently
-        # skew.  The scalar path is bit-identical modulo
-        # events_processed.
+    if timeseries is not None:
         timeseries.arm(events, ledger)
+    # Arm the array dissemination fast path once the agents are
+    # installed: it snapshots their tree positions.  Refused under
+    # jitter, congestion, faults, churn or the tracer's link observer
+    # (registered above); an armed run falls back per send only where a
+    # loss draw cannot be replayed, bit-identically.
+    network.enable_fast_dissem(config.stream_config())
     driver.start()
 
     events.run(max_events=config.max_events)
@@ -273,9 +266,8 @@ def run_protocol_detailed(
         instr.phase(events.now, "session.drained")
     if tracer is not None:
         tracer.finish(events.now)
-    # Refund fast-path hop/drop charges whose scalar transmit event
-    # would have fallen after the drain cutoff.
-    network.finalize_fast_dissem(events.now)
+    # Fast-path charges past the drain cutoff would never have fired.
+    ledger.close(events.now)
     # Harness events past the drain cutoff (a session flush, membership
     # events) never fired; cancel them so they don't read as live
     # protocol timers below.

@@ -4,7 +4,8 @@
 traversal *attempt* is charged (a packet transmitted onto a link
 consumed its bandwidth whether or not the loss process delivered it),
 bucketed by packet kind.  Recovery bandwidth — the paper's metric — is
-the REQUEST + NACK + REPAIR total.
+the REQUEST + NACK + REPAIR total.  A fast-path charge counts once its
+transmit instant has passed (:meth:`BandwidthLedger.settle`).
 
 :class:`RecoveryLog` lives at the protocol layer: one record per
 (client, sequence) loss, from detection to first repair arrival.  A
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.sim.packet import PacketKind
 
 
@@ -30,6 +33,15 @@ class BandwidthLedger:
     )
     drops_by_kind: dict[PacketKind, int] = field(
         default_factory=lambda: {kind: 0 for kind in PacketKind}
+    )
+    #: Instants of the fast-path hops and drops not counted yet, by kind.
+    _later_hops: dict = field(
+        default_factory=lambda: {kind: [] for kind in PacketKind},
+        init=False, repr=False, compare=False,
+    )
+    _later_drops: dict = field(
+        default_factory=lambda: {kind: [] for kind in PacketKind},
+        init=False, repr=False, compare=False,
     )
 
     def charge_hop(self, kind: PacketKind) -> None:
@@ -51,28 +63,45 @@ class BandwidthLedger:
             raise ValueError(f"cannot charge {n} drops")
         self.drops_by_kind[kind] += n
 
-    def refund_hops(self, kind: PacketKind, n: int) -> None:
-        """Return ``n`` pre-charged hops (fast-path transmissions whose
-        link traversal would have happened after a drain cutoff the
-        scalar path stops charging at)."""
-        if n < 0:
-            raise ValueError(f"cannot refund {n} hops")
-        if n > self.hops_by_kind[kind]:
-            raise ValueError(
-                f"refund of {n} {kind} hops exceeds charged total"
-            )
-        self.hops_by_kind[kind] -= n
+    def charge_fast(
+        self,
+        kind: PacketKind,
+        now: float,
+        hop_times: np.ndarray,
+        drop_times: np.ndarray | None = None,
+    ) -> None:
+        """Charge a journey the fast path resolved at ``now``, one hop or
+        drop per entry, each at its would-be transmit instant.  Those at
+        ``now`` count at once, as the scalar ``_transmit`` charges them
+        inside the sending event; each later one waits for :meth:`settle`
+        or :meth:`close`."""
+        _defer(self.charge_hops, self._later_hops, kind, now, hop_times)
+        if drop_times is not None:
+            _defer(self.charge_drops, self._later_drops, kind, now, drop_times)
 
-    def refund_drops(self, kind: PacketKind, n: int) -> None:
-        """Return ``n`` pre-charged drops (same drain-cutoff
-        reconciliation as :meth:`refund_hops`)."""
-        if n < 0:
-            raise ValueError(f"cannot refund {n} drops")
-        if n > self.drops_by_kind[kind]:
-            raise ValueError(
-                f"refund of {n} {kind} drops exceeds charged total"
-            )
-        self.drops_by_kind[kind] -= n
+    def settle(self, clock: float) -> None:
+        """Count the deferred charges strictly before ``clock``: those a
+        scalar run has made when an event at ``clock`` reads the ledger
+        (a member's delivery at ``clock`` runs before its onward hops)."""
+        for charge, later in (
+            (self.charge_hops, self._later_hops),
+            (self.charge_drops, self._later_drops),
+        ):
+            for kind, pending in later.items():
+                if pending:
+                    times = np.concatenate(pending)
+                    due = times < clock
+                    charge(kind, int(np.count_nonzero(due)))
+                    rest = times[~due]
+                    pending[:] = [rest] if rest.size else []
+
+    def close(self, cutoff: float) -> None:
+        """Count the deferred charges at or before the drain ``cutoff``
+        and discard the rest: their scalar transmit events never fire."""
+        self.settle(np.nextafter(cutoff, np.inf))
+        for later in (self._later_hops, self._later_drops):
+            for pending in later.values():
+                pending.clear()
 
     @property
     def recovery_hops(self) -> int:
@@ -90,6 +119,15 @@ class BandwidthLedger:
     @property
     def total_drops(self) -> int:
         return sum(self.drops_by_kind.values())
+
+
+def _defer(charge, later: dict, kind, now: float, times) -> None:
+    """``charge`` the charges at ``now``; file the later ones' instants
+    in ``later``."""
+    rest = times[times > now]
+    charge(kind, times.size - rest.size)
+    if rest.size:
+        later[kind].append(rest)
 
 
 @dataclass

@@ -11,9 +11,9 @@ The checks:
 * ``quiescence.timers`` — no live timer is left in the event queue after
   the drain (membership events past the cutoff are cancelled first): a
   terminated recovery is a *settled* one.
-* ``conservation.ledger`` — hop/drop counters are non-negative after
-  fast-path refunds settle, and no packet kind records more loss-process
-  drops than link traversals charged.
+* ``conservation.ledger`` — hop/drop counters are non-negative, and no
+  packet kind records more loss-process drops than link traversals
+  charged.
 * ``membership.tx_drop`` — a departed member transmitted (the director
   had to suppress it).  Must be zero: teardown is supposed to silence
   agents *before* they can send.  Runs only when a membership director
@@ -259,10 +259,7 @@ def evaluate_health(
         if hops < 0 or drops < 0 or drops > hops:
             violations.append(HealthViolation(
                 check="conservation.ledger",
-                message=(
-                    f"{kind.value}: {drops} drops vs {hops} hops"
-                    " (refunds overdrew, or drops charged without hops)"
-                ),
+                message=f"{kind.value}: {drops} drops vs {hops} hops",
                 details={"kind": kind.value, "hops": hops, "drops": drops},
             ))
 

@@ -77,8 +77,8 @@ class Instrumentation:
         #: Optional windowed :class:`~repro.obs.timeseries.TimeSeriesCollector`.
         #: Set by ``recording(timeseries=...)`` (which also attaches it
         #: as a bus sink); the runner arms it with the live engine and
-        #: ledger, disarms the fast dissemination path for it, and
-        #: finalizes it at drain.  None means no windowing anywhere.
+        #: ledger and finalizes it at drain.  None means no windowing
+        #: anywhere.
         self.timeseries: TimeSeriesCollector | None = None
         # Emit helpers run on the protocol hot path; caching the counter
         # per tuple key skips the dotted-name formatting and registry

@@ -40,11 +40,11 @@ event, the accumulated processed/hop deltas are attributed to the first
 window of the gap and the remaining windows read zero — deterministic,
 and exactly the "nothing happened here" shape a stall detector wants.
 
-**Fast-path interaction.**  The array dissemination path batches its
-ledger charges at send time, which would smear per-window bandwidth; a
-run with an armed collector therefore disarms fast dissemination
-explicitly (the runner handles this) rather than silently skewing the
-series.
+**Fast-path interaction.**  The ledger defers each fast-path hop to
+its transmit instant; every snapshot first settles those strictly
+before the engine's clock
+(:meth:`~repro.metrics.collectors.BandwidthLedger.settle`), so a window
+reads the hops a scalar run had charged by then.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ class TimeSeriesCollector:
     """Event sink folding the bus stream into bounded sim-time windows.
 
     Attach via ``Instrumentation.recording(timeseries=...)`` (the runner
-    then arms it with the live engine and ledger, disarms the fast
-    dissemination path, and finalizes it at drain), or use standalone as
-    a plain sink for offline folding of a recorded stream.
+    then arms it with the live engine and ledger and finalizes it at
+    drain), or use standalone as a plain sink for offline folding of a
+    recorded stream.
     """
 
     def __init__(self, window: float = 50.0, max_windows: int = 512):
@@ -366,6 +366,7 @@ class TimeSeriesCollector:
             window.events_processed += processed - self._last_processed
             self._last_processed = processed
         if self._ledger is not None:
+            self._ledger.settle(self._engine.now)
             hops = self._ledger.hops_by_kind
             for kind, attr in (
                 (PacketKind.REQUEST, "request_hops"),

@@ -40,11 +40,14 @@ member neither waiting for the seq nor able to arm a repair timer is
 left out too, and goes back on the calendar, at its own key, once the
 member's state lets it act.  Eligibility is settled when the path is
 armed; a send then falls back to the scalar path only when its
-loss draws cannot be reproduced.  The fast path is bit-identical to
-the scalar path — same RNG consumption, same arrival times, same
-ledger totals (an in-flight registry refunds hops/drops the scalar
-path would not have charged before the drain cutoff) — except for the
-number of events it runs.
+loss draws cannot be reproduced.  Where no two events share an
+instant the fast path is bit-identical to the scalar path — same RNG
+consumption, arrival times and ledger counts (each charge counts once
+its transmit instant passes, see
+:meth:`~repro.metrics.collectors.BandwidthLedger.charge_fast`) —
+except for the number of events it runs.  Same-instant deliveries fire
+in batch or send order, not the scalar walk's: common on integer
+delays, rare on random float ones.
 
 The DATA stream and the SESSION flushes each run on one stream lane
 (:class:`_Stream`) whose loss draws only its cascades consume: DATA has
@@ -421,7 +424,6 @@ class _FastDissem:
 
     __slots__ = (
         "stream", "dissem", "agent_pos", "receivers", "scratch", "streams",
-        "inflight",
     )
 
     def __init__(
@@ -458,9 +460,6 @@ class _FastDissem:
                 stream.session_interval, None,
             ),
         }
-        # Hop/drop charge times of every fast transmission, by kind —
-        # reconciled against the drain cutoff in finalize_fast_dissem.
-        self.inflight: list[tuple[PacketKind, np.ndarray, np.ndarray | None]] = []
 
 
 class SimNetwork:
@@ -709,41 +708,6 @@ class SimNetwork:
     def fast_dissem_enabled(self) -> bool:
         return self._fast is not None
 
-    def finalize_fast_dissem(self, now: float) -> None:
-        """Reconcile fast-path charges against the drain cutoff.
-
-        The scalar path charges each hop/drop when its transmit event
-        fires; events strictly after the final ``run(until=now)`` cutoff
-        never fire and are never charged.  The fast path charged whole
-        journeys at send time, recording each charge's would-be event
-        time — refund the ones the scalar path would not have made.
-        """
-        fast = self._fast
-        if fast is None:
-            return
-        for kind, hop_times, drop_times in fast.inflight:
-            late = int(np.count_nonzero(hop_times > now))
-            if late:
-                self.ledger.refund_hops(kind, late)
-            if drop_times is not None:
-                late_drops = int(np.count_nonzero(drop_times > now))
-                if late_drops:
-                    self.ledger.refund_drops(kind, late_drops)
-        fast.inflight.clear()
-
-    def _charge_fast(
-        self,
-        packet: Packet,
-        hop_times: np.ndarray,
-        drop_times: np.ndarray | None,
-    ) -> None:
-        """Charge a resolved journey's hops and drops, recording their
-        would-be transmit times for the drain refunds."""
-        self.ledger.charge_hops(packet.kind, int(hop_times.size))
-        if drop_times is not None and drop_times.size:
-            self.ledger.charge_drops(packet.kind, int(drop_times.size))
-        self._fast.inflight.append((packet.kind, hop_times, drop_times))
-
     def _apply_fast(
         self,
         packet: Packet,
@@ -756,7 +720,9 @@ class SimNetwork:
         to the agents of ``rows`` as one calendar batch, leaving out the
         deliveries that cannot change their receiver's state (see
         :class:`FastReceivers`)."""
-        self._charge_fast(packet, hop_times, drop_times)
+        self.ledger.charge_fast(
+            packet.kind, self.events.now, hop_times, drop_times
+        )
         receivers = self._fast.receivers
         keep = recorded = None
         if 0 <= packet.seq < receivers.arrival.shape[1]:
@@ -1051,13 +1017,13 @@ class SimNetwork:
             or (self._lossless_recovery and packet.is_recovery_traffic)
         ):
             # Draw-free journey: one arrival event instead of one per
-            # hop; per-hop transmit times recorded for drain refunds.
-            t = self.events.now
+            # hop; the ledger counts each hop at its transmit instant.
+            now = t = self.events.now
             hop_times = np.empty(len(path.delays), dtype=np.float64)
             for i, d in enumerate(path.delays):
                 hop_times[i] = t
                 t = t + d
-            self._charge_fast(packet, hop_times, None)
+            self.ledger.charge_fast(packet.kind, now, hop_times)
             self.events.schedule_at(t, partial(self._deliver, packet, dst))
             return
         _PathTransit(self, path, packet, None)()

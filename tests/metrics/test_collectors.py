@@ -1,5 +1,6 @@
 """Tests for the bandwidth ledger and recovery log."""
 
+import numpy as np
 import pytest
 
 from repro.metrics.collectors import BandwidthLedger, RecoveryLog
@@ -60,24 +61,58 @@ class TestBandwidthLedger:
         with pytest.raises(ValueError):
             ledger.charge_drops(PacketKind.DATA, -1)
 
-    def test_refunds_reverse_charges(self):
+    @staticmethod
+    def _fast_ledger():
+        # A journey sent at t=5: three hops and one drop at the send,
+        # the rest later; one instant (9) is shared by a hop and a drop.
         ledger = BandwidthLedger()
-        ledger.charge_hops(PacketKind.SESSION, 10)
-        ledger.charge_drops(PacketKind.SESSION, 4)
-        ledger.refund_hops(PacketKind.SESSION, 3)
-        ledger.refund_drops(PacketKind.SESSION, 1)
-        assert ledger.hops_by_kind[PacketKind.SESSION] == 7
-        assert ledger.drops_by_kind[PacketKind.SESSION] == 3
+        ledger.charge_fast(
+            PacketKind.SESSION, 5.0,
+            np.array([5.0, 7.0, 5.0, 9.0, 5.0, 12.0]),
+            np.array([5.0, 9.0]),
+        )
+        return ledger
 
-    def test_refund_cannot_exceed_charged_total(self):
-        ledger = BandwidthLedger()
-        ledger.charge_hops(PacketKind.NACK, 2)
-        with pytest.raises(ValueError, match="exceeds charged total"):
-            ledger.refund_hops(PacketKind.NACK, 3)
-        with pytest.raises(ValueError, match="exceeds charged total"):
-            ledger.refund_drops(PacketKind.NACK, 1)
-        with pytest.raises(ValueError):
-            ledger.refund_hops(PacketKind.NACK, -1)
+    def _counts(self, ledger):
+        return (
+            ledger.hops_by_kind[PacketKind.SESSION],
+            ledger.drops_by_kind[PacketKind.SESSION],
+        )
+
+    def test_fast_charges_at_the_send_count_at_once(self):
+        ledger = self._fast_ledger()
+        assert self._counts(ledger) == (3, 1)
+        ledger.settle(5.0)
+        assert self._counts(ledger) == (3, 1)
+
+    def test_settle_counts_charges_strictly_before_the_clock(self):
+        ledger = self._fast_ledger()
+        ledger.settle(9.0)  # a reader at 9 runs before the charges at 9
+        assert self._counts(ledger) == (4, 1)
+        ledger.settle(9.5)
+        assert self._counts(ledger) == (5, 2)
+        ledger.settle(9.5)  # each charge counts once
+        assert self._counts(ledger) == (5, 2)
+        ledger.settle(100.0)
+        assert self._counts(ledger) == (6, 2)
+
+    def test_close_counts_through_the_cutoff_and_discards_the_rest(self):
+        ledger = self._fast_ledger()
+        ledger.close(9.0)  # at the cutoff counts, past it never will
+        assert self._counts(ledger) == (5, 2)
+        ledger.settle(100.0)
+        assert self._counts(ledger) == (5, 2)
+
+    def test_settled_fast_charges_equal_scalar_charges(self):
+        scalar = BandwidthLedger()
+        for _ in range(6):
+            scalar.charge_hop(PacketKind.SESSION)
+        for _ in range(2):
+            scalar.charge_drop(PacketKind.SESSION)
+        fast = self._fast_ledger()
+        assert fast != scalar
+        fast.close(12.0)
+        assert fast == scalar
 
 
 class TestRecoveryLog:

@@ -11,7 +11,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.net.generators import TopologyConfig, random_backbone
-from repro.net.mcast_tree import MulticastTree, random_multicast_tree
+from repro.net.mcast_tree import (
+    MulticastTree,
+    floor_log2,
+    random_multicast_tree,
+)
 
 
 def build(seed, routers=25):
@@ -170,3 +174,16 @@ def test_index_after_prune_graft_matches_fresh_build(seed, data):
     assert_index_matches_naive(tree)
     parents = {v: tree.parent(v) for v in tree.members if v != tree.root}
     assert_same_index(tree, MulticastTree(topo, tree.root, parents))
+
+
+def test_floor_log2_matches_the_halving_recurrence():
+    # The sparse tables' level lookup: log2[i] = log2[i // 2] + 1 from
+    # i = 2, zero at 0 and 1, as int64.
+    n = (1 << 17) + 3
+    expected = np.zeros(n + 1, dtype=np.int64)
+    for i in range(2, n + 1):
+        expected[i] = expected[i >> 1] + 1
+    got = floor_log2(n)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    assert floor_log2(0).tolist() == [0]

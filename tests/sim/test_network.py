@@ -314,6 +314,9 @@ class TestFastBatch:
         net.flood_tree(clients[3], self.REPAIR)
         grown = (len(events._heap) - heap, events.pending - pending)
         events.run()
+        # A fast hop counts once its transmit instant has passed; every
+        # hop here leaves before the last delivery.
+        net.ledger.close(events.now)
         deliveries = {node: rec.deliveries for node, rec in recorders.items()}
         return grown, deliveries, dict(net.ledger.hops_by_kind), events
 

@@ -19,7 +19,11 @@ consumption, arrival times, delivery sets and ledger totals;
 ``events_processed`` is the one quantity that legitimately differs —
 the fast path schedules one event per delivery that can change its
 receiver's state instead of one per link traversal — so this column is
-compared modulo that counter.
+compared modulo that counter.  A fifth column holds a collector-armed
+fast run to its scalar reference window by window: every series but
+``events_processed`` and ``pending_timers`` (the events still on the
+calendar at a window's end).  Both columns hold where no two events
+share an instant; the strict xfails at the end pin cases where two do.
 
 Every off value is checked against its default on three observables:
 the run's summary, ledger and latencies for the five protocols, the
@@ -44,6 +48,7 @@ from repro.experiments.runner import (
     run_protocol,
     run_protocol_detailed,
 )
+from repro.metrics.collectors import BandwidthLedger
 from repro.obs import TimeSeriesCollector
 from repro.obs.health import evaluate_health
 from repro.obs.instrumentation import Instrumentation
@@ -59,7 +64,7 @@ from repro.sim.membership import (
     MembershipSchedule,
     random_membership_schedule,
 )
-from repro.net.generators import line_topology
+from repro.net.generators import grid_topology, line_topology
 from repro.net.mcast_tree import MulticastTree, random_multicast_tree
 from repro.net.routing import RoutingTable
 from repro.net.topology import NodeKind, Topology
@@ -217,16 +222,89 @@ def test_feature_off_summary_json_is_identical(off_value, scalar_dissem):
     assert dumps[0] == dumps[1]
 
 
+@pytest.fixture
+def fast_armed(monkeypatch):
+    """Whether each run's :meth:`SimNetwork.enable_fast_dissem` armed
+    the fast path, in run order (``scalar_dissem`` runs bypass it)."""
+    armed = []
+    arm = SimNetwork.enable_fast_dissem
+
+    def spy(network, stream):
+        armed.append(arm(network, stream))
+        return armed[-1]
+
+    monkeypatch.setattr(SimNetwork, "enable_fast_dissem", spy)
+    return armed
+
+
+# -- fast dissemination under a time-series collector ----------------------
+
+#: The window series a collector-armed fast run may differ in: it runs
+#: fewer events, so fewer of them are pending at a window's end.
+EVENT_SERIES = ("events_processed", "pending_timers")
+
+
+def _windowed_pair(scalar_dissem, factory_cls, config, width):
+    """Artifacts of one collector-armed run, fast and then scalar."""
+
+    def variant(built):
+        return {}, {"timeseries": TimeSeriesCollector(window=width)}
+
+    fast = _run(variant, factory_cls, config=config)
+    with scalar_dissem():
+        return fast, _run(variant, factory_cls, config=config)
+
+
+def _windowed_observables(artifacts):
+    series = artifacts.timeseries.series()
+    for name in EVENT_SERIES:
+        del series[name]
+    return _observables(artifacts, True), series
+
+
+@pytest.mark.parametrize("width", [50.0, 7.3])
+@pytest.mark.parametrize("lossless", [False, True], ids=["lossy", "lossless"])
+@pytest.mark.parametrize(
+    "factory_cls",
+    [RPProtocolFactory, SRMProtocolFactory, RMAProtocolFactory],
+    ids=lambda c: c.name,
+)
+def test_collector_windows_match_scalar(
+    factory_cls, lossless, width, scalar_dissem, fast_armed
+):
+    # The ledger counts a fast hop once its transmit instant has passed,
+    # so every window reads the hops the scalar run charged by then.
+    config = dataclasses.replace(CONFIG, lossless_recovery=lossless)
+    fast, scalar = _windowed_pair(scalar_dissem, factory_cls, config, width)
+    assert fast_armed == [True]
+    assert _windowed_observables(fast) == _windowed_observables(scalar)
+    assert fast.summary.events_processed < scalar.summary.events_processed
+
+
+def test_collector_settles_strictly_before_its_clock(
+    scalar_dissem, fast_armed
+):
+    # A window snapshot taken by a delivery at t must not count the
+    # onward hops at t: on this run, counting them (settling at or
+    # before the clock) moves request hops into the wrong window.
+    config = ScenarioConfig(
+        seed=2, num_routers=120, loss_prob=0.1, num_packets=10,
+        lossless_recovery=True,
+    )
+    fast, scalar = _windowed_pair(
+        scalar_dissem, RMAProtocolFactory, config, 7.3
+    )
+    assert fast_armed == [True]
+    assert _windowed_observables(fast) == _windowed_observables(scalar)
+    assert sum(fast.timeseries.series()["request_hops"]) > 0
+
+
 # -- feature-specific cases ------------------------------------------------
 
 
-def test_armed_collector_never_perturbs_the_simulation():
-    # The run summary matches the uninstrumented one except
-    # events_processed: the collector disarms the array dissemination
-    # fast path, which coalesces per-member deliveries.
-    def strip_events(summary):
-        return dataclasses.replace(summary, events_processed=0)
-
+def test_armed_collector_never_perturbs_the_simulation(fast_armed):
+    # The collector leaves the array dissemination fast path armed, so
+    # the run summary matches the uninstrumented one exactly.
     built = build_scenario(CONFIG)
     baseline = run_protocol(built, RPProtocolFactory())
     instr = Instrumentation.recording(timeseries=TimeSeriesCollector())
@@ -236,7 +314,8 @@ def test_armed_collector_never_perturbs_the_simulation():
         )
     finally:
         instr.close()
-    assert strip_events(artifacts.summary) == strip_events(baseline)
+    assert fast_armed == [True, True]
+    assert artifacts.summary == baseline
     assert artifacts.timeseries is not None
     assert artifacts.timeseries.finalized
     assert artifacts.health is not None
@@ -370,23 +449,14 @@ def test_jitter_disables_fast_path(scalar_dissem):
     assert armed.summary == scalar.summary
 
 
-def test_tracing_disables_fast_path(monkeypatch, scalar_dissem):
+def test_tracing_disables_fast_path(scalar_dissem, fast_armed):
     # A fast dissemination emits no link events for the tracer to see,
     # so the runner registers the tracer first and arming refuses.
-    armed = []
-    arm = SimNetwork.enable_fast_dissem
-
-    def spy(network, stream):
-        armed.append(arm(network, stream))
-        return armed[-1]
-
-    monkeypatch.setattr(SimNetwork, "enable_fast_dissem", spy)
-
     def traced(built):
         return {}, {"trace": True}
 
     fast = _run(traced, RPProtocolFactory)
-    assert armed == [False]
+    assert fast_armed == [False]
     with scalar_dissem():
         scalar = _run(traced, RPProtocolFactory)
     assert _observables(fast) == _observables(scalar)
@@ -513,18 +583,26 @@ def test_session_tails_past_the_drain_cutoff_stay_unresolved(
         lossless_recovery=True, session_interval=30.0, drain_time=10.0,
     )
     in_flight = []
-    finalize = SimNetwork.finalize_fast_dissem
+    armed = []
+    arm = SimNetwork.enable_fast_dissem
+    close = BandwidthLedger.close
 
-    def spy(network, now):
-        fast = network._fast
-        if fast is not None:  # the scalar reference run has none
-            cascades = fast.streams[PacketKind.SESSION].cascades
-            in_flight.append(len(cascades.arrivals))
-            # Resolved up to the next send, which lies past the cutoff.
-            assert cascades.lo > now
-        finalize(network, now)
+    def arming(network, stream):
+        armed.append(network)
+        return arm(network, stream)
 
-    monkeypatch.setattr(SimNetwork, "finalize_fast_dissem", spy)
+    def spy(ledger, now):
+        # The scalar reference run arms no network.
+        for network in armed:
+            if network.ledger is ledger:
+                cascades = network._fast.streams[PacketKind.SESSION].cascades
+                in_flight.append(len(cascades.arrivals))
+                # Resolved up to the next send, which lies past the cutoff.
+                assert cascades.lo > now
+        close(ledger, now)
+
+    monkeypatch.setattr(SimNetwork, "enable_fast_dissem", arming)
+    monkeypatch.setattr(BandwidthLedger, "close", spy)
     fast, fast_tx, scalar, scalar_tx = _fast_and_scalar_sessions(
         scalar_dissem, transmits, RPProtocolFactory, config
     )
@@ -825,3 +903,59 @@ def test_integer_delay_duplicate_repair_ties(
             elif e["action"] == "cancelled":
                 cancelled.add((e["node"], e["time"]))
     assert set(elided["restored"]) & armed_now & cancelled
+
+
+# -- fast dissemination: same-instant deliveries --------------------------
+
+
+def _grid_scenario(tree_rng, seed):
+    """A 3×3 router grid of 10 ms links under a random tree: many
+    equal-delay paths, so deliveries to different members and the
+    events they cause share instants."""
+    topology = grid_topology(3, 3, delay=10.0, loss_prob=0.2)
+    return BuiltScenario(
+        config=ScenarioConfig(
+            seed=seed, num_routers=topology.num_nodes, loss_prob=0.2,
+            num_packets=6, lossless_recovery=True,
+        ),
+        topology=topology,
+        tree=random_multicast_tree(topology, np.random.default_rng(tree_rng)),
+        routing=RoutingTable(topology),
+    )
+
+
+def _request_chain_scenario():
+    """Random float delays, yet a tie.  Member 35's RMA request for seq
+    3 passes member 55 on its route to 26 at the instant 55 sends its
+    own, one request timeout after 35's earlier request reached it;
+    both then take one route and reach 26 at t = 150.3647 ms.  The fast
+    path delivers them in send order, the scalar walk in last-hop order,
+    so 26 repairs a different member first."""
+    return build_scenario(ScenarioConfig(
+        seed=1, num_routers=60, loss_prob=0.1, num_packets=30,
+        lossless_recovery=True,
+    ))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="same-instant deliveries fire in batch or send order on the "
+    "fast path, not in the scalar walk's order",
+)
+@pytest.mark.parametrize(
+    "factory_cls, scenario",
+    [
+        (SRMProtocolFactory, lambda: _grid_scenario(1, 1)),
+        (RMAProtocolFactory, lambda: _grid_scenario(2, 1)),
+        (RPProtocolFactory, lambda: _grid_scenario(0, 2)),
+        (RMAProtocolFactory, _request_chain_scenario),
+    ],
+    ids=["SRM-grid", "RMA-grid", "RP-grid", "RMA-request-chain"],
+)
+def test_same_instant_ties_match_scalar(factory_cls, scenario, scalar_dissem):
+    built = scenario()
+    fast = run_protocol_detailed(built, factory_cls())
+    with scalar_dissem():
+        scalar = run_protocol_detailed(built, factory_cls())
+    assert _summary(fast, True) == _summary(scalar, True)
