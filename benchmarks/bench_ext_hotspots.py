@@ -108,9 +108,11 @@ def run_protocols_on(topo, tree, routing, seed):
         )
         tracker = CompletionTracker(len(tree.clients), bench_packets(), events)
         source = factory.install(net, log, tracker, streams, bench_packets())
-        StreamDriver(
-            net, source, StreamConfig(num_packets=bench_packets()), tracker
-        ).start()
+        stream = StreamConfig(
+            num_packets=bench_packets(), data_interval=10.0,
+            session_interval=50.0,
+        )
+        StreamDriver(net, source, stream, tracker).start()
         events.run(max_events=20_000_000)
         assert tracker.complete
         out[factory.name] = log.mean_latency()

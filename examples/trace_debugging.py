@@ -77,7 +77,10 @@ def main() -> None:
     tracker = CompletionTracker(3, 3, events)
     factory = RPProtocolFactory()
     source_agent = factory.install(net, log, tracker, RngStreams(0), 3)
-    StreamDriver(net, source_agent, StreamConfig(num_packets=3), tracker).start()
+    stream = StreamConfig(
+        num_packets=3, data_interval=10.0, session_interval=50.0
+    )
+    StreamDriver(net, source_agent, stream, tracker).start()
     events.run(max_events=100_000)
 
     drops = recorder.drops()

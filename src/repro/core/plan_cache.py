@@ -40,7 +40,6 @@ Observability: hits/misses are counted on the cache itself
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.core.objective import (
@@ -50,6 +49,7 @@ from repro.core.objective import (
 )
 from repro.core.strategy_graph import StrategyRestrictions
 from repro.core.timeouts import FixedTimeout, ProportionalTimeout
+from repro.lru import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.planner import RecoveryStrategy, RPPlanner
@@ -138,12 +138,9 @@ class PlanCache:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[tuple, dict[int, RecoveryStrategy]]" = (
-            OrderedDict()
-        )
+        self._entries = LRU(capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -191,14 +188,11 @@ class PlanCache:
             if metrics is not None:
                 metrics.counter("plan.cache.misses").inc()
             entry = planner.plan_all()
-            self._entries[key] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._entries.put(key, entry)
         else:
             self.hits += 1
             if metrics is not None:
                 metrics.counter("plan.cache.hits").inc()
-            self._entries.move_to_end(key)
         return dict(entry)
 
     def clear(self) -> None:

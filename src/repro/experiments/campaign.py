@@ -164,6 +164,10 @@ def _figure_block(sweep: SweepResult, ref: PaperReference) -> str:
     return "\n".join(lines)
 
 
+#: Backbone size of the campaign's one instrumented run per protocol.
+TELEMETRY_ROUTERS = 100
+
+
 def run_campaign(
     out_dir: str | pathlib.Path,
     num_packets: int = 30,
@@ -174,7 +178,6 @@ def run_campaign(
     loss_routers: int | None = None,
     progress=print,
     telemetry: bool = False,
-    telemetry_routers: int = 100,
     jobs: int = 1,
 ) -> CampaignResult:
     """Run both sweeps, persist them, and write ``REPORT.md``.
@@ -191,7 +194,7 @@ def run_campaign(
     ``REPORT.md`` instead of aborting the campaign.
 
     With ``telemetry`` one fully instrumented run per protocol is added
-    on a ``telemetry_routers``-sized network and its attempt-level
+    on a :data:`TELEMETRY_ROUTERS`-router network and its attempt-level
     :class:`~repro.obs.report.ObsReport` saved as ``obs_<name>.json``
     next to the sweeps.
     """
@@ -277,7 +280,7 @@ def run_campaign(
 
         config = ScenarioConfig(
             seed=seeds[0],
-            num_routers=telemetry_routers,
+            num_routers=TELEMETRY_ROUTERS,
             loss_prob=0.05,
             num_packets=num_packets,
             lossless_recovery=lossless_recovery,

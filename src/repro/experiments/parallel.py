@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -52,6 +52,7 @@ from dataclasses import dataclass, replace
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import BuiltScenario, build_scenario, run_protocol
+from repro.lru import LRU
 from repro.metrics.summary import RunSummary
 from repro.obs.profiler import Profiler
 from repro.protocols.base import ProtocolFactory
@@ -109,7 +110,7 @@ class UnitFailure:
 
 # -- run side (a worker process, or the caller at jobs == 1) --------------
 
-_scenario_cache: OrderedDict[tuple, BuiltScenario] = OrderedDict()
+_scenario_cache = LRU(SCENARIO_CACHE_SIZE)
 
 
 def _cached_scenario(config: ScenarioConfig) -> BuiltScenario:
@@ -130,12 +131,9 @@ def _cached_scenario(config: ScenarioConfig) -> BuiltScenario:
     key = (config.seed, config.topology_config())
     cached = _scenario_cache.get(key)
     if cached is not None:
-        _scenario_cache.move_to_end(key)
         return replace(cached, config=config)
     built = build_scenario(config)
-    _scenario_cache[key] = built
-    while len(_scenario_cache) > SCENARIO_CACHE_SIZE:
-        _scenario_cache.popitem(last=False)
+    _scenario_cache.put(key, built)
     return built
 
 

@@ -9,6 +9,7 @@ that of SRM and RMA" per generated topology.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.experiments.config import ScenarioConfig
@@ -26,6 +27,7 @@ from repro.obs.health import (
     evaluate_health,
 )
 from repro.obs.instrumentation import Instrumentation
+from repro.obs.profiler import Profiler
 from repro.obs.report import ObsReport, build_obs_report
 from repro.obs.spans import SpanStore
 from repro.obs.timeseries import TimeSeriesCollector
@@ -134,9 +136,10 @@ def run_protocol_detailed(
     (per-loss timelines, per-kind hop counters).
 
     ``instrumentation`` threads a telemetry bundle through the whole
-    run: the event queue gets its profiler (one ``events.run`` scope),
-    RP planning is timed once per plan call (``planner.plan``), the
-    protocol agents get its event bus and counters.  Profiling never
+    run: each of the run's two event-loop passes is timed under
+    ``events.run`` (count: events dispatched), RP planning is timed once
+    per plan call (``planner.plan``), the protocol agents get its event
+    bus and counters.  Profiling never
     changes which dissemination path runs.  Instrumentation never
     touches the RNG streams or event ordering, so an instrumented run
     reproduces the uninstrumented one exactly.
@@ -179,7 +182,7 @@ def run_protocol_detailed(
     if instr is not None and instr.enabled:
         profiler = instr.profiler
     streams = RngStreams(config.seed)
-    events = EventQueue(profiler=profiler)
+    events = EventQueue()
     ledger = BandwidthLedger()
     log = RecoveryLog()
     injector = None
@@ -252,7 +255,7 @@ def run_protocol_detailed(
     network.enable_fast_dissem(config.stream_config())
     driver.start()
 
-    events.run(max_events=config.max_events)
+    _run_events(events, profiler, max_events=config.max_events)
     if not tracker.complete:
         raise RuntimeError(
             f"{factory.name}: session did not complete "
@@ -261,7 +264,10 @@ def run_protocol_detailed(
     if instr is not None:
         instr.phase(events.now, "session.complete")
     # Drain: let armed repair timers and in-flight packets finish.
-    events.run(until=events.now + config.drain_time, max_events=config.max_events)
+    _run_events(
+        events, profiler,
+        until=events.now + config.drain_time, max_events=config.max_events,
+    )
     if instr is not None:
         instr.phase(events.now, "session.drained")
     if tracer is not None:
@@ -324,6 +330,25 @@ def run_protocol_detailed(
     if health.raised:
         raise InvariantError(health, artifacts)
     return artifacts
+
+
+def _run_events(
+    events: EventQueue, profiler: Profiler | None, **run_kwargs
+) -> None:
+    """``events.run(**run_kwargs)``, timed under ``events.run`` with the
+    events it dispatched as the count when ``profiler`` is enabled."""
+    if profiler is None or not profiler.enabled:
+        events.run(**run_kwargs)
+        return
+    t0 = time.perf_counter()
+    before = events.processed
+    try:
+        events.run(**run_kwargs)
+    finally:
+        profiler.add(
+            "events.run", time.perf_counter() - t0,
+            count=events.processed - before,
+        )
 
 
 def ensure_unique_factories(factories: list[ProtocolFactory]) -> None:

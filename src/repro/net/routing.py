@@ -60,10 +60,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import OrderedDict
 
 import numpy as np
 
+from repro.lru import LRU
 from repro.net.topology import NodeKind, Topology
 
 #: Node count up to which ``auto`` picks the exact backend.  Beyond it a
@@ -234,30 +234,16 @@ def _walk_to_root(pred: np.ndarray, node: int) -> list[int]:
     return walk
 
 
-class _RowLRU:
-    """A bounded ``source -> row(s)`` cache shared by both backends."""
-
-    def __init__(self, max_rows: int):
-        if max_rows < 1:
-            raise ValueError("max_rows must be >= 1")
-        self.max_rows = max_rows
-        self.evictions = 0
-        self._entries: OrderedDict[int, object] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: int):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: int, value) -> None:
-        self._entries[key] = value
-        while len(self._entries) > self.max_rows:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+def _row_cache(max_rows: int | None, row_bytes: int) -> LRU:
+    """A backend's ``source -> row(s)`` LRU: ``max_rows`` entries, or by
+    default as many ``row_bytes``-sized rows as the budget holds."""
+    if max_rows is None:
+        max_rows = max(
+            EXACT_ROW_CACHE_MIN_ROWS, EXACT_ROW_CACHE_BUDGET // row_bytes
+        )
+    if max_rows < 1:
+        raise ValueError("max_rows must be >= 1")
+    return LRU(max_rows)
 
 
 class ExactDistanceBackend:
@@ -274,12 +260,7 @@ class ExactDistanceBackend:
 
     def __init__(self, topology: Topology, max_rows: int | None = None):
         self._topology = topology
-        if max_rows is None:
-            per_row = 16 * max(1, topology.num_nodes)
-            max_rows = max(
-                EXACT_ROW_CACHE_MIN_ROWS, EXACT_ROW_CACHE_BUDGET // per_row
-            )
-        self._rows = _RowLRU(max_rows)
+        self._rows = _row_cache(max_rows, 16 * max(1, topology.num_nodes))
         self._sssp: _CoreDijkstra | None = None
 
     @property
@@ -288,7 +269,7 @@ class ExactDistanceBackend:
 
     @property
     def max_cached_rows(self) -> int:
-        return self._rows.max_rows
+        return self._rows.max_size
 
     @property
     def cached_rows(self) -> int:
@@ -444,12 +425,7 @@ class LandmarkDistanceBackend:
         if near_k < 0:
             raise ValueError(f"near_k must be >= 0, got {near_k}")
         self._near_k = min(near_k, n - 1) if n > 1 else 0
-        if max_rows is None:
-            per_row = 8 * max(1, n)
-            max_rows = max(
-                EXACT_ROW_CACHE_MIN_ROWS, EXACT_ROW_CACHE_BUDGET // per_row
-            )
-        self._rows = _RowLRU(max_rows)
+        self._rows = _row_cache(max_rows, 8 * max(1, n))
         self._build(num_landmarks)
         self._build_near_tier(self._near_k)
 

@@ -12,8 +12,8 @@ behaviour.  This subpackage records it:
   :class:`EventBus`;
 * :mod:`repro.obs.sinks` — pluggable event destinations: in-memory ring
   buffer, JSONL file;
-* :mod:`repro.obs.profiler` — scoped wall-clock timers over the event
-  dispatch loop, the transmit path and the RP planner;
+* :mod:`repro.obs.profiler` — phase-level wall-clock timers (the
+  runner's event-loop passes, RP plan calls, sweep units);
 * :mod:`repro.obs.instrumentation` — the injectable facade bundling the
   three, with a free disabled default (:data:`NULL_INSTRUMENTATION`);
 * :mod:`repro.obs.report` — reduces a run's telemetry to the
@@ -110,7 +110,6 @@ from repro.obs.spans import (
     NO_SPAN,
     Span,
     SpanStore,
-    TraceContext,
 )
 from repro.obs.tracing import Tracer, sample_hash
 
@@ -158,7 +157,6 @@ __all__ = [
     "NO_SPAN",
     "Span",
     "SpanStore",
-    "TraceContext",
     "Tracer",
     "sample_hash",
     "COMPONENTS",

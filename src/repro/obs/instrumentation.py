@@ -16,16 +16,14 @@ The module-level :data:`NULL_INSTRUMENTATION` is the process-wide
 default every simulation runs with unless a caller injects its own; its
 methods are all no-ops so uninstrumented runs pay nothing beyond the
 attribute checks at the call sites.  A plain ``Instrumentation()`` has
-live counters and no sinks, so it builds no records.  Two presets cover
-the common configurations:
-
-* ``Instrumentation.null()`` — the shared disabled singleton;
-* ``Instrumentation.recording(...)`` — ring buffer (optionally plus a
-  JSONL file), profiler on: everything the ``repro obs`` breakdown and
-  :class:`~repro.obs.report.ObsReport` need.  ``recording(trace=True)``
-  adds a causal :class:`~repro.obs.tracing.Tracer` as one more bus
-  sink, which ``trace_ids`` reads span contexts from (the
-  ``repro trace`` configuration).
+live counters and no sinks, so it builds no records.
+``Instrumentation.recording(...)`` is the common configuration: ring
+buffer (optionally plus a JSONL file), profiler on — everything the
+``repro obs`` breakdown and :class:`~repro.obs.report.ObsReport` need.
+``recording(trace=True)`` adds a causal
+:class:`~repro.obs.tracing.Tracer` as one more bus sink, which
+``trace_ids`` reads span contexts from (the ``repro trace``
+configuration).
 """
 
 from __future__ import annotations
@@ -86,11 +84,6 @@ class Instrumentation:
         self._counters: dict[tuple, object] = {}
 
     # -- presets ---------------------------------------------------------
-
-    @staticmethod
-    def null() -> "Instrumentation":
-        """The shared do-nothing instance (the process-wide default)."""
-        return NULL_INSTRUMENTATION
 
     @classmethod
     def recording(

@@ -1,11 +1,12 @@
 """Scoped wall-clock timers for finding hot subsystems.
 
 A :class:`Profiler` accumulates elapsed wall-clock time per label.
-Scopes are phase-level — one per event-loop ``run`` call
-(``events.run``), one per RP plan call (``planner.plan``), one per heap
-compaction and per parallel sweep/unit — never per hop or per client, so
-profiling leaves every path choice (the array dissemination fast path
-included) exactly as an unprofiled run makes it.
+Scopes are phase-level — one per event-loop pass of a run
+(``events.run``, timed by the runner, counting the events dispatched),
+one per RP plan call (``planner.plan``) and per parallel sweep/unit —
+never per hop or per client, so profiling leaves every path choice (the
+array dissemination fast path included) exactly as an unprofiled run
+makes it.  The event queue itself times nothing.
 
 Labels are dotted lowercase.  Scopes may nest and overlap — the
 ``parallel.unit`` time is also inside ``parallel.sweep`` — so totals

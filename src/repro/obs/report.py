@@ -37,6 +37,9 @@ OBS_SCHEMA_VERSION = 1
 #: Decided attempts a list rank needs for its success residual to count.
 RESIDUAL_MIN_DECIDED = 50
 
+#: Rows of the "top timers" table :meth:`ObsReport.render` prints.
+MAX_TIMER_ROWS = 8
+
 
 @dataclass
 class RankStats:
@@ -169,7 +172,7 @@ class ObsReport:
 
     # -- rendering -------------------------------------------------------------
 
-    def render(self, max_timer_rows: int = 8) -> str:
+    def render(self) -> str:
         lines = [f"== {self.protocol} attempt-level breakdown =="]
         mean = self.mean_attempts_per_recovery
         lines.append(
@@ -219,7 +222,7 @@ class ObsReport:
         if self.timers:
             lines.append("")
             lines.append("top timers (wall clock):")
-            for name, count, total in self.timers[:max_timer_rows]:
+            for name, count, total in self.timers[:MAX_TIMER_ROWS]:
                 lines.append(f"  {name:<24} {count:10d} calls  {total * 1e3:10.2f} ms")
         return "\n".join(lines)
 

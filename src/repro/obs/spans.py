@@ -15,8 +15,8 @@ abandoned).  A trace is a tree of :class:`Span` records:
 
 Fault injections, timer arms/fires and backoff increments land as
 *annotations* — timestamped dicts — on the span they concern.  The
-:class:`TraceContext` is the wire form protocol runtimes stamp onto
-:class:`~repro.sim.packet.Packet` so the network layer can attribute a
+``(trace_id, span_id)`` pair protocol runtimes stamp onto a
+:class:`~repro.sim.packet.Packet` lets the network layer attribute a
 link traversal back to the attempt that caused it.
 
 Everything here is plain deterministic data: ids are dense counters in
@@ -35,18 +35,6 @@ NO_SPAN = -1
 CATEGORY_RECOVERY = "recovery"
 CATEGORY_ATTEMPT = "attempt"
 CATEGORY_LINK = "link"
-
-
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """The (trace, span) identity a packet carries on the wire.
-
-    ``trace_id`` names the recovery; ``span_id`` the attempt span the
-    packet belongs to (its REQUEST, or the REPAIR answering it).
-    """
-
-    trace_id: int
-    span_id: int
 
 
 @dataclass(slots=True)

@@ -17,12 +17,11 @@ network's link events, and turns both into the span taxonomy of
 * timer, backoff and fault events become annotations on the span they
   concern.
 
-Protocol runtimes ask :meth:`Tracer.context` (via
-``Instrumentation.trace_ids``) for the open attempt's
-:class:`~repro.obs.spans.TraceContext` and stamp it onto outgoing
-packets; repairs and NACKs copy the context of the request they answer,
-which is what makes the link spans *causal* rather than merely
-temporal.
+Protocol runtimes ask :meth:`Tracer.ids` (via
+``Instrumentation.trace_ids``) for the open attempt's ``(trace_id,
+span_id)`` and stamp it onto outgoing packets; repairs and NACKs copy
+the ids of the request they answer, which is what makes the link spans
+*causal* rather than merely temporal.
 
 Sampling is head-based and deterministic: the keep/drop decision is a
 pure hash of ``(client, seq)`` against ``sample_rate`` — no RNG stream
@@ -50,7 +49,6 @@ from repro.obs.spans import (
     NO_SPAN,
     Span,
     SpanStore,
-    TraceContext,
 )
 from repro.sim.packet import PacketKind
 from repro.sim.trace import TraceEvent, TraceKind
@@ -136,14 +134,6 @@ class Tracer:
         span_id = self._next_span
         self._next_span += 1
         return span_id
-
-    def context(self, client: int, seq: int) -> TraceContext | None:
-        """The open attempt's wire context, or ``None`` when untraced."""
-        state = self._open.get((client, seq))
-        if state is None:
-            return None
-        span = state.current if state.current is not None else state.root
-        return TraceContext(state.trace_id, span.span_id)
 
     def ids(self, client: int, seq: int) -> tuple[int, int]:
         """``(trace_id, span_id)`` for packet stamping; (-1, -1) when

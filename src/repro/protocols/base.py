@@ -184,12 +184,8 @@ class ClientAgent:
         """Detect losses of every unseen sequence in [next_unchecked, upto)."""
         if upto <= self._next_unchecked:
             return
-        now = self.network.events.now
         for seq in range(self._next_unchecked, upto):
-            if seq not in self.received and seq not in self.detected:
-                self.detected.add(seq)
-                self.log.loss_detected(self.node, seq, now)
-                self.on_loss_detected(seq)
+            self.force_detect(seq)
         self._next_unchecked = upto
 
     # -- hooks ------------------------------------------------------------
@@ -265,11 +261,12 @@ class ClientAgent:
         checker counts stale armed timers at drain."""
 
     def force_detect(self, seq: int) -> None:
-        """Treat ``seq`` as lost right now even without a gap.
+        """Treat ``seq`` as lost right now.
 
-        Used when external evidence proves the packet exists — e.g. RMA
-        receiving someone's request for it — before any later packet
-        arrived to reveal the gap.  No-op if already received/detected.
+        The gap scan calls it for every unseen sequence below a newer
+        one; RMA calls it when someone's request proves the packet
+        exists before any later packet revealed the gap.  No-op if
+        already received/detected.
         """
         if seq in self.received or seq in self.detected:
             return
@@ -364,7 +361,9 @@ class SourceAgentBase(abc.ABC):
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Data/session stream parameters.
+    """Data/session stream parameters; a run takes them from
+    :meth:`~repro.experiments.config.ScenarioConfig.stream_config`,
+    which holds their defaults.
 
     Parameters
     ----------
@@ -378,8 +377,8 @@ class StreamConfig:
     """
 
     num_packets: int
-    data_interval: float = 10.0
-    session_interval: float = 50.0
+    data_interval: float
+    session_interval: float
 
     def __post_init__(self) -> None:
         if self.num_packets < 1:

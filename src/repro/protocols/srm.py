@@ -100,23 +100,14 @@ class _SRMRepairLogic:
     Every change of a held seq's repair state tells the network's
     screen when the agent can next arm a timer (:meth:`_reopen_nacks`),
     and the screen puts back the first NACK from then on.
+
+    Runs on the agent's own ``node``, ``network`` and ``instr``, so the
+    agent's base class sets those first.
     """
 
-    def __init__(
-        self,
-        node: int,
-        network: SimNetwork,
-        config: SRMConfig,
-        rng: np.random.Generator,
-        instrumentation: Instrumentation | None = None,
-    ):
-        self._srm_node = node
-        self._srm_network = network
-        self._srm_config = config
-        self._srm_rng = rng
-        self._srm_instr = (
-            instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-        )
+    def __init__(self, config: SRMConfig, rng: np.random.Generator):
+        self.config = config
+        self._rng = rng
         self._repair_timers: dict[int, Timer] = {}
         self._repair_hold_until: dict[int, float] = {}
         # Trace context of the NACK each pending repair answers, so the
@@ -124,8 +115,9 @@ class _SRMRepairLogic:
         self._repair_ctx: dict[int, tuple[int, int]] = {}
         # The hold another member's repair starts: the repair-hold
         # factor times the distance to the source, at least one unit.
+        network = self.network
         self._suppress_hold = config.repair_hold_factor * max(
-            network.routing.delay(node, network.tree.root), 1.0
+            network.routing.delay(self.node, network.tree.root), 1.0
         )
         # The dropped duplicate REPAIRs, seq -> sorted [(t, key seq,
         # packet index)], and the fast path's repair-deadline row (both
@@ -168,7 +160,7 @@ class _SRMRepairLogic:
         records = self._suppressed.get(seq)
         if not records:
             return
-        now_key = self._srm_network.events.current_key
+        now_key = self.network.events.current_key
         if records[0] > now_key:
             return
         i = bisect.bisect_left(records, now_key)
@@ -183,7 +175,7 @@ class _SRMRepairLogic:
         return self._repair_hold_until
 
     def _maybe_schedule_repair(self, nack: Packet) -> None:
-        now = self._srm_network.events.now
+        now = self.network.events.now
         seq, requester = nack.seq, nack.origin
         if seq in self._repair_timers:
             return
@@ -191,18 +183,18 @@ class _SRMRepairLogic:
         if self._repair_hold_until.get(seq, -1.0) > now:
             self._reopen_nacks(seq, heard=True)
             return
-        cfg = self._srm_config
-        d_a = self._srm_network.routing.delay(self._srm_node, requester)
+        cfg = self.config
+        d_a = self.network.routing.delay(self.node, requester)
         low, high = cfg.d1 * d_a, (cfg.d1 + cfg.d2) * d_a
         delay = low
         if high > low:  # Generator.uniform(low, high), bit for bit
-            delay += (high - low) * self._srm_rng.random()
+            delay += (high - low) * self._rng.random()
         self._repair_ctx[seq] = (nack.trace_id, nack.span_id)
-        self._repair_timers[seq] = self._srm_network.events.schedule(
+        self._repair_timers[seq] = self.network.events.schedule(
             delay, lambda: self._fire_repair(seq, requester)
         )
-        self._srm_instr.timer(
-            now, "srm", self._srm_node, "srm.repair", "armed",
+        self.instr.timer(
+            now, "srm", self.node, "srm.repair", "armed",
             deadline=now + delay, seq=seq,
         )
         if self._repair_due is not None:
@@ -216,28 +208,28 @@ class _SRMRepairLogic:
         (It was keyed before the timer, so a tie at ``due`` is its.)"""
         records = self._suppressed.get(seq)
         if records and records[0][0] <= due:
-            self._srm_network.redeliver(records.pop(0), self._srm_node)
+            self.network.redeliver(records.pop(0), self.node)
 
     def _fire_repair(self, seq: int, requester: int) -> None:
         self._settle(seq)
         self._repair_timers.pop(seq, None)
         if self._repair_due is not None:
             self._repair_due[seq] = -math.inf
-        self._srm_instr.timer(
-            self._srm_network.events.now, "srm", self._srm_node,
+        self.instr.timer(
+            self.network.events.now, "srm", self.node,
             "srm.repair", "fired", seq=seq,
         )
-        cfg = self._srm_config
-        d_a = self._srm_network.routing.delay(self._srm_node, requester)
+        cfg = self.config
+        d_a = self.network.routing.delay(self.node, requester)
         self._repair_hold_until[seq] = (
-            self._srm_network.events.now + cfg.repair_hold_factor * d_a
+            self.network.events.now + cfg.repair_hold_factor * d_a
         )
         self._reopen_nacks(seq)
         trace_id, span_id = self._repair_ctx.pop(seq, (-1, -1))
-        self._srm_network.flood_tree(
-            self._srm_node,
+        self.network.flood_tree(
+            self.node,
             Packet(
-                PacketKind.REPAIR, seq, origin=self._srm_node,
+                PacketKind.REPAIR, seq, origin=self.node,
                 trace_id=trace_id, span_id=span_id,
             ),
         )
@@ -250,15 +242,15 @@ class _SRMRepairLogic:
             timer.cancel()
             if self._repair_due is not None:
                 self._repair_due[seq] = -math.inf
-            self._srm_instr.timer(
-                self._srm_network.events.now, "srm", self._srm_node,
+            self.instr.timer(
+                self.network.events.now, "srm", self.node,
                 "srm.repair", "cancelled", seq=seq,
             )
         # Seeing someone else's repair also starts our hold period:
         # without it we might respond to a retransmitted NACK that the
         # just-seen repair is already answering.
         self._repair_hold_until[seq] = (
-            self._srm_network.events.now + self._suppress_hold
+            self.network.events.now + self._suppress_hold
         )
         if self.has(seq):
             self._reopen_nacks(seq)
@@ -293,11 +285,7 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
             self, node, network, log, tracker, num_packets,
             instrumentation=instrumentation,
         )
-        _SRMRepairLogic.__init__(
-            self, node, network, config, rng, instrumentation=instrumentation
-        )
-        self.config = config
-        self._rng = rng
+        _SRMRepairLogic.__init__(self, config, rng)
         self._d_source = network.routing.delay(node, network.tree.root)
         self._requests: dict[int, _PendingRequest] = {}
 
@@ -475,9 +463,10 @@ class SRMSourceAgent(SourceAgentBase, _SRMRepairLogic):
         instrumentation: Instrumentation | None = None,
     ):
         SourceAgentBase.__init__(self, node, network)
-        _SRMRepairLogic.__init__(
-            self, node, network, config, rng, instrumentation=instrumentation
+        self.instr = (
+            instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
+        _SRMRepairLogic.__init__(self, config, rng)
 
     def bind_fast_path(self, receivers, row: int) -> None:
         super().bind_fast_path(receivers, row)

@@ -43,14 +43,10 @@ that pop order.
 from __future__ import annotations
 
 import heapq
-import time
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profiler import Profiler
 
 #: Compaction never triggers below this many dead timers — tiny runs
 #: keep the zero-bookkeeping fast path.
@@ -132,7 +128,7 @@ class _Batch:
 class EventQueue:
     """The simulator clock and future-event list."""
 
-    def __init__(self, profiler: "Profiler | None" = None):
+    def __init__(self):
         self._now = 0.0
         # (time, seq, timer) entries; the list object is never replaced,
         # so a dispatch loop may hold it across callbacks that compact.
@@ -151,10 +147,6 @@ class EventQueue:
         # Set by stop(); the dispatch loop returns after the event that
         # set it (or, set between runs, after the next run's first).
         self._stopping = False
-        # Optional wall-clock profiling of the dispatch loop; one scope
-        # per run() call (not per event), so an attached-but-disabled
-        # profiler costs nothing on the hot path.
-        self.profiler = profiler
 
     @property
     def now(self) -> float:
@@ -296,18 +288,6 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled timers (order-preserving)."""
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            t0 = time.perf_counter()
-            removed = self._cancelled
-            self._compact_inner()
-            profiler.add(
-                "engine.compact", time.perf_counter() - t0, count=removed
-            )
-            return
-        self._compact_inner()
-
-    def _compact_inner(self) -> None:
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
@@ -358,26 +338,6 @@ class EventQueue:
             raise ValueError(
                 f"cannot run until {until}, current time is {self._now}"
             )
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            t0 = time.perf_counter()
-            before = self._processed
-            try:
-                self._run(until, max_events)
-            finally:
-                profiler.add(
-                    "events.run",
-                    time.perf_counter() - t0,
-                    count=self._processed - before,
-                )
-            return
-        self._run(until, max_events)
-
-    def _run(
-        self,
-        until: float | None,
-        max_events: int | None,
-    ) -> None:
         heap = self._heap
         heappop = heapq.heappop
         executed = 0

@@ -118,18 +118,22 @@ class MembershipSchedule:
         return tuple(sorted({e.node for e in self.events}))
 
 
+#: Cap on one churner's leave/join events in a sampled schedule.
+MAX_EVENTS_PER_NODE = 4
+
+
 def random_membership_schedule(
     intensity: float,
     rng: np.random.Generator,
     clients: list[int],
     horizon: float,
-    max_events_per_node: int = 4,
 ) -> MembershipSchedule:
     """Sample a Poisson churn workload scaling with ``intensity`` ∈ [0, 1].
 
     A fraction of ``clients`` (the candidates; callers exclude the
     source) becomes churners; each draws exponential inter-event gaps —
-    leave, possibly rejoin, possibly leave again — within ``horizon``.
+    leave, possibly rejoin, possibly leave again, at most
+    :data:`MAX_EVENTS_PER_NODE` events — within ``horizon``.
     A leaver whose rejoin would land beyond the horizon departs
     permanently.  ``intensity == 0`` returns the null schedule drawing
     nothing, so a zero-churn point is bit-identical to a churn-free run.
@@ -151,14 +155,14 @@ def random_membership_schedule(
             node = clients[index]
             t = float(rng.exponential(0.35 * horizon))
             emitted = 0
-            while t < 0.7 * horizon and emitted < max_events_per_node:
+            while t < 0.7 * horizon and emitted < MAX_EVENTS_PER_NODE:
                 events.append(MembershipEvent(time=t, node=node, kind=LEAVE))
                 emitted += 1
                 away = float(
                     rng.exponential(0.12 * horizon * (0.5 + intensity))
                 )
                 rejoin_at = t + away
-                if rejoin_at >= 0.85 * horizon or emitted >= max_events_per_node:
+                if rejoin_at >= 0.85 * horizon or emitted >= MAX_EVENTS_PER_NODE:
                     break  # permanent departure
                 events.append(
                     MembershipEvent(time=rejoin_at, node=node, kind=JOIN)

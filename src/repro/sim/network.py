@@ -69,7 +69,6 @@ share the flood walker.
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -77,6 +76,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
+from repro.lru import LRU
 from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
 from repro.net.topology import Link, Topology
@@ -128,6 +128,17 @@ class _RoutedPath:
         self.links = links
         self.delays = [link.delay for link in links]
         self.lossless = all(link.loss_prob == 0.0 for link in links)
+
+    def hop_times(self, start: float) -> tuple[np.ndarray, float]:
+        """Transmit instant of each hop of a walk leaving at ``start``,
+        and its arrival time: the scalar walk's clock, one left-to-right
+        float addition per hop."""
+        times = np.empty(len(self.delays), dtype=np.float64)
+        t = start
+        for i, d in enumerate(self.delays):
+            times[i] = t
+            t = t + d
+        return times, t
 
 
 class _PathTransit:
@@ -545,8 +556,8 @@ class SimNetwork:
         # LRUs of routed unicast paths and tree access legs (both as
         # _RoutedPath records), shared by the scalar transits and the
         # fast path's delay prefixes.
-        self._path_cache: OrderedDict[tuple[int, int], _RoutedPath] = OrderedDict()
-        self._leg_cache: OrderedDict[tuple[int, int], _RoutedPath] = OrderedDict()
+        self._path_cache = LRU(PATH_CACHE_SIZE)
+        self._leg_cache = LRU(LEG_CACHE_SIZE)
 
     # -- link observers ---------------------------------------------------
 
@@ -627,31 +638,21 @@ class SimNetwork:
     # -- path caches -----------------------------------------------------
 
     def _routed_path(self, src: int, dst: int) -> _RoutedPath:
-        cache = self._path_cache
         key = (src, dst)
-        entry = cache.get(key)
+        entry = self._path_cache.get(key)
         if entry is None:
             entry = _RoutedPath(self.topology, self.routing.path(src, dst))
-            cache[key] = entry
-            if len(cache) > PATH_CACHE_SIZE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
+            self._path_cache.put(key, entry)
         return entry
 
     def _tree_leg(self, src: int, subtree_root: int) -> _RoutedPath:
-        cache = self._leg_cache
         key = (src, subtree_root)
-        entry = cache.get(key)
+        entry = self._leg_cache.get(key)
         if entry is None:
             entry = _RoutedPath(
                 self.topology, self.tree.tree_path(src, subtree_root)
             )
-            cache[key] = entry
-            if len(cache) > LEG_CACHE_SIZE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
+            self._leg_cache.put(key, entry)
         return entry
 
     # -- dynamic membership ----------------------------------------------
@@ -858,28 +859,20 @@ class SimNetwork:
         p0 = int(dissem.pos_of_node[subtree_root])
         if not exempt and not dissem.subtree_is_lossless(p0):
             return False
-        now = self.events.now
-        leg_times: list[float] = []
+        leg_times = None
+        t_root = self.events.now
         if src != subtree_root:
             leg = self._tree_leg(src, subtree_root)
             if not exempt and not leg.lossless:
                 return False
-            t = now
-            for d in leg.delays:
-                leg_times.append(t)
-                t = t + d
-            t_root = t
-        else:
-            t_root = now
+            leg_times, t_root = leg.hop_times(t_root)
         scratch = fast.scratch
         dissem_mod.subtree_arrivals(dissem, p0, t_root, scratch)
         size = int(dissem.size_pos[p0])
         inner = np.arange(p0 + 1, p0 + size, dtype=np.int64)
         hop_times = scratch[dissem.parent_pos[inner]]
-        if leg_times:
-            hop_times = np.concatenate(
-                (np.asarray(leg_times, dtype=np.float64), hop_times)
-            )
+        if leg_times is not None:
+            hop_times = np.concatenate((leg_times, hop_times))
         agent_pos = fast.agent_pos
         lo = int(np.searchsorted(agent_pos, p0 + 1))
         hi = int(np.searchsorted(agent_pos, p0 + size))
@@ -1018,13 +1011,10 @@ class SimNetwork:
         ):
             # Draw-free journey: one arrival event instead of one per
             # hop; the ledger counts each hop at its transmit instant.
-            now = t = self.events.now
-            hop_times = np.empty(len(path.delays), dtype=np.float64)
-            for i, d in enumerate(path.delays):
-                hop_times[i] = t
-                t = t + d
+            now = self.events.now
+            hop_times, arrival = path.hop_times(now)
             self.ledger.charge_fast(packet.kind, now, hop_times)
-            self.events.schedule_at(t, partial(self._deliver, packet, dst))
+            self.events.schedule_at(arrival, partial(self._deliver, packet, dst))
             return
         _PathTransit(self, path, packet, None)()
 

@@ -7,7 +7,11 @@ import pytest
 from repro.core import plan_cache
 from repro.experiments.campaign import PAPER_REFERENCES, run_campaign
 from repro.experiments.figures import run_client_sweep, run_loss_sweep
-from repro.experiments.persistence import load_sweep, save_sweep
+from repro.experiments.persistence import (
+    load_obs_report,
+    load_sweep,
+    save_sweep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +82,26 @@ class TestCampaignRobustness:
         for figure in (5, 6, 7, 8):
             assert f"## Figure {figure}" in text
 
+    def test_telemetry_writes_one_loadable_report_per_protocol(
+        self, tmp_path
+    ):
+        result = run_campaign(
+            tmp_path,
+            num_packets=4,
+            seeds=(1,),
+            client_routers=(15,),
+            loss_probs=(0.05,),
+            loss_routers=15,
+            progress=lambda *_: None,
+            telemetry=True,
+        )
+        assert sorted(result.obs_paths) == ["RMA", "RP", "SRM"]
+        for name, path in result.obs_paths.items():
+            assert path == tmp_path / f"obs_{name.lower()}.json"
+            report = load_obs_report(path)
+            assert report.protocol == name.lower()
+            assert report.attempts_total > 0
+
     def test_parallel_campaign_bit_identical(self, tmp_path):
         kwargs = dict(
             num_packets=4,
@@ -114,6 +138,20 @@ class TestCampaignCli:
         rc = cli.main(["campaign", "--out", str(tmp_path / "r")])
         assert rc == 0
         assert (tmp_path / "r" / "REPORT.md").exists()
+
+    def test_cli_campaign_lossy_recovery_and_telemetry(self, tmp_path):
+        import repro.cli as cli
+
+        out = tmp_path / "r"
+        rc = cli.main([
+            "campaign", "--out", str(out), "--packets", "4", "--seeds", "1",
+            "--client-routers", "15", "--loss-probs", "0.05",
+            "--loss-routers", "15", "--lossy-recovery", "--telemetry",
+        ])
+        assert rc == 0
+        assert "recovery traffic lossy." in (out / "REPORT.md").read_text()
+        for name in ("rp", "srm", "rma"):
+            assert (out / f"obs_{name}.json").exists()
 
     def test_cli_campaign_jobs_and_shrink_knobs(self, tmp_path, monkeypatch):
         seen = {}

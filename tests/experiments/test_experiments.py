@@ -46,7 +46,10 @@ class TestScenarioConfig:
         # A NaN interval used to pass ``<= 0`` and fail only at the
         # first reschedule; an infinite one ran to sim_time inf.
         with pytest.raises(ValueError, match=field):
-            StreamConfig(num_packets=1, **{field: value})
+            StreamConfig(
+                **{"num_packets": 1, "data_interval": 10.0,
+                   "session_interval": 50.0, field: value}
+            )
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(
                 seed=1, num_routers=20, loss_prob=0.1, **{field: value}

@@ -40,9 +40,32 @@ class TestProfiler:
         assert prof.stats()["hot"].mean == pytest.approx(0.1)
 
 
+class TestRunnerTimers:
+    def test_events_run_counts_every_dispatched_event(self):
+        # The runner times its two event-loop passes (to completion,
+        # then the drain); the event queue itself times nothing.
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import (
+            build_scenario,
+            run_protocol_detailed,
+        )
+        from repro.protocols.srm import SRMProtocolFactory
+
+        built = build_scenario(
+            ScenarioConfig(seed=2, num_routers=20, loss_prob=0.1, num_packets=5)
+        )
+        instr = Instrumentation.recording()
+        artifacts = run_protocol_detailed(
+            built, SRMProtocolFactory(), instrumentation=instr
+        )
+        stats = instr.profiler.stats()
+        assert stats["events.run"].count == artifacts.summary.events_processed
+        assert "engine.compact" not in stats
+
+
 class TestFacade:
     def test_null_is_shared_and_disabled(self):
-        assert Instrumentation.null() is NULL_INSTRUMENTATION
+        assert isinstance(NULL_INSTRUMENTATION, Instrumentation)
         assert not NULL_INSTRUMENTATION.enabled
         # Emitting through it leaves no trace anywhere.
         NULL_INSTRUMENTATION.attempt(

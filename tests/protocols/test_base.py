@@ -191,7 +191,7 @@ class TestStreamDriver:
         source = RPSourceAgent(world.S, world.network, False)
         world.network.attach_agent(world.S, source)
         driver = StreamDriver(
-            world.network, source, StreamConfig(num_packets=5), world.tracker
+            world.network, source, StreamConfig(5, 10.0, 50.0), world.tracker
         )
         driver.start()
         world.events.run()
@@ -212,7 +212,7 @@ class TestStreamDriver:
         driver = StreamDriver(
             world.network,
             source,
-            StreamConfig(num_packets=2, session_interval=5.0),
+            StreamConfig(2, 10.0, 5.0),
             world.tracker,
         )
         driver.start()
@@ -221,11 +221,11 @@ class TestStreamDriver:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            StreamConfig(num_packets=0)
+            StreamConfig(0, 10.0, 50.0)
         with pytest.raises(ValueError):
-            StreamConfig(num_packets=1, data_interval=0.0)
+            StreamConfig(1, 0.0, 50.0)
         with pytest.raises(ValueError):
-            StreamConfig(num_packets=1, session_interval=-1.0)
+            StreamConfig(1, 10.0, -1.0)
 
 
 class TestRepairDeduper:

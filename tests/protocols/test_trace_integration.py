@@ -53,7 +53,7 @@ def build(factory, drop_draws, num_packets=3):
     recorder = TraceRecorder().attach(net)
     tracker = CompletionTracker(2, num_packets, events)
     source_agent = factory.install(net, log, tracker, RngStreams(0), num_packets)
-    StreamDriver(net, source_agent, StreamConfig(num_packets=num_packets),
+    StreamDriver(net, source_agent, StreamConfig(num_packets, 10.0, 50.0),
                  tracker).start()
     events.run(max_events=200_000)
     assert tracker.complete

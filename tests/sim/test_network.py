@@ -255,14 +255,14 @@ class TestLinkObservers:
 
     def test_observer_rejected_once_armed(self):
         _, _, _, net = build_net()
-        assert net.enable_fast_dissem(StreamConfig(num_packets=1))
+        assert net.enable_fast_dissem(StreamConfig(1, 10.0, 50.0))
         with pytest.raises(RuntimeError, match="armed"):
             net.add_link_observer(lambda event: None)
 
     def test_recorder_attached_before_arming_still_records(self):
         _, tree, events, net = build_net()
         recorder = TraceRecorder().attach(net)
-        assert not net.enable_fast_dissem(StreamConfig(num_packets=1))
+        assert not net.enable_fast_dissem(StreamConfig(1, 10.0, 50.0))
         assert not net.fast_dissem_enabled
         net.multicast_subtree(S, S, DATA0)
         events.run()
@@ -308,7 +308,7 @@ class TestFastBatch:
     def _flood(self, armed):
         events, net, clients, recorders = build_chain_net(12)
         if armed:  # a directly constructed network stays scalar
-            assert net.enable_fast_dissem(StreamConfig(num_packets=1))
+            assert net.enable_fast_dissem(StreamConfig(1, 10.0, 50.0))
         events.schedule_at(0.5, lambda: None)  # an ordinary timer
         heap, pending = len(events._heap), events.pending
         net.flood_tree(clients[3], self.REPAIR)

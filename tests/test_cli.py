@@ -102,6 +102,30 @@ class TestFigureCommand:
         assert f"sweep saved to {copy}" in capsys.readouterr().out
         assert copy.read_bytes() == saved.read_bytes()
 
+    def test_lossy_recovery_reaches_the_sweep(self, monkeypatch, tmp_path):
+        import repro.cli as cli
+        import repro.experiments.figures as figures
+
+        seen = []
+
+        def tiny_loss_sweep(**kwargs):
+            seen.append(kwargs["lossless_recovery"])
+            return figures.run_loss_sweep(
+                loss_probs=(0.2,), num_routers=30, **kwargs
+            )
+
+        monkeypatch.setattr(cli, "run_loss_sweep", tiny_loss_sweep)
+        saves = {}
+        for flags in ([], ["--lossy-recovery"]):
+            path = tmp_path / f"sweep{len(flags)}.json"
+            rc = main(["figure", "8", "--packets", "6", "--save", str(path),
+                       *flags])
+            assert rc == 0
+            saves[bool(flags)] = path.read_bytes()
+        assert seen == [True, False]
+        # Lossy recovery traffic is dropped and re-sent: other counts.
+        assert saves[True] != saves[False]
+
 
 class TestPlanCommand:
     def test_plan_prints_strategies(self, capsys):
@@ -248,6 +272,19 @@ class TestTraceCommand:
         assert capsys.readouterr().out == first
         assert "per-rank attempts vs model" in first
 
+    def test_trace_sample_rate_and_worst(self, capsys):
+        common = ["trace", "--routers", "25", "--packets", "8", "--seed", "9"]
+        assert main(common + ["--worst", "1"]) == 0
+        traced = capsys.readouterr().out
+        assert "worst 1 recoveries:" in traced
+        assert traced.count("\n  client=") == 1
+        assert "sampling: 0 traces sampled out" in traced
+        assert main(common + ["--sample-rate", "0"]) == 0
+        sampled = capsys.readouterr().out
+        # Nothing is head-sampled; only abnormal recoveries would stay.
+        assert "== critical path (0 traces) ==" in sampled
+        assert "sampling: 0 traces sampled out" not in sampled
+
 
 class TestObsCommand:
     def test_obs_prints_and_saves_the_model_check(self, capsys, tmp_path):
@@ -309,3 +346,31 @@ class TestHealthCommand:
         capsys.readouterr()
         assert main(["health", "--diff", str(fp), str(ledger)]) == 0
         assert "MATCH" in capsys.readouterr().out
+
+    def test_health_label_and_max_windows(self, capsys, tmp_path):
+        import json
+
+        from repro.obs.ledger import load_fingerprint
+
+        fp = tmp_path / "fp.json"
+        rc = main([
+            "health", "--routers", "30", "--packets", "6", "--seed", "1",
+            "--label", "nightly", "--max-windows", "4", "--json",
+            "--fingerprint", str(fp),
+        ])
+        assert rc == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        assert load_fingerprint(fp).label == "nightly"
+        series = snapshot["timeseries"]
+        assert series["max_windows"] == 4
+        assert len(series["windows"]) <= 4 and series["coalesced"] > 0
+
+    def test_health_stall_windows_sets_the_threshold(self, capsys):
+        stalled = [
+            "health", "--routers", "30", "--packets", "6", "--seed", "1",
+            "--blackhole", "1.0", "--window", "5",
+        ]
+        assert main(stalled) == 1
+        assert "FAIL progress.stall" in capsys.readouterr().out
+        assert main(stalled + ["--stall-windows", "100000"]) == 0
+        assert "FAIL" not in capsys.readouterr().out

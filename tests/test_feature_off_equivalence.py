@@ -693,7 +693,7 @@ def test_session_tie_first_met_at_a_later_epoch_raises(transmits):
         lossless_recovery=True,
     )
     assert network.enable_fast_dissem(
-        StreamConfig(num_packets=1, session_interval=interval)
+        StreamConfig(1, 10.0, interval)
     )
     session = Packet(PacketKind.SESSION, 0, origin=s, highest_seq=0)
 
