@@ -1,13 +1,15 @@
 """Instrumentation overhead: what does wiring telemetry in cost?
 
-Five arms run the identical seeded RP session:
+Six arms run the identical seeded RP session:
 
 * **uninstrumented** — the process-wide ``NULL_INSTRUMENTATION``
   default (what every normal run pays);
-* **noop sink** — ``Instrumentation(profiler=Profiler(enabled=False))``:
-  counters live, an event bus without sinks (``EventBus.active`` is
-  False, so no records are built), profiler off.  This is the cost of
-  merely having the layer present;
+* **noop sink** — a fresh
+  ``Instrumentation(profiler=Profiler(enabled=False))``, the same
+  shape as the default: an event bus without sinks
+  (``EventBus.active`` is False, so no records are built and nothing
+  is counted), profiler off.  This is the cost of merely having the
+  layer present;
 * **recording** — ``Instrumentation.recording()``: ring buffer plus
   profiler, everything ``repro obs`` needs — tracing *off*, so this is
   also the "tracing disabled" reference for the tracing arms;
@@ -21,7 +23,7 @@ Five arms run the identical seeded RP session:
   bucketing per event plus the end-of-window engine/ledger snapshots).
 
 Each arm is repeated and the *median* wall clock kept (the arms
-alternate, so a warmup or turbo drift hits all three equally).  The
+alternate, so a warmup or turbo drift hits all arms equally).  The
 medians and the derived overhead ratios are written to
 ``BENCH_obs_overhead.json`` at the repo root; the acceptance target is
 no-op-sink overhead ≤ 5%, which the JSON records exactly.  The inline

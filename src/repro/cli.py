@@ -43,6 +43,7 @@ Subcommands cover the common workflows without writing Python:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -99,6 +100,20 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         "--congestion", type=float, default=0.0, metavar="ALPHA",
         help="load-dependent delay slope (0 = paper's load-independent links)",
     )
+
+
+def _non_negative_int(text: str) -> int:
+    """An argparse type for a count flag: 0 means none, a negative
+    count is rejected rather than read as a slice from the end."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _scenario_from(args: argparse.Namespace) -> ScenarioConfig:
@@ -211,18 +226,19 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     finally:
         instr.close()
     assert artifacts.obs is not None
+    # The file first: a stdout reader that stops early loses nothing.
+    if args.save is not None:
+        from repro.experiments.persistence import save_obs_report
+
+        save_obs_report(artifacts.obs, args.save)
     if args.json:
         import json
 
         print(json.dumps(artifacts.obs.to_dict(), indent=1, sort_keys=True))
     else:
         print(artifacts.obs.render())
-    if args.save is not None:
-        from repro.experiments.persistence import save_obs_report
-
-        save_obs_report(artifacts.obs, args.save)
-        if not args.json:
-            print(f"\nreport saved to {args.save}")
+    if args.save is not None and not args.json:
+        print(f"\nreport saved to {args.save}")
     if args.jsonl is not None and not args.json:
         print(f"\nevent log written to {args.jsonl}")
     return 0
@@ -303,6 +319,11 @@ def _cmd_health(args: argparse.Namespace) -> int:
         args.label, config, artifacts,
         meta={"command": "health", "blackhole": args.blackhole},
     )
+    # The files first: a stdout reader that stops early loses nothing.
+    if args.fingerprint is not None:
+        fingerprint.save(args.fingerprint)
+    if args.ledger is not None:
+        RegressionLedger(args.ledger).append(fingerprint)
     if args.json:
         print(json.dumps({
             "health": health.to_dict(),
@@ -311,13 +332,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
         }, indent=1, sort_keys=True))
     else:
         print(render_health(health, timeseries))
-    if args.fingerprint is not None:
-        fingerprint.save(args.fingerprint)
-        if not args.json:
+        if args.fingerprint is not None:
             print(f"\nfingerprint saved to {args.fingerprint}")
-    if args.ledger is not None:
-        RegressionLedger(args.ledger).append(fingerprint)
-        if not args.json:
+        if args.ledger is not None:
             print(f"fingerprint appended to {args.ledger}")
     return 1 if health.violations else 0
 
@@ -339,16 +356,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         instr.close()
     store = artifacts.spans
     assert store is not None and artifacts.obs is not None
+    # The files first: a stdout reader that stops early loses none.
+    perfetto = (
+        write_perfetto(store, args.perfetto) if args.perfetto is not None
+        else None
+    )
+    spans = (
+        write_spans_jsonl(store, args.spans) if args.spans is not None
+        else None
+    )
     print(analyze(store).render(worst_k=args.worst))
     # From attempt events (every attempt, whatever the sample rate) and
     # without the wall-clock timer rows, so the output is deterministic.
     print("\n".join(["", *artifacts.obs.render_model()]))
-    if args.perfetto is not None:
-        path = write_perfetto(store, args.perfetto)
-        print(f"\nPerfetto trace written to {path}")
-    if args.spans is not None:
-        path = write_spans_jsonl(store, args.spans)
-        print(f"span JSONL written to {path}")
+    if perfetto is not None:
+        print(f"\nPerfetto trace written to {perfetto}")
+    if spans is not None:
+        print(f"span JSONL written to {spans}")
     return 0
 
 
@@ -520,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         " always kept; default 1.0 = trace everything)",
     )
     p_trace.add_argument(
-        "--worst", type=int, default=5, metavar="K",
+        "--worst", type=_non_negative_int, default=5, metavar="K",
         help="how many slowest recoveries to list (default 5)",
     )
     p_trace.add_argument(
@@ -539,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--client", type=int, default=None, help="specific client node id"
     )
     p_plan.add_argument(
-        "--limit", type=int, default=10, help="max clients to print"
+        "--limit", type=_non_negative_int, default=10,
+        help="max clients to print"
     )
     p_plan.set_defaults(func=_cmd_plan)
 
@@ -659,7 +684,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # Inside the try, so a reader that closed early is caught here
+        # and not at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (say ``| head -1``) stopped reading.  Point stdout
+        # at devnull so the exit-time flush cannot fail again, and end
+        # quietly with a non-zero status.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,9 +32,7 @@ Correctness discipline:
   reference is :meth:`~repro.core.planner.RPPlanner.plan_all` itself.
 
 Observability: hits/misses are counted on the cache itself
-(:meth:`PlanCache.stats`) and, when the caller passes the run's
-:class:`~repro.obs.metrics.MetricsRegistry`, mirrored to the
-``plan.cache.hits`` / ``plan.cache.misses`` counters.
+(:meth:`PlanCache.stats`).
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from repro.lru import LRU
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.planner import RecoveryStrategy, RPPlanner
     from repro.net.mcast_tree import MulticastTree
-    from repro.obs.metrics import MetricsRegistry
 
 #: Distinct planning problems kept per cache (LRU beyond this).  Each
 #: entry holds one strategy dict for every client of one topology; 8
@@ -169,11 +166,7 @@ class PlanCache:
             _restrictions_key(planner.restrictions),
         )
 
-    def plans_for(
-        self,
-        planner: "RPPlanner",
-        metrics: "MetricsRegistry | None" = None,
-    ) -> "dict[int, RecoveryStrategy]":
+    def plans_for(self, planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
         """Strategies for every client of the planner's tree, cached.
 
         A hit returns the memoized strategies (frozen, shared by
@@ -185,14 +178,10 @@ class PlanCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            if metrics is not None:
-                metrics.counter("plan.cache.misses").inc()
             entry = planner.plan_all()
             self._entries.put(key, entry)
         else:
             self.hits += 1
-            if metrics is not None:
-                metrics.counter("plan.cache.hits").inc()
         return dict(entry)
 
     def clear(self) -> None:
@@ -218,11 +207,9 @@ class PlanCache:
 GLOBAL_PLAN_CACHE = PlanCache()
 
 
-def plans_for(
-    planner: "RPPlanner", metrics: "MetricsRegistry | None" = None
-) -> "dict[int, RecoveryStrategy]":
+def plans_for(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
     """Plan through the process-global cache (module-level convenience)."""
-    return GLOBAL_PLAN_CACHE.plans_for(planner, metrics=metrics)
+    return GLOBAL_PLAN_CACHE.plans_for(planner)
 
 
 def clear() -> None:

@@ -178,9 +178,7 @@ def run_protocol_detailed(
     """
     config = built.config
     instr = instrumentation
-    profiler = None
-    if instr is not None and instr.enabled:
-        profiler = instr.profiler
+    profiler = instr.profiler if instr is not None else None
     streams = RngStreams(config.seed)
     events = EventQueue()
     ledger = BandwidthLedger()
@@ -313,7 +311,7 @@ def run_protocol_detailed(
         events_processed=events.processed,
     )
     obs = None
-    if instr is not None and instr.enabled and instr.bus.active:
+    if instr is not None and instr.bus.active:
         obs = build_obs_report(
             instr,
             protocol=factory.name.lower(),

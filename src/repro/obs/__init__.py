@@ -1,12 +1,10 @@
-"""Unified instrumentation: metrics registry, event bus, profiling.
+"""Unified instrumentation: event bus, profiling, reports.
 
 The paper's claim is quantitative — the prioritized list minimizes
 *expected recovery latency* through the conditional loss probabilities
 ``DS_j/DS_{j-1}`` — but end-of-run summaries can't show per-attempt
 behaviour.  This subpackage records it:
 
-* :mod:`repro.obs.metrics` — named counters in a
-  :class:`MetricsRegistry`;
 * :mod:`repro.obs.events` — typed telemetry records (recovery attempts,
   protocol timers, backoffs, session phases) fanned out by an
   :class:`EventBus`;
@@ -15,11 +13,13 @@ behaviour.  This subpackage records it:
 * :mod:`repro.obs.profiler` — phase-level wall-clock timers (the
   runner's event-loop passes, RP plan calls, sweep units);
 * :mod:`repro.obs.instrumentation` — the injectable facade bundling the
-  three, with a free disabled default (:data:`NULL_INSTRUMENTATION`);
+  bus and the profiler, with a sinkless default
+  (:data:`NULL_INSTRUMENTATION`) whose emits build nothing;
 * :mod:`repro.obs.report` — reduces a run's telemetry to the
   attempt-level :class:`ObsReport` (attempts-per-recovery histogram,
   per-rank success rates and attempt times vs. the model's
-  :func:`predict_model`, top timers);
+  :func:`predict_model`, top timers, and the recorded events counted by
+  name);
 * :mod:`repro.obs.spans` / :mod:`repro.obs.tracing` — causal recovery
   tracing: every recovery becomes a span tree (root ``recovery``,
   attempt children, link-traversal grandchildren) assembled by a
@@ -92,7 +92,6 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.instrumentation import NULL_INSTRUMENTATION, Instrumentation
-from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.profiler import Profiler, TimerStat
 from repro.obs.report import (
     ObsReport,
@@ -142,8 +141,6 @@ __all__ = [
     "event_from_dict",
     "NULL_INSTRUMENTATION",
     "Instrumentation",
-    "Counter",
-    "MetricsRegistry",
     "Profiler",
     "TimerStat",
     "ObsReport",

@@ -1,22 +1,21 @@
 """The :class:`Instrumentation` facade — one object to thread around.
 
-Carries the three observability facilities as one injectable unit:
+Carries the observability facilities as one injectable unit:
 
-* ``registry`` — the :class:`~repro.obs.metrics.MetricsRegistry`;
 * ``bus`` — the :class:`~repro.obs.events.EventBus` with its sinks;
 * ``profiler`` — the :class:`~repro.obs.profiler.Profiler`.
 
 Emit helpers (:meth:`attempt`, :meth:`timer`, :meth:`backoff`,
 :meth:`fault`, :meth:`member`, :meth:`phase`) keep protocol code terse:
-each bumps its counter and, when the bus has sinks, emits the typed
-record.  The registry holds counters only; every other quantity is
-folded from the recorded events.
+when the bus has sinks, each builds and emits the typed record, and
+does nothing otherwise.  Nothing is counted beside the event stream:
+:func:`~repro.obs.report.build_obs_report` folds the report's counters
+from the recorded events.
 
 The module-level :data:`NULL_INSTRUMENTATION` is the process-wide
-default every simulation runs with unless a caller injects its own; its
-methods are all no-ops so uninstrumented runs pay nothing beyond the
-attribute checks at the call sites.  A plain ``Instrumentation()`` has
-live counters and no sinks, so it builds no records.
+default every simulation runs with unless a caller injects its own: a
+shared ``Instrumentation`` with no sinks and the profiler off, so
+uninstrumented runs pay one attribute test per emit.
 ``Instrumentation.recording(...)`` is the common configuration: ring
 buffer (optionally plus a JSONL file), profiler on — everything the
 ``repro obs`` breakdown and :class:`~repro.obs.report.ObsReport` need.
@@ -40,7 +39,6 @@ from repro.obs.events import (
     PhaseEvent,
     TimerEvent,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
 from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.obs.spans import NO_SPAN
@@ -49,18 +47,14 @@ from repro.obs.tracing import Tracer
 
 
 class Instrumentation:
-    """Injectable bundle of registry + event bus + profiler (+ tracer)."""
-
-    enabled = True
+    """Injectable bundle of event bus + profiler (+ tracer)."""
 
     def __init__(
         self,
-        registry: MetricsRegistry | None = None,
         bus: EventBus | None = None,
         profiler: Profiler | None = None,
         tracer: Tracer | None = None,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
         bus = bus if bus is not None else EventBus()
         if tracer is not None:
             # The tracer is one more sink, after the caller's: it folds
@@ -78,10 +72,6 @@ class Instrumentation:
         #: ledger and finalizes it at drain.  None means no windowing
         #: anywhere.
         self.timeseries: TimeSeriesCollector | None = None
-        # Emit helpers run on the protocol hot path; caching the counter
-        # per tuple key skips the dotted-name formatting and registry
-        # lookup after the first emit of each (protocol, status) pair.
-        self._counters: dict[tuple, object] = {}
 
     # -- presets ---------------------------------------------------------
 
@@ -138,11 +128,6 @@ class Instrumentation:
     ) -> None:
         """A recovery attempt changed state; see
         :class:`~repro.obs.events.AttemptEvent` for field semantics."""
-        counter = self._counters.get(("attempt", protocol, status))
-        if counter is None:
-            counter = self.registry.counter(f"{protocol}.attempts.{status}")
-            self._counters[("attempt", protocol, status)] = counter
-        counter.value += 1
         if self.bus.active:
             self.bus.emit(AttemptEvent(
                 time=time, protocol=protocol, client=client, seq=seq,
@@ -160,11 +145,6 @@ class Instrumentation:
         deadline: float = 0.0,
         seq: int = -1,
     ) -> None:
-        counter = self._counters.get(("timer", protocol, action))
-        if counter is None:
-            counter = self.registry.counter(f"{protocol}.timers.{action}")
-            self._counters[("timer", protocol, action)] = counter
-        counter.value += 1
         if self.bus.active:
             self.bus.emit(TimerEvent(
                 time=time, protocol=protocol, node=node, label=label,
@@ -175,11 +155,6 @@ class Instrumentation:
         self, time: float, protocol: str, node: int, seq: int, backoff: int,
         extra: float = 0.0,
     ) -> None:
-        counter = self._counters.get(("backoff", protocol))
-        if counter is None:
-            counter = self.registry.counter(f"{protocol}.backoffs")
-            self._counters[("backoff", protocol)] = counter
-        counter.value += 1
         if self.bus.active:
             self.bus.emit(BackoffEvent(
                 time=time, protocol=protocol, node=node, seq=seq,
@@ -194,14 +169,8 @@ class Instrumentation:
         peer: int = -1,
         seq: int = -1,
     ) -> None:
-        """An injected fault fired (or hardening reacted to one); bumps
-        the ``fault.<kind>`` counter and emits a
-        :class:`~repro.obs.events.FaultEvent`."""
-        counter = self._counters.get(("fault", fault))
-        if counter is None:
-            counter = self.registry.counter(f"fault.{fault}")
-            self._counters[("fault", fault)] = counter
-        counter.value += 1
+        """An injected fault fired (or hardening reacted to one); emits
+        a :class:`~repro.obs.events.FaultEvent`."""
         if self.bus.active:
             self.bus.emit(FaultEvent(
                 time=time, fault=fault, node=node, peer=peer, seq=seq,
@@ -211,24 +180,14 @@ class Instrumentation:
         self, time: float, action: str, node: int = -1, seq: int = -1
     ) -> None:
         """A group-composition change (or its enforcement) happened;
-        bumps the dotted ``member.*``/``plan.*`` counter and emits a
-        :class:`~repro.obs.events.MemberEvent`."""
-        counter = self._counters.get(("member", action))
-        if counter is None:
-            counter = self.registry.counter(action)
-            self._counters[("member", action)] = counter
-        counter.value += 1
+        emits a :class:`~repro.obs.events.MemberEvent` named by its
+        dotted ``member.*``/``plan.*`` action."""
         if self.bus.active:
             self.bus.emit(MemberEvent(
                 time=time, action=action, node=node, seq=seq,
             ))
 
     def phase(self, time: float, phase: str, detail: str = "") -> None:
-        counter = self._counters.get(("phase", phase))
-        if counter is None:
-            counter = self.registry.counter(f"phase.{phase}")
-            self._counters[("phase", phase)] = counter
-        counter.value += 1
         if self.bus.active:
             self.bus.emit(PhaseEvent(time=time, phase=phase, detail=detail))
 
@@ -258,34 +217,7 @@ class Instrumentation:
         self.bus.close()
 
 
-class _NullInstrumentation(Instrumentation):
-    """Does nothing, as cheaply as possible."""
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__(profiler=Profiler(enabled=False))
-
-    def attempt(self, *args, **kwargs) -> None:
-        pass
-
-    def timer(self, *args, **kwargs) -> None:
-        pass
-
-    def backoff(self, *args, **kwargs) -> None:
-        pass
-
-    def fault(self, *args, **kwargs) -> None:
-        pass
-
-    def member(self, *args, **kwargs) -> None:
-        pass
-
-    def phase(self, *args, **kwargs) -> None:
-        pass
-
-
-#: The process-wide default: fully disabled, shared, stateless.
-NULL_INSTRUMENTATION = _NullInstrumentation()
+#: The process-wide default: no sinks, profiler off, shared.
+NULL_INSTRUMENTATION = Instrumentation(profiler=Profiler(enabled=False))
 
 __all__ = ["Instrumentation", "NULL_INSTRUMENTATION", "SOURCE_RANK"]

@@ -1,6 +1,6 @@
 """Reducing recorded telemetry to an attempt-level run report.
 
-:func:`build_obs_report` folds the attempt events captured by a run's
+:func:`build_obs_report` folds the events captured by a run's
 ring-buffer sink into the quantities the paper's analysis actually
 predicts:
 
@@ -14,7 +14,10 @@ predicts:
   eq. 3's list delay), so the simulated attempt outcomes can be
   checked against the theory rank by rank;
 * **top timers** — the profiler's per-subsystem wall-clock totals, the
-  ROADMAP's "find the hot path before optimizing it" hook.
+  ROADMAP's "find the hot path before optimizing it" hook;
+* **counters** — the recorded events counted by name (attempt statuses,
+  timer actions, backoffs, faults, membership actions and phases per
+  :data:`COUNTER_NAME`).
 
 A report is plain data: ``to_dict``/``from_dict`` round-trips through
 JSON (the campaign persists one per instrumented run next to its
@@ -27,7 +30,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from repro.core.objective import AttemptCostEstimator, BlendEstimator
-from repro.obs.events import SOURCE_RANK, AttemptEvent
+from repro.obs.events import (
+    SOURCE_RANK,
+    AttemptEvent,
+    BackoffEvent,
+    FaultEvent,
+    MemberEvent,
+    PhaseEvent,
+    TimerEvent,
+)
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.sinks import RingBufferSink
 
@@ -39,6 +50,17 @@ RESIDUAL_MIN_DECIDED = 50
 
 #: Rows of the "top timers" table :meth:`ObsReport.render` prints.
 MAX_TIMER_ROWS = 8
+
+#: The counter each counted event kind adds one to; health records are
+#: not counted.
+COUNTER_NAME = {
+    AttemptEvent: lambda e: f"{e.protocol}.attempts.{e.status}",
+    TimerEvent: lambda e: f"{e.protocol}.timers.{e.action}",
+    BackoffEvent: lambda e: f"{e.protocol}.backoffs",
+    FaultEvent: lambda e: f"fault.{e.fault}",
+    MemberEvent: lambda e: e.action,
+    PhaseEvent: lambda e: f"phase.{e.phase}",
+}
 
 
 @dataclass
@@ -316,16 +338,22 @@ def build_obs_report(
         for sink in instr.bus.sinks
         if isinstance(sink, RingBufferSink)
     )
-    attempts = [e for e in events if isinstance(e, AttemptEvent)]
-    if not protocol and attempts:
-        protocol = attempts[0].protocol
-
+    counters: dict[str, int] = {}
     by_status: dict[str, int] = {}
     per_rank: dict[int, RankStats] = {}
     started_per_recovery: dict[tuple[int, int], int] = {}
     open_since: dict[tuple[int, int, int], float] = {}
     latency: dict[tuple[int, int], float] = {}
-    for e in attempts:
+    for e in events:
+        counter_name = COUNTER_NAME.get(type(e))
+        if counter_name is None:
+            continue
+        name = counter_name(e)
+        counters[name] = counters.get(name, 0) + 1
+        if type(e) is not AttemptEvent:
+            continue
+        if not protocol:
+            protocol = e.protocol
         by_status[e.status] = by_status.get(e.status, 0) + 1
         stats = per_rank.get(e.rank)
         if stats is None:
@@ -376,7 +404,7 @@ def build_obs_report(
             (stat.name, stat.count, stat.total)
             for stat in instr.profiler.top(32)
         ],
-        counters=instr.registry.snapshot(),
+        counters=dict(sorted(counters.items())),
         events_recorded=len(events),
         events_dropped=dropped,
         sparklines=sparklines,

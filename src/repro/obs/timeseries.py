@@ -75,62 +75,49 @@ _ATTEMPT_TERMINAL = frozenset(
 _RECOVERY_TERMINAL = frozenset(("succeeded", "retracted", "abandoned"))
 
 
+#: A window's counts, each also a series of that name; merging two
+#: windows adds them.  The per-protocol attempt starts
+#: (``Window.starts_by_protocol``, a dict) add too; their series are
+#: ``attempt_starts`` and ``attempts.<protocol>``.
+WINDOW_COUNTS = (
+    # -- bus-event counts -----------------------------------------------
+    "bus_events",
+    "attempt_transitions",
+    "succeeded",
+    "timed_out",
+    "abandoned",
+    "timers_armed",
+    "timers_fired",
+    "timers_cancelled",
+    "backoffs",
+    "faults",
+    "members",
+    # -- engine/ledger deltas (zero unless armed) -----------------------
+    "events_processed",
+    "request_hops",
+    "nack_hops",
+    "repair_hops",
+    "data_hops",
+)
+
+#: A window's end-of-window gauges, each also a series; merging keeps
+#: the later sample.
+WINDOW_GAUGES = ("pending_timers", "open_recoveries", "requesting", "waiting")
+
+
 class Window:
     """One sim-time window's counters and end-of-window gauges."""
 
     __slots__ = (
-        "start",
-        "width",
-        # -- bus-event counts -------------------------------------------
-        "bus_events",
-        "attempt_transitions",
-        "starts_by_protocol",
-        "succeeded",
-        "timed_out",
-        "abandoned",
-        "timers_armed",
-        "timers_fired",
-        "timers_cancelled",
-        "backoffs",
-        "faults",
-        "members",
-        # -- engine/ledger deltas (zero unless armed) -------------------
-        "events_processed",
-        "request_hops",
-        "nack_hops",
-        "repair_hops",
-        "data_hops",
-        # -- end-of-window gauges ---------------------------------------
-        "pending_timers",
-        "open_recoveries",
-        "requesting",
-        "waiting",
+        ("start", "width", "starts_by_protocol") + WINDOW_COUNTS + WINDOW_GAUGES
     )
 
     def __init__(self, start: float, width: float):
         self.start = start
         self.width = width
-        self.bus_events = 0
-        self.attempt_transitions = 0
         self.starts_by_protocol: dict[str, int] = {}
-        self.succeeded = 0
-        self.timed_out = 0
-        self.abandoned = 0
-        self.timers_armed = 0
-        self.timers_fired = 0
-        self.timers_cancelled = 0
-        self.backoffs = 0
-        self.faults = 0
-        self.members = 0
-        self.events_processed = 0
-        self.request_hops = 0
-        self.nack_hops = 0
-        self.repair_hops = 0
-        self.data_hops = 0
-        self.pending_timers = 0
-        self.open_recoveries = 0
-        self.requesting = 0
-        self.waiting = 0
+        for name in WINDOW_COUNTS + WINDOW_GAUGES:
+            setattr(self, name, 0)
 
     @property
     def end(self) -> float:
@@ -140,6 +127,11 @@ class Window:
     def attempt_starts(self) -> int:
         return sum(self.starts_by_protocol.values())
 
+    def set_gauges(self, gauges: tuple[int, int, int, int]) -> None:
+        """Take one sample of :data:`WINDOW_GAUGES`, in that order."""
+        for name, value in zip(WINDOW_GAUGES, gauges):
+            setattr(self, name, value)
+
     def merge(self, other: "Window") -> None:
         """Absorb the *immediately following* window (coalescing step).
 
@@ -148,57 +140,20 @@ class Window:
         ended.
         """
         self.width += other.width
-        self.bus_events += other.bus_events
-        self.attempt_transitions += other.attempt_transitions
+        for name in WINDOW_COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for protocol, n in other.starts_by_protocol.items():
             self.starts_by_protocol[protocol] = (
                 self.starts_by_protocol.get(protocol, 0) + n
             )
-        self.succeeded += other.succeeded
-        self.timed_out += other.timed_out
-        self.abandoned += other.abandoned
-        self.timers_armed += other.timers_armed
-        self.timers_fired += other.timers_fired
-        self.timers_cancelled += other.timers_cancelled
-        self.backoffs += other.backoffs
-        self.faults += other.faults
-        self.members += other.members
-        self.events_processed += other.events_processed
-        self.request_hops += other.request_hops
-        self.nack_hops += other.nack_hops
-        self.repair_hops += other.repair_hops
-        self.data_hops += other.data_hops
-        self.pending_timers = other.pending_timers
-        self.open_recoveries = other.open_recoveries
-        self.requesting = other.requesting
-        self.waiting = other.waiting
+        self.set_gauges(tuple(getattr(other, name) for name in WINDOW_GAUGES))
 
     def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "width": self.width,
-            "bus_events": self.bus_events,
-            "attempt_transitions": self.attempt_transitions,
-            "starts_by_protocol": dict(sorted(self.starts_by_protocol.items())),
-            "succeeded": self.succeeded,
-            "timed_out": self.timed_out,
-            "abandoned": self.abandoned,
-            "timers_armed": self.timers_armed,
-            "timers_fired": self.timers_fired,
-            "timers_cancelled": self.timers_cancelled,
-            "backoffs": self.backoffs,
-            "faults": self.faults,
-            "members": self.members,
-            "events_processed": self.events_processed,
-            "request_hops": self.request_hops,
-            "nack_hops": self.nack_hops,
-            "repair_hops": self.repair_hops,
-            "data_hops": self.data_hops,
-            "pending_timers": self.pending_timers,
-            "open_recoveries": self.open_recoveries,
-            "requesting": self.requesting,
-            "waiting": self.waiting,
-        }
+        out = {"start": self.start, "width": self.width}
+        for name in WINDOW_COUNTS + WINDOW_GAUGES:
+            out[name] = getattr(self, name)
+        out["starts_by_protocol"] = dict(sorted(self.starts_by_protocol.items()))
+        return out
 
 
 class TimeSeriesCollector:
@@ -330,10 +285,7 @@ class TimeSeriesCollector:
             self._snapshot_into(windows[-1])
             gauges = self._gauges()
             while current < index:
-                windows[-1].pending_timers = gauges[0]
-                windows[-1].open_recoveries = gauges[1]
-                windows[-1].requesting = gauges[2]
-                windows[-1].waiting = gauges[3]
+                windows[-1].set_gauges(gauges)
                 current += 1
                 windows.append(Window(current * self.width, self.width))
         return windows[-1]
@@ -377,11 +329,7 @@ class TimeSeriesCollector:
                 delta = hops[kind] - self._last_hops.get(kind, 0)
                 setattr(window, attr, getattr(window, attr) + delta)
             self._last_hops = dict(hops)
-        gauges = self._gauges()
-        window.pending_timers = gauges[0]
-        window.open_recoveries = gauges[1]
-        window.requesting = gauges[2]
-        window.waiting = gauges[3]
+        window.set_gauges(self._gauges())
 
     # -- views -----------------------------------------------------------
 
@@ -410,28 +358,10 @@ class TimeSeriesCollector:
         windows = self._windows
         out: dict[str, list] = {
             "window_start": [w.start for w in windows],
-            "bus_events": [w.bus_events for w in windows],
-            "attempt_transitions": [w.attempt_transitions for w in windows],
             "attempt_starts": [w.attempt_starts for w in windows],
-            "succeeded": [w.succeeded for w in windows],
-            "timed_out": [w.timed_out for w in windows],
-            "abandoned": [w.abandoned for w in windows],
-            "timers_armed": [w.timers_armed for w in windows],
-            "timers_fired": [w.timers_fired for w in windows],
-            "timers_cancelled": [w.timers_cancelled for w in windows],
-            "backoffs": [w.backoffs for w in windows],
-            "faults": [w.faults for w in windows],
-            "members": [w.members for w in windows],
-            "events_processed": [w.events_processed for w in windows],
-            "request_hops": [w.request_hops for w in windows],
-            "nack_hops": [w.nack_hops for w in windows],
-            "repair_hops": [w.repair_hops for w in windows],
-            "data_hops": [w.data_hops for w in windows],
-            "pending_timers": [w.pending_timers for w in windows],
-            "open_recoveries": [w.open_recoveries for w in windows],
-            "requesting": [w.requesting for w in windows],
-            "waiting": [w.waiting for w in windows],
         }
+        for name in WINDOW_COUNTS + WINDOW_GAUGES:
+            out[name] = [getattr(w, name) for w in windows]
         for protocol in self.protocols():
             out[f"attempts.{protocol}"] = [
                 w.starts_by_protocol.get(protocol, 0) for w in windows

@@ -501,11 +501,6 @@ class RPProtocolFactory(ProtocolFactory):
             from repro.core.objective import RttOnlyEstimator
 
             estimator = RttOnlyEstimator()
-        metrics = (
-            instrumentation.registry
-            if instrumentation is not None and instrumentation.enabled
-            else None
-        )
         scope = (
             instrumentation.scope if instrumentation is not None
             else NULL_INSTRUMENTATION.scope
@@ -529,7 +524,7 @@ class RPProtocolFactory(ProtocolFactory):
             # dead set hit too.  Timed once per plan call, not per
             # client: the profiler sees planning as one phase.
             with scope("planner.plan"):
-                return plan_cache.plans_for(planner, metrics=metrics)
+                return plan_cache.plans_for(planner)
 
         self.last_strategies = plan(self.config.restrictions)
         policy = self.config.recovery_policy

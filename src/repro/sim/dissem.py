@@ -35,8 +35,8 @@ float rounding; :meth:`CascadeSet.add` reports it and the network
 raises on it.
 
 The module is pure computation over a tree + RNG; all simulation state
-(event scheduling, ledgers, eligibility gating, the stream lanes, the
-in-flight hop registry) stays in :mod:`repro.sim.network`.
+(event scheduling and calendar batches, ledgers, eligibility gating,
+the stream lanes) stays in :mod:`repro.sim.network`.
 """
 
 from __future__ import annotations

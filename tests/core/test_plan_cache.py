@@ -17,7 +17,6 @@ from repro.net.generators import TopologyConfig, random_backbone
 from repro.net.mcast_tree import random_multicast_tree
 from repro.net.routing import RoutingTable
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.metrics import MetricsRegistry
 from repro.protocols.rp import RPProtocolFactory
 
 
@@ -33,7 +32,7 @@ def uncached(monkeypatch):
     """Route the RP factory's planning around the global cache (the
     uncached reference is ``plan_all`` itself)."""
     monkeypatch.setattr(
-        plan_cache, "plans_for", lambda planner, metrics=None: planner.plan_all()
+        plan_cache, "plans_for", lambda planner: planner.plan_all()
     )
 
 
@@ -126,14 +125,14 @@ class TestPlansFor:
         assert first is not second  # callers may mutate their mapping
 
     def test_metrics_counters(self):
+        # The cache is the one owner of its hit and miss counts.
         cache = PlanCache()
-        registry = MetricsRegistry()
         planner = make_planner()
-        cache.plans_for(planner, metrics=registry)
-        cache.plans_for(planner, metrics=registry)
-        cache.plans_for(planner, metrics=registry)
-        assert registry.counter("plan.cache.misses").value == 1
-        assert registry.counter("plan.cache.hits").value == 2
+        cache.plans_for(planner)
+        cache.plans_for(planner)
+        cache.plans_for(planner)
+        assert cache.misses == 1
+        assert cache.hits == 2
 
     def test_clear_resets(self):
         cache = PlanCache()

@@ -232,7 +232,7 @@ def test_sweeps_match_reference_paths(tmp_path, monkeypatch, scalar_dissem):
     assert plan_cache.GLOBAL_PLAN_CACHE.hits > 0
     monkeypatch.setattr(
         plan_cache, "plans_for",
-        lambda planner, metrics=None: {
+        lambda planner: {
             c: planner.plan(c) for c in planner.tree.clients
         },
     )

@@ -64,24 +64,48 @@ class TestRunnerTimers:
 
 
 class TestFacade:
-    def test_null_is_shared_and_disabled(self):
-        assert isinstance(NULL_INSTRUMENTATION, Instrumentation)
-        assert not NULL_INSTRUMENTATION.enabled
-        # Emitting through it leaves no trace anywhere.
-        NULL_INSTRUMENTATION.attempt(
-            0.0, "rp", 1, 0, 1, 0, 2, "started"
-        )
-        assert NULL_INSTRUMENTATION.registry.names() == []
-        assert NULL_INSTRUMENTATION.ring_events() == []
+    def test_null_is_shared_and_disabled(self, monkeypatch):
+        # A plain Instrumentation with no sinks and the profiler off.
+        assert type(NULL_INSTRUMENTATION) is Instrumentation
+        assert not NULL_INSTRUMENTATION.bus.active
+        assert not NULL_INSTRUMENTATION.profiler.enabled
+        self._assert_emits_leave_no_trace(NULL_INSTRUMENTATION, monkeypatch)
 
-    def test_noop_counts_but_stores_no_events(self):
-        # No sinks: live counters, no records built, profiler off.
+    def test_noop_counts_but_stores_no_events(self, monkeypatch):
+        # A fresh sinkless Instrumentation behaves like the shared null
+        # one: counters are folded from recorded events, so with nothing
+        # recorded the report counts nothing and no record is built.
         instr = Instrumentation(profiler=Profiler(enabled=False))
-        instr.attempt(0.0, "rp", 1, 0, 1, 0, 2, "started")
-        assert instr.registry.counter("rp.attempts.started").value == 1
+        assert instr is not NULL_INSTRUMENTATION
         assert not instr.bus.active
-        assert instr.ring_events() == []
         assert not instr.profiler.enabled
+        self._assert_emits_leave_no_trace(instr, monkeypatch)
+
+    @staticmethod
+    def _assert_emits_leave_no_trace(instr, monkeypatch):
+        # Emitting through it builds no record and leaves nothing
+        # recorded anywhere.
+        from repro.obs import instrumentation
+
+        def unbuilt(**fields):
+            raise AssertionError("a sinkless emit built a record")
+
+        for record in (
+            "AttemptEvent", "TimerEvent", "BackoffEvent", "FaultEvent",
+            "MemberEvent", "PhaseEvent",
+        ):
+            monkeypatch.setattr(instrumentation, record, unbuilt)
+        instr.attempt(0.0, "rp", 1, 0, 1, 0, 2, "started")
+        instr.timer(0.0, "rp", 1, "rp.request", "armed", deadline=40.0)
+        instr.backoff(0.0, "srm", 5, 9, 1)
+        instr.fault(0.0, "peer.dead", node=3)
+        instr.member(0.0, "member.leave", node=3)
+        instr.phase(0.0, "session.complete")
+        with instr.scope("work"):
+            pass
+        assert instr.ring_events() == []
+        assert instr.profiler.stats() == {}
+        assert build_obs_report(instr).counters == {}
 
     def test_recording_captures_typed_events(self):
         instr = Instrumentation.recording(capacity=16)
@@ -95,10 +119,21 @@ class TestFacade:
             "attempt", "attempt", "timer", "backoff", "phase"
         ]
         assert events[1].elapsed == 40.0
-        assert instr.registry.counter("rp.attempts.started").value == 1
-        assert instr.registry.counter("rp.timers.armed").value == 1
-        assert instr.registry.counter("srm.backoffs").value == 1
-        assert instr.registry.counter("phase.session.complete").value == 1
+        instr.fault(3.0, "peer.dead", node=12)
+        instr.member(4.0, "member.leave", node=7)
+        instr.member(4.0, "plan.repair", node=7)
+        counters = build_obs_report(instr).counters
+        assert list(counters) == sorted(counters)
+        assert counters == {
+            "fault.peer.dead": 1,
+            "member.leave": 1,
+            "phase.session.complete": 1,
+            "plan.repair": 1,
+            "rp.attempts.started": 1,
+            "rp.attempts.timed_out": 1,
+            "rp.timers.armed": 1,
+            "srm.backoffs": 1,
+        }
 
     def test_recording_streams_to_jsonl(self, tmp_path):
         from repro.obs.sinks import read_jsonl
@@ -241,3 +276,102 @@ class TestBuildReport:
         assert v1.total_time == 0.0 and v1.predicted_cost is None
         assert report.mean_latency is None and report.planned_delay is None
         assert "per-rank attempts vs model" in report.render()
+
+
+#: ``ObsReport.counters`` (minus the plan-cache pair) of two runs at 40
+#: routers, seed 1, 10 packets: hardened RP under a 0.5-intensity fault
+#: schedule and 0.5 churn (the chaos sweep's schedule lanes), and plain
+#: SRM.  Recorded while the counts were still bumped at every emit; the
+#: report's fold over the recorded events must give the same numbers.
+GOLDEN_COUNTERS = {
+    "rp": {
+        "fault.blackhole.repair": 3,
+        "fault.blackhole.request": 10,
+        "fault.burst.drop": 327,
+        "fault.crash.rx_drop": 7,
+        "fault.crash.tx_drop": 2,
+        "fault.link.down_drop": 1,
+        "fault.peer.dead": 4,
+        "fault.recovery.abandoned": 2,
+        "member.join": 4,
+        "member.leave": 4,
+        "member.rx_drop": 3,
+        "phase.session.complete": 1,
+        "phase.session.drained": 1,
+        "phase.stream.end": 1,
+        "phase.stream.start": 1,
+        "plan.repair": 8,
+        "rp.attempts.abandoned": 2,
+        "rp.attempts.started": 147,
+        "rp.attempts.succeeded": 55,
+        "rp.attempts.timed_out": 91,
+        "rp.backoffs": 71,
+        "rp.timers.armed": 147,
+        "rp.timers.cancelled": 56,
+        "rp.timers.fired": 91,
+    },
+    "srm": {
+        "phase.session.complete": 1,
+        "phase.session.drained": 1,
+        "phase.stream.end": 1,
+        "phase.stream.start": 1,
+        "srm.attempts.started": 12,
+        "srm.attempts.succeeded": 22,
+        "srm.backoffs": 35,
+        "srm.timers.armed": 197,
+        "srm.timers.cancelled": 109,
+        "srm.timers.fired": 65,
+    },
+}
+
+
+class TestGoldenCounters:
+    @pytest.fixture(scope="class")
+    def counters(self):
+        from repro.experiments.chaos import chaos_horizon, hardened_factories
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import (
+            build_scenario,
+            run_protocol_detailed,
+        )
+        from repro.protocols.srm import SRMProtocolFactory
+        from repro.sim.faults import random_fault_schedule
+        from repro.sim.membership import random_membership_schedule
+        from repro.sim.rng import RngStreams
+
+        config = ScenarioConfig(
+            seed=1, num_routers=40, loss_prob=0.05, num_packets=10,
+            lossless_recovery=False,
+        )
+        built = build_scenario(config)
+        horizon = chaos_horizon(config)
+        candidates = [c for c in built.tree.clients if c != built.tree.root]
+        lanes = RngStreams(config.seed)
+        faults = random_fault_schedule(
+            0.5, lanes.get("fault-schedule:0.5"), candidates,
+            built.topology.links, horizon,
+        )
+        membership = random_membership_schedule(
+            0.5, lanes.get("membership-schedule:0.5"), candidates, horizon
+        )
+        rp = next(f for f in hardened_factories() if f.name == "RP")
+        runs = {
+            "rp": (rp, {"faults": faults, "membership": membership}),
+            "srm": (SRMProtocolFactory(), {}),
+        }
+        out = {}
+        for name, (factory, perturbations) in runs.items():
+            artifacts = run_protocol_detailed(
+                built, factory,
+                instrumentation=Instrumentation.recording(profile=False),
+                **perturbations,
+            )
+            out[name] = {
+                k: v for k, v in artifacts.obs.counters.items()
+                if not k.startswith("plan.cache.")
+            }
+        return out
+
+    @pytest.mark.parametrize("protocol", sorted(GOLDEN_COUNTERS))
+    def test_counters_match_the_pinned_run(self, counters, protocol):
+        assert counters[protocol] == GOLDEN_COUNTERS[protocol]

@@ -42,12 +42,10 @@ class TestAttemptStream:
         assert artifacts.summary.fully_recovered
 
     def test_one_started_event_per_request_counter(self, run):
-        _, instr, _ = run
+        artifacts, instr, _ = run
         started = [e for e in _attempts(instr) if e.status == "started"]
         assert started
-        assert (
-            instr.registry.counter("rp.attempts.started").value == len(started)
-        )
+        assert artifacts.obs.counters["rp.attempts.started"] == len(started)
 
     def test_succeeded_events_match_recovery_log(self, run):
         artifacts, instr, _ = run

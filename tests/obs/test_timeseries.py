@@ -82,17 +82,62 @@ def test_coalescing_bounds_window_count():
     assert sum(w.attempt_starts for w in c.windows) == 16
 
 
+#: ``Window.to_dict()`` keys and ``series()`` names (one protocol, RP)
+#: as they stood when each window field was written out by hand.  Every
+#: consumer sorts them or looks them up by name, so the pin is on the
+#: names, not their order.
+WINDOW_KEYS = [
+    "start", "width", "bus_events", "attempt_transitions",
+    "starts_by_protocol", "succeeded", "timed_out", "abandoned",
+    "timers_armed", "timers_fired", "timers_cancelled", "backoffs",
+    "faults", "members", "events_processed", "request_hops", "nack_hops",
+    "repair_hops", "data_hops", "pending_timers", "open_recoveries",
+    "requesting", "waiting",
+]
+SERIES_NAMES = [
+    "window_start", "bus_events", "attempt_transitions", "attempt_starts",
+    "succeeded", "timed_out", "abandoned", "timers_armed", "timers_fired",
+    "timers_cancelled", "backoffs", "faults", "members",
+    "events_processed", "request_hops", "nack_hops", "repair_hops",
+    "data_hops", "pending_timers", "open_recoveries", "requesting",
+    "waiting", "attempts.RP",
+]
+WINDOW_INT_COUNTS = [
+    "bus_events", "attempt_transitions", "succeeded", "timed_out",
+    "abandoned", "timers_armed", "timers_fired", "timers_cancelled",
+    "backoffs", "faults", "members", "events_processed", "request_hops",
+    "nack_hops", "repair_hops", "data_hops",
+]
+WINDOW_GAUGES = ["pending_timers", "open_recoveries", "requesting", "waiting"]
+
+
+def test_window_dict_keys_are_pinned():
+    assert sorted(Window(0.0, 10.0).to_dict()) == sorted(WINDOW_KEYS)
+
+
+def test_series_names_are_pinned():
+    c = TimeSeriesCollector(window=10.0)
+    c.write(_attempt(1.0, "started"))
+    c.finalize(10.0)
+    assert sorted(c.series()) == sorted(SERIES_NAMES)
+
+
 def test_merge_adds_counts_and_keeps_later_gauges():
+    # Distinct values per field, so a field merged into another shows.
     a = Window(0.0, 10.0)
     b = Window(10.0, 10.0)
-    a.succeeded = 2
-    b.succeeded = 3
-    a.open_recoveries = 7
-    b.open_recoveries = 1
+    for i, name in enumerate(WINDOW_INT_COUNTS + WINDOW_GAUGES, start=1):
+        setattr(a, name, i)
+        setattr(b, name, 100 * i)
+    a.starts_by_protocol = {"RP": 1, "SRM": 2}
+    b.starts_by_protocol = {"RP": 3, "RMA": 4}
     a.merge(b)
-    assert a.width == 20.0
-    assert a.succeeded == 5
-    assert a.open_recoveries == 1  # the later sample
+    assert (a.start, a.width) == (0.0, 20.0)
+    for i, name in enumerate(WINDOW_INT_COUNTS, start=1):
+        assert getattr(a, name) == 101 * i, name
+    for i, name in enumerate(WINDOW_GAUGES, start=len(WINDOW_INT_COUNTS) + 1):
+        assert getattr(a, name) == 100 * i, name
+    assert a.starts_by_protocol == {"RP": 4, "SRM": 2, "RMA": 4}
 
 
 # -- phase tracking -------------------------------------------------------

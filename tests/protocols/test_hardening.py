@@ -368,4 +368,4 @@ class TestFailureDetectorIntegration:
             faults=schedule,
         )
         assert artifacts.summary.fully_recovered
-        assert instr.registry.counter("fault.peer.dead").value >= 1
+        assert artifacts.obs.counters["fault.peer.dead"] >= 1

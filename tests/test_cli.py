@@ -151,6 +151,15 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert str(client) in out
 
+    @pytest.mark.parametrize("limit", ["-1", "-3"])
+    def test_plan_rejects_a_negative_limit(self, capsys, limit):
+        # A negative limit used to slice from the end of the clients.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["plan", "--limit", limit])
+        assert exc.value.code == 2
+        assert "--limit: must be >= 0" in capsys.readouterr().err
+        assert build_parser().parse_args(["plan", "--limit", "0"]).limit == 0
+
 
 class TestRealismFlags:
     def test_run_with_jitter_and_congestion(self, capsys):
@@ -271,6 +280,51 @@ class TestTraceCommand:
         assert main(common) == 0
         assert capsys.readouterr().out == first
         assert "per-rank attempts vs model" in first
+
+    @pytest.mark.parametrize("worst", ["-1", "-2"])
+    def test_trace_rejects_a_negative_worst(self, capsys, worst):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["trace", "--worst", worst])
+        assert exc.value.code == 2
+        assert "--worst: must be >= 0" in capsys.readouterr().err
+        assert build_parser().parse_args(["trace", "--worst", "0"]).worst == 0
+
+    def test_trace_ends_quietly_when_the_reader_stops_early(self, tmp_path):
+        # As ``repro trace ... | head -1``: the reader closes its end
+        # after one line.  Unbuffered, each print reaches the pipe as it
+        # runs, so the later ones find it closed.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ, PYTHONUNBUFFERED="1",
+            PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p
+            ),
+        )
+        spans = tmp_path / "spans.jsonl"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "trace", "--routers", "25",
+                "--packets", "8", "--seed", "9",
+                "--perfetto", str(tmp_path / "trace.json"),
+                "--spans", str(spans),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        proc.wait(timeout=300)
+        assert first.startswith(b"== critical path")
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert spans.read_text().strip()
 
     def test_trace_sample_rate_and_worst(self, capsys):
         common = ["trace", "--routers", "25", "--packets", "8", "--seed", "9"]
