@@ -102,18 +102,25 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _non_negative_int(text: str) -> int:
-    """An argparse type for a count flag: 0 means none, a negative
-    count is rejected rather than read as a slice from the end."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type for a count flag that rejects values below
+    ``minimum`` at parse time: a negative ``--limit`` would slice from
+    the end, a ``--jobs 0`` fail only once the sweep started."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _scenario_from(args: argparse.Namespace) -> ScenarioConfig:
@@ -437,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a previously saved sweep instead of simulating",
     )
     p_fig.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_int_at_least(1), default=1, metavar="N",
         help="worker processes for the sweep (results are bit-identical"
         " to --jobs 1; default 1)",
     )
@@ -544,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         " always kept; default 1.0 = trace everything)",
     )
     p_trace.add_argument(
-        "--worst", type=_non_negative_int, default=5, metavar="K",
+        "--worst", type=_int_at_least(0), default=5, metavar="K",
         help="how many slowest recoveries to list (default 5)",
     )
     p_trace.add_argument(
@@ -563,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--client", type=int, default=None, help="specific client node id"
     )
     p_plan.add_argument(
-        "--limit", type=_non_negative_int, default=10,
+        "--limit", type=_int_at_least(0), default=10,
         help="max clients to print"
     )
     p_plan.set_defaults(func=_cmd_plan)
@@ -584,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         " its attempt-level report next to the sweeps",
     )
     p_campaign.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_int_at_least(1), default=1, metavar="N",
         help="worker processes per sweep (results are bit-identical"
         " to --jobs 1; default 1)",
     )

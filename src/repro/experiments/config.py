@@ -90,6 +90,10 @@ class ScenarioConfig:
                 f"congestion_alpha must be finite and >= 0, "
                 f"got {self.congestion_alpha}"
             )
+        # SimNetwork rejects it too, but only once build_scenario has
+        # paid for the topology.
+        if not 0.0 <= self.jitter < 1.0:
+            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
         # The runner drains with run(until=now + drain_time), which
         # rejects a past or NaN cutoff mid-session.
         if not 0.0 <= self.drain_time < math.inf:

@@ -344,8 +344,7 @@ class MulticastTree:
 
     def naive_first_common_router(self, u: int, v: int) -> int:
         """Reference pointer-walk LCA (O(depth)); the equivalence tests
-        and the hot-path bench pit :meth:`first_common_router` against
-        this."""
+        pit :meth:`first_common_router` against this."""
         du, dv = self.depth(u), self.depth(v)
         a, b = u, v
         while du > dv:

@@ -1,6 +1,6 @@
 """Cross-run regression ledger: durable fingerprints, diffable history.
 
-``BENCH_*.json`` files are disconnected snapshots — nothing ties the
+One-off benchmark snapshots are disconnected — nothing ties the
 run a PR measured to the run the next PR measured, so a regression has
 to be *noticed*, not detected.  The ledger closes that gap: every
 instrumented run or sweep reduces to a :class:`RunFingerprint` — the

@@ -93,6 +93,28 @@ class TestAlgorithmBasics:
         assert result.path == (1,)
 
 
+@pytest.mark.parametrize("n", [8, 32, 128, 512])
+def test_weighs_each_edge_once(monkeypatch, n):
+    # The paper's O(N²): one pass weighs every edge of the complete DAG
+    # over u, v_1 .. v_N, S exactly once, (N+1)(N+2)/2 of them.  On
+    # these candidates the paper's skip never fires.
+    graph = graph_from_specs(
+        n + 1, [(n - i, 5.0 + i % 7) for i in range(n)],
+        source_rtt=300.0, timeout=20.0,
+    )
+    calls = 0
+    weight = StrategyGraph.weight
+
+    def counted(self, i, j):
+        nonlocal calls
+        calls += 1
+        return weight(self, i, j)
+
+    monkeypatch.setattr(StrategyGraph, "weight", counted)
+    assert searching_minimal_delay(graph).delay > 0
+    assert calls == (n + 1) * (n + 2) // 2
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=200, deadline=None)
     @given(instances())

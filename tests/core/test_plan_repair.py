@@ -50,6 +50,31 @@ def _setup(seed=3, routers=40):
     return tree, routing, strategies, _ReplanSpy(tree, routing)
 
 
+def _churn_events(tree, rng):
+    """Replay a Poisson join/leave schedule on ``tree``: prune each
+    departing leaf, graft it back on rejoin, and yield
+    ``(kind, node, departed)`` after each membership change."""
+    schedule = random_membership_schedule(
+        0.8, rng, [c for c in tree.clients if c != tree.root], 280.0
+    )
+    departed: set[int] = set()
+    graft_points: dict[int, int] = {}
+    for event in schedule.events:
+        if event.kind == LEAVE:
+            if event.node in departed:
+                continue
+            departed.add(event.node)
+            if tree.contains(event.node) and tree.is_leaf(event.node):
+                graft_points[event.node] = tree.prune_leaf(event.node)
+            kind = "leave"
+        else:
+            departed.discard(event.node)
+            if event.node in graft_points:
+                tree.graft_leaf(event.node, graft_points.pop(event.node))
+            kind = "join"
+        yield kind, event.node, frozenset(departed)
+
+
 def _leaf_peer_in_some_list(tree, strategies):
     """A leaf client that appears in at least one other client's chosen
     prioritized list — leaving it must dirty those clients."""
@@ -225,35 +250,58 @@ class TestReplanContract:
     @pytest.mark.parametrize("seed", [5, 11])
     def test_poisson_replay_matches_scratch_after_every_event(self, seed):
         tree, routing, strategies, replan = _setup(seed=seed, routers=40)
-        schedule = random_membership_schedule(
-            0.8,
-            RngStreams(seed).get("membership-schedule:test"),
-            [c for c in tree.clients if c != tree.root],
-            280.0,
-        )
         repairer = IncrementalPlanRepairer(tree, routing, strategies, replan)
-        departed: set[int] = set()
-        graft_points: dict[int, int] = {}
         events = 0
-        for event in schedule.events:
-            if event.kind == LEAVE:
-                if event.node in departed:
-                    continue
-                departed.add(event.node)
-                if tree.contains(event.node) and tree.is_leaf(event.node):
-                    graft_points[event.node] = tree.prune_leaf(event.node)
-                kind = "leave"
-            else:
-                departed.discard(event.node)
-                if event.node in graft_points:
-                    tree.graft_leaf(event.node, graft_points.pop(event.node))
-                kind = "join"
-            self._check_event(
-                repairer, replan, kind, event.node, frozenset(departed)
-            )
+        for kind, node, departed in _churn_events(
+            tree, RngStreams(seed).get("membership-schedule:test")
+        ):
+            self._check_event(repairer, replan, kind, node, departed)
             events += 1
             scratch = _forbidding(tree, routing, departed).plan_clients(
                 sorted(repairer.strategies)
             )
             assert scratch == repairer.strategies
         assert events > 0
+
+
+def test_repair_cost_sublinear_in_group_size():
+    # One departure dirties the clients whose chosen lists hold the
+    # leaver.  Lists are short and local to the leaver's tree vicinity,
+    # so that count stays roughly flat while the group grows: the
+    # fraction of the group one leave re-plans shrinks (re-planning the
+    # group per event would pin it at 1).
+    clients, replans = [], []
+    for routers in (60, 120, 240):
+        tree, routing, strategies, replan = _setup(seed=5, routers=routers)
+        clients.append(len(strategies))
+        repairer = IncrementalPlanRepairer(tree, routing, strategies, replan)
+        leaves = [
+            c for c in tree.clients if c != tree.root and tree.is_leaf(c)
+        ][:12]
+        for node in leaves:
+            parent = tree.prune_leaf(node)
+            repairer.repair("leave", node, frozenset({node}))
+            tree.graft_leaf(node, parent)
+            repairer.repair("join", node, frozenset())
+        replans.append(sum(
+            h["replanned"] for h in repairer.history if h["kind"] == "leave"
+        ) / len(leaves))
+        assert repairer.verify_against_scratch(frozenset()) <= 0.01
+
+        # A compound Poisson schedule, the churn sweep's workload, keeps
+        # the repaired plans within its 1% quality bound as well.
+        tree, routing, strategies, replan = _setup(seed=5, routers=routers)
+        repairer = IncrementalPlanRepairer(tree, routing, strategies, replan)
+        departed = frozenset()
+        for kind, node, departed in _churn_events(
+            tree, RngStreams(5).get("membership-schedule:bench")
+        ):
+            repairer.repair(kind, node, departed)
+        assert repairer.history
+        assert repairer.verify_against_scratch(departed) <= 0.01
+
+    fractions = [r / c for r, c in zip(replans, clients)]
+    assert fractions[0] > fractions[1] > fractions[2], fractions
+    assert fractions[-1] < 0.5
+    # Per-leave work grows less than half as fast as the group.
+    assert replans[-1] / replans[0] < 0.5 * clients[-1] / clients[0]

@@ -12,18 +12,22 @@ from repro.core.algorithm import (
 )
 from repro.core.candidates import Candidate, candidate_clients
 from repro.core.objective import (
+    Attempt,
     AttemptCostEstimator,
     BlendEstimator,
     RttOnlyEstimator,
     TimeoutOnlyEstimator,
+    expected_strategy_delay_descending,
 )
 from repro.core.planner import RecoveryStrategy, RPPlanner
 from repro.core.planner_batch import _algorithm1, row_candidates
 from repro.core.strategy_graph import StrategyGraph, StrategyRestrictions
 from repro.core.timeouts import FixedTimeout, ProportionalTimeout, TimeoutPolicy
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import build_scenario
 from repro.net.generators import TopologyConfig, random_backbone
 from repro.net.mcast_tree import MulticastTree, random_multicast_tree
-from repro.net.routing import RoutingTable
+from repro.net.routing import LandmarkDistanceBackend, RoutingTable
 from repro.net.topology import NodeKind, Topology
 
 
@@ -292,6 +296,40 @@ class TestPlanClients:
             planner.plan_clients([topo.num_nodes + 7, some])
         with pytest.raises(ValueError, match="distinct"):
             planner.plan_clients([some, tree.clients[1], some])
+
+
+def test_landmark_plans_within_one_percent_of_exact():
+    # The landmark candidate stage approximates distances, so its plans
+    # may differ from the exact ones; on the 600-router reference
+    # scenario they cost at most 1% more mean expected delay, both sides
+    # scored under exact distances.
+    built = build_scenario(
+        ScenarioConfig(seed=5, num_routers=600, loss_prob=0.05)
+    )
+    tree = built.tree
+    exact = RoutingTable(built.topology, backend="exact")
+    landmark = RoutingTable(built.topology, backend="landmark")
+    assert isinstance(landmark.backend, LandmarkDistanceBackend)
+    exact_planner = RPPlanner(tree, exact)
+    policy = exact_planner.timeout_policy
+
+    def exact_score(plan):
+        attempts = []
+        for cand in plan.attempts:
+            rtt = exact.rtt(plan.client, cand.node)
+            attempts.append(
+                Attempt(ds=cand.ds, rtt=rtt, timeout=policy.timeout(rtt))
+            )
+        return expected_strategy_delay_descending(
+            plan.ds_u, attempts, exact.rtt(plan.client, tree.root)
+        )
+
+    exact_plans = exact_planner.plan_all()
+    landmark_plans = RPPlanner(tree, landmark).plan_all()
+    assert landmark_plans.keys() == exact_plans.keys()
+    exact_mean = np.mean([p.expected_delay for p in exact_plans.values()])
+    landmark_mean = np.mean([exact_score(p) for p in landmark_plans.values()])
+    assert landmark_mean <= 1.01 * exact_mean
 
 
 ESTIMATORS = [

@@ -61,11 +61,16 @@ class TestScenarioConfig:
         ("max_events", float("nan")),
         ("max_events", float("inf")),
         ("seed", -1),
+        ("jitter", float("nan")),
+        ("jitter", 1.5),
+        ("jitter", -0.2),
+        ("jitter", float("inf")),
     ])
     def test_rejects_bad_budget_and_seed(self, field, value):
         # A zero budget used to die at t=0 as "event budget exceeded",
-        # a NaN one to disable the runaway guard, and a negative seed
-        # to fail inside numpy's generator.
+        # a NaN one to disable the runaway guard, a negative seed to
+        # fail inside numpy's generator, and a jitter outside [0, 1) to
+        # fail only once build_scenario had built the topology.
         fields = {"seed": 1, "num_routers": 20, "loss_prob": 0.1}
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(**{**fields, field: value})

@@ -11,6 +11,7 @@ whether produced in-process or in a worker pool, and tracing never
 changes what the simulation itself computes.
 """
 
+import dataclasses
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 
@@ -221,20 +222,23 @@ class TestDeterminism:
         )
         built = build_scenario(config)
         baseline = run_protocol_detailed(built, RPProtocolFactory())
-        instr = Instrumentation.recording(trace=True)
-        traced = run_protocol_detailed(
-            built, RPProtocolFactory(), instrumentation=instr
-        )
-        # events_processed is a harness metric: the tracer's link
-        # observer keeps the traced run on the scalar dissemination
-        # path while the baseline takes the array fast path.  All
-        # simulated quantities must match exactly.
-        import dataclasses
-
-        assert dataclasses.replace(
-            traced.summary, events_processed=baseline.summary.events_processed
-        ) == baseline.summary
-        assert traced.log.latencies() == baseline.log.latencies()
+        # Head sampling drops most traces at the root; the run stays put.
+        for rate in (1.0, 0.25):
+            instr = Instrumentation.recording(
+                trace=True, trace_sample_rate=rate
+            )
+            traced = run_protocol_detailed(
+                built, RPProtocolFactory(), instrumentation=instr
+            )
+            # events_processed is a harness metric: the tracer's link
+            # observer keeps the traced run on the scalar dissemination
+            # path while the baseline takes the array fast path.  All
+            # simulated quantities must match exactly.
+            assert dataclasses.replace(
+                traced.summary,
+                events_processed=baseline.summary.events_processed,
+            ) == baseline.summary
+            assert traced.log.latencies() == baseline.log.latencies()
 
     def test_sampling_decision_consults_no_rng(self):
         config = ScenarioConfig(

@@ -35,6 +35,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["churn"])
 
+    @pytest.mark.parametrize("command", [
+        ["figure", "7"], ["campaign", "--out", "unused"],
+    ], ids=["figure", "campaign"])
+    def test_sweeps_reject_jobs_below_one(self, capsys, command):
+        # Rejected by argparse (status 2), not by the sweep runner after
+        # the parser accepted it.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--jobs", "0"])
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_run_prints_summary_table(self, capsys):

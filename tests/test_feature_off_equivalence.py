@@ -388,6 +388,25 @@ def test_overlapping_cascades_still_identical(scalar_dissem):
     assert _observables(fast, True) == _observables(scalar, True)
 
 
+def test_reference_session_takes_five_times_fewer_events(scalar_dissem):
+    # SOURCE recovery on the 600-router reference scenario: every
+    # request and repair journey is many scalar hop events but one fast
+    # delivery event, while protocol timers and agent deliveries are
+    # common to both paths.
+    config = ScenarioConfig(
+        seed=5, num_routers=600, loss_prob=0.15, num_packets=12,
+        lossless_recovery=True,
+    )
+    fast, scalar = _fast_and_scalar(
+        scalar_dissem, SourceProtocolFactory, config
+    )
+    assert _observables(fast, True) == _observables(scalar, True)
+    assert (
+        scalar.summary.events_processed
+        >= 5 * fast.summary.events_processed
+    )
+
+
 def test_lossless_tree_collapses_every_multicast(scalar_dissem):
     config = dataclasses.replace(CONFIG, loss_prob=0.0)
     fast, scalar = _fast_and_scalar(scalar_dissem, SRMProtocolFactory, config)
