@@ -43,6 +43,7 @@ Subcommands cover the common workflows without writing Python:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -82,7 +83,8 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         "--routers", type=int, default=100, help="backbone router count"
     )
     parser.add_argument(
-        "--loss", type=float, default=0.05, help="per-link loss probability"
+        "--loss", type=_float_in(0.0, 1.0), default=0.05,
+        help="per-link loss probability in [0, 1)",
     )
     parser.add_argument(
         "--packets", type=int, default=30, help="data stream length"
@@ -93,11 +95,12 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         help="recovery traffic never lost (the paper simulator's mode)",
     )
     parser.add_argument(
-        "--jitter", type=float, default=0.0,
+        "--jitter", type=_float_in(0.0, 1.0), default=0.0,
         help="per-transmission delay jitter fraction in [0, 1)",
     )
     parser.add_argument(
-        "--congestion", type=float, default=0.0, metavar="ALPHA",
+        "--congestion", type=_float_in(0.0, math.inf), default=0.0,
+        metavar="ALPHA",
         help="load-dependent delay slope (0 = paper's load-independent links)",
     )
 
@@ -117,6 +120,27 @@ def _int_at_least(minimum: int):
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def _float_in(low: float, high: float):
+    """An argparse type for a scenario float flag that rejects values
+    outside ``[low, high)``, NaN among them, at parse time rather than
+    in a ``ScenarioConfig`` traceback once the command runs."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {text!r}"
+            ) from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(
+                f"must be in [{low:g}, {high:g}), got {value:g}"
             )
         return value
 
@@ -631,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--packets", type=int, default=20, help="data stream length"
     )
     p_chaos.add_argument(
-        "--loss", type=float, default=0.05, help="per-link loss probability"
+        "--loss", type=_float_in(0.0, 1.0), default=0.05,
+        help="per-link loss probability in [0, 1)",
     )
     p_chaos.add_argument(
         "--save", metavar="PATH", default=None,

@@ -23,6 +23,7 @@ analytic benches evaluate.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core import planner_batch
@@ -45,6 +46,9 @@ class RecoveryStrategy:
     attempts:
         Candidates in request order (each carries ``node``, ``ds`` and
         ``rtt``); the source fallback is implicit after the last entry.
+        A read-only sequence: the planner's lists are tuples, while a
+        list may also build its entries on access (RMA's
+        :class:`~repro.protocols.rma.UpstreamList`).
     timeouts:
         Attempt timeout per entry of ``attempts``.
     source_rtt:
@@ -58,7 +62,7 @@ class RecoveryStrategy:
     """
 
     client: int
-    attempts: tuple[Candidate, ...]
+    attempts: Sequence[Candidate]
     timeouts: tuple[float, ...]
     source_rtt: float
     source_timeout: float

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,42 @@ class RMAConfig:
             raise ValueError("source_deadline_factor must be positive")
 
 
+class UpstreamList(Sequence[Candidate]):
+    """One client's RMA search order, kept as the arrays it was sorted
+    in: index ``i`` builds ``Candidate(peer, ds, rtt)`` on access.
+
+    A session walks a few entries of each list (the source deadline
+    ends the walk), so building every entry at install would make
+    objects nobody reads.  Iteration and slices build entries too;
+    length and order are the full list's, which a failure detector that
+    skips dead peers relies on.
+    """
+
+    __slots__ = ("_peers", "_ds", "_rtt")
+
+    def __init__(self, peers: np.ndarray, ds: np.ndarray, rtt: np.ndarray):
+        self._peers = peers
+        self._ds = ds
+        self._rtt = rtt
+
+    def __len__(self) -> int:
+        return len(self._peers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(
+                Candidate, self._peers[index].tolist(),
+                self._ds[index].tolist(), self._rtt[index].tolist(),
+            ))
+        return Candidate(
+            int(self._peers[index]), int(self._ds[index]),
+            float(self._rtt[index]),
+        )
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return iter(self[:])
+
+
 def upstream_strategies(
     tree: MulticastTree, routing: RoutingTable, timeout_policy: TimeoutPolicy
 ) -> dict[int, RecoveryStrategy]:
@@ -102,7 +139,9 @@ def upstream_strategies(
 
     A client's list holds every other client whose first common router
     with it lies strictly above it, nearest upstream first: descending
-    ``DS``, then ascending RTT, then id.  ``expected_delay`` is NaN: the
+    ``DS``, then ascending RTT, then id.  Its ``attempts`` is an
+    :class:`UpstreamList` over the sorted arrays, so a candidate is
+    built only when a recovery reads it.  ``expected_delay`` is NaN: the
     source deadline truncates the list, so eq. 2 does not describe it.
     """
     depth = tree.depth_vector()
@@ -122,9 +161,7 @@ def upstream_strategies(
         source_rtt = routing.rtt(client, tree.root)
         strategies[client] = RecoveryStrategy(
             client=client,
-            attempts=tuple(
-                map(Candidate, peers.tolist(), ds.tolist(), rtt.tolist())
-            ),
+            attempts=UpstreamList(peers, ds, rtt),
             timeouts=tuple(timeout_policy.timeout_array(rtt).tolist()),
             source_rtt=source_rtt,
             source_timeout=timeout_policy.timeout(source_rtt),

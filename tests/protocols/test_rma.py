@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from repro.core.candidates import Candidate
 from repro.core.timeouts import FixedTimeout, ProportionalTimeout
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import build_scenario
+from repro.experiments.runner import build_scenario, run_protocol
 from repro.protocols.policy import RecoveryPolicy
 from repro.protocols.rma import (
     RMAClientAgent,
@@ -16,6 +17,7 @@ from repro.protocols.rma import (
     RMASourceAgent,
     upstream_strategies,
 )
+from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.rng import RngStreams
 
@@ -36,7 +38,7 @@ class Sink:
 
 
 def upstream_receiver_order(tree, routing, client):
-    """Scalar oracle for the RMA search order: ``(peer, rtt)`` pairs of
+    """Scalar oracle for the RMA search order: ``(peer, ds, rtt)`` of
     every client whose first common router with ``client`` lies strictly
     above it, by descending ``DS``, then ascending RTT, then id."""
     ds_u = tree.depth(client)
@@ -46,7 +48,7 @@ def upstream_receiver_order(tree, routing, client):
         if peer != client and ds < ds_u:
             order.append((peer, ds, routing.rtt(client, peer)))
     order.sort(key=lambda item: (-item[1], item[2], item[0]))
-    return [(peer, rtt) for peer, _, rtt in order]
+    return order
 
 
 def install_rma(world, config=None):
@@ -81,7 +83,7 @@ class TestUpstreamOrder:
         for client, agent in agents.items():
             attempts = agent.strategy.attempts
             assert upstream_receiver_order(world.tree, world.routing, client) == [
-                (c.node, c.rtt) for c in attempts
+                (c.node, c.ds, c.rtt) for c in attempts
             ]
 
     @pytest.mark.parametrize(
@@ -95,15 +97,72 @@ class TestUpstreamOrder:
         assert sorted(strategies) == sorted(built.tree.clients)
         for client, strategy in strategies.items():
             order = upstream_receiver_order(built.tree, built.routing, client)
-            assert [(c.node, c.rtt) for c in strategy.attempts] == order
+            attempts = strategy.attempts
+            assert [(c.node, c.ds, c.rtt) for c in attempts] == order
+            # Python scalars, not numpy ones, however an entry is read.
+            read = [attempts[i] for i in range(len(attempts))]
+            for c in read + list(attempts) + list(attempts[:]):
+                assert (type(c.node), type(c.ds), type(c.rtt)) == (
+                    int, int, float
+                )
             assert strategy.timeouts == tuple(
-                policy.timeout(rtt) for _, rtt in order
+                policy.timeout(rtt) for _, _, rtt in order
             )
+            assert all(type(t) is float for t in strategy.timeouts)
             source_rtt = built.routing.rtt(client, built.tree.root)
             assert strategy.source_rtt == source_rtt
             assert strategy.source_timeout == policy.timeout(source_rtt)
             # The deadline truncates the list: eq. 2 does not apply.
             assert math.isnan(strategy.expected_delay)
+
+    def test_list_behaves_as_its_tuple(self, world):
+        strategy = upstream_strategies(
+            world.tree, world.routing, ProportionalTimeout()
+        )[world.CA]
+        attempts = strategy.attempts
+        eager = tuple(attempts)
+        assert len(attempts) == len(eager) == len(strategy.timeouts) == 2
+        assert tuple(attempts) == eager  # iterating again: same entries
+        assert [attempts[i] for i in range(-len(eager), len(eager))] == (
+            list(eager) * 2
+        )
+        for cut in (slice(None), slice(1, None), slice(None, -1),
+                    slice(None, None, -1), slice(5, 9)):
+            assert attempts[cut] == eager[cut]
+        for index in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                attempts[index]
+        assert list(reversed(attempts)) == list(reversed(eager))
+        assert eager[1] in attempts
+        assert attempts.index(eager[1]) == 1
+
+    def test_session_builds_only_the_entries_it_walks(self, monkeypatch):
+        # A request sent reads its list entry at most twice
+        # (_skip_dead_peers, then _send_next_request); the entries no
+        # recovery walks, most of them past the source deadline, are
+        # never built.
+        built = build_scenario(
+            ScenarioConfig(seed=1, num_routers=30, loss_prob=0.05, num_packets=6)
+        )
+        counts = {"candidates": 0, "requests": 0}
+        init = Candidate.__init__
+        send_unicast = SimNetwork.send_unicast
+
+        def counting_init(self, *args, **kwargs):
+            counts["candidates"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_send(self, src, dst, packet, *args, **kwargs):
+            if packet.kind is PacketKind.REQUEST:
+                counts["requests"] += 1
+            return send_unicast(self, src, dst, packet, *args, **kwargs)
+
+        monkeypatch.setattr(Candidate, "__init__", counting_init)
+        monkeypatch.setattr(SimNetwork, "send_unicast", counting_send)
+        summary = run_protocol(built, RMAProtocolFactory())
+        assert summary.losses_detected > 0
+        assert counts["requests"] > 0
+        assert counts["candidates"] <= 2 * counts["requests"]
 
 
 class TestSearch:

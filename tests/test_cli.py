@@ -181,15 +181,32 @@ class TestRealismFlags:
         assert rc == 0
         assert "RP" in capsys.readouterr().out
 
+    @staticmethod
+    def _rejected_at_parse_time(flag, value, capsys, monkeypatch):
+        # Rejected by argparse (status 2), before any scenario is built,
+        # not by ScenarioConfig in a traceback.
+        def no_build(config):
+            raise AssertionError(f"scenario built despite {flag} {value}")
+
+        monkeypatch.setattr("repro.cli.build_scenario", no_build)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--routers", "15", "--packets", "4", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be in [" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["-0.5", "nan", "inf"])
-    def test_run_rejects_bad_congestion(self, alpha):
+    def test_run_rejects_bad_congestion(self, alpha, capsys, monkeypatch):
         # Only alpha > 0 builds a congestion model, so these used to run
         # silently as the uncongested paper model.
-        with pytest.raises(ValueError, match="congestion_alpha"):
-            main([
-                "run", "--routers", "15", "--packets", "4", "--seed", "2",
-                "--protocol", "rp", "--congestion", alpha,
-            ])
+        self._rejected_at_parse_time("--congestion", alpha, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("loss", ["1.5", "1", "-0.1", "nan"])
+    def test_run_rejects_bad_loss(self, loss, capsys, monkeypatch):
+        self._rejected_at_parse_time("--loss", loss, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("jitter", ["1.5", "1", "-0.1", "nan"])
+    def test_run_rejects_bad_jitter(self, jitter, capsys, monkeypatch):
+        self._rejected_at_parse_time("--jitter", jitter, capsys, monkeypatch)
 
     def test_plan_accepts_realism_flags(self, capsys):
         rc = main([
