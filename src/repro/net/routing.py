@@ -26,7 +26,10 @@ Two distance backends implement that API:
     routine here: built once per backend on the first row, it strips
     pendant trees (repeatedly removed degree-1 nodes), runs the heap
     Dijkstra on the remaining core and fills each stripped node from its
-    one link toward the core — bit-identical to a whole-graph run.
+    one link toward the core — bit-identical to a whole-graph run.  A
+    source's first ``path`` miss runs the same heap loop only until the
+    target's core attachment pops and caches nothing; its second miss
+    computes the full row and admits it to the LRU.
 
 :class:`LandmarkDistanceBackend`
     Tiered approximation for large topologies.  A **near tier** holds
@@ -130,6 +133,8 @@ class _CoreDijkstra:
     smallest such ``u``.  A stripped node has a single route to the
     core, so the fill performs the same single float addition the full
     run performs, and no path between two core nodes leaves the core.
+
+    :meth:`path` runs the same heap loop with a stop node, for one walk.
     """
 
     def __init__(self, topology: Topology):
@@ -165,11 +170,21 @@ class _CoreDijkstra:
         ]
         self._fill = [(v, up[v], up_delay[v]) for v in reversed(order)]
 
-    def row(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(distances, predecessors)`` arrays from ``source``."""
+    def _check(self, node: int) -> None:
+        if not 0 <= node < self._num_nodes:
+            raise ValueError(f"unknown node {node}")
+
+    def _settle(self, source: int, target: int = -1) -> tuple[list, list, int]:
+        """The source's chain walk and the core heap loop, as lists.
+
+        With ``target >= 0`` the loop stops once ``target``'s
+        attachment pops and returns it as the third value; without one it
+        settles every reachable core node (the attachment is ``-1``).
+        The attachment is the first node on ``target``'s ``up`` chain
+        (``target`` included) that is a core node or lies on the
+        source's own chain, whose entries the walk has already set.
+        """
         n = self._num_nodes
-        if not 0 <= source < n:
-            raise ValueError(f"unknown node {source}")
         inf = math.inf
         dist = [inf] * n
         pred = [-1] * n
@@ -184,6 +199,12 @@ class _CoreDijkstra:
             dist[parent] = d
             pred[parent] = node
             node = parent
+        stop = target
+        if stop >= 0:
+            while dist[stop] == inf and up[stop] != -1:
+                stop = up[stop]
+            if dist[stop] != inf:
+                return dist, pred, stop  # on the source's own chain
         core = self._core
         heappush, heappop = heapq.heappush, heapq.heappop
         done = [False] * n
@@ -193,6 +214,8 @@ class _CoreDijkstra:
             if done[node]:
                 continue
             done[node] = True
+            if node == stop:
+                break
             for neighbor, w in core[node]:
                 if done[neighbor]:
                     continue
@@ -209,6 +232,13 @@ class _CoreDijkstra:
                     # them relax before ``neighbor`` pops and the smallest
                     # one wins deterministically.
                     pred[neighbor] = node
+        return dist, pred, stop
+
+    def row(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(distances, predecessors)`` arrays from ``source``."""
+        self._check(source)
+        dist, pred, _ = self._settle(source)
+        inf = math.inf
         # Source's own chain is already set (finite); every other
         # stripped node is still inf and hangs off a settled ``up``.
         for v, parent, w in self._fill:
@@ -222,6 +252,34 @@ class _CoreDijkstra:
         dist_arr.flags.writeable = False
         pred_arr.flags.writeable = False
         return dist_arr, pred_arr
+
+    def path(self, source: int, target: int) -> list[int]:
+        """The walk :meth:`row`'s predecessors give from ``source`` to
+        ``target``, settling only the core nodes that pop before
+        ``target``'s attachment.
+
+        The walk is bit-identical to the full row's: a popped core
+        node's ``dist`` and ``pred`` are final (every equal-cost
+        predecessor is strictly closer, so it relaxes first), and so
+        are those of every node its ``pred`` chain reaches.  Below the
+        attachment, ``target``'s chain is the fill's ``pred = up``.
+        """
+        self._check(source)
+        self._check(target)
+        dist, pred, stop = self._settle(source, target)
+        if dist[stop] == math.inf:
+            raise ValueError(f"node {target} unreachable from {source}")
+        up = self._up
+        walk = [target]
+        node = target
+        while node != stop:
+            node = up[node]
+            walk.append(node)
+        while node != source:
+            node = pred[node]
+            walk.append(node)
+        walk.reverse()
+        return walk
 
 
 def _walk_to_root(pred: np.ndarray, node: int) -> list[int]:
@@ -254,6 +312,14 @@ class ExactDistanceBackend:
     pressure is recomputed on the next query instead of held forever.
     Rows come from a :class:`_CoreDijkstra` built on the first row
     computed, so a table that is never queried costs nothing.
+
+    ``path`` admits rows on second touch.  The first time a source
+    misses the cache, :meth:`_CoreDijkstra.path` stops the search once
+    the target's core attachment pops and nothing is cached, so a source
+    routed from only once neither pays for a full row nor evicts a row
+    the planner still reads.  Every later miss from that source computes
+    the full row and caches it.  The walk is the same either way.
+    ``distances_from`` and ``next_hop`` always use full rows.
     """
 
     name = "exact"
@@ -262,6 +328,7 @@ class ExactDistanceBackend:
         self._topology = topology
         self._rows = _row_cache(max_rows, 16 * max(1, topology.num_nodes))
         self._sssp: _CoreDijkstra | None = None
+        self._path_missed: set[int] = set()
 
     @property
     def topology(self) -> Topology:
@@ -279,20 +346,35 @@ class ExactDistanceBackend:
     def evictions(self) -> int:
         return self._rows.evictions
 
+    def _core(self) -> _CoreDijkstra:
+        if self._sssp is None:
+            self._sssp = _CoreDijkstra(self._topology)
+        return self._sssp
+
+    def _admit(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        entry = self._core().row(source)
+        self._rows.put(source, entry)
+        return entry
+
     def shortest_path_tree(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         entry = self._rows.get(source)
         if entry is None:
-            if self._sssp is None:
-                self._sssp = _CoreDijkstra(self._topology)
-            entry = self._sssp.row(source)
-            self._rows.put(source, entry)
+            entry = self._admit(source)
         return entry
 
     def distances_from(self, source: int) -> np.ndarray:
         return self.shortest_path_tree(source)[0]
 
     def path(self, u: int, v: int) -> list[int]:
-        dist, pred = self.shortest_path_tree(u)
+        entry = self._rows.get(u)
+        if entry is None:
+            if u not in self._path_missed:
+                # Second-touch admission: a source's first miss runs an
+                # early-stopped search and caches nothing.
+                self._path_missed.add(u)
+                return self._core().path(u, v)
+            entry = self._admit(u)
+        dist, pred = entry
         if not 0 <= v < len(dist):
             raise ValueError(f"unknown node {v}")
         if math.isinf(dist[v]):
@@ -306,6 +388,8 @@ class ExactDistanceBackend:
         return reverse
 
     def next_hop(self, u: int, v: int) -> int:
+        if u == v:
+            raise ValueError("next_hop undefined for u == v")
         # Consults the tree rooted at ``v`` (the hop from ``u`` toward
         # ``v`` is ``u``'s predecessor in ``v``'s tree, by symmetry of
         # the undirected graph), so forwarding a packet through many
@@ -696,8 +780,9 @@ class LandmarkDistanceBackend:
         raise AssertionError("landmark tree walks never met")  # pragma: no cover
 
     def next_hop(self, u: int, v: int) -> int:
-        path = self.path(u, v)
-        return path[1]
+        if u == v:
+            raise ValueError("next_hop undefined for u == v")
+        return self.path(u, v)[1]
 
     def cache_key(self) -> tuple:
         """Value component for the plan-cache fingerprint.
@@ -816,9 +901,10 @@ class RoutingTable:
         return self._backend.path(u, v)
 
     def next_hop(self, u: int, v: int) -> int:
-        """First hop on the backend's path from ``u`` toward ``v``."""
-        if u == v:
-            raise ValueError("next_hop undefined for u == v")
+        """First hop on the backend's path from ``u`` toward ``v``.
+
+        Raises ``ValueError`` when ``u == v`` (there is no hop).
+        """
         return self._backend.next_hop(u, v)
 
     def hop_count(self, u: int, v: int) -> int:

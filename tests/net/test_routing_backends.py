@@ -2,9 +2,11 @@
 hardening (read-only rows, unreachable and unknown-node errors),
 exact-backend bit-identity against the historical all-pairs
 implementation, the pendant-stripped core against a whole-graph
-Dijkstra, landmark parity properties, the members-only near tier
-against the every-node build, LRU bounds and backend selection."""
+Dijkstra, early-stopped ``path`` searches against the full row's walk,
+landmark parity properties, the members-only near tier against the
+every-node build, LRU bounds and backend selection."""
 
+import contextlib
 import copy
 import heapq
 import math
@@ -31,9 +33,11 @@ from repro.net.routing import (
     ExactDistanceBackend,
     LandmarkDistanceBackend,
     RoutingTable,
+    _walk_to_root,
     default_num_landmarks,
     make_backend,
 )
+from repro.metrics.summary import RunSummary
 from repro.net.topology import NodeKind, Topology
 from repro.obs.ledger import RunFingerprint
 from repro.protocols.rp import RPProtocolFactory
@@ -327,6 +331,196 @@ class TestPendantCoreOracle:
             dist, pred = reference_dijkstra(topo, landmark)
             assert backend.landmark_matrix[i].tobytes() == dist.tobytes()
             assert backend._pred[i].tobytes() == pred.tobytes()
+
+
+def equal_cost_grid(side=4):
+    """A ``side`` x ``side`` grid of unit links: every pair off a shared
+    row or column has several equal-cost routes, so every walk leans
+    on the smaller-id tie-break."""
+    topo = Topology()
+    topo.add_nodes(side * side)
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                topo.add_link(v, v + 1, 1.0)
+            if r + 1 < side:
+                topo.add_link(v, v + side, 1.0)
+    return topo
+
+
+def binary_tree(n=15):
+    """A pure tree (every node but one is stripped) with mixed delays."""
+    topo = Topology()
+    topo.add_nodes(n)
+    for v in range(1, n):
+        topo.add_link((v - 1) // 2, v, 1.0 + v % 3)
+    return topo
+
+
+def full_row_walk(backend, u, v):
+    """The walk over ``u``'s full shortest-path tree, ``None`` when ``v``
+    is unreachable."""
+    dist, pred = backend.shortest_path_tree(u)
+    if math.isinf(dist[v]):
+        return None
+    return _walk_to_root(pred, v)[::-1]
+
+
+EARLY_STOP_SCENES = {
+    **{
+        f"backbone-{seed}": (
+            lambda seed=seed: random_backbone(
+                TopologyConfig(num_routers=30), np.random.default_rng(seed)
+            )
+        )
+        for seed in (1, 2, 3)
+    },
+    "lollipop": lollipop_with_islands,
+    "binary-tree": binary_tree,
+    "two-islands": two_islands,
+    "diamond": equal_cost_diamond,
+    "grid": equal_cost_grid,
+}
+
+
+class TestEarlyStoppedPaths:
+    """A cold exact backend's first ``path`` miss runs a search that
+    stops at the target's core attachment; its walks must equal the full
+    row's, byte for byte, and it must leave the row cache alone."""
+
+    @pytest.mark.parametrize("scene", sorted(EARLY_STOP_SCENES))
+    def test_every_pair_matches_the_full_row_walk(self, scene):
+        topo = EARLY_STOP_SCENES[scene]()
+        full = ExactDistanceBackend(topo)
+        for u in range(topo.num_nodes):
+            for v in range(topo.num_nodes):
+                cold = ExactDistanceBackend(topo, max_rows=1)
+                expect = full_row_walk(full, u, v)
+                if expect is None:
+                    with pytest.raises(
+                        ValueError, match=rf"^node {v} unreachable from {u}$"
+                    ):
+                        cold.path(u, v)
+                else:
+                    assert cold.path(u, v) == expect, (u, v)
+                assert cold.cached_rows == 0
+
+    def test_source_and_target_on_one_pendant_chain(self):
+        # 2 is the core attachment of the chain 2-4-5-6-7-8-9.
+        backend = ExactDistanceBackend(lollipop_with_islands(), max_rows=1)
+        assert backend.path(9, 5) == [9, 8, 7, 6, 5]  # up the source's chain
+        assert backend.path(4, 9) == [4, 5, 6, 7, 8, 9]  # down from it
+        assert backend.path(11, 4) == [11, 10, 6, 5, 4]
+        assert backend.cached_rows == 0
+
+    def test_source_and_target_in_one_pendant_tree(self):
+        backend = ExactDistanceBackend(lollipop_with_islands(), max_rows=1)
+        # 9 and 11 meet at 6, below the attachment: no core node pops.
+        assert backend.path(9, 11) == [9, 8, 7, 6, 10, 11]
+        assert backend.path(11, 0) == [11, 10, 6, 5, 4, 2, 1, 0]
+        assert backend.cached_rows == 0
+
+    @pytest.mark.parametrize("node", [0, 2, 9, 11, 13, 15])
+    def test_source_equals_target(self, node):
+        backend = ExactDistanceBackend(lollipop_with_islands(), max_rows=1)
+        assert backend.path(node, node) == [node]  # first miss
+        assert backend.path(node, node) == [node]  # second miss: the row
+
+    @pytest.mark.parametrize("u, v", [(9, 12), (15, 0), (0, 15), (12, 3)])
+    def test_unreachable_message_is_the_full_rows(self, u, v):
+        backend = ExactDistanceBackend(lollipop_with_islands(), max_rows=1)
+        for _ in range(2):  # the early-stopped search, then the row
+            with pytest.raises(
+                ValueError, match=rf"^node {v} unreachable from {u}$"
+            ):
+                backend.path(u, v)
+
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 16), (16, 0)])
+    def test_unknown_endpoints_on_either_miss(self, u, v):
+        backend = ExactDistanceBackend(lollipop_with_islands(), max_rows=1)
+        bad = v if 0 <= u < 16 else u
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"^unknown node {bad}$"):
+                backend.path(u, v)
+
+    def test_first_miss_caches_nothing_and_the_second_admits_the_row(self):
+        topo = random_backbone(
+            TopologyConfig(num_routers=30), np.random.default_rng(2)
+        )
+        backend = ExactDistanceBackend(topo, max_rows=1)
+        backend.distances_from(0)
+        walk = backend.path(5, 20)
+        assert (backend.cached_rows, backend.evictions) == (1, 0)
+        assert backend.path(5, 20) == walk
+        assert (backend.cached_rows, backend.evictions) == (1, 1)
+        backend.distances_from(5)  # a hit: the row was admitted
+        assert backend.evictions == 1
+
+    def test_row_after_an_early_stop_equals_a_fresh_row(self):
+        topo = lollipop_with_islands()
+        for source in range(topo.num_nodes):
+            backend = ExactDistanceBackend(topo, max_rows=1)
+            with contextlib.suppress(ValueError):  # 9 is on one island
+                backend.path(source, 9)
+            dist, pred = backend.shortest_path_tree(source)
+            fresh_dist, fresh_pred = ExactDistanceBackend(
+                topo
+            ).shortest_path_tree(source)
+            assert dist.tobytes() == fresh_dist.tobytes()
+            assert pred.tobytes() == fresh_pred.tobytes()
+
+
+class TestNextHopToSelf:
+    """The exact backend used to answer -1 and the landmark backend to
+    raise ``IndexError``; both now raise the routing table's error."""
+
+    @pytest.mark.parametrize("backend_name", ["exact", "landmark"])
+    def test_backends_reject_u_equals_v(self, backend_name):
+        backend = make_backend(backend_name, line_of_four())
+        for router in (backend, RoutingTable(backend.topology, backend)):
+            with pytest.raises(
+                ValueError, match="^next_hop undefined for u == v$"
+            ):
+                router.next_hop(2, 2)
+            assert router.next_hop(2, 0) == 1
+
+
+def test_rp_exact_lru_work_counts(monkeypatch):
+    """RP on the exact backend with 64 rows for 137 clients: the row and
+    search counts and the evictions are pinned, and the run itself must
+    not move.  Before early-stopped searches the same run computed 379
+    full rows and evicted 315."""
+    counts = {"row": 0, "search": 0}
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    core = routing_module._CoreDijkstra
+    monkeypatch.setattr(core, "row", counted("row", core.row))
+    monkeypatch.setattr(core, "path", counted("search", core.path))
+    plan_cache.clear()
+    built = build_scenario(ScenarioConfig(
+        seed=1, num_routers=300, loss_prob=0.05, num_packets=8
+    ))
+    backend = ExactDistanceBackend(built.topology, max_rows=64)
+    routing = RoutingTable(built.topology, backend=backend)
+    artifacts = run_protocol_detailed(
+        replace(built, routing=routing), RPProtocolFactory()
+    )
+    plan_cache.clear()
+    assert counts == {"row": 243, "search": 118}
+    assert backend.evictions == 179
+    assert artifacts.summary == RunSummary(
+        protocol="RP", num_clients=137, num_packets=8, losses_detected=381,
+        losses_recovered=381, avg_latency=208.03907918780843,
+        p50_latency=155.77729791102462, p95_latency=575.9323663536268,
+        recovery_hops=10356, bandwidth_per_recovery=27.181102362204726,
+        data_hops=1669, sim_time=3116.502368097922, events_processed=15645,
+    )
 
 
 def test_exact_runs_never_import_scipy_sparse():

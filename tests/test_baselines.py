@@ -2,6 +2,7 @@
 process from the CLI invocations CI runs, so drift fails tier-1 and not
 only CI's shell steps."""
 
+import hashlib
 from pathlib import Path
 
 from repro.cli import main
@@ -10,16 +11,52 @@ from repro.obs.ledger import diff_fingerprints, load_fingerprint
 BASELINES = Path(__file__).resolve().parents[1] / "baselines"
 
 
+def assert_fingerprint_matches(argv, fp, baseline):
+    assert main([*argv, "--fingerprint", str(fp)]) == 0
+    diff = diff_fingerprints(
+        load_fingerprint(fp), load_fingerprint(BASELINES / baseline)
+    )
+    assert diff.clean, diff.render()
+
+
 def test_rma_health_fingerprint(tmp_path, capsys):
     # Per-window attempts, timers, backoffs and hops of one RMA run (CI:
     # "RMA health fingerprint vs baseline").
-    fp = tmp_path / "rma.json"
-    assert main([
-        "health", "--protocol", "rma", "--seed", "1", "--routers", "30",
-        "--packets", "6", "--fingerprint", str(fp),
-    ]) == 0
-    diff = diff_fingerprints(
-        load_fingerprint(fp),
-        load_fingerprint(BASELINES / "rma_health_fingerprint.json"),
+    assert_fingerprint_matches(
+        ["health", "--protocol", "rma", "--seed", "1", "--routers", "30",
+         "--packets", "6"],
+        tmp_path / "rma.json", "rma_health_fingerprint.json",
     )
-    assert diff.clean, diff.render()
+
+
+def test_srm_lossless_health_fingerprint(tmp_path, capsys):
+    # Per-window NACK and REPAIR hops of SRM's recovery floods (CI: "SRM
+    # lossless health fingerprint vs baseline").
+    assert_fingerprint_matches(
+        ["health", "--protocol", "srm", "--lossless-recovery", "--seed", "2",
+         "--routers", "60", "--packets", "10"],
+        tmp_path / "srm.json", "srm_lossless_health_fingerprint.json",
+    )
+
+
+def test_srm_obs_stream_sha256(tmp_path, capsys):
+    # Every SRM timer arm and backoff with its deadline (CI: the
+    # ``sha256sum -c`` of the telemetry smoke's recorded stream).
+    expected, name = (BASELINES / "srm_obs_stream.sha256").read_text().split()
+    stream = tmp_path / name
+    assert main([
+        "obs", "--protocol", "srm", "--lossless-recovery", "--seed", "2",
+        "--routers", "60", "--packets", "10", "--jsonl", str(stream),
+    ]) == 0
+    assert hashlib.sha256(stream.read_bytes()).hexdigest() == expected
+
+
+def test_chaos_smoke(tmp_path, capsys):
+    # Per-run totals of the faults x churn sweep (CI: "Chaos smoke",
+    # ``cmp`` against the baseline).
+    saved = tmp_path / "chaos.json"
+    assert main([
+        "chaos", "--seeds", "1", "2", "--faults", "0", "0.3", "--churn", "0",
+        "0.5", "--routers", "25", "--packets", "5", "--save", str(saved),
+    ]) == 0
+    assert saved.read_bytes() == (BASELINES / "chaos_smoke.json").read_bytes()
