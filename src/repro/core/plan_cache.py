@@ -38,7 +38,10 @@ Observability: hits/misses are counted on the cache itself
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.objective import (
     BlendEstimator,
@@ -67,8 +70,9 @@ def scenario_fingerprint(tree: "MulticastTree") -> str:
     """Value-based digest of everything planning reads from the network.
 
     Covers the tree structure (root + parent map), the client set, the
-    tree's membership epoch, and every topology link's endpoints and
-    expected delay (RTTs and thus timeouts derive from those).  Loss
+    tree's membership epoch, the node count, and every topology link's
+    endpoints and expected delay (RTTs and thus timeouts derive from
+    those), hashed as numpy arrays rather than as Python tuples.  Loss
     probabilities are excluded on purpose: the planner never reads them,
     which is exactly what lets a loss-probability sweep share one plan.
 
@@ -84,17 +88,28 @@ def scenario_fingerprint(tree: "MulticastTree") -> str:
     if cached is not None and cached[0] == epoch:
         return cached[1]
     topo = tree.topology
-    payload = (
-        tree.root,
-        tuple((node, tree.parent(node)) for node in tree.members),
-        tuple(tree.clients),
-        epoch,
-        topo.num_nodes,
-        tuple((link.u, link.v, link.delay) for link in topo.links),
-    )
-    digest = hashlib.sha256(repr(payload).encode()).hexdigest()
-    setattr(tree, _TREE_FP_ATTR, (epoch, digest))
-    return digest
+    links = topo.links
+    num_links = len(links)
+    order, _, _, parent = tree.structure_arrays()
+    members = np.sort(order).astype(np.int64)
+    # Contiguous arrays hashed as raw bytes: the delays bit for bit, and
+    # the lengths up front so no two field layouts share a byte stream.
+    clients = np.asarray(tree.clients, dtype=np.int64)
+    head = (tree.root, epoch, topo.num_nodes, members.size, clients.size,
+            num_links)
+    digest = hashlib.sha256(np.array(head, dtype=np.int64).tobytes())
+    for array in (
+        members,
+        parent[members].astype(np.int64),  # -1 at the root
+        clients,
+        np.fromiter(map(attrgetter("u"), links), np.int64, num_links),
+        np.fromiter(map(attrgetter("v"), links), np.int64, num_links),
+        np.fromiter(map(attrgetter("delay"), links), np.float64, num_links),
+    ):
+        digest.update(array.tobytes())
+    fingerprint = digest.hexdigest()
+    setattr(tree, _TREE_FP_ATTR, (epoch, fingerprint))
+    return fingerprint
 
 
 def _component_key(obj: object) -> tuple:

@@ -22,6 +22,11 @@ reproducible network simulation and are guaranteed here:
   can put a dropped item back in its own slot later.  Callers compare
   their own keys against :attr:`~EventQueue.current_key`, the key of
   the event firing now.
+* **Hop entries** — :meth:`EventQueue.schedule_entry` puts an
+  uncancellable :class:`HeapEntry` on the heap itself, keyed from the
+  same counter as :meth:`~EventQueue.schedule`; the network's per-hop
+  walkers are such entries, so a link traversal allocates no
+  :class:`Timer`.
 * **O(1) cancellation** — timers are cancelled lazily by flagging; the
   heap entry is discarded when popped.  Protocol code cancels far more
   timers than it lets expire (every suppressed SRM request, every
@@ -43,6 +48,7 @@ that pop order.
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from itertools import repeat
 from typing import Any, Callable
 
@@ -85,21 +91,34 @@ class Timer:
         return not self.cancelled
 
 
-class _Batch:
+class HeapEntry:
+    """An uncancellable object that sits in the heap itself.
+
+    The dispatch loop reads ``cancelled`` (always False here), clears
+    ``_queue`` and calls ``callback()``, exactly as for a
+    :class:`Timer`, so a subclass that defines ``callback`` fires with
+    no timer wrapped around it (:meth:`EventQueue.schedule_entry`).
+    ``_queue`` is write-only: the loop sets it, nothing reads it.
+    """
+
+    __slots__ = ("_queue",)
+
+    cancelled = False
+
+    def callback(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+class _Batch(HeapEntry):
     """Pre-keyed events of one :meth:`EventQueue.schedule_batch` call.
 
     Sits in the heap as one ``(time, seq, batch)`` cursor entry, always
-    its smallest unfired key.  The dispatch loop treats it like a
-    :class:`Timer` (``cancelled``, ``_queue``, ``callback``); a batch is
-    never cancelled.
+    its smallest unfired key.
     """
 
-    __slots__ = ("cancelled", "_queue", "_owner", "_entries", "_items",
-                 "_fire", "_next")
+    __slots__ = ("_owner", "_entries", "_items", "_fire", "_next")
 
     def __init__(self, owner: "EventQueue", items: list, fire: Callable[[Any], Any]):
-        self.cancelled = False
-        self._queue = None
         self._owner = owner
         self._entries: list[tuple[float, int, _Batch]] = []
         self._items = items
@@ -132,7 +151,7 @@ class EventQueue:
         self._now = 0.0
         # (time, seq, timer) entries; the list object is never replaced,
         # so a dispatch loop may hold it across callbacks that compact.
-        self._heap: list[tuple[float, int, Timer | _Batch]] = []
+        self._heap: list[tuple[float, int, Timer | HeapEntry]] = []
         self._seq = 0
         # Sequence number of the event firing now (see current_key).
         self._current = -1
@@ -200,6 +219,20 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         return self._push(time, seq, callback)
+
+    def schedule_entry(self, delay: float, entry: HeapEntry) -> None:
+        """Run ``entry.callback()`` after ``delay`` time units.
+
+        Keyed exactly as :meth:`schedule` would key it, from the same
+        sequence counter, but ``entry`` goes on the heap itself: no
+        :class:`Timer` is allocated and nothing can cancel it.  The
+        network's per-hop walkers use it, one entry per link traversal.
+        """
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self._now + delay, seq, entry))
 
     def schedule_at_key(
         self, time: float, seq: int, callback: Callable[[], Any]

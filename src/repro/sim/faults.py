@@ -257,6 +257,7 @@ class FaultInjector:
         for down in schedule.link_down_windows:
             key = (min(down.u, down.v), max(down.u, down.v))
             self._down_by_link.setdefault(key, []).append((down.start, down.end))
+        self._ge = schedule.gilbert_elliott
         #: Per-link Gilbert–Elliott state; True = bad (bursting).
         self._ge_bad: dict[tuple[int, int], bool] = {}
         #: Injection counters, keyed by fault kind (JSON-ready).
@@ -279,7 +280,8 @@ class FaultInjector:
 
     def drop_delivery(self, node: int, packet: Packet, now: float) -> bool:
         """True when delivery to ``node`` must be dropped (node crashed)."""
-        if self.node_crashed(node, now):
+        # The membership test first: it spares most deliveries a call.
+        if node in self._crash_by_node and self.node_crashed(node, now):
             self._record(now, "crash.rx_drop", node=node, seq=packet.seq)
             return True
         return False
@@ -294,8 +296,11 @@ class FaultInjector:
     # -- link faults -----------------------------------------------------
 
     def link_down(self, link: "Link", now: float) -> bool:
-        key = (min(link.u, link.v), max(link.u, link.v))
-        windows = self._down_by_link.get(key)
+        down_by_link = self._down_by_link
+        if not down_by_link:
+            return False
+        # Link endpoints are canonical (u < v), as the window keys are.
+        windows = down_by_link.get((link.u, link.v))
         if not windows:
             return False
         if any(start <= now < end for start, end in windows):
@@ -306,7 +311,7 @@ class FaultInjector:
     @property
     def burst_loss(self) -> bool:
         """Whether the Gilbert–Elliott chain replaces the Bernoulli draw."""
-        return self.schedule.gilbert_elliott is not None
+        return self._ge is not None
 
     def burst_loss_draw(self, link: "Link", now: float) -> bool:
         """One Gilbert–Elliott loss decision on ``link``; steps the chain.
@@ -315,19 +320,21 @@ class FaultInjector:
         state transition for the next attempt is drawn — two draws per
         attempt, both from the fault lane, never from the loss streams.
         """
-        params = self.schedule.gilbert_elliott
+        params = self._ge
         assert params is not None
-        key = (min(link.u, link.v), max(link.u, link.v))
+        key = (link.u, link.v)  # canonical: u < v
         bad = self._ge_bad.get(key, False)
         if bad:
             loss_prob = params.bad_loss
+            flip = params.p_exit_bad
         else:
-            loss_prob = (
-                params.good_loss if params.good_loss is not None else link.loss_prob
-            )
-        lost = loss_prob > 0.0 and self._rng.random() < loss_prob
-        flip = params.p_exit_bad if bad else params.p_enter_bad
-        if flip > 0.0 and self._rng.random() < flip:
+            loss_prob = params.good_loss
+            if loss_prob is None:
+                loss_prob = link.loss_prob
+            flip = params.p_enter_bad
+        random = self._rng.random
+        lost = loss_prob > 0.0 and random() < loss_prob
+        if flip > 0.0 and random() < flip:
             self._ge_bad[key] = not bad
         if lost and bad:
             self._record(now, "burst.drop", node=link.u, peer=link.v)

@@ -81,8 +81,8 @@ from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
 from repro.net.topology import Link, Topology
 from repro.sim import dissem as dissem_mod
-from repro.sim.engine import EventQueue
-from repro.sim.packet import Packet, PacketKind
+from repro.sim.engine import EventQueue, HeapEntry
+from repro.sim.packet import RECOVERY_KINDS, Packet, PacketKind
 from repro.sim.trace import TraceEvent, TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle breaker
@@ -141,11 +141,11 @@ class _RoutedPath:
         return times, t
 
 
-class _PathTransit:
+class _PathTransit(HeapEntry):
     """Closure-free hop walker along a cached path.
 
-    One instance per send; it is its own arrival callback and steps the
-    path without allocating a lambda per hop.  At the last node it
+    One instance per send; it is its own heap entry and steps the path
+    without allocating a timer or a lambda per hop.  At the last node it
     delivers; a multicast access leg then floods the subtree below that
     node (``came_from`` is the subtree root's tree parent, -1 at the
     tree root), a unicast journey (``came_from`` None) stops there.
@@ -166,7 +166,7 @@ class _PathTransit:
         self._came_from = came_from
         self._index = 0
 
-    def __call__(self) -> None:
+    def callback(self) -> None:
         network = self._network
         path = self._path
         i = self._index
@@ -180,9 +180,9 @@ class _PathTransit:
         network._transmit(path.links[i], path.nodes[i + 1], self._packet, self)
 
 
-class _FloodArrival:
-    """Arrival of one flood or subtree copy: deliver, then spread
-    everywhere but back where it came from."""
+class _FloodArrival(HeapEntry):
+    """Arrival of one flood or subtree copy, as its own heap entry:
+    deliver, then spread everywhere but back where it came from."""
 
     __slots__ = ("_network", "_node", "_came_from", "_packet")
 
@@ -194,7 +194,7 @@ class _FloodArrival:
         self._came_from = came_from
         self._packet = packet
 
-    def __call__(self) -> None:
+    def callback(self) -> None:
         self._network._deliver(self._packet, self._node)
         self._network._flood_spread(self._node, self._came_from, self._packet)
 
@@ -532,6 +532,8 @@ class SimNetwork:
         # runner never constructs an injector for a null schedule, so
         # fault-free runs replay the pre-fault byte stream exactly.
         self._faults = faults
+        # Read once: whether Gilbert–Elliott replaces the Bernoulli draw.
+        self._burst_loss = faults is not None and faults.burst_loss
         # Optional dynamic membership (join/leave churn — see
         # repro.sim.membership).  Same discipline as faults: None keeps
         # every check at one attribute test, and the runner never
@@ -913,41 +915,38 @@ class SimNetwork:
         link: Link,
         to_node: int,
         packet: Packet,
-        on_arrival: Callable[[], None],
+        arrival: HeapEntry,
     ) -> bool:
         """Put ``packet`` on ``link`` toward ``to_node``.
 
-        Charges the hop, draws the loss, and schedules ``on_arrival``
-        after the link delay when the packet survives.  Returns whether
-        the packet survived the loss draw — the authoritative
+        Charges the hop, draws the loss, and puts ``arrival`` on the
+        calendar after the link delay when the packet survives.  Returns
+        whether the packet survived the loss draw — the authoritative
         survive/drop outcome tracing and telemetry consume (inferring
         it from event-heap growth would mislabel transmissions whenever
         a hook or future primitive schedules differently).
         """
-        self.ledger.charge_hop(packet.kind)
+        kind = packet.kind
+        self.ledger.hops_by_kind[kind] += 1
         faults = self._faults
-        dropped = False
         if faults is not None and faults.link_down(link, self.events.now):
             # A down link drops everything — data, session and recovery
             # alike, regardless of the lossless_recovery exemption.
             dropped = True
+        elif self._lossless_recovery and kind in RECOVERY_KINDS:
+            dropped = False
+        elif self._burst_loss:
+            # Gilbert–Elliott replaces the Bernoulli draw entirely; its
+            # draws come from the fault lane, never the loss streams.
+            dropped = faults.burst_loss_draw(link, self.events.now)
         else:
-            exempt = self._lossless_recovery and packet.is_recovery_traffic
-            if faults is not None and faults.burst_loss and not exempt:
-                # Gilbert–Elliott replaces the Bernoulli draw entirely;
-                # its draws come from the fault lane, never the loss
-                # streams.
-                dropped = faults.burst_loss_draw(link, self.events.now)
-            else:
-                lossy = link.loss_prob > 0.0 and not exempt
-                rng = (
-                    self._data_loss_rng
-                    if packet.kind is PacketKind.DATA
-                    else self._loss_rng
-                )
-                dropped = lossy and rng.random() < link.loss_prob
+            loss_prob = link.loss_prob
+            dropped = loss_prob > 0.0 and (
+                self._data_loss_rng if kind is PacketKind.DATA
+                else self._loss_rng
+            ).random() < loss_prob
         if dropped:
-            self.ledger.charge_drop(packet.kind)
+            self.ledger.drops_by_kind[kind] += 1
             if self._link_observers:
                 self._emit_link(
                     TraceKind.DROP, packet, to_node, link.other(to_node), 0.0
@@ -965,11 +964,11 @@ class SimNetwork:
 
             def arrive_and_release() -> None:
                 congestion.end(key)
-                on_arrival()
+                arrival.callback()
 
             self.events.schedule(delay, arrive_and_release)
         else:
-            self.events.schedule(delay, on_arrival)
+            self.events.schedule_entry(delay, arrival)
         if self._link_observers:
             self._emit_link(
                 TraceKind.TRANSMIT, packet, to_node, link.other(to_node), delay
@@ -1016,7 +1015,7 @@ class SimNetwork:
             self.ledger.charge_fast(packet.kind, now, hop_times)
             self.events.schedule_at(arrival, partial(self._deliver, packet, dst))
             return
-        _PathTransit(self, path, packet, None)()
+        _PathTransit(self, path, packet, None).callback()
 
     # -- tree multicast -----------------------------------------------------------
 
@@ -1062,7 +1061,7 @@ class SimNetwork:
             return
         _PathTransit(
             self, self._tree_leg(src, subtree_root), packet, came_from
-        )()
+        ).callback()
 
     def _flood_spread(self, node: int, came_from: int, packet: Packet) -> None:
         """Copy ``packet`` to every tree neighbor of ``node`` but

@@ -52,6 +52,18 @@ class PacketKind(enum.Enum):
     REPAIR = "repair"
     SESSION = "session"
 
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # ``__hash__`` hashes the member name in Python on every dict or
+    # set lookup, which the per-hop ledger and exemption tests pay.
+    __hash__ = object.__hash__
+
+
+#: Kinds whose hops count as recovery bandwidth (everything except the
+#: original data stream and session chatter).
+RECOVERY_KINDS = frozenset(
+    (PacketKind.REQUEST, PacketKind.NACK, PacketKind.REPAIR)
+)
+
 
 @dataclass(frozen=True, slots=True)
 class Packet:
@@ -71,4 +83,4 @@ class Packet:
     def is_recovery_traffic(self) -> bool:
         """True for packets whose hops count as recovery bandwidth
         (everything except the original data stream and session chatter)."""
-        return self.kind in (PacketKind.REQUEST, PacketKind.NACK, PacketKind.REPAIR)
+        return self.kind in RECOVERY_KINDS

@@ -2,6 +2,8 @@
 end-to-end guarantee that a cached run is indistinguishable from an
 uncached one (plans, latencies, telemetry)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from repro.core.timeouts import FixedTimeout, ProportionalTimeout
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import build_scenario, run_protocol_detailed
 from repro.net.generators import TopologyConfig, random_backbone
-from repro.net.mcast_tree import random_multicast_tree
+from repro.net.mcast_tree import MulticastTree, random_multicast_tree
 from repro.net.routing import RoutingTable
+from repro.net.topology import Topology
 from repro.obs.instrumentation import Instrumentation
 from repro.protocols.rp import RPProtocolFactory
 
@@ -61,6 +64,26 @@ class TestFingerprint:
         a = make_planner(seed=3, loss_prob=0.0)
         b = make_planner(seed=3, loss_prob=0.15)
         assert scenario_fingerprint(a.tree) == scenario_fingerprint(b.tree)
+
+    def test_one_ulp_of_one_link_delay_changes_fingerprint(self):
+        tree = make_planner(seed=3).tree
+        topo = tree.topology
+        parents = {n: tree.parent(n) for n in tree.members if n != tree.root}
+
+        def rebuilt(nudge):
+            copy = Topology()
+            for node in range(topo.num_nodes):
+                copy.add_node(topo.kind(node))
+            for i, link in enumerate(topo.links):
+                delay = link.delay
+                if i == nudge:
+                    delay = math.nextafter(delay, math.inf)
+                copy.add_link(link.u, link.v, delay, link.loss_prob)
+            return MulticastTree(copy, tree.root, parents)
+
+        fp = scenario_fingerprint(tree)
+        assert scenario_fingerprint(rebuilt(None)) == fp
+        assert scenario_fingerprint(rebuilt(len(topo.links) // 2)) != fp
 
     def test_fingerprint_memoized_on_tree(self):
         planner = make_planner()

@@ -636,6 +636,97 @@ class TestKeepMask:
         assert q.current_key > (1.0, seq0 + 1)
 
 
+class _Hop(engine.HeapEntry):
+    """A hop entry that logs its label and the queue's state when it fires."""
+
+    __slots__ = ("label", "log", "q")
+
+    def __init__(self, q, label, log):
+        self.q, self.label, self.log = q, label, log
+
+    def callback(self):
+        q = self.q
+        self.log.append((self.label, q.now, q.processed, q.pending))
+
+
+class TestScheduleEntry:
+    """``schedule_entry`` keys a hop entry exactly as ``schedule`` keys a
+    timer, from the same counter, and puts the entry itself on the heap."""
+
+    def test_interleaves_with_timers_on_one_counter(self):
+        # The same script twice: hop entries where the second run uses
+        # timers.  Equal times fire in scheduling order either way.
+        logs = []
+        for hops in (True, False):
+            q, log = EventQueue(), []
+
+            def add(delay, label, q=q, log=log, hops=hops):
+                if hops:
+                    q.schedule_entry(delay, _Hop(q, label, log))
+                else:
+                    hop = _Hop(q, label, log)
+                    q.schedule(delay, hop.callback)
+
+            q.schedule(1.0, lambda q=q, log=log: log.append(("t0", q.now)))
+            add(1.0, "h0")
+            q.schedule_at(0.5, lambda q=q, log=log: log.append(("t1", q.now)))
+            add(0.5, "h1")
+            add(1.0, "h2")
+            q.schedule(1.0, lambda q=q, log=log: log.append(("t2", q.now)))
+            assert q._seq == 6
+            q.run()
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert [entry[0] for entry in logs[0]] == [
+            "t1", "h1", "t0", "h0", "h2", "t2",
+        ]
+
+    def test_allocates_no_timer(self):
+        q = EventQueue()
+        with mock.patch.object(engine, "Timer") as timer:
+            q.schedule_entry(1.0, _Hop(q, "h", []))
+        timer.assert_not_called()
+        ((at, seq, entry),) = q._heap
+        assert (at, seq, type(entry)) == (1.0, 0, _Hop)
+
+    def test_pending_step_and_run_until(self):
+        q, log = EventQueue(), []
+        for i in range(4):
+            q.schedule_entry(float(i + 1), _Hop(q, i, log))
+        assert q.pending == 4
+        assert q.step()
+        assert log == [(0, 1.0, 1, 3)]
+        q.run(until=2.5)
+        assert (q.now, q.processed, q.pending) == (2.5, 2, 2)
+        assert q.current_key == (2.5, 4)
+        q.run()
+        assert [label for label, *_ in log] == [0, 1, 2, 3]
+        assert (q.now, q.pending, len(q._heap)) == (4.0, 0, 0)
+
+    def test_compaction_keeps_hop_entries(self):
+        q, log = EventQueue(), []
+        for i in range(3):
+            q.schedule_entry(100.0 + i, _Hop(q, i, log))
+        doomed = [q.schedule(float(i + 1), lambda: None) for i in range(200)]
+        for timer in doomed:
+            timer.cancel()
+        assert q.compactions >= 1
+        assert q.pending == 3
+        q._compact()
+        assert len(q._heap) == 3
+        q.run()
+        assert [label for label, *_ in log] == [0, 1, 2]
+
+    @pytest.mark.parametrize("delay", [-1.0, -1e-300, float("nan")])
+    def test_rejects_negative_and_nan_delays(self, delay):
+        q, log = EventQueue(), []
+        with pytest.raises(ValueError, match="into the past"):
+            q.schedule_entry(delay, _Hop(q, "h", log))
+        assert (q._seq, q.pending, len(q._heap)) == (0, 0, 0)
+        q.run()
+        assert log == []
+
+
 class _CalendarModel:
     """Reference calendar: a sorted list with the same lazy-cancel and
     compaction bookkeeping as :class:`EventQueue`, but no heap.  Items

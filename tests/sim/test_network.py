@@ -1,6 +1,8 @@
 """Tests for the packet-level network: forwarding, delays, loss,
 multicast, flooding, hop accounting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from repro.net.mcast_tree import MulticastTree
 from repro.net.routing import RoutingTable
 from repro.net.topology import NodeKind, Topology
 from repro.protocols.base import StreamConfig
+from repro.sim import engine
 from repro.sim.engine import EventQueue
+from repro.sim.faults import FaultInjector, FaultSchedule, LinkDownWindow
 from repro.sim.network import FastReceivers, SimNetwork
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.trace import TraceKind, TraceRecorder
@@ -116,6 +120,69 @@ class TestUnicast:
         assert rec.deliveries == []
         assert net.ledger.hops_by_kind[PacketKind.REQUEST] == 1
         assert net.ledger.drops_by_kind[PacketKind.REQUEST] == 1
+
+
+class TestFaultedHops:
+    def test_link_down_window_declared_reversed_drops_the_link(self):
+        # Declared as (S, r0) = (2, 0); the link is stored as (0, 2).
+        topo, tree, events, _ = build_net()
+        faults = FaultInjector(
+            FaultSchedule(link_down_windows=(LinkDownWindow(S, 0, 0.0, 5.0),)),
+            np.random.default_rng(0),
+        )
+        net = SimNetwork(
+            events, topo, RoutingTable(topo), tree,
+            loss_rng=np.random.default_rng(0), faults=faults,
+        )
+        rec = Recorder(events)
+        net.attach_agent(CA, rec)
+        net.send_unicast(S, CA, REQ)  # first hop S -> r0 is down
+        events.run(until=5.0)
+        assert rec.deliveries == []
+        assert net.ledger.hops_by_kind[PacketKind.REQUEST] == 1
+        assert net.ledger.drops_by_kind[PacketKind.REQUEST] == 1
+        assert faults.counts == {"link.down_drop": 1}
+        net.send_unicast(S, CA, REQ)  # the window is half-open
+        events.run()
+        assert rec.deliveries == [(9.0, REQ)]
+
+    def test_faulted_scalar_run_allocates_no_timer_per_hop(self):
+        # Faults keep every hop on the scalar walk; each surviving hop is
+        # one heap entry, so the run's timers (protocol timers and
+        # zero-hop sends) number far fewer than its surviving hops.
+        from repro.experiments.chaos import chaos_horizon, hardened_factories
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import build_scenario, run_protocol_detailed
+        from repro.sim.faults import random_fault_schedule
+        from repro.sim.rng import RngStreams
+
+        config = ScenarioConfig(
+            seed=1, num_routers=25, loss_prob=0.05, num_packets=5
+        )
+        built = build_scenario(config)
+        candidates = [c for c in built.tree.clients if c != built.tree.root]
+        faults = random_fault_schedule(
+            0.3, RngStreams(config.seed).get("fault-schedule:0.3"),
+            candidates, built.topology.links, chaos_horizon(config),
+        )
+        factory = next(f for f in hardened_factories() if f.name == "SRM")
+        made = []
+
+        class CountingTimer(engine.Timer):
+            __slots__ = ()
+
+            def __init__(self, callback):
+                made.append(callback)
+                super().__init__(callback)
+
+        with mock.patch.object(engine, "Timer", CountingTimer):
+            artifacts = run_protocol_detailed(built, factory, faults=faults)
+        ledger = artifacts.ledger
+        surviving = sum(ledger.hops_by_kind.values()) - sum(
+            ledger.drops_by_kind.values()
+        )
+        assert artifacts.faults.counts["burst.drop"] > 0
+        assert 0 < len(made) < surviving
 
 
 class TestMulticastSubtree:

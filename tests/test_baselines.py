@@ -5,6 +5,8 @@ only CI's shell steps."""
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.obs.ledger import diff_fingerprints, load_fingerprint
 
@@ -60,3 +62,39 @@ def test_chaos_smoke(tmp_path, capsys):
         "0.5", "--routers", "25", "--packets", "5", "--save", str(saved),
     ]) == 0
     assert saved.read_bytes() == (BASELINES / "chaos_smoke.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def campaign_out(tmp_path_factory):
+    """The CI campaign smoke's output directory at a worker count, run
+    once per count."""
+    outs = {}
+
+    def run(jobs):
+        if jobs not in outs:
+            out = tmp_path_factory.mktemp(f"campaign-jobs{jobs}")
+            assert main([
+                "campaign", "--out", str(out), "--packets", "4", "--seeds",
+                "1", "2", "--client-routers", "15", "25", "--loss-probs",
+                "0.05", "--loss-routers", "25", "--jobs", str(jobs),
+            ]) == 0
+            outs[jobs] = out
+        return outs[jobs]
+
+    return run
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_campaign_fingerprint(jobs, campaign_out, capsys):
+    # Per-run counters of the campaign smoke (CI: "Regression-ledger
+    # gate"), and its sweeps byte-equal at every worker count (CI:
+    # "Parallel determinism smoke").
+    out = campaign_out(jobs)
+    diff = diff_fingerprints(
+        load_fingerprint(out / "fingerprint.json"),
+        load_fingerprint(BASELINES / "campaign_smoke_fingerprint.json"),
+    )
+    assert diff.clean, diff.render()
+    sequential = campaign_out(1)
+    for name in ("client_sweep.json", "loss_sweep.json"):
+        assert (out / name).read_bytes() == (sequential / name).read_bytes()
