@@ -44,8 +44,8 @@ def run_estimators():
     return out
 
 
-def test_ablation_estimation(benchmark):
-    results = benchmark.pedantic(run_estimators, rounds=1, iterations=1)
+def test_ablation_estimation():
+    results = run_estimators()
     rows = [
         [name, f"{s.avg_latency:.2f}", f"{s.bandwidth_per_recovery:.2f}"]
         for name, s in results.items()

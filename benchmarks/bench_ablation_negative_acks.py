@@ -50,8 +50,8 @@ def run_variants():
     return rows
 
 
-def test_ablation_negative_acks(benchmark):
-    rows = benchmark.pedantic(run_variants, rounds=1, iterations=1)
+def test_ablation_negative_acks():
+    rows = run_variants()
     record(
         "== Extension E3: negative acknowledgments (n=300, p=5%) ==\n"
         + format_table(

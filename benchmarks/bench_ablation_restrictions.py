@@ -50,8 +50,8 @@ def run_variants():
     }
 
 
-def test_ablation_restrictions(benchmark):
-    results = benchmark.pedantic(run_variants, rounds=1, iterations=1)
+def test_ablation_restrictions():
+    results = run_variants()
     rows = [
         [name, f"{s.avg_latency:.2f}", f"{s.bandwidth_per_recovery:.2f}",
          str(s.losses_recovered)]

@@ -40,8 +40,8 @@ def run_settings():
     }
 
 
-def test_ablation_srm_timers(benchmark):
-    results = benchmark.pedantic(run_settings, rounds=1, iterations=1)
+def test_ablation_srm_timers():
+    results = run_settings()
     rows = [
         [name, f"{s.avg_latency:.2f}", f"{s.bandwidth_per_recovery:.2f}"]
         for name, s in results.items()

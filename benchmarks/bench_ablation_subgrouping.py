@@ -57,8 +57,8 @@ def run_granularities():
     return rows
 
 
-def test_ablation_subgrouping(benchmark):
-    rows = benchmark.pedantic(run_granularities, rounds=1, iterations=1)
+def test_ablation_subgrouping():
+    rows = run_granularities()
     record(
         "== Ablation A4: source-subgroup granularity "
         "(source-only recovery, n=300, p=5%) ==\n"

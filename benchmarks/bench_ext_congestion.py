@@ -57,8 +57,8 @@ def run_alphas():
     return rows, gains
 
 
-def test_ext_congestion(benchmark):
-    rows, gains = benchmark.pedantic(run_alphas, rounds=1, iterations=1)
+def test_ext_congestion():
+    rows, gains = run_alphas()
     record(
         "== Extension E4: load-dependent link delays (n=300, p=5%) ==\n"
         + format_table(

@@ -22,16 +22,14 @@ from benchmarks.conftest import bench_packets, record
 from repro.core.exact_model import ExactLossModel, exact_best_any_order
 from repro.core.planner import RPPlanner
 from repro.core.timeouts import ProportionalTimeout
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table, improvement_pct
-from repro.metrics.collectors import BandwidthLedger, RecoveryLog
+from repro.experiments.runner import BuiltScenario, run_protocol
 from repro.net.generators import TopologyConfig, apply_loss_hotspots, random_backbone
 from repro.net.mcast_tree import random_multicast_tree
 from repro.net.routing import RoutingTable
-from repro.protocols.base import CompletionTracker, StreamConfig, StreamDriver
 from repro.protocols.rp import RPProtocolFactory
 from repro.protocols.srm import SRMProtocolFactory
-from repro.sim.engine import EventQueue
-from repro.sim.network import SimNetwork
 from repro.sim.rng import RngStreams
 
 
@@ -94,39 +92,24 @@ def analytic_gaps(topo, tree, routing):
 
 
 def run_protocols_on(topo, tree, routing, seed):
-    out = {}
-    for factory in (RPProtocolFactory(), SRMProtocolFactory()):
-        streams = RngStreams(seed)
-        events = EventQueue()
-        log = RecoveryLog()
-        net = SimNetwork(
-            events, topo, routing, tree,
-            loss_rng=streams.get(f"loss:{factory.name}"),
-            ledger=BandwidthLedger(),
-            data_loss_rng=streams.get("loss:data"),
+    built = BuiltScenario(
+        ScenarioConfig(
+            seed=seed, num_routers=120, loss_prob=0.02,
+            num_packets=bench_packets(), session_interval=50.0,
             lossless_recovery=True,
-        )
-        tracker = CompletionTracker(len(tree.clients), bench_packets(), events)
-        source = factory.install(net, log, tracker, streams, bench_packets())
-        stream = StreamConfig(
-            num_packets=bench_packets(), data_interval=10.0,
-            session_interval=50.0,
-        )
-        StreamDriver(net, source, stream, tracker).start()
-        events.run(max_events=20_000_000)
-        assert tracker.complete
-        out[factory.name] = log.mean_latency()
-    return out
+        ),
+        topo, tree, routing,
+    )
+    return {
+        factory.name: run_protocol(built, factory).avg_latency
+        for factory in (RPProtocolFactory(), SRMProtocolFactory())
+    }
 
 
-def test_ext_hotspots(benchmark):
-    def work():
-        topo, tree, routing, streams = build_hotspot_network()
-        ratios = analytic_gaps(topo, tree, routing)
-        latencies = run_protocols_on(topo, tree, routing, seed=9)
-        return ratios, latencies
-
-    ratios, latencies = benchmark.pedantic(work, rounds=1, iterations=1)
+def test_ext_hotspots():
+    topo, tree, routing, streams = build_hotspot_network()
+    ratios = analytic_gaps(topo, tree, routing)
+    latencies = run_protocols_on(topo, tree, routing, seed=9)
     mean_gap = sum(ratios) / len(ratios)
     worst_gap = max(ratios)
     record(

@@ -20,16 +20,12 @@ from repro.experiments.report import render_figure
 LOSS_PROBS = (0.02, 0.05, 0.08, 0.12, 0.16, 0.20)
 
 
-def test_lossy_recovery_sweep(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: run_loss_sweep(
-            loss_probs=LOSS_PROBS,
-            num_packets=bench_packets(),
-            seeds=bench_seeds(),
-            lossless_recovery=False,
-        ),
-        rounds=1,
-        iterations=1,
+def test_lossy_recovery_sweep():
+    sweep = run_loss_sweep(
+        loss_probs=LOSS_PROBS,
+        num_packets=bench_packets(),
+        seeds=bench_seeds(),
+        lossless_recovery=False,
     )
     record(render_figure(
         sweep, "latency",

@@ -10,8 +10,8 @@ from benchmarks.conftest import get_client_sweep, record
 from repro.experiments.report import improvement_pct, render_figure
 
 
-def test_figure5_latency_vs_clients(benchmark):
-    sweep = benchmark.pedantic(get_client_sweep, rounds=1, iterations=1)
+def test_figure5_latency_vs_clients():
+    sweep = get_client_sweep()
     record(render_figure(
         sweep, "latency",
         "Figure 5: average recovery latency per packet recovered (p=5%)",

@@ -12,8 +12,8 @@ from benchmarks.conftest import get_loss_sweep, record
 from repro.experiments.report import render_figure
 
 
-def test_figure7_latency_vs_loss(benchmark):
-    sweep = benchmark.pedantic(get_loss_sweep, rounds=1, iterations=1)
+def test_figure7_latency_vs_loss():
+    sweep = get_loss_sweep()
     record(render_figure(
         sweep, "latency",
         "Figure 7: average recovery latency per packet recovered (n=500)",

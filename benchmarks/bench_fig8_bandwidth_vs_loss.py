@@ -21,8 +21,8 @@ def _slope(xs, ys):
     return num / den
 
 
-def test_figure8_bandwidth_vs_loss(benchmark):
-    sweep = benchmark.pedantic(get_loss_sweep, rounds=1, iterations=1)
+def test_figure8_bandwidth_vs_loss():
+    sweep = get_loss_sweep()
     record(render_figure(
         sweep, "bandwidth",
         "Figure 8: average bandwidth usage per packet recovered (n=500)",

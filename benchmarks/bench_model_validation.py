@@ -30,7 +30,7 @@ from repro.obs.report import predict_model
 from repro.protocols.rp import RPProtocolFactory
 
 
-def test_analytic_vs_simulated_latency(benchmark):
+def test_analytic_vs_simulated_latency():
     config = ScenarioConfig(
         seed=3, num_routers=200, loss_prob=0.02, num_packets=bench_packets()
     )
@@ -38,9 +38,7 @@ def test_analytic_vs_simulated_latency(benchmark):
     planner = RPPlanner(built.tree, built.routing)
     # The same eq.-3 mean `repro obs` prints as its planned E[delay].
     _, predicted = predict_model(planner.plan_all(), planner.estimator)
-    summary = benchmark.pedantic(
-        lambda: run_protocol(built, RPProtocolFactory()), rounds=1, iterations=1
-    )
+    summary = run_protocol(built, RPProtocolFactory())
     record(
         "== Model validation: eq. (3) prediction vs simulation "
         "(n=200, p=2%) ==\n"
@@ -54,7 +52,7 @@ def test_analytic_vs_simulated_latency(benchmark):
     assert predicted / 3 < summary.avg_latency < predicted * 3
 
 
-def test_optimality_gap_vs_loss(benchmark):
+def test_optimality_gap_vs_loss():
     """Exact-model optimality gap of the reliable-network plan."""
     config = ScenarioConfig(seed=5, num_routers=60, loss_prob=0.05)
     built = build_scenario(config)
@@ -86,7 +84,7 @@ def test_optimality_gap_vs_loss(benchmark):
             rows.append((p, sum(ratios) / len(ratios), max(ratios)))
         return rows
 
-    rows = benchmark.pedantic(gaps, rounds=1, iterations=1)
+    rows = gaps()
     record(
         "== Model validation: exact-model optimality gap of the RP plan ==\n"
         + format_table(

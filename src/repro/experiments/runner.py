@@ -156,8 +156,10 @@ def run_protocol_detailed(
     shared built tree stays pristine and churn-free runs are
     byte-identical to runs of a build without the membership subsystem.
     Churned runs execute on a :meth:`~repro.net.mcast_tree.MulticastTree.clone`
-    of the tree, wire incremental plan repair into factories that
-    support it (:meth:`~repro.protocols.rp.RPProtocolFactory.attach_membership`).
+    of the tree.  The director is on the network before
+    ``factory.install``, so a factory that plans wires its incremental
+    plan repair there (:meth:`~repro.protocols.rp.RPProtocolFactory.install`);
+    other protocols churn without re-planning.
 
     After the drain every run is checked by
     :func:`~repro.obs.health.evaluate_health`: every detected loss
@@ -232,11 +234,8 @@ def run_protocol_detailed(
         instrumentation=instr,
     )
     if director is not None:
-        # Incremental plan repair for factories that plan (RP); other
-        # protocols churn without re-planning.  Arm after install so the
-        # director's events find the agents in place.
-        if hasattr(factory, "attach_membership"):
-            factory.attach_membership(director)
+        # Arm after install so the director's events find the agents in
+        # place.
         director.arm()
     driver = StreamDriver(
         network, source_agent, config.stream_config(), tracker,

@@ -7,8 +7,8 @@ instrumented run or sweep reduces to a :class:`RunFingerprint` — the
 scenario's canonical config hash, its headline counters, and compact
 digests of its time series — appended to a plain JSONL store.  Two
 fingerprints diff structurally (:func:`diff_fingerprints`), which is
-what ``repro health --diff A B`` and the CI gate over the campaign
-smoke run.
+what ``repro health --diff A B`` and the tier-1 baseline checks
+(``tests/test_baselines.py``) run.
 
 Determinism discipline: a fingerprint contains **sim-time quantities
 only**.  Wall-clock durations, hostnames, dates and python versions are

@@ -327,6 +327,22 @@ class RepairDeduper:
         self._holds[seq] = active
         return True
 
+    def send(
+        self, network: SimNetwork, sender: int, root: int | None,
+        requester: int, repair: Packet,
+    ) -> None:
+        """Send ``repair`` down the subtree at ``root``, or unicast it to
+        ``requester`` when that subtree already holds a repair for its
+        seq (its copy of the flood may be the lost one) or there is no
+        subtree to repair (``root`` None: a requester pruned from the
+        tree, or a protocol variant that repairs by unicast)."""
+        if root is not None and self.should_repair(
+            repair.seq, root, network.events.now
+        ):
+            network.multicast_subtree(sender, root, repair)
+        else:
+            network.send_unicast(sender, requester, repair)
+
 
 class SourceAgentBase(abc.ABC):
     """The multicast source: owns every sent packet, answers requests."""

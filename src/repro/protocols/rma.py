@@ -60,11 +60,7 @@ from repro.protocols.base import (
     RepairDeduper,
     SourceAgentBase,
 )
-from repro.protocols.policy import (
-    DEFAULT_RECOVERY_POLICY,
-    PeerFailureDetector,
-    RecoveryPolicy,
-)
+from repro.protocols.policy import DEFAULT_RECOVERY_POLICY, RecoveryPolicy
 from repro.protocols.rp import ListClientAgent
 from repro.sim.network import SimNetwork
 from repro.sim.packet import Packet, PacketKind
@@ -82,9 +78,11 @@ class RMAConfig:
     source directly — RMA's terminal fallback.  Without the bound, a
     near-root loss (where *every* upstream peer is missing the packet
     too) degenerates into hundreds of sequential timeouts.
-    ``recovery_policy`` hardens the source fallback and skips dead
-    peers; its ``max_peer_retries`` is ignored, because RMA asks each
-    upstream receiver once.
+    ``recovery_policy`` hardens the source fallback.  Its
+    ``max_peer_retries`` is ignored, because RMA asks each upstream
+    receiver once, and so is its ``failure_threshold``: a peer that stays
+    silent is subsuming the request, not failing, so RMA runs no failure
+    detector.
     """
 
     timeout_policy: TimeoutPolicy | None = None
@@ -103,8 +101,8 @@ class UpstreamList(Sequence[Candidate]):
     A session walks a few entries of each list (the source deadline
     ends the walk), so building every entry at install would make
     objects nobody reads.  Iteration and slices build entries too;
-    length and order are the full list's, which a failure detector that
-    skips dead peers relies on.
+    length and order are the full list's, which the source-deadline jump
+    (to index ``len(attempts)``) relies on.
     """
 
     __slots__ = ("_peers", "_ds", "_rtt")
@@ -210,36 +208,25 @@ class RMAClientAgent(ListClientAgent):
         if packet.kind is not PacketKind.REQUEST:
             return
         seq = packet.seq
-        if not self.network.tree.contains(packet.origin):
-            # The requester left (and was pruned) while its request was
-            # in flight: no meeting router exists any more.  Answer
-            # directly if we can — the delivery is membership-dropped at
-            # the leaver — and never subsume for a ghost.
-            if self.has(seq):
-                self.network.send_unicast(
-                    self.node, packet.origin,
-                    Packet(
-                        PacketKind.REPAIR, seq, origin=self.node,
-                        trace_id=packet.trace_id, span_id=packet.span_id,
-                    ),
-                )
-            return
-        meeting = self.network.tree.first_common_router(self.node, packet.origin)
+        tree = self.network.tree
+        # A requester that left (and was pruned) while its request was
+        # in flight has no meeting router any more: it gets a unicast if
+        # we can answer — the delivery is membership-dropped at the
+        # leaver — and is never subsumed.
+        meeting = (
+            tree.first_common_router(self.node, packet.origin)
+            if tree.contains(packet.origin) else None
+        )
         if self.has(seq):
-            repair = Packet(
-                PacketKind.REPAIR, seq, origin=self.node,
-                trace_id=packet.trace_id, span_id=packet.span_id,
+            self._deduper.send(
+                self.network, self.node, meeting, packet.origin,
+                packet.reply(PacketKind.REPAIR, self.node),
             )
-            if self._deduper.should_repair(seq, meeting, self.network.events.now):
-                self.network.multicast_subtree(self.node, meeting, repair)
-            else:
-                # Subtree repair already in flight; cover this requester
-                # directly in case its copy was lost.
-                self.network.send_unicast(self.node, packet.origin, repair)
-            return
-        # Subsume: remember whom to cover, make sure our own search runs.
-        self._subsumed.setdefault(seq, set()).add(meeting)
-        self.force_detect(seq)  # no-op if our search is already running
+        elif meeting is not None:
+            # Subsume: remember whom to cover, make sure our own search
+            # runs.
+            self._subsumed.setdefault(seq, set()).add(meeting)
+            self.force_detect(seq)  # no-op if our search is already running
 
     def on_new_packet(self, seq: int) -> None:
         meetings = self._subsumed.pop(seq, None)
@@ -254,6 +241,8 @@ class RMAClientAgent(ListClientAgent):
 
 
 class RMASourceAgent(SourceAgentBase):
+    """The source: repairs into the requester's top-level subgroup."""
+
     def __init__(self, node: int, network: SimNetwork):
         super().__init__(node, network)
         self._deduper = RepairDeduper(network.tree)
@@ -261,21 +250,16 @@ class RMASourceAgent(SourceAgentBase):
     def on_request(self, packet: Packet) -> None:
         if not self.has(packet.seq):
             return  # not sent yet; the requester retries
-        repair = Packet(
-            PacketKind.REPAIR, packet.seq, origin=self.node,
-            trace_id=packet.trace_id, span_id=packet.span_id,
+        tree = self.network.tree
+        # A pruned-leaver straggler has no subgroup: it gets a unicast.
+        subgroup = (
+            tree.top_level_subgroup(packet.origin)
+            if tree.contains(packet.origin) else None
         )
-        if not self.network.tree.contains(packet.origin):
-            # Pruned-leaver straggler: no subgroup to repair into.
-            self.network.send_unicast(self.node, packet.origin, repair)
-            return
-        subgroup = self.network.tree.top_level_subgroup(packet.origin)
-        if self._deduper.should_repair(
-            packet.seq, subgroup, self.network.events.now
-        ):
-            self.network.multicast_subtree(self.node, subgroup, repair)
-        else:
-            self.network.send_unicast(self.node, packet.origin, repair)
+        self._deduper.send(
+            self.network, self.node, subgroup, packet.origin,
+            packet.reply(PacketKind.REPAIR, self.node),
+        )
 
 
 class RMAProtocolFactory(ProtocolFactory):
@@ -293,8 +277,6 @@ class RMAProtocolFactory(ProtocolFactory):
         num_packets: int,
         instrumentation: Instrumentation | None = None,
     ) -> SourceAgentBase:
-        threshold = self.config.recovery_policy.failure_threshold
-        detector = PeerFailureDetector(threshold) if threshold > 0 else None
         strategies = upstream_strategies(
             network.tree, network.routing,
             self.config.timeout_policy or ProportionalTimeout(),
@@ -304,7 +286,6 @@ class RMAProtocolFactory(ProtocolFactory):
                 client, network, log, tracker, num_packets, strategy,
                 config=self.config,
                 instrumentation=instrumentation,
-                detector=detector,
             )
             network.attach_agent(client, agent)
         source = RMASourceAgent(network.tree.root, network)

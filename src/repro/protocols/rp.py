@@ -32,11 +32,11 @@ path collapses to the paper-faithful behaviour above, bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.core import plan_cache
+from repro.core.plan_repair import IncrementalPlanRepairer
 from repro.core.planner import RecoveryStrategy, RPPlanner
 from repro.core.objective import AttemptCostEstimator
 from repro.core.strategy_graph import StrategyRestrictions
@@ -371,28 +371,16 @@ class RPClientAgent(ListClientAgent):
         if packet.kind is not PacketKind.REQUEST:
             return
         if self.has(packet.seq):
-            # Replies inherit the request's trace context: the REPAIR's
-            # link traversals are children of the attempt that asked.
-            repair = Packet(
-                PacketKind.REPAIR,
-                packet.seq,
-                origin=self.node,
-                req_id=packet.req_id,
-                trace_id=packet.trace_id,
-                span_id=packet.span_id,
+            self.network.send_unicast(
+                self.node, packet.origin,
+                packet.reply(PacketKind.REPAIR, self.node),
             )
-            self.network.send_unicast(self.node, packet.origin, repair)
         elif self.negative_acks:
             # "Don't have": let the requester advance without a timeout.
-            nack = Packet(
-                PacketKind.NACK,
-                packet.seq,
-                origin=self.node,
-                req_id=packet.req_id,
-                trace_id=packet.trace_id,
-                span_id=packet.span_id,
+            self.network.send_unicast(
+                self.node, packet.origin,
+                packet.reply(PacketKind.NACK, self.node),
             )
-            self.network.send_unicast(self.node, packet.origin, nack)
         # Without NACKs: stay silent; the requester's timer expires.
 
     def _on_negative_ack(self, packet: Packet) -> None:
@@ -446,26 +434,19 @@ class RPSourceAgent(SourceAgentBase):
     def on_request(self, packet: Packet) -> None:
         if not self.has(packet.seq):
             return  # request for data not yet sent; requester will retry
-        repair = Packet(
-            PacketKind.REPAIR, packet.seq, origin=self.node,
-            req_id=packet.req_id,
-            trace_id=packet.trace_id, span_id=packet.span_id,
+        # A request from a member that has since left (and been pruned)
+        # has no subgroup: it gets a unicast, membership-dropped at the
+        # leaver.
+        subgroup = (
+            self.subgrouping.subgroup_root(packet.origin)
+            if self.source_multicast
+            and self.network.tree.contains(packet.origin)
+            else None
         )
-        if self.source_multicast and self.network.tree.contains(packet.origin):
-            # A request from a member that has since left (and been
-            # pruned) has no subgroup; the unicast branch below covers
-            # it — the delivery is then membership-dropped at the leaver.
-            subgroup = self.subgrouping.subgroup_root(packet.origin)
-            if self._deduper.should_repair(
-                packet.seq, subgroup, self.network.events.now
-            ):
-                self.network.multicast_subtree(self.node, subgroup, repair)
-            else:
-                # A subtree repair is already in flight; still answer this
-                # requester directly (its copy of the flood may be lost).
-                self.network.send_unicast(self.node, packet.origin, repair)
-        else:
-            self.network.send_unicast(self.node, packet.origin, repair)
+        self._deduper.send(
+            self.network, self.node, subgroup, packet.origin,
+            packet.reply(PacketKind.REPAIR, self.node),
+        )
 
 
 class RPProtocolFactory(ProtocolFactory):
@@ -479,11 +460,10 @@ class RPProtocolFactory(ProtocolFactory):
         #: their estimator — telemetry reports read them for predictions.
         self.last_strategies: dict[int, RecoveryStrategy] = {}
         self.last_estimator: AttemptCostEstimator | None = None
-        #: The incremental repairer wired by the most recent
-        #: :meth:`attach_membership` (its history/stats feed the churn
-        #: sweep's repair-cost report); None until one is attached.
-        self.last_repairer = None
-        self._install_ctx: tuple | None = None
+        #: The incremental repairer the most recent :meth:`install` wired
+        #: to the network's membership director (its history/stats feed
+        #: the churn sweep's repair-cost report); None without churn.
+        self.last_repairer: IncrementalPlanRepairer | None = None
 
     def install(
         self,
@@ -494,6 +474,17 @@ class RPProtocolFactory(ProtocolFactory):
         num_packets: int,
         instrumentation: Instrumentation | None = None,
     ) -> SourceAgentBase:
+        """Plan every client, attach the agents and the source, and —
+        when the network has a membership director — wire incremental
+        plan repair to it.
+
+        After every join/leave the director fires, only the invalidated
+        clients are re-planned, in one batched planner call per event
+        (see :mod:`repro.core.plan_repair`), and one ``plan.repair``
+        record carries the re-planned client count.  Failure-detector
+        and churn re-plans alike swap lists for *subsequent* recoveries;
+        in-flight recoveries keep their strategy snapshot.
+        """
         estimator = self.config.estimator
         if estimator is None and self.config.negative_acks:
             # With "don't have" replies a failed attempt costs one
@@ -501,20 +492,31 @@ class RPProtocolFactory(ProtocolFactory):
             from repro.core.objective import RttOnlyEstimator
 
             estimator = RttOnlyEstimator()
-        scope = (
-            instrumentation.scope if instrumentation is not None
-            else NULL_INSTRUMENTATION.scope
+        instr = (
+            instrumentation if instrumentation is not None
+            else NULL_INSTRUMENTATION
         )
 
-        def plan(restrictions: StrategyRestrictions | None):
-            planner = RPPlanner(
+        def planner(forbidden: frozenset = frozenset()) -> RPPlanner:
+            """The planner with ``forbidden`` restricted out of the
+            strategy graph, on top of the configured restrictions."""
+            base = self.config.restrictions or StrategyRestrictions()
+            return RPPlanner(
                 network.tree,
                 network.routing,
                 timeout_policy=self.config.timeout_policy,
                 estimator=estimator,
-                restrictions=restrictions,
+                restrictions=dataclasses.replace(
+                    base,
+                    forbidden_peers=(
+                        frozenset(base.forbidden_peers) | forbidden
+                    ),
+                ),
             )
-            self.last_estimator = planner.estimator
+
+        def plan(forbidden: frozenset = frozenset()):
+            rp_planner = planner(forbidden)
+            self.last_estimator = rp_planner.estimator
             # Planning is a pure function of (tree, RTTs, timeout,
             # estimator, restrictions) — notably not of link loss
             # probabilities — so a loss-probability sweep hits the
@@ -523,32 +525,25 @@ class RPProtocolFactory(ProtocolFactory):
             # the cache key, so failure-detector re-plans with the same
             # dead set hit too.  Timed once per plan call, not per
             # client: the profiler sees planning as one phase.
-            with scope("planner.plan"):
-                return plan_cache.plans_for(planner)
+            with instr.scope("planner.plan"):
+                return plan_cache.plans_for(rp_planner)
 
-        self.last_strategies = plan(self.config.restrictions)
-        policy = self.config.recovery_policy
         agents: dict[int, RPClientAgent] = {}
+
+        def swap(replanned: dict[int, RecoveryStrategy]) -> None:
+            for client, strategy in replanned.items():
+                agent = agents.get(client)
+                if agent is not None:
+                    agent.strategy = strategy
+
+        self.last_strategies = plan()
+        policy = self.config.recovery_policy
         detector: PeerFailureDetector | None = None
         if policy.failure_threshold > 0:
 
             def on_death(peer: int) -> None:
-                base = self.config.restrictions or StrategyRestrictions()
-                replanned = plan(
-                    dataclasses.replace(
-                        base,
-                        forbidden_peers=(
-                            frozenset(base.forbidden_peers) | detector.dead
-                        ),
-                    )
-                )
-                self.last_strategies = replanned
-                # Swap lists for subsequent recoveries; in-flight
-                # recoveries hold their own strategy snapshot.
-                for client, agent in agents.items():
-                    new = replanned.get(client)
-                    if new is not None:
-                        agent.strategy = new
+                self.last_strategies = plan(detector.dead)
+                swap(self.last_strategies)
 
             detector = PeerFailureDetector(
                 policy.failure_threshold, on_death=on_death
@@ -580,72 +575,27 @@ class RPProtocolFactory(ProtocolFactory):
             subgrouping=subgrouping,
         )
         network.attach_agent(source.node, source)
-        self._install_ctx = (network, agents, estimator, instrumentation)
-        return source
-
-    # -- dynamic membership ------------------------------------------------
-
-    def _replan_clients(
-        self, network: SimNetwork, estimator, clients: list[int],
-        departed: frozenset,
-    ) -> dict[int, RecoveryStrategy]:
-        """From-scratch plans for ``clients`` with ``departed`` restricted
-        out of the strategy graph, in one batched planner call — the
-        incremental repairer's unit of work per composition change,
-        generalizing the failure detector's on-death re-plan."""
-        base = self.config.restrictions or StrategyRestrictions()
-        planner = RPPlanner(
-            network.tree,
-            network.routing,
-            timeout_policy=self.config.timeout_policy,
-            estimator=estimator,
-            restrictions=dataclasses.replace(
-                base,
-                forbidden_peers=frozenset(base.forbidden_peers) | departed,
-            ),
-        )
-        return planner.plan_clients(clients)
-
-    def attach_membership(self, director) -> None:
-        """Wire incremental plan repair to a membership director.
-
-        Must follow :meth:`install` (the repairer seeds from the
-        installed strategies).  After every join/leave the director
-        fires, only the invalidated clients are re-planned, in one
-        batched planner call per event (see
-        :mod:`repro.core.plan_repair`); repaired lists are swapped into
-        the live agents for *subsequent* recoveries — in-flight
-        recoveries keep their strategy snapshot, exactly as with
-        failure-detector re-plans — and one ``plan.repair`` record is
-        emitted carrying the re-planned client count.
-        """
-        if self._install_ctx is None:
-            raise RuntimeError("attach_membership() requires install() first")
-        from repro.core.plan_repair import IncrementalPlanRepairer
-
-        network, agents, estimator, instrumentation = self._install_ctx
-        instr = (
-            instrumentation if instrumentation is not None
-            else NULL_INSTRUMENTATION
-        )
-        repairer = IncrementalPlanRepairer(
-            network.tree,
-            network.routing,
-            self.last_strategies,
-            functools.partial(self._replan_clients, network, estimator),
-        )
-        self.last_repairer = repairer
-
-        def on_change(kind: str, node: int, director) -> None:
-            replanned = repairer.repair(kind, node, director.departed)
-            for client, strategy in replanned.items():
-                agent = agents.get(client)
-                if agent is not None:
-                    agent.strategy = strategy
-            self.last_strategies = dict(repairer.strategies)
-            instr.member(
-                network.events.now, "plan.repair", node=node,
-                seq=len(replanned),
+        director = network.membership
+        self.last_repairer = None
+        if director is not None:
+            repairer = IncrementalPlanRepairer(
+                network.tree,
+                network.routing,
+                self.last_strategies,
+                lambda clients, departed: (
+                    planner(departed).plan_clients(clients)
+                ),
             )
+            self.last_repairer = repairer
 
-        director.add_listener(on_change)
+            def on_change(kind: str, node: int, director) -> None:
+                replanned = repairer.repair(kind, node, director.departed)
+                swap(replanned)
+                self.last_strategies = dict(repairer.strategies)
+                instr.member(
+                    network.events.now, "plan.repair", node=node,
+                    seq=len(replanned),
+                )
+
+            director.add_listener(on_change)
+        return source

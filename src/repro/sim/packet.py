@@ -26,9 +26,10 @@ layer, so the packet itself carries only protocol-level identity:
     Causal-tracing context (see :mod:`repro.obs.spans`): which recovery
     trace and which attempt span this packet belongs to, stamped by the
     protocol runtimes when a tracer is installed.  REPAIRs and NACKs
-    copy them from the REQUEST they answer, so the network layer can
-    attribute every link traversal to the attempt that caused it.  -1
-    (the default, and the only value in untraced runs) means untraced.
+    copy them from the REQUEST they answer (:meth:`Packet.reply`), so
+    the network layer can attribute every link traversal to the attempt
+    that caused it.  -1 (the default, and the only value in untraced
+    runs) means untraced.
 
 The record is frozen with value equality, and the array dissemination
 fast path (:mod:`repro.sim.dissem`) leans on that: it validates each
@@ -78,6 +79,17 @@ class Packet:
     def __post_init__(self) -> None:
         if self.kind is not PacketKind.SESSION and self.seq < 0:
             raise ValueError(f"{self.kind.value} packet needs a sequence number")
+
+    def reply(self, kind: PacketKind, origin: int) -> "Packet":
+        """The REPAIR or NACK ``origin`` sends to answer this REQUEST.
+
+        It keeps the request's ``seq``, its ``req_id`` and its trace
+        context, so the reply's link traversals are children of the
+        attempt that asked."""
+        return Packet(
+            kind, self.seq, origin=origin, req_id=self.req_id,
+            trace_id=self.trace_id, span_id=self.span_id,
+        )
 
     @property
     def is_recovery_traffic(self) -> bool:

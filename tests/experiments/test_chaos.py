@@ -155,7 +155,7 @@ def test_chaos_horizon_covers_stream_and_session():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: churn repairs forbid departed peers but not"
+    reason="ROADMAP item 2: churn repairs forbid departed peers but not"
     " the failure detector's dead ones",
 )
 def test_rp_lists_never_hold_departed_or_dead_peers():
@@ -183,13 +183,15 @@ def test_rp_lists_never_hold_departed_or_dead_peers():
         0.3, lanes.get("membership-schedule:0.3"), candidates, horizon
     )
     factory = next(f for f in hardened_factories() if f.name == "RP")
-    attach_repairer = factory.attach_membership
+    install = factory.install
     events: list[tuple[str, int]] = []
     stale: list[tuple[int, str, int, list[int]]] = []
 
-    def attach(director):
-        attach_repairer(director)
-        agents = factory._install_ctx[1]
+    def install_and_watch(network, *args, **kwargs):
+        source = install(network, *args, **kwargs)
+        agents = {
+            client: network.agent_at(client) for client in network.tree.clients
+        }
         detector = next(iter(agents.values())).detector
 
         def check(kind, node, director):
@@ -203,10 +205,12 @@ def test_rp_lists_never_hold_departed_or_dead_peers():
             if holders:
                 stale.append((len(events), kind, node, holders))
 
-        # Added after the repairer's listener, so it sees repaired lists.
-        director.add_listener(check)
+        # Added after install wired the repairer's listener, so it sees
+        # repaired lists.
+        network.membership.add_listener(check)
+        return source
 
-    factory.attach_membership = attach
+    factory.install = install_and_watch
     artifacts = run_protocol_detailed(
         built, factory, faults=faults, membership=membership
     )

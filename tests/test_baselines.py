@@ -1,6 +1,7 @@
 """The committed run baselines under ``baselines/``, regenerated in
-process from the CLI invocations CI runs, so drift fails tier-1 and not
-only CI's shell steps."""
+process from their CLI invocations, so drift fails tier-1.  This module
+is the one place they are compared; CI keeps only its same-seed
+determinism checks."""
 
 import hashlib
 from pathlib import Path
@@ -22,8 +23,7 @@ def assert_fingerprint_matches(argv, fp, baseline):
 
 
 def test_rma_health_fingerprint(tmp_path, capsys):
-    # Per-window attempts, timers, backoffs and hops of one RMA run (CI:
-    # "RMA health fingerprint vs baseline").
+    # Per-window attempts, timers, backoffs and hops of one RMA run.
     assert_fingerprint_matches(
         ["health", "--protocol", "rma", "--seed", "1", "--routers", "30",
          "--packets", "6"],
@@ -32,8 +32,7 @@ def test_rma_health_fingerprint(tmp_path, capsys):
 
 
 def test_srm_lossless_health_fingerprint(tmp_path, capsys):
-    # Per-window NACK and REPAIR hops of SRM's recovery floods (CI: "SRM
-    # lossless health fingerprint vs baseline").
+    # Per-window NACK and REPAIR hops of SRM's recovery floods.
     assert_fingerprint_matches(
         ["health", "--protocol", "srm", "--lossless-recovery", "--seed", "2",
          "--routers", "60", "--packets", "10"],
@@ -42,8 +41,8 @@ def test_srm_lossless_health_fingerprint(tmp_path, capsys):
 
 
 def test_srm_obs_stream_sha256(tmp_path, capsys):
-    # Every SRM timer arm and backoff with its deadline (CI: the
-    # ``sha256sum -c`` of the telemetry smoke's recorded stream).
+    # Every SRM timer arm and backoff with its deadline, as the
+    # telemetry smoke records it.
     expected, name = (BASELINES / "srm_obs_stream.sha256").read_text().split()
     stream = tmp_path / name
     assert main([
@@ -54,8 +53,8 @@ def test_srm_obs_stream_sha256(tmp_path, capsys):
 
 
 def test_chaos_smoke(tmp_path, capsys):
-    # Per-run totals of the faults x churn sweep (CI: "Chaos smoke",
-    # ``cmp`` against the baseline).
+    # Per-run totals of the faults x churn sweep (CI's chaos smoke
+    # invocation).
     saved = tmp_path / "chaos.json"
     assert main([
         "chaos", "--seeds", "1", "2", "--faults", "0", "0.3", "--churn", "0",
@@ -86,9 +85,8 @@ def campaign_out(tmp_path_factory):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_campaign_fingerprint(jobs, campaign_out, capsys):
-    # Per-run counters of the campaign smoke (CI: "Regression-ledger
-    # gate"), and its sweeps byte-equal at every worker count (CI:
-    # "Parallel determinism smoke").
+    # Per-run counters of the campaign smoke, and its sweeps byte-equal
+    # at every worker count (CI: "Parallel determinism smoke").
     out = campaign_out(jobs)
     diff = diff_fingerprints(
         load_fingerprint(out / "fingerprint.json"),
