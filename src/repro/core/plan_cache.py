@@ -12,6 +12,21 @@ solved once per process, whether a sweep's units run in the calling
 process (``jobs=1``) or on worker processes (each worker holds its own
 cache and warms it on its first unit of a topology).
 
+Problems that differ only in ``forbidden_peers`` form one **family**
+(the full key minus the forbidden set).  Hardened RP re-plans with
+every newly dead peer forbidden, so its failure-detector re-plans miss
+the cache one after another within one family.  The cache keeps the
+latest plan of the family it last missed on
+(:class:`~repro.core.planner_batch.PlanFamily`: candidate pairs before
+restrictions, forbidden set, strategies) and hands it to ``plan_all``,
+which re-solves only the clients with a candidate peer in the symmetric
+difference of the two forbidden sets.  A forbidden class winner drops
+its class and Algorithm 1 works per client, so every other client's
+held strategy is exactly what a full solve would return.  A derived
+plan still counts as a miss.  One family is held, not one per entry: a
+churn-mutated tree starts a new family at each membership epoch, and
+the old epochs' families would never be planned again.
+
 Correctness discipline:
 
 * The **fingerprint** hashes everything planning reads: tree root,
@@ -28,7 +43,8 @@ Correctness discipline:
   :func:`plans_for` returns a fresh dict so callers may reshape the
   mapping freely.
 * A cached sweep is **bit-identical** to an uncached one (planning is
-  deterministic), enforced by the equivalence tests.  The uncached
+  deterministic), and a derived plan to a from-scratch one, enforced by
+  the equivalence tests.  The uncached
   reference is :meth:`~repro.core.planner.RPPlanner.plan_all` itself.
 
 Observability: hits/misses are counted on the cache itself
@@ -48,6 +64,7 @@ from repro.core.objective import (
     RttOnlyEstimator,
     TimeoutOnlyEstimator,
 )
+from repro.core.planner_batch import PlanFamily
 from repro.core.strategy_graph import StrategyRestrictions
 from repro.core.timeouts import FixedTimeout, ProportionalTimeout
 from repro.lru import LRU
@@ -137,15 +154,14 @@ def _component_key(obj: object) -> tuple:
 
 
 def _restrictions_key(restrictions: StrategyRestrictions) -> tuple:
-    return (
-        restrictions.forbid_direct_source,
-        tuple(sorted(restrictions.forbidden_peers)),
-        restrictions.max_list_length,
-    )
+    """The restrictions other than ``forbidden_peers``: part of the
+    family key."""
+    return (restrictions.forbid_direct_source, restrictions.max_list_length)
 
 
 class PlanCache:
-    """LRU of ``fingerprint → {client: RecoveryStrategy}``."""
+    """LRU of ``fingerprint → {client: RecoveryStrategy}``, beside the
+    latest plan of the family last missed on."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -153,12 +169,15 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self._entries = LRU(capacity)
+        self._family_key: tuple | None = None
+        self._family: PlanFamily | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def key_for(self, planner: "RPPlanner") -> tuple:
-        """The planner's full cache key (scenario + knob components).
+        """The planner's full cache key (scenario + knob components):
+        its family key, then the sorted forbidden peers.
 
         Includes the routing backend's value key: the landmark backend
         plans against approximate distances, so its strategies must never
@@ -179,6 +198,7 @@ class PlanCache:
             _component_key(planner.timeout_policy),
             _component_key(planner.estimator),
             _restrictions_key(planner.restrictions),
+            tuple(sorted(planner.restrictions.forbidden_peers)),
         )
 
     def plans_for(self, planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
@@ -186,14 +206,18 @@ class PlanCache:
 
         A hit returns the memoized strategies (frozen, shared by
         reference) in a fresh dict; a miss delegates to
-        :meth:`~repro.core.planner.RPPlanner.plan_all` and stores the
-        result.
+        :meth:`~repro.core.planner.RPPlanner.plan_all` with the
+        family's latest plan, if one is held, and stores the result.
+        A new dead set on the same tree thus re-solves only the clients
+        whose candidates meet a peer that died (or revived) since.
         """
         key = self.key_for(planner)
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            entry = planner.plan_all()
+            if key[:-1] != self._family_key:
+                self._family_key, self._family = key[:-1], PlanFamily()
+            entry = planner.plan_all(self._family)
             self._entries.put(key, entry)
         else:
             self.hits += 1
@@ -202,6 +226,7 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""
         self._entries.clear()
+        self._family_key = self._family = None
         self.hits = 0
         self.misses = 0
 

@@ -158,7 +158,16 @@ class RPPlanner:
         in the given order."""
         return planner_batch.plan_clients(self, clients)
 
-    def plan_all(self) -> dict[int, RecoveryStrategy]:
+    def plan_all(
+        self, family: planner_batch.PlanFamily | None = None
+    ) -> dict[int, RecoveryStrategy]:
         """Strategies for every client of the tree, keyed by client id in
-        ``tree.clients`` order."""
-        return planner_batch.plan_all(self)
+        ``tree.clients`` order.
+
+        ``family``, when given, holds the latest plan of a problem that
+        differs from this one at most in ``restrictions.forbidden_peers``
+        (the plan cache holds one); only the clients whose
+        candidates that difference touches are solved again, and
+        ``family`` is updated to this plan.
+        """
+        return planner_batch.plan_all(self, family)

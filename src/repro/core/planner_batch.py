@@ -27,12 +27,21 @@ clients at once:
 3.  **Algorithm 1** in lockstep over all clients with the same candidate
     count (:func:`_algorithm1`), bounded lists included.
 
+A client's plan therefore reads the forbidden set only through its own
+candidate pairs, and Algorithm 1's arithmetic is elementwise per client.
+Given the :class:`PlanFamily` of an earlier ``plan_all`` that differs
+only in ``forbidden_peers``, ``plan_all`` re-solves just the clients
+with a candidate peer in the symmetric difference of the two forbidden
+sets, on the held pairs, and keeps every other client's held strategy:
+the result is the one a full solve returns, bit for bit.
+
 Plans are bit-identical to ``searching_minimal_delay[_bounded]`` over
 ``RPPlanner.strategy_graph_for``, the reference the tests hold them to.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -56,17 +65,75 @@ class CandidatePairs(NamedTuple):
     source_rtt: np.ndarray  # one per planned client
 
 
-def plan_all(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
-    """Strategies for every client, keyed in ``tree.clients`` order."""
+@dataclass(slots=True)
+class PlanFamily:
+    """The latest ``plan_all`` of one family of planning problems — the
+    same tree, routing, timeout policy, estimator and restrictions up
+    to ``forbidden_peers``: its candidate pairs before restrictions,
+    the forbidden set it was solved under and its strategies."""
+
+    pairs: CandidatePairs | None = None
+    forbidden: frozenset = frozenset()
+    strategies: "dict[int, RecoveryStrategy]" = field(default_factory=dict)
+
+
+def plan_all(
+    planner: "RPPlanner", family: PlanFamily | None = None
+) -> "dict[int, RecoveryStrategy]":
+    """Strategies for every client, keyed in ``tree.clients`` order.
+
+    With a ``family`` holding an earlier plan of the planner's family,
+    only the clients whose candidates meet a peer newly forbidden or
+    newly allowed are solved again; the family then holds this plan.
+    """
     tree = planner.tree
     clients = np.asarray(tree.clients, dtype=np.int64)
     if not len(clients):
         return {}
-    if isinstance(planner.routing.backend, LandmarkDistanceBackend):
-        pairs = _landmark_candidates(tree, planner.routing, clients)
+    forbidden = frozenset(planner.restrictions.forbidden_peers)
+    if family is not None and family.pairs is not None:
+        pairs = family.pairs
+        strategies = _rederive(planner, clients, family, forbidden)
     else:
-        pairs = row_candidates(tree, planner.routing, clients)
-    return _solve(planner, clients, pairs)
+        if isinstance(planner.routing.backend, LandmarkDistanceBackend):
+            pairs = _landmark_candidates(tree, planner.routing, clients)
+        else:
+            pairs = row_candidates(tree, planner.routing, clients)
+        strategies = _solve(planner, clients, pairs)
+    if family is not None:
+        family.pairs, family.forbidden = pairs, forbidden
+        family.strategies = strategies
+    return strategies
+
+
+def _rederive(
+    planner: "RPPlanner",
+    clients: np.ndarray,
+    family: PlanFamily,
+    forbidden: frozenset,
+) -> "dict[int, RecoveryStrategy]":
+    """``family``'s strategies with every client that has a candidate
+    peer in ``forbidden △ family.forbidden`` solved again."""
+    pairs = family.pairs
+    num_nodes = planner.tree.topology.num_nodes
+    changed = [p for p in forbidden ^ family.forbidden if 0 <= p < num_nodes]
+    flipped = np.zeros(num_nodes, dtype=bool)
+    flipped[changed] = True
+    marked = np.zeros(len(clients), dtype=bool)
+    marked[pairs.client[flipped[pairs.peer]]] = True
+    if not marked.any():
+        return dict(family.strategies)
+    keep = marked[pairs.client]
+    index = np.cumsum(marked) - 1  # client index -> index among the marked
+    solved = _solve(planner, clients[marked], CandidatePairs(
+        client=index[pairs.client[keep]],
+        ds=pairs.ds[keep],
+        rtt=pairs.rtt[keep],
+        peer=pairs.peer[keep],
+        source_rtt=pairs.source_rtt[marked],
+    ))
+    # Held keys are in tree.clients order; the solved ones replace theirs.
+    return family.strategies | solved
 
 
 def plan_clients(

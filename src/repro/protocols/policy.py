@@ -20,10 +20,12 @@ layers three defenses on top of the existing
 
 :class:`PeerFailureDetector` adds the cross-recovery memory: ``k``
 consecutive timeouts against one peer mark it dead, subsequent
-recoveries skip it, and (for RP) a cached re-plan via
+recoveries skip it, and (for RP) a re-plan via
 :mod:`repro.core.plan_cache` with the dead peer restricted out of the
-strategy graph rebuilds the prioritized list as if the peer never
-existed.
+strategy graph rebuilds the prioritized lists as if the peer never
+existed.  On the tree's current membership epoch it is derived from the
+plan before: only the clients with the dead peer among their
+candidates are solved again.
 
 **Determinism contract:** the default :data:`DEFAULT_RECOVERY_POLICY`
 reduces every hardened code path to the pre-hardening behaviour — same
@@ -62,11 +64,11 @@ class RecoveryPolicy:
     failure_threshold:
         Consecutive timeouts against one peer before the
         :class:`PeerFailureDetector` declares it dead; 0 (default)
-        disables the detector.  RP re-plans on every declared death:
-        the prioritized lists are rebuilt through the plan cache with
-        all dead peers restricted out (new recoveries use the repaired
-        plan; in-flight recoveries finish on the list they started
-        with).
+        disables the detector.  RP re-plans on every declared death
+        through the plan cache with all dead peers restricted out,
+        solving again only the clients with a newly dead peer among
+        their candidates (new recoveries use the repaired plan;
+        in-flight recoveries finish on the list they started with).
     """
 
     max_peer_retries: int = 1

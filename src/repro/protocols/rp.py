@@ -523,7 +523,9 @@ class RPProtocolFactory(ProtocolFactory):
             # process-global plan cache on every point after the first
             # (see repro.core.plan_cache).  The restrictions are part of
             # the cache key, so failure-detector re-plans with the same
-            # dead set hit too.  Timed once per plan call, not per
+            # dead set hit too; a new dead set on the same tree epoch
+            # re-solves only the clients with a newly dead peer among
+            # their candidates.  Timed once per plan call, not per
             # client: the profiler sees planning as one phase.
             with instr.scope("planner.plan"):
                 return plan_cache.plans_for(rp_planner)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import plan_cache
+from repro.core import plan_cache, planner_batch
 from repro.core.objective import RttOnlyEstimator
 from repro.core.plan_cache import PlanCache, scenario_fingerprint
 from repro.core.planner import RPPlanner
@@ -212,3 +212,144 @@ class TestEndToEndEquivalence:
             run_protocol_detailed(build_scenario(config), RPProtocolFactory())
         assert plan_cache.GLOBAL_PLAN_CACHE.misses == 1
         assert plan_cache.GLOBAL_PLAN_CACHE.hits == 3
+
+
+def scene(backend, seed=5, routers=60):
+    topo = random_backbone(
+        TopologyConfig(num_routers=routers), np.random.default_rng(seed)
+    )
+    tree = random_multicast_tree(topo, np.random.default_rng(seed + 1))
+    return tree, RoutingTable(topo, backend=backend)
+
+
+def restricted(tree, routing, forbidden=(), **kwargs):
+    # A short fixed timeout makes long lists, so every restriction binds.
+    return RPPlanner(
+        tree, routing, timeout_policy=FixedTimeout(1.0),
+        restrictions=StrategyRestrictions(
+            forbidden_peers=frozenset(forbidden), **kwargs
+        ),
+    )
+
+
+def forbiddable_peers(tree, routing, count, **knobs):
+    """``count`` peers that some client tries first, all of which may be
+    forbidden at once without leaving a client no strategy."""
+    plans = restricted(tree, routing).plan_all()
+    picked: list[int] = []
+    for peer in dict.fromkeys(s.attempts[0].node for s in plans.values()
+                              if s.attempts):
+        try:
+            restricted(tree, routing, picked + [peer], **knobs).plan_all()
+        except ValueError:
+            continue
+        picked.append(peer)
+        if len(picked) == count:
+            return picked
+    raise AssertionError("scene has too few forbiddable peers")
+
+
+class TestDerivedPlans:
+    """A plan derived from a held plan of the same family (the problem
+    up to ``forbidden_peers``) equals ``plan_all()`` from scratch,
+    strategy for strategy and in ``tree.clients`` order."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Client counts of every Algorithm-1 solve, in call order."""
+        counts = []
+        solve = planner_batch._solve
+
+        def spy(planner, clients, pairs):
+            counts.append(len(clients))
+            return solve(planner, clients, pairs)
+
+        monkeypatch.setattr(planner_batch, "_solve", spy)
+        return counts
+
+    @pytest.mark.parametrize("backend", ["exact", "landmark"])
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"forbid_direct_source": True},
+        {"max_list_length": 2},
+    ], ids=["plain", "forbid-direct", "max-len-2"])
+    def test_forbidden_sequence_matches_scratch(self, backend, knobs, solved):
+        tree, routing = scene(backend)
+        a, b, c, d, e = forbiddable_peers(tree, routing, 5, **knobs)
+        sequence = [
+            (),
+            (a,),  # grows by one
+            (a, b, c, d, e),  # grows by several
+            (a, c),  # shrinks
+            (b, d),  # swaps
+            (),  # returns to empty
+        ]
+        # One entry: every step misses and derives from the step before.
+        cache = PlanCache(capacity=1)
+        previous = None
+        moved = 0
+        solved.clear()
+        for forbidden in sequence:
+            derived = cache.plans_for(restricted(tree, routing, forbidden, **knobs))
+            scratch = restricted(tree, routing, forbidden, **knobs).plan_all()
+            assert derived == scratch
+            assert list(derived) == list(scratch) == list(tree.clients)
+            moved += previous is not None and derived != previous
+            previous = derived
+        assert cache.misses == len(sequence) and cache.hits == 0
+        assert moved == len(sequence) - 1  # every step changed some plan
+        # Each step solves through the cache, then from scratch.
+        assert solved[1::2] == [len(tree.clients)] * len(sequence)
+        assert all(0 < n < len(tree.clients) for n in solved[2::2])
+
+    @pytest.mark.parametrize("backend", ["exact", "landmark"])
+    def test_families_never_share_held_plans(self, backend):
+        # Planners differing in a restriction other than forbidden_peers
+        # are different families, even planned through one cache.
+        tree, routing = scene(backend)
+        peers = forbiddable_peers(
+            tree, routing, 6, forbid_direct_source=True, max_list_length=2
+        )
+        unbounded = restricted(tree, routing).plan_all()
+        assert max(map(len, unbounded.values())) > 2
+        cache = PlanCache(capacity=1)
+        for step, knobs in enumerate([
+            {},
+            {"max_list_length": 2},
+            {"forbid_direct_source": True},
+            {"max_list_length": 2, "forbid_direct_source": True},
+            {},
+        ]):
+            forbidden = peers[step : step + 2]
+            got = cache.plans_for(restricted(tree, routing, forbidden, **knobs))
+            assert got == restricted(tree, routing, forbidden, **knobs).plan_all()
+
+    def test_unrelated_forbidden_peer_resolves_no_client(self, solved):
+        tree, routing = scene("exact")
+        cache = PlanCache(capacity=1)
+        held = cache.plans_for(restricted(tree, routing))
+        # The source is no client's candidate; the others are no node.
+        assert tree.root not in tree.clients
+        unrelated = (tree.root, -1, tree.topology.num_nodes)
+        derived = cache.plans_for(restricted(tree, routing, unrelated))
+        assert derived == held and cache.misses == 2
+        assert solved == [len(tree.clients)]
+
+    @pytest.mark.parametrize("backend", ["exact", "landmark"])
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_unreachable_sink_raises_like_full_solve(self, backend, limit):
+        tree, routing = scene(backend)
+        knobs = {"forbid_direct_source": True, "max_list_length": limit}
+        cache = PlanCache(capacity=1)
+        cache.plans_for(restricted(tree, routing, **knobs))
+        everyone = tree.clients
+        with pytest.raises(ValueError) as full:
+            restricted(tree, routing, everyone, **knobs).plan_all()
+        with pytest.raises(ValueError) as derived:
+            cache.plans_for(restricted(tree, routing, everyone, **knobs))
+        assert str(derived.value) == str(full.value)
+        # The failed derivation left the held plan usable.
+        forbidden = forbiddable_peers(tree, routing, 2, **knobs)
+        assert cache.plans_for(
+            restricted(tree, routing, forbidden, **knobs)
+        ) == restricted(tree, routing, forbidden, **knobs).plan_all()

@@ -391,3 +391,61 @@ class TestFailureDetectorIntegration:
         )
         assert artifacts.summary.fully_recovered
         assert artifacts.obs.counters.get("fault.peer.dead", 0) == 0
+
+
+class TestFailureDetectorReplans:
+    def test_death_replans_equal_full_plans_and_resolve_fewer_clients(
+        self, monkeypatch
+    ):
+        # Each on_death re-plan goes through the plan cache with the
+        # dead set forbidden.  It must equal an uncached full plan for
+        # that dead set, and it re-solves only the clients whose
+        # candidates meet a newly dead peer.
+        from repro.core import plan_cache, planner_batch
+        from repro.experiments.chaos import chaos_horizon
+        from repro.experiments.runner import build_scenario
+        from repro.sim.faults import random_fault_schedule
+        from repro.sim.rng import RngStreams
+
+        config = ScenarioConfig(
+            seed=1, num_routers=60, loss_prob=0.05, num_packets=10,
+            lossless_recovery=False,
+        )
+        built = build_scenario(config)
+        candidates = [c for c in built.tree.clients if c != built.tree.root]
+        faults = random_fault_schedule(
+            0.5, RngStreams(config.seed).get("fault-schedule:0.5"),
+            candidates, built.topology.links, chaos_horizon(config),
+        )
+        solved: list[int] = []
+        solve = planner_batch._solve
+        cached = plan_cache.plans_for
+        replans: list[int] = []  # clients solved per death re-plan
+
+        def spy_solve(planner, clients, pairs):
+            solved.append(len(clients))
+            return solve(planner, clients, pairs)
+
+        def spy_plans_for(planner):
+            solved.clear()
+            plans = cached(planner)
+            if planner.restrictions.forbidden_peers:
+                replans.append(sum(solved))
+                assert plans == planner.plan_all()
+            return plans
+
+        monkeypatch.setattr(planner_batch, "_solve", spy_solve)
+        monkeypatch.setattr(plan_cache, "plans_for", spy_plans_for)
+        plan_cache.clear()
+        try:
+            run_protocol_detailed(
+                built,
+                RPProtocolFactory(
+                    RPConfig(recovery_policy=RecoveryPolicy.hardened())
+                ),
+                faults=faults,
+            )
+        finally:
+            plan_cache.clear()
+        assert len(replans) >= 2
+        assert min(replans) < len(built.tree.clients)

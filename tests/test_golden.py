@@ -243,8 +243,9 @@ class TestGoldenRuns:
 
     def test_hardened_rp_under_faults_pinned(self, built):
         # The failure detector declares deaths here, and every death
-        # re-plans all clients through plan_all with the dead peers
-        # restricted out of the strategy graph.
+        # re-plans through plan_all with the dead peers restricted out
+        # of the strategy graph, re-solving only the clients with a
+        # newly dead peer among their candidates.
         lanes = RngStreams(42)
         clients = list(built.tree.clients)
         horizon = 10 * built.config.data_interval + 2 * built.config.session_interval
