@@ -30,9 +30,11 @@ the old epochs' families would never be planned again.
 Correctness discipline:
 
 * The **fingerprint** hashes everything planning reads: tree root,
-  parent map, client set, node count and every topology link's
-  ``(u, v, delay)`` — loss probabilities are deliberately excluded
-  (planning never reads them).  Policy/estimator/restriction knobs are
+  parent map, client set, and the topology's delay-graph digest
+  (:func:`~repro.net.routing.delay_graph_digest`: node count and every
+  link's ``(u, v, delay)``, the digest the routing row store is keyed
+  by) — loss probabilities are deliberately excluded (planning never
+  reads them).  Policy/estimator/restriction knobs are
   keyed by value for the stock classes and by instance identity for
   unknown subclasses, so an unrecognised policy can cause a redundant
   miss but never a wrong hit.
@@ -49,12 +51,17 @@ Correctness discipline:
 
 Observability: hits/misses are counted on the cache itself
 (:meth:`PlanCache.stats`).
+
+Reset: the module-level :func:`clear` is the one reset for the
+loss-independent state that outlives a build.  It empties the global
+plan cache and resets its counters, and it drops the routing module's
+shared row store (the Dijkstra rows the builds of one delay graph
+share), so the build after it plans and routes from cold.
 """
 
 from __future__ import annotations
 
 import hashlib
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,6 +75,7 @@ from repro.core.planner_batch import PlanFamily
 from repro.core.strategy_graph import StrategyRestrictions
 from repro.core.timeouts import FixedTimeout, ProportionalTimeout
 from repro.lru import LRU
+from repro.net.routing import clear_shared_rows, delay_graph_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.planner import RecoveryStrategy, RPPlanner
@@ -104,26 +112,22 @@ def scenario_fingerprint(tree: "MulticastTree") -> str:
     cached = getattr(tree, _TREE_FP_ATTR, None)
     if cached is not None and cached[0] == epoch:
         return cached[1]
-    topo = tree.topology
-    links = topo.links
-    num_links = len(links)
     order, _, _, parent = tree.structure_arrays()
     members = np.sort(order).astype(np.int64)
-    # Contiguous arrays hashed as raw bytes: the delays bit for bit, and
-    # the lengths up front so no two field layouts share a byte stream.
+    # Contiguous arrays hashed as raw bytes, the lengths up front so no
+    # two field layouts share a byte stream; the links' endpoints and
+    # delays come in as the topology's delay-graph digest (memoized on
+    # the topology, so each topology's links are hashed once).
     clients = np.asarray(tree.clients, dtype=np.int64)
-    head = (tree.root, epoch, topo.num_nodes, members.size, clients.size,
-            num_links)
+    head = (tree.root, epoch, members.size, clients.size)
     digest = hashlib.sha256(np.array(head, dtype=np.int64).tobytes())
     for array in (
         members,
         parent[members].astype(np.int64),  # -1 at the root
         clients,
-        np.fromiter(map(attrgetter("u"), links), np.int64, num_links),
-        np.fromiter(map(attrgetter("v"), links), np.int64, num_links),
-        np.fromiter(map(attrgetter("delay"), links), np.float64, num_links),
     ):
         digest.update(array.tobytes())
+    digest.update(delay_graph_digest(tree.topology))
     fingerprint = digest.hexdigest()
     setattr(tree, _TREE_FP_ATTR, (epoch, fingerprint))
     return fingerprint
@@ -253,5 +257,9 @@ def plans_for(planner: "RPPlanner") -> "dict[int, RecoveryStrategy]":
 
 
 def clear() -> None:
-    """Empty the global cache and reset its counters."""
+    """Reset the process's loss-independent memo state: empty the global
+    plan cache, reset its counters and drop the shared routing row store
+    (:func:`repro.net.routing.clear_shared_rows`), so the next build
+    plans and routes from cold."""
     GLOBAL_PLAN_CACHE.clear()
+    clear_shared_rows()

@@ -122,11 +122,14 @@ def _cached_scenario(config: ScenarioConfig) -> BuiltScenario:
     cached network under the unit's own config.
 
     The key *does* include ``loss_prob`` (it shapes the topology's
-    links), so a loss sweep rebuilds the scenario per point; the RP
-    prioritized lists, however, come from the process-global
-    :mod:`repro.core.plan_cache`, whose value-based fingerprint excludes
-    loss probabilities — each process plans a topology once and reuses
-    the lists across every loss point it is handed.
+    links), so a loss sweep rebuilds the scenario per point.  What does
+    not depend on loss is still shared across the points a process is
+    handed: the RP prioritized lists come from the process-global
+    :mod:`repro.core.plan_cache`, and the exact routing rows from the
+    shared row store of the topology's delay graph
+    (:func:`repro.net.routing.delay_graph_digest`); both keys leave loss
+    probabilities out, so each process plans a topology and computes
+    each of its Dijkstra rows once.
     """
     key = (config.seed, config.topology_config())
     cached = _scenario_cache.get(key)

@@ -23,13 +23,19 @@ Two distance backends implement that API:
     memory budget.  Exact distances and optimal paths — this is the
     historical behaviour, minus the old all-pairs O(V²) cache growth.
     Rows come from :class:`_CoreDijkstra`, the one shortest-path
-    routine here: built once per backend on the first row, it strips
+    routine here: built once per row store on the first query, it strips
     pendant trees (repeatedly removed degree-1 nodes), runs the heap
     Dijkstra on the remaining core and fills each stripped node from its
     one link toward the core — bit-identical to a whole-graph run.  A
     source's first ``path`` miss runs the same heap loop only until the
     target's core attachment pops and caches nothing; its second miss
-    computes the full row and admits it to the LRU.
+    computes the full row and admits it to the LRU.  The core, the LRU
+    and the set of sources whose first miss was served form one
+    :class:`_RowStore`.  Backends that :func:`make_backend` builds by
+    name share the store of their delay graph through a one-entry,
+    process-wide memo keyed by :func:`delay_graph_digest`, which leaves
+    loss probabilities out: the builds of one loss sweep compute each
+    row once.  :func:`clear_shared_rows` drops the memo.
 
 :class:`LandmarkDistanceBackend`
     Tiered approximation for large topologies.  A **near tier** holds
@@ -61,8 +67,10 @@ exact backend never does.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -292,16 +300,92 @@ def _walk_to_root(pred: np.ndarray, node: int) -> list[int]:
     return walk
 
 
-def _row_cache(max_rows: int | None, row_bytes: int) -> LRU:
-    """A backend's ``source -> row(s)`` LRU: ``max_rows`` entries, or by
-    default as many ``row_bytes``-sized rows as the budget holds."""
+def _row_capacity(max_rows: int | None, row_bytes: int) -> int:
+    """A row LRU's size: ``max_rows``, or by default as many
+    ``row_bytes``-sized rows as the budget holds."""
     if max_rows is None:
         max_rows = max(
             EXACT_ROW_CACHE_MIN_ROWS, EXACT_ROW_CACHE_BUDGET // row_bytes
         )
     if max_rows < 1:
         raise ValueError("max_rows must be >= 1")
-    return LRU(max_rows)
+    return max_rows
+
+
+#: Attribute used to memoize the delay-graph digest on a topology.
+_GRAPH_DIGEST_ATTR = "_routing_graph_digest"
+
+
+def delay_graph_digest(topology: Topology) -> bytes:
+    """SHA-256 of everything routing reads from ``topology``.
+
+    Covers the node count and every link's ``(u, v, delay)`` in link
+    order, hashed as contiguous arrays of raw bytes (the delays bit for
+    bit, the counts up front).  Loss probabilities are excluded: routing
+    follows expected delays only, so the builds of one loss sweep share
+    a digest.  The plan cache's scenario fingerprint hashes the same
+    digest.
+
+    Memoized on the topology and revalidated against its node and link
+    counts, which every :class:`Topology` mutation but
+    :meth:`~Topology.set_loss_prob` (which keeps the delays) changes.
+    """
+    links = topology.links
+    counts = (topology.num_nodes, len(links))
+    cached = getattr(topology, _GRAPH_DIGEST_ATTR, None)
+    if cached is not None and cached[0] == counts:
+        return cached[1]
+    digest = hashlib.sha256(np.array(counts, dtype=np.int64).tobytes())
+    for field, dtype in (("u", np.int64), ("v", np.int64),
+                         ("delay", np.float64)):
+        column = np.fromiter(map(attrgetter(field), links), dtype, len(links))
+        digest.update(column.tobytes())
+    value = digest.digest()
+    setattr(topology, _GRAPH_DIGEST_ATTR, (counts, value))
+    return value
+
+
+class _RowStore:
+    """One delay graph's exact-routing state: its :class:`_CoreDijkstra`,
+    the row LRU and the sources whose first ``path`` miss ran an
+    early-stopped search (the second-touch set).  Built at a backend's
+    first query, so a table that is never queried builds nothing."""
+
+    __slots__ = ("core", "rows", "path_missed")
+
+    def __init__(self, topology: Topology, max_rows: int):
+        self.core = _CoreDijkstra(topology)
+        self.rows = LRU(max_rows)
+        self.path_missed: set[int] = set()
+
+    def admit(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """Compute ``source``'s row and cache it."""
+        entry = self.core.row(source)
+        self.rows.put(source, entry)
+        return entry
+
+
+#: ``(delay-graph digest, store)`` of the last graph a backend built by
+#: name queried: one entry, so at most one graph's rows stay alive here.
+_shared: tuple[bytes, _RowStore] | None = None
+
+
+def _shared_store(topology: Topology, max_rows: int) -> _RowStore:
+    """The memoized store for ``topology``'s delay graph, replacing the
+    memo when the graph differs.  ``max_rows`` is the default capacity,
+    a function of the node count, which the digest covers."""
+    global _shared
+    digest = delay_graph_digest(topology)
+    if _shared is None or _shared[0] != digest:
+        _shared = (digest, _RowStore(topology, max_rows))
+    return _shared[1]
+
+
+def clear_shared_rows() -> None:
+    """Drop the shared row store, so the next build computes its rows
+    afresh.  :func:`repro.core.plan_cache.clear` calls it."""
+    global _shared
+    _shared = None
 
 
 class ExactDistanceBackend:
@@ -310,8 +394,13 @@ class ExactDistanceBackend:
     Query results are identical to the historical all-pairs table; the
     only behavioural difference is that a row evicted under memory
     pressure is recomputed on the next query instead of held forever.
-    Rows come from a :class:`_CoreDijkstra` built on the first row
-    computed, so a table that is never queried costs nothing.
+    Rows, the LRU and the second-touch set live in a :class:`_RowStore`
+    taken at the first query, so a table that is never queried costs
+    nothing.  A backend constructed directly keeps a private store; one
+    that :func:`make_backend` builds by name (as ``RoutingTable`` and
+    ``build_scenario`` do) takes the shared store of its delay graph, so
+    it starts with the rows an earlier build of the same graph computed.
+    :attr:`cached_rows` and :attr:`evictions` read the store's counts.
 
     ``path`` admits rows on second touch.  The first time a source
     misses the cache, :meth:`_CoreDijkstra.path` stops the search once
@@ -326,9 +415,14 @@ class ExactDistanceBackend:
 
     def __init__(self, topology: Topology, max_rows: int | None = None):
         self._topology = topology
-        self._rows = _row_cache(max_rows, 16 * max(1, topology.num_nodes))
-        self._sssp: _CoreDijkstra | None = None
-        self._path_missed: set[int] = set()
+        self._max_rows = _row_capacity(
+            max_rows, 16 * max(1, topology.num_nodes)
+        )
+        self._shares_rows = False  # set by make_backend
+        self._store: _RowStore | None = None
+        # The store's LRU once taken; until then an empty dict, so a
+        # lookup misses without a check on the hit path.
+        self._rows: LRU | dict = {}
 
     @property
     def topology(self) -> Topology:
@@ -336,7 +430,7 @@ class ExactDistanceBackend:
 
     @property
     def max_cached_rows(self) -> int:
-        return self._rows.max_size
+        return self._max_rows
 
     @property
     def cached_rows(self) -> int:
@@ -344,22 +438,25 @@ class ExactDistanceBackend:
 
     @property
     def evictions(self) -> int:
-        return self._rows.evictions
+        return self._store.rows.evictions if self._store is not None else 0
 
-    def _core(self) -> _CoreDijkstra:
-        if self._sssp is None:
-            self._sssp = _CoreDijkstra(self._topology)
-        return self._sssp
-
-    def _admit(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        entry = self._core().row(source)
-        self._rows.put(source, entry)
-        return entry
+    def _take_store(self) -> _RowStore:
+        store = self._store
+        if store is None:
+            make = _shared_store if self._shares_rows else _RowStore
+            store = self._store = make(self._topology, self._max_rows)
+            self._rows = store.rows
+        return store
 
     def shortest_path_tree(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         entry = self._rows.get(source)
         if entry is None:
-            entry = self._admit(source)
+            # Look again in the store: the miss that takes a shared
+            # store looked in the empty dict.
+            store = self._take_store()
+            entry = store.rows.get(source)
+            if entry is None:
+                entry = store.admit(source)
         return entry
 
     def distances_from(self, source: int) -> np.ndarray:
@@ -368,12 +465,15 @@ class ExactDistanceBackend:
     def path(self, u: int, v: int) -> list[int]:
         entry = self._rows.get(u)
         if entry is None:
-            if u not in self._path_missed:
-                # Second-touch admission: a source's first miss runs an
-                # early-stopped search and caches nothing.
-                self._path_missed.add(u)
-                return self._core().path(u, v)
-            entry = self._admit(u)
+            store = self._take_store()
+            entry = store.rows.get(u)
+            if entry is None:
+                if u not in store.path_missed:
+                    # Second-touch admission: a source's first miss runs
+                    # an early-stopped search and caches nothing.
+                    store.path_missed.add(u)
+                    return store.core.path(u, v)
+                entry = store.admit(u)
         dist, pred = entry
         if not 0 <= v < len(dist):
             raise ValueError(f"unknown node {v}")
@@ -509,7 +609,7 @@ class LandmarkDistanceBackend:
         if near_k < 0:
             raise ValueError(f"near_k must be >= 0, got {near_k}")
         self._near_k = min(near_k, n - 1) if n > 1 else 0
-        self._rows = _row_cache(max_rows, 8 * max(1, n))
+        self._rows = LRU(_row_capacity(max_rows, 8 * max(1, n)))
         self._build(num_landmarks)
         self._build_near_tier(self._near_k)
 
@@ -805,7 +905,9 @@ def make_backend(kind: str, topology: Topology):
             else "landmark"
         )
     if kind == "exact":
-        return ExactDistanceBackend(topology)
+        backend = ExactDistanceBackend(topology)
+        backend._shares_rows = True
+        return backend
     if kind == "landmark":
         return LandmarkDistanceBackend(topology)
     raise ValueError(

@@ -113,11 +113,13 @@ class _SRMRepairLogic:
         # Trace context of the NACK each pending repair answers, so the
         # repair flood inherits the requester's span (causal stamping).
         self._repair_ctx: dict[int, tuple[int, int]] = {}
-        # The hold another member's repair starts: the repair-hold
-        # factor times the distance to the source, at least one unit.
+        # The distance to the source, read once: members scale their
+        # request timers by it, and the hold another member's repair
+        # starts is the repair-hold factor times it, at least one unit.
         network = self.network
+        self._d_source = network.routing.delay(self.node, network.tree.root)
         self._suppress_hold = config.repair_hold_factor * max(
-            network.routing.delay(self.node, network.tree.root), 1.0
+            self._d_source, 1.0
         )
         # The dropped duplicate REPAIRs, seq -> sorted [(t, key seq,
         # packet index)], and the fast path's repair-deadline row (both
@@ -286,7 +288,6 @@ class SRMClientAgent(ClientAgent, _SRMRepairLogic):
             instrumentation=instrumentation,
         )
         _SRMRepairLogic.__init__(self, config, rng)
-        self._d_source = network.routing.delay(node, network.tree.root)
         self._requests: dict[int, _PendingRequest] = {}
 
     # -- request side -------------------------------------------------------
